@@ -65,23 +65,6 @@ def _referenced_names(e: Expression, acc: set[str]) -> None:
         _referenced_names(child, acc)
 
 
-def _expr_nullable(e: Expression, nullable: dict[str, bool]) -> bool:
-    match e:
-        case Empty() | Tag() | Option() | ZeroOrMore() | And() | Not():
-            return True
-        case Terminal() | CharClass() | AnyChar():
-            return False
-        case Nonterminal(name):
-            return nullable.get(name, False)
-        case Sequence(items):
-            return all(_expr_nullable(i, nullable) for i in items)
-        case Choice(alternatives):
-            return any(_expr_nullable(a, nullable) for a in alternatives)
-        case OneOrMore(body) | New(body) | LeftFold(body) | Link(body):
-            return _expr_nullable(body, nullable)
-    raise TypeError(f"unknown expression {e!r}")
-
-
 def _nullability(grammar: Grammar) -> dict[str, bool]:
     """Least fixpoint of "can succeed consuming nothing" per production."""
     nullable = {name: False for name in grammar.productions}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .analysis import assign_memo_points, validate
 from .grammar import Grammar, GrammarSyntaxError, parse_grammar
-from .interp import ParseError, ParseSession, Stats
+from .interp import InvalidGrammarError, ParseError, ParseSession, Stats, program_for
 from .memo import DEFAULT_WINDOW
 from .tree import serialize, to_json_dict
 
@@ -76,12 +76,14 @@ def _read_input(path: str) -> bytes | int:
 
 
 def _checked_grammar(config: CliConfig) -> Grammar | int:
+    """Reads and compiles the grammar; errors print before any input is read."""
     grammar = _read_grammar(config.grammar_path)
     if isinstance(grammar, int):
         return grammar
-    errors = [d for d in validate(grammar) if d.severity == "error"]
-    if errors:
-        for diagnostic in errors:
+    try:
+        program_for(grammar, memo=config.memo, build_ast=config.mode != "recognize")
+    except InvalidGrammarError as exc:
+        for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)
         return FAILURE
     return grammar
@@ -258,3 +260,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -234,10 +234,12 @@ def subexpressions(e: Expression) -> tuple[Expression, ...]:
 
 
 def desugar(e: Expression, *, expand_char_classes: bool = False) -> Expression:
-    """Rewrites ``e`` into the core operators evaluated by the engine.
+    """Rewrites ``e`` into a smaller core of operators.
 
     ``e?`` becomes a choice with the empty expression, ``e+`` becomes
     ``e e*``, and ``&e`` becomes ``!!e``.  ``e*`` stays a native loop.
+    The engine compiles the sugared forms directly; this rewrite is the
+    reference form that tests compare it against.
     Character classes stay native too unless ``expand_char_classes`` is
     set, in which case each class becomes a choice over its member
     bytes (useful only as a slow reference form for equivalence tests).

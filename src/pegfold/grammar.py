@@ -23,7 +23,9 @@ Syntax summary:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .expr import (
     ANY,
@@ -74,25 +76,33 @@ class Diagnostic:
 class Grammar:
     """An ordered map of productions plus a start symbol.
 
-    ``locations`` maps production names to their ``(line, column)`` in the
-    source text, for diagnostics; it does not participate in equality.
+    ``productions`` is read-only, because the grammar keeps the programs
+    compiled from it (see :mod:`pegfold.interp`).  ``locations`` maps
+    production names to their ``(line, column)`` in the source text, for
+    diagnostics; it does not participate in equality.
     """
 
-    __slots__ = ("productions", "start", "locations")
+    __slots__ = ("_productions", "start", "locations", "_programs")
 
     def __init__(
         self,
-        productions: dict[str, Expression],
+        productions: Mapping[str, Expression],
         start: str | None = None,
         locations: dict[str, tuple[int, int]] | None = None,
     ):
         if not productions:
             raise ValueError("a grammar needs at least one production")
-        self.productions = dict(productions)
+        self._productions = MappingProxyType(dict(productions))
         self.start = start if start is not None else next(iter(productions))
         if self.start not in self.productions:
             raise ValueError(f"start symbol {self.start!r} is not a production")
         self.locations = locations or {}
+        # (memo, build_ast) -> compiled program; see pegfold.interp.program_for.
+        self._programs: dict = {}
+
+    @property
+    def productions(self) -> Mapping[str, Expression]:
+        return self._productions
 
     def location(self, name: str) -> tuple[int, int]:
         return self.locations.get(name, (0, 0))

@@ -14,13 +14,19 @@ recognition.  With memoization enabled, ``@Name`` links at assigned memo
 points commit their sub-transaction as soon as the body succeeds, store
 the materialized node, and replay it on later hits at the same position;
 tree-operator-free productions are memoized as plain position advances.
+
+A grammar is compiled once per ``(memo, build_ast)`` setting; the
+grammar keeps that program for every session.  Its closures reach the
+input, machine, memo table and counters through cells of the scope that
+made them, which a parse binds on entry and clears on exit.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Callable
+import threading
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 from .analysis import MemoPlan, assign_memo_points, validate
 from .expr import (
@@ -41,7 +47,6 @@ from .expr import (
     Tag,
     Terminal,
     ZeroOrMore,
-    desugar,
     erase_tree_operators,
 )
 from .grammar import Grammar
@@ -59,6 +64,7 @@ __all__ = [
 ]
 
 _MIN_RECURSION_LIMIT = 20000
+_NO_STEP_LIMIT = sys.maxsize
 
 
 class ParseError(Exception):
@@ -102,16 +108,7 @@ class Stats:
     nodes_unused: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "consumed": self.consumed,
-            "backtrack_total": self.backtrack_total,
-            "backtrack_ratio": self.backtrack_ratio,
-            "memo_lookups": self.memo_lookups,
-            "memo_hits": self.memo_hits,
-            "nodes_created": self.nodes_created,
-            "nodes_in_result": self.nodes_in_result,
-            "nodes_unused": self.nodes_unused,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,9 +123,9 @@ class ParseResult:
 class ParseSession:
     """A grammar bound to one input, ready to parse.
 
-    The session validates the grammar (raising :class:`InvalidGrammarError`
-    on errors), desugars it unless told otherwise, compiles it, and can
-    then parse repeatedly; every ``parse`` call starts from fresh state.
+    The session obtains the grammar's program (:func:`program_for`), which
+    raises :class:`InvalidGrammarError` on grammar errors, and can then
+    parse repeatedly; every ``parse`` call starts from fresh state.
 
     ``memo`` enables packrat memoization with a sliding ``window`` (in
     byte positions).  ``build_ast=False`` strips all tree operators at
@@ -145,12 +142,10 @@ class ParseSession:
         memo: bool = True,
         window: int = DEFAULT_WINDOW,
         build_ast: bool = True,
-        apply_desugar: bool = True,
         max_steps: int | None = None,
     ):
-        problems = [d for d in validate(grammar) if d.severity == "error"]
-        if problems:
-            raise InvalidGrammarError(problems)
+        self._program = program_for(grammar, memo=memo, build_ast=build_ast)
+        self.plan = self._program.plan
         self.grammar = grammar
         self.data = data.encode("utf-8") if isinstance(data, str) else bytes(data)
         self.memo_enabled = memo
@@ -158,40 +153,12 @@ class ParseSession:
         self.build_ast = build_ast
         self.max_steps = max_steps
 
-        self.machine = Machine()
+        # Filled in by each parse.
+        self.machine: Machine | None = None
         self.table: MemoTable | None = None
         self.backtrack = 0
         self.farthest = 0
         self.calls = 0
-
-        prepared: dict[str, Expression] = {}
-        for name, body in grammar.productions.items():
-            if apply_desugar:
-                body = desugar(body)
-            if not build_ast:
-                body = erase_tree_operators(body)
-            prepared[name] = body
-
-        # Memo points reflect what actually runs: with tree building off,
-        # links are gone and every production is a plain-advance candidate.
-        self.plan: MemoPlan | None = None
-        if memo:
-            plan_grammar = (
-                grammar
-                if build_ast
-                else Grammar(
-                    {n: erase_tree_operators(b) for n, b in grammar.productions.items()},
-                    grammar.start,
-                )
-            )
-            self.plan = assign_memo_points(plan_grammar)
-        self._rules: dict[str, Callable[[int], int]] = {}
-        compiler = _Compiler(self)
-        for name, body in prepared.items():
-            compiled = compiler.compile(body)
-            if self.plan is not None and name in self.plan.nonterminal_points:
-                compiled = compiler.memoized_production(name, compiled)
-            self._rules[name] = compiled
 
     # -- public API --------------------------------------------------------
 
@@ -207,15 +174,7 @@ class ParseSession:
         if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
             sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
 
-        self.machine = Machine()
-        self.table = (
-            MemoTable(self.plan.count, self.window) if self.plan is not None else None
-        )
-        self.backtrack = 0
-        self.farthest = 0
-        self.calls = 0
-
-        end = self._rules[name](0)
+        end = self._program.run(self, name)
         stats = Stats()
         stats.backtrack_total = self.backtrack
         stats.backtrack_ratio = self.backtrack / len(self.data) if self.data else 0.0
@@ -250,19 +209,51 @@ def _count_reachable(root: Node) -> int:
     return len(seen)
 
 
-class _Compiler:
-    """Compiles expressions to position-threading closures for one session."""
+class Program(NamedTuple):
+    """A grammar compiled for one setting.  ``run(session, name)`` parses
+    ``session.data``, one parse at a time, and leaves the machine, memo
+    table and counters on the session."""
 
-    def __init__(self, session: ParseSession):
-        self.session = session
+    plan: MemoPlan | None
+    run: Callable[[ParseSession, str], int]
 
-    # The closures read the machine and rules through the session so that
-    # parse() can swap in fresh state per run.
 
-    def compile(self, e: Expression) -> Callable[[int], int]:
-        s = self.session
-        data = s.data
-        size = len(data)
+def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
+    """The grammar's program for this setting, compiled on first use.
+
+    The first compile of a grammar validates it and raises
+    :class:`InvalidGrammarError` on errors; a grammar that already has a
+    program has passed.  Two threads racing here may both compile; either
+    program is correct.
+    """
+    program = grammar._programs.get((memo, build_ast))
+    if program is not None:
+        return program
+    if not grammar._programs:
+        problems = [d for d in validate(grammar) if d.severity == "error"]
+        if problems:
+            raise InvalidGrammarError(problems)
+
+    bodies = dict(grammar.productions)
+    if not build_ast:
+        bodies = {name: erase_tree_operators(body) for name, body in bodies.items()}
+    # Memo points reflect what actually runs: with tree building off,
+    # links are gone and every production is a plain-advance candidate.
+    plan: MemoPlan | None = None
+    if memo:
+        plan = assign_memo_points(grammar if build_ast else Grammar(bodies, grammar.start))
+
+    # Run state, bound by run() for the length of one parse.
+    data: bytes | None = None
+    size = 0
+    machine: Machine | None = None
+    table: MemoTable | None = None
+    farthest = backtrack = calls = 0
+    limit = _NO_STEP_LIMIT
+    rules: dict[str, Callable[[int], int]] = {}
+    lock = threading.Lock()
+
+    def compile(e: Expression) -> Callable[[int], int]:
         match e:
             case Empty():
                 return lambda pos: pos
@@ -272,10 +263,11 @@ class _Compiler:
                     byte = text[0]
 
                     def run_byte(pos: int, _b=byte) -> int:
+                        nonlocal farthest
                         if pos < size and data[pos] == _b:
                             return pos + 1
-                        if pos > s.farthest:
-                            s.farthest = pos
+                        if pos > farthest:
+                            farthest = pos
                         return ~pos
 
                     return run_byte
@@ -283,23 +275,25 @@ class _Compiler:
                 width = len(text)
 
                 def run_text(pos: int, _t=text, _w=width) -> int:
+                    nonlocal farthest
                     end = pos + _w
                     if data[pos:end] == _t:
                         return end
-                    if pos > s.farthest:
-                        s.farthest = pos
+                    if pos > farthest:
+                        farthest = pos
                     return ~pos
 
                 return run_text
 
             case CharClass() as cc:
-                table = bytes(cc.membership_table())
+                membership = bytes(cc.membership_table())
 
-                def run_class(pos: int, _t=table) -> int:
+                def run_class(pos: int, _t=membership) -> int:
+                    nonlocal farthest
                     if pos < size and _t[data[pos]]:
                         return pos + 1
-                    if pos > s.farthest:
-                        s.farthest = pos
+                    if pos > farthest:
+                        farthest = pos
                     return ~pos
 
                 return run_class
@@ -307,35 +301,28 @@ class _Compiler:
             case AnyChar():
 
                 def run_any(pos: int) -> int:
+                    nonlocal farthest
                     if pos < size:
                         return pos + 1
-                    if pos > s.farthest:
-                        s.farthest = pos
+                    if pos > farthest:
+                        farthest = pos
                     return ~pos
 
                 return run_any
 
             case Nonterminal(name):
-                rules = s._rules
-                if s.max_steps is not None:
-                    limit = s.max_steps
-
-                    def run_call_limited(pos: int, _n=name) -> int:
-                        s.calls += 1
-                        if s.calls > limit:
-                            raise StepLimitExceeded(f"more than {limit} production calls")
-                        return rules[_n](pos)
-
-                    return run_call_limited
 
                 def run_call(pos: int, _n=name) -> int:
-                    s.calls += 1
+                    nonlocal calls
+                    calls += 1
+                    if calls > limit:
+                        raise StepLimitExceeded(f"more than {limit} production calls")
                     return rules[_n](pos)
 
                 return run_call
 
             case Sequence(items):
-                parts = [self.compile(i) for i in items]
+                parts = [compile(i) for i in items]
                 if len(parts) == 2:
                     first, second = parts
 
@@ -357,77 +344,72 @@ class _Compiler:
                 return run_seq
 
             case Choice(alternatives):
-                compiled = [self.compile(a) for a in alternatives]
+                compiled = [compile(a) for a in alternatives]
                 head = tuple(compiled[:-1])
                 last = compiled[-1]
 
                 def run_choice(pos: int) -> int:
+                    nonlocal backtrack
                     for alt in head:
-                        mark = s.machine.save()
+                        mark = machine.save()
                         r = alt(pos)
                         if r >= 0:
                             return r
-                        s.backtrack += ~r - pos
-                        s.machine.abort(mark)
+                        backtrack += ~r - pos
+                        machine.abort(mark)
                     return last(pos)
 
                 return run_choice
 
             case Option(body):
-                inner = self.compile(body)
+                inner = compile(body)
 
                 def run_option(pos: int) -> int:
-                    mark = s.machine.save()
+                    nonlocal backtrack
+                    mark = machine.save()
                     r = inner(pos)
                     if r >= 0:
                         return r
-                    s.backtrack += ~r - pos
-                    s.machine.abort(mark)
+                    backtrack += ~r - pos
+                    machine.abort(mark)
                     return pos
 
                 return run_option
 
             case ZeroOrMore(body):
-                return self._compile_star(body)
+                return compile_star(body)
 
             case OneOrMore(body):
-                first = self.compile(body)
-                rest = self._compile_star(body)
-
-                def run_plus(pos: int) -> int:
-                    pos = first(pos)
-                    if pos < 0:
-                        return pos
-                    return rest(pos)
-
-                return run_plus
+                return compile(Sequence((body, ZeroOrMore(body))))
 
             case Not(body):
-                inner = self.compile(body)
+                inner = compile(body)
 
                 def run_not(pos: int) -> int:
-                    mark = s.machine.save()
+                    nonlocal backtrack, farthest
+                    mark = machine.save()
                     r = inner(pos)
                     if r >= 0:
-                        s.backtrack += r - pos
-                        s.machine.abort(mark)
-                        if pos > s.farthest:
-                            s.farthest = pos
+                        backtrack += r - pos
+                        machine.abort(mark)
+                        if pos > farthest:
+                            farthest = pos
                         return ~pos
-                    s.backtrack += ~r - pos
-                    s.machine.abort(mark)
+                    backtrack += ~r - pos
+                    machine.abort(mark)
                     return pos
 
                 return run_not
 
             case And(body):
-                inner = self.compile(body)
+                inner = compile(body)
 
                 def run_and(pos: int) -> int:
-                    mark = s.machine.save()
+                    nonlocal backtrack
+                    mark = machine.save()
                     r = inner(pos)
-                    s.backtrack += (r if r >= 0 else ~r) - pos
-                    s.machine.abort(mark)
+                    backtrack += (r if r >= 0 else ~r) - pos
+                    machine.abort(mark)
                     return pos if r >= 0 else ~pos
 
                 return run_and
@@ -435,16 +417,15 @@ class _Compiler:
             case Tag(name):
 
                 def run_tag(pos: int, _n=name) -> int:
-                    s.machine.emit_tag(_n)
+                    machine.emit_tag(_n)
                     return pos
 
                 return run_tag
 
             case New(body):
-                inner = self.compile(body)
+                inner = compile(body)
 
                 def run_new(pos: int) -> int:
-                    machine = s.machine
                     machine.emit_new(pos)
                     r = inner(pos)
                     if r >= 0:
@@ -454,10 +435,9 @@ class _Compiler:
                 return run_new
 
             case LeftFold(body):
-                inner = self.compile(body)
+                inner = compile(body)
 
                 def run_fold(pos: int) -> int:
-                    machine = s.machine
                     machine.emit_fold(pos)
                     r = inner(pos)
                     if r >= 0:
@@ -468,15 +448,14 @@ class _Compiler:
 
             case Link(body, index):
                 if (
-                    s.plan is not None
+                    plan is not None
                     and isinstance(body, Nonterminal)
-                    and body.name in s.plan.link_points
+                    and body.name in plan.link_points
                 ):
-                    return self._memoized_link(body.name, index)
-                inner = self.compile(body)
+                    return memoized_link(body.name, index)
+                inner = compile(body)
 
                 def run_link(pos: int, _i=index) -> int:
-                    machine = s.machine
                     machine.push_left()
                     r = inner(pos)
                     if r < 0:
@@ -489,18 +468,14 @@ class _Compiler:
 
         raise TypeError(f"cannot compile {e!r}")
 
-    def _compile_star(self, body: Expression) -> Callable[[int], int]:
-        s = self.session
-        data = s.data
-        size = len(data)
-
+    def compile_star(body: Expression) -> Callable[[int], int]:
         # Byte loops: a failed or empty iteration of these bodies cannot
         # move the position or touch the machine, so the savepoint per
         # iteration degenerates to nothing.
         if isinstance(body, CharClass):
-            table = bytes(body.membership_table())
+            membership = bytes(body.membership_table())
 
-            def run_scan(pos: int, _t=table) -> int:
+            def run_scan(pos: int, _t=membership) -> int:
                 while pos < size and _t[data[pos]]:
                     pos += 1
                 return pos
@@ -517,15 +492,15 @@ class _Compiler:
 
             return run_scan_text
 
-        inner = self.compile(body)
+        inner = compile(body)
 
         def run_star(pos: int) -> int:
-            machine = s.machine
+            nonlocal backtrack
             while True:
                 mark = machine.save()
                 r = inner(pos)
                 if r < 0:
-                    s.backtrack += ~r - pos
+                    backtrack += ~r - pos
                     machine.abort(mark)
                     return pos
                 if r == pos:
@@ -535,13 +510,11 @@ class _Compiler:
 
         return run_star
 
-    def memoized_production(self, name: str, inner: Callable[[int], int]) -> Callable[[int], int]:
+    def memoized_production(name: str, inner: Callable[[int], int]) -> Callable[[int], int]:
         """Wraps a tree-operator-free production with a memo point."""
-        s = self.session
-        point = s.plan.nonterminal_points[name]
+        point = plan.nonterminal_points[name]
 
         def run_memo(pos: int) -> int:
-            table = s.table
             entry = table.lookup(point, pos)
             if entry is not None:
                 return pos + entry.consumed if entry.ok else ~pos
@@ -554,16 +527,14 @@ class _Compiler:
 
         return run_memo
 
-    def _memoized_link(self, name: str, index: int | None) -> Callable[[int], int]:
+    def memoized_link(name: str, index: int | None) -> Callable[[int], int]:
         """``@Name`` at a memo point: commit-on-success, store, replay on hit."""
-        s = self.session
-        point = s.plan.link_points[name]
-        body = self.compile(Nonterminal(name))
+        point = plan.link_points[name]
+        body = compile(Nonterminal(name))
 
         def run_memo_link(pos: int, _i=index) -> int:
-            machine = s.machine
             machine.push_left()
-            entry = s.table.lookup(point, pos)
+            entry = table.lookup(point, pos)
             if entry is not None:
                 if not entry.ok:
                     machine.pop_left()
@@ -576,7 +547,7 @@ class _Compiler:
             mark = machine.save()
             r = body(pos)
             if r < 0:
-                s.table.memoize(point, pos, FAILED)
+                table.memoize(point, pos, FAILED)
                 machine.abort(mark)
                 machine.pop_left()
                 return r
@@ -584,12 +555,39 @@ class _Compiler:
                 # The body built nothing.  Memoize the bare advance, but
                 # only when it logged nothing a stored entry would lose.
                 if len(machine.log) == mark.log_index:
-                    s.table.memoize(point, pos, MemoEntry(True, r - pos, None))
+                    table.memoize(point, pos, MemoEntry(True, r - pos, None))
                 machine.pop_left()
                 return r
-            node = machine.commit(mark, s.data)
-            s.table.memoize(point, pos, MemoEntry(True, r - pos, node))
+            node = machine.commit(mark, data)
+            table.memoize(point, pos, MemoEntry(True, r - pos, node))
             machine.emit_link_node(node, _i)
             return r
 
         return run_memo_link
+
+    for name, body in bodies.items():
+        compiled = compile(body)
+        if plan is not None and name in plan.nonterminal_points:
+            compiled = memoized_production(name, compiled)
+        rules[name] = compiled
+
+    def run(session: ParseSession, name: str) -> int:
+        nonlocal data, size, machine, table, farthest, backtrack, calls, limit
+        with lock:
+            farthest = backtrack = calls = 0
+            try:
+                data = session.data
+                size = len(data)
+                machine = session.machine = Machine()
+                table = session.table = (
+                    MemoTable(plan.count, session.window) if plan is not None else None
+                )
+                limit = _NO_STEP_LIMIT if session.max_steps is None else session.max_steps
+                return rules[name](0)
+            finally:
+                session.farthest, session.backtrack, session.calls = farthest, backtrack, calls
+                # Drop the input and the trees: the program outlives this parse.
+                data = machine = table = None
+
+    program = grammar._programs[(memo, build_ast)] = Program(plan, run)
+    return program

@@ -28,14 +28,7 @@ __all__ = [
     "Machine",
     "TxMark",
     "InternalParserError",
-    "FOLD_SPAN_INCLUDES_FIRST_CHILD",
 ]
-
-# A fold node's span opens at the fold point, so it excludes the text of
-# the adopted first child.  Flip to cover the first child instead; the
-# serialized notation is unaffected either way (inner spans are not
-# printed), only Node.start values change.
-FOLD_SPAN_INCLUDES_FIRST_CHILD = False
 
 # NodeRef: None (no node), int (virtual id, not yet materialized), Node.
 NodeRef = Union[None, int, Node]
@@ -226,7 +219,7 @@ class Machine:
                     if len(children) <= index:
                         children.extend([_GAP] * (index + 1 - len(children)))
                     children[index] = child
-            else:  # _FOLD
+            else:  # _FOLD: the span opens at the fold point, after the first child
                 first = entry[2]
                 recs[entry[1]] = [None, entry[3], None, [] if first is None else [first]]
         del self.log[base:]
@@ -254,8 +247,6 @@ class Machine:
             active.discard(vid)
             if end is None:
                 end = start  # never captured: a fold stole the register first
-            if FOLD_SPAN_INCLUDES_FIRST_CHILD and resolved:
-                start = min(start, resolved[0].start)
             if tag is None:
                 tag = "tree" if resolved else "token"
             node = Node(tag, start, end, source, tuple(resolved))

@@ -1,9 +1,16 @@
 """Command-line surface: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pegfold
+import pegfold.cli
+import pegfold.interp
 from pegfold.cli import run
 
 MATH = """Expr = Sum
@@ -65,6 +72,47 @@ def test_parse_prints_tree(math_peg, tmp_path, capsys):
     assert run(["parse", math_peg, write_input(tmp_path, b"1+2*3")]) == 0
     out = capsys.readouterr().out
     assert out == "#add[#Integer['1'] #mul[#Integer['2'] #Integer['3']]]\n"
+
+
+def test_parse_reports_grammar_errors_before_reading_input(tmp_path, capsys):
+    path = tmp_path / "bad.peg"
+    path.write_text("A = A 'x'\n")
+    for command in ("parse", "bench"):
+        assert run([command, str(path), "/nonexistent/input"]) == 1
+        err = capsys.readouterr().err
+        assert "error left-recursion A:" in err
+        assert "cannot read input" not in err
+
+
+@pytest.mark.parametrize("command", [["parse"], ["bench", "--iterations", "1"]])
+def test_parse_and_bench_validate_the_grammar_once(command, math_peg, tmp_path, monkeypatch):
+    calls = []
+    for module in (pegfold.cli, pegfold.interp):
+        original = module.validate
+
+        def counted(grammar, _original=original):
+            calls.append(grammar)
+            return _original(grammar)
+
+        monkeypatch.setattr(module, "validate", counted)
+    data = write_input(tmp_path, b"1+2")
+    assert run([command[0], math_peg, data, *command[1:]]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("module", ["pegfold", "pegfold.cli"])
+def test_runs_as_a_module(module, math_peg, tmp_path):
+    source_root = str(Path(pegfold.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "parse", math_peg, write_input(tmp_path, b"1+2*3")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "#add[#Integer['1'] #mul[#Integer['2'] #Integer['3']]]\n"
 
 
 def test_parse_stats_block(math_peg, tmp_path, capsys):

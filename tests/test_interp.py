@@ -134,18 +134,6 @@ def test_fold_span_opens_at_fold_point():
     assert root.children[0].start == 0  # first child precedes the fold span
 
 
-def test_fold_span_constant_widens_to_first_child():
-    from pegfold import machine as machine_mod
-
-    saved = machine_mod.FOLD_SPAN_INCLUDES_FIRST_CHILD
-    machine_mod.FOLD_SPAN_INCLUDES_FIRST_CHILD = True
-    try:
-        root = run(MATH, b"12+34").root
-        assert (root.start, root.end) == (0, 5)
-    finally:
-        machine_mod.FOLD_SPAN_INCLUDES_FIRST_CHILD = saved
-
-
 def test_fold_right_after_constructor_adopts_its_node():
     result = run("A = { 'a' } {@ 'b' }", b"ab")
     assert serialize(result.root) == "#tree[#token['a']]"

@@ -11,14 +11,9 @@ from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
 from pegfold.tree import equals, parse_notation, serialize
 
 
-def consumed_or_fail(grammar, data, *, apply_desugar=True, build_ast=True):
+def consumed_or_fail(grammar, data, *, build_ast=True):
     session = ParseSession(
-        grammar,
-        data,
-        memo=False,
-        apply_desugar=apply_desugar,
-        build_ast=build_ast,
-        max_steps=ENGINE_STEPS,
+        grammar, data, memo=False, build_ast=build_ast, max_steps=ENGINE_STEPS
     )
     try:
         return session.parse().consumed
@@ -34,15 +29,18 @@ def test_desugar_preserves_recognition():
     checked = 0
     for _ in range(120):
         _, grammar = gen.grammar()
+        desugared = Grammar(
+            {n: desugar(b) for n, b in grammar.productions.items()}, grammar.start
+        )
         expanded = Grammar(
             {n: desugar(b, expand_char_classes=True) for n, b in grammar.productions.items()},
             grammar.start,
         )
         for _ in range(3):
             data = gen.an_input(grammar)[:32]
-            raw = consumed_or_fail(grammar, data, apply_desugar=False)
-            cooked = consumed_or_fail(grammar, data, apply_desugar=True)
-            klass_free = consumed_or_fail(expanded, data, apply_desugar=True)
+            raw = consumed_or_fail(grammar, data)
+            cooked = consumed_or_fail(desugared, data)
+            klass_free = consumed_or_fail(expanded, data)
             if None in (raw, cooked, klass_free):
                 continue
             assert raw == cooked == klass_free, (format_grammar(grammar), data)
