@@ -15,19 +15,31 @@
 ``assign_memo_points`` picks the memoization points used by the packrat
 engine.  Two kinds exist:
 
-* link points: ``@Name`` where every evaluation of ``Name`` keeps its
-  node effects confined to nodes it creates itself, so the finished node
-  can be stored and reused verbatim;
+* link points: ``@Name`` where no evaluation of ``Name`` mutates the left
+  node it started with, so the finished node can be stored and reused
+  verbatim;
 * nonterminal points: productions that reach no tree operator at all,
   stored as plain position advances.
 
-Points are dropped conservatively whenever a later ``#tag`` in the same
-sequence could retroactively touch what was stored.
+Every per-production fact used here is the least fixpoint of a predicate
+over that production's body (``_least_fixpoint``).
+
+A syntactic scan also drops every point used in a sequence item that a
+later ``#tag`` in the same sequence follows.  It is kept as a selectivity
+rule, not as a proven safety rule: the left-register facts carry the
+safety argument, and with the scan removed the memo-transparency and
+oracle suites still pass.  It stays because the points it drops do not
+pay: without it the JSON-like benchmark grammar, which tags at the end of
+each constructor, plans four points (Member, String, Value, S) that take
+32,904 lookups for 0 hits on the json-doc workload and cut its parse
+throughput from 0.27 to 0.17 MB/s.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .expr import (
     And,
@@ -53,354 +65,90 @@ from .grammar import Diagnostic, Grammar
 
 __all__ = ["validate", "MemoPlan", "assign_memo_points"]
 
+_Facts = dict[str, bool]
+_T = TypeVar("_T")
+
 
 # ---------------------------------------------------------------------------
-# Basic facts: referenced names, nullability, reachable tree operators.
+# Walks and the fixpoint they feed.
 
 
-def _referenced_names(e: Expression, acc: set[str]) -> None:
-    if isinstance(e, Nonterminal):
-        acc.add(e.name)
-    for child in subexpressions(e):
-        _referenced_names(child, acc)
+def _walk(e: Expression) -> list[Expression]:
+    """``e`` and all its subexpressions in evaluation order, not entering calls."""
+    out = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        stack.extend(reversed(subexpressions(x)))
+    return out
 
 
-def _nullability(grammar: Grammar) -> dict[str, bool]:
-    """Least fixpoint of "can succeed consuming nothing" per production."""
-    nullable = {name: False for name in grammar.productions}
+def _runs(
+    grammar: Grammar, passes: Callable[[Expression], bool], live: bool = False
+) -> dict[str, list[Expression]]:
+    """Per production, the subexpressions of its body that can run, not entering calls.
+
+    A sequence item runs only if every earlier item ``passes``.  With
+    ``live``, constructor bodies are skipped as well (see ``_live``).
+    """
+
+    def visit(x: Expression, out: list[Expression]) -> list[Expression]:
+        out.append(x)
+        if isinstance(x, Sequence):
+            for item in x.items:
+                visit(item, out)
+                if not passes(item):
+                    break
+        elif not (live and isinstance(x, (New, LeftFold))):
+            for child in subexpressions(x):
+                visit(child, out)
+        return out
+
+    return {name: visit(body, []) for name, body in grammar.productions.items()}
+
+
+def _call_edges(runs: dict[str, list[Expression]]) -> dict[str, set[str]]:
+    """Per production, the productions it calls among its ``runs`` subexpressions."""
+    return {
+        name: {x.name for x in xs if isinstance(x, Nonterminal) and x.name in runs}
+        for name, xs in runs.items()
+    }
+
+
+def _called(edges: dict[str, set[str]], root: str) -> set[str]:
+    """Productions reached from ``root`` through one or more call ``edges``."""
+    seen: set[str] = set()
+    todo = [root]
+    while todo:
+        for callee in edges[todo.pop()]:
+            if callee not in seen:
+                seen.add(callee)
+                todo.append(callee)
+    return seen
+
+
+def _least_fixpoint(
+    per_production: Mapping[str, _T], holds: Callable[[_T, _Facts], bool]
+) -> _Facts:
+    """Least fixpoint of ``holds(per_production[name], facts)`` per production.
+
+    ``holds`` must be monotone in ``facts`` and read a name without a
+    production as false.
+    """
+    facts = {name: False for name in per_production}
     changed = True
     while changed:
         changed = False
-        for name, body in grammar.productions.items():
-            if not nullable[name] and _expr_nullable(body, nullable):
-                nullable[name] = True
+        for name, value in per_production.items():
+            if not facts[name] and holds(value, facts):
+                facts[name] = True
                 changed = True
-    return nullable
+    return facts
 
 
-def _left_calls(e: Expression, nullable: dict[str, bool], acc: set[str]) -> bool:
-    """Collects nonterminals callable before any consumption; returns nullability of ``e``."""
-    match e:
-        case Empty() | Tag():
-            return True
-        case Terminal() | CharClass() | AnyChar():
-            return False
-        case Nonterminal(name):
-            acc.add(name)
-            return nullable.get(name, False)
-        case Sequence(items):
-            for item in items:
-                if not _left_calls(item, nullable, acc):
-                    return False
-            return True
-        case Choice(alternatives):
-            result = False
-            for alt in alternatives:
-                if _left_calls(alt, nullable, acc):
-                    result = True
-            return result
-        case Option(body) | ZeroOrMore(body):
-            _left_calls(body, nullable, acc)
-            return True
-        case And(body) | Not(body):
-            _left_calls(body, nullable, acc)
-            return True
-        case OneOrMore(body) | New(body) | LeftFold(body) | Link(body):
-            return _left_calls(body, nullable, acc)
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def _has_tree_op(e: Expression) -> bool:
-    if isinstance(e, (New, LeftFold, Link, Tag)):
-        return True
-    return any(_has_tree_op(c) for c in subexpressions(e))
-
-
-def _tree_op_reach(grammar: Grammar) -> dict[str, bool]:
-    """Per production: does it (or anything it reaches) contain a tree operator."""
-    direct = {name: _has_tree_op(body) for name, body in grammar.productions.items()}
-    calls: dict[str, set[str]] = {}
-    for name, body in grammar.productions.items():
-        refs: set[str] = set()
-        _referenced_names(body, refs)
-        calls[name] = refs
-    reach = dict(direct)
-    changed = True
-    while changed:
-        changed = False
-        for name in grammar.productions:
-            if not reach[name] and any(reach.get(r, False) for r in calls[name]):
-                reach[name] = True
-                changed = True
-    return reach
-
-
-def _expr_reaches_tree_op(e: Expression, reach: dict[str, bool]) -> bool:
-    if isinstance(e, (New, LeftFold, Link, Tag)):
-        return True
-    if isinstance(e, Nonterminal):
-        return reach.get(e.name, False)
-    return any(_expr_reaches_tree_op(c, reach) for c in subexpressions(e))
-
-
-# ---------------------------------------------------------------------------
-# Left-register abstract interpretation.
-#
-# The left register is abstracted to a set over {OUTER, FRESH}: OUTER is
-# whatever node (or no node) existed before the analyzed region started,
-# FRESH is a node created inside it.  A production is memo-safe when no
-# evaluation can mutate OUTER state: tagging OUTER, folding OUTER away,
-# or linking a child into an OUTER parent.  Any of those would smuggle a
-# context dependency into a stored result (and, transactionally, a
-# reference that cannot be replayed inside the stored region).
-
-_OUTER = "O"
-_FRESH = "F"
-_SET_OUTER = frozenset((_OUTER,))
-_SET_FRESH = frozenset((_FRESH,))
-_SET_NONE: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class _Effect:
-    out: frozenset[str]
-    bad: bool
-    warns: frozenset[str]
-
-
-_BOTTOM = _Effect(_SET_NONE, False, frozenset())
-
-
-def _join(a: _Effect, b: _Effect) -> _Effect:
-    return _Effect(a.out | b.out, a.bad or b.bad, a.warns | b.warns)
-
-
-class _LeftRegisterAnalysis:
-    """Fixpoint evaluator for the abstraction above."""
-
-    def __init__(self, grammar: Grammar, tree_reach: dict[str, bool]):
-        self.grammar = grammar
-        self.tree_reach = tree_reach
-        self.stable: dict[tuple[str, frozenset[str]], _Effect] = {}
-        self.touched: set[str] = set()
-
-    def production(self, name: str, incoming: frozenset[str]) -> _Effect:
-        """Stable effect of evaluating production ``name`` from ``incoming``."""
-        key = (name, incoming)
-        while True:
-            current: dict[tuple[str, frozenset[str]], _Effect] = {}
-            self._eval_production(name, incoming, current, set())
-            changed = False
-            for k, v in current.items():
-                if self.stable.get(k, _BOTTOM) != v:
-                    self.stable[k] = v
-                    changed = True
-            if not changed:
-                return self.stable.get(key, _BOTTOM)
-
-    def _eval_production(
-        self,
-        name: str,
-        incoming: frozenset[str],
-        current: dict[tuple[str, frozenset[str]], _Effect],
-        in_progress: set[tuple[str, frozenset[str]]],
-    ) -> _Effect:
-        key = (name, incoming)
-        if key in current:
-            return current[key]
-        if key in in_progress:
-            return self.stable.get(key, _BOTTOM)
-        body = self.grammar.productions.get(name)
-        if body is None:
-            return _BOTTOM
-        self.touched.add(name)
-        in_progress.add(key)
-        result = self._eval(body, incoming, name, current, in_progress)
-        in_progress.discard(key)
-        current[key] = result
-        return result
-
-    def _eval(
-        self,
-        e: Expression,
-        S: frozenset[str],
-        prod: str,
-        current: dict,
-        in_progress: set,
-    ) -> _Effect:
-        if not S:
-            return _BOTTOM
-        match e:
-            case Empty() | Terminal() | CharClass() | AnyChar():
-                return _Effect(S, False, frozenset())
-            case Tag():
-                if _OUTER in S:
-                    return _Effect(S, True, frozenset((prod,)))
-                return _Effect(S, False, frozenset())
-            case Nonterminal(name):
-                return self._eval_production(name, S, current, in_progress)
-            case Sequence(items):
-                eff = _Effect(S, False, frozenset())
-                for item in items:
-                    step = self._eval(item, eff.out, prod, current, in_progress)
-                    eff = _Effect(step.out, eff.bad or step.bad, eff.warns | step.warns)
-                return eff
-            case Choice(alternatives):
-                eff = _BOTTOM
-                for alt in alternatives:
-                    eff = _join(eff, self._eval(alt, S, prod, current, in_progress))
-                return eff
-            case Option(body):
-                eff = self._eval(body, S, prod, current, in_progress)
-                return _Effect(eff.out | S, eff.bad, eff.warns)
-            case OneOrMore(body):
-                first = self._eval(body, S, prod, current, in_progress)
-                rest = self._star(body, first.out, prod, current, in_progress)
-                return _Effect(rest.out, first.bad or rest.bad, first.warns | rest.warns)
-            case ZeroOrMore(body):
-                return self._star(body, S, prod, current, in_progress)
-            case And(body) | Not(body):
-                eff = self._eval(body, S, prod, current, in_progress)
-                return _Effect(S, eff.bad, eff.warns)
-            case New(body):
-                eff = self._eval(body, _SET_FRESH, prod, current, in_progress)
-                return _Effect(_SET_FRESH, eff.bad, eff.warns)
-            case LeftFold(body):
-                eff = self._eval(body, _SET_FRESH, prod, current, in_progress)
-                return _Effect(_SET_FRESH, eff.bad or _OUTER in S, eff.warns)
-            case Link(body):
-                eff = self._eval(body, S, prod, current, in_progress)
-                bad = eff.bad
-                if _OUTER in S and _expr_reaches_tree_op(body, self.tree_reach):
-                    bad = True
-                return _Effect(S, bad, eff.warns)
-        raise TypeError(f"unknown expression {e!r}")
-
-    def _star(
-        self,
-        body: Expression,
-        S: frozenset[str],
-        prod: str,
-        current: dict,
-        in_progress: set,
-    ) -> _Effect:
-        states = S
-        bad = False
-        warns: frozenset[str] = frozenset()
-        while True:
-            eff = self._eval(body, states, prod, current, in_progress)
-            bad = bad or eff.bad
-            warns = warns | eff.warns
-            merged = states | eff.out
-            if merged == states:
-                return _Effect(states, bad, warns)
-            states = merged
-
-
-# ---------------------------------------------------------------------------
-# validate
-
-
-def validate(grammar: Grammar) -> list[Diagnostic]:
-    """Checks a grammar and returns diagnostics; no errors means runnable."""
-    diagnostics: list[Diagnostic] = []
-
-    defined = set(grammar.productions)
-    for name, body in grammar.productions.items():
-        refs: set[str] = set()
-        _referenced_names(body, refs)
-        for ref in sorted(refs - defined):
-            line, col = grammar.location(name)
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "undefined-nonterminal",
-                    f"reference to undefined production {ref!r}",
-                    name,
-                    line,
-                    col,
-                )
-            )
-
-    nullable = _nullability(grammar)
-
-    edges: dict[str, set[str]] = {}
-    for name, body in grammar.productions.items():
-        acc: set[str] = set()
-        _left_calls(body, nullable, acc)
-        edges[name] = acc & defined
-    for name in grammar.productions:
-        seen: set[str] = set()
-        frontier = set(edges[name])
-        while frontier:
-            if name in frontier:
-                line, col = grammar.location(name)
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "left-recursion",
-                        f"production {name!r} can call itself without consuming input",
-                        name,
-                        line,
-                        col,
-                    )
-                )
-                break
-            seen |= frontier
-            frontier = set().union(*(edges[f] for f in frontier)) - seen
-
-    def scan_repetitions(name: str, e: Expression) -> None:
-        match e:
-            case ZeroOrMore(body) | OneOrMore(body):
-                if _expr_nullable(body, nullable):
-                    line, col = grammar.location(name)
-                    diagnostics.append(
-                        Diagnostic(
-                            "warning",
-                            "nullable-repetition",
-                            "repetition body can succeed without consuming; "
-                            "the loop stops after one empty iteration",
-                            name,
-                            line,
-                            col,
-                        )
-                    )
-        for child in subexpressions(e):
-            scan_repetitions(name, child)
-
-    for name, body in grammar.productions.items():
-        scan_repetitions(name, body)
-
-    # Tags that may run with no node under construction.  Analyzed from
-    # the start symbol; productions unreachable from it are checked on
-    # their own, as if each were a start symbol.
-    tree_reach = _tree_op_reach(grammar)
-    analysis = _LeftRegisterAnalysis(grammar, tree_reach)
-    warned = set(analysis.production(grammar.start, _SET_OUTER).warns)
-    for name in grammar.productions:
-        if name not in analysis.touched:
-            warned |= analysis.production(name, _SET_OUTER).warns
-    for name in grammar.productions:
-        if name in warned:
-            line, col = grammar.location(name)
-            diagnostics.append(
-                Diagnostic(
-                    "warning",
-                    "tag-outside-constructor",
-                    "a #tag here can execute while no node is under "
-                    "construction; it does nothing at runtime",
-                    name,
-                    line,
-                    col,
-                )
-            )
-
-    order = {name: i for i, name in enumerate(grammar.productions)}
-    diagnostics.sort(key=lambda d: (order.get(d.production or "", -1), d.severity, d.code))
-    return diagnostics
-
-
-def _expr_nullable(e: Expression, nullable: dict[str, bool]) -> bool:
+def _expr_nullable(e: Expression, nullable: _Facts) -> bool:
+    """Can ``e`` succeed consuming nothing?"""
     match e:
         case Empty() | Tag() | Option() | ZeroOrMore() | And() | Not():
             return True
@@ -415,6 +163,141 @@ def _expr_nullable(e: Expression, nullable: dict[str, bool]) -> bool:
         case OneOrMore(body) | New(body) | LeftFold(body) | Link(body):
             return _expr_nullable(body, nullable)
     raise TypeError(f"unknown expression {e!r}")
+
+
+def _builds(x: Expression, reach: _Facts) -> bool:
+    """Is ``x`` a tree operator, or a call of a production in ``reach``?"""
+    return isinstance(x, (New, LeftFold, Link, Tag)) or (
+        isinstance(x, Nonterminal) and reach.get(x.name, False)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Left-register facts.
+#
+# The outer node is whatever node (or no node) is in the left register when
+# an expression starts.  A production is memo-safe when no evaluation can
+# mutate it: tagging it, folding it away, or linking a child into it.  Any
+# of those would smuggle a context dependency into a stored result (and,
+# transactionally, a reference that cannot be replayed inside the stored
+# region).  ``{ }`` and ``{@ }`` leave a fresh node in the register, so only
+# the live subexpressions -- those that run while the outer node is still
+# there -- can mutate it.
+
+
+def _may_succeed(e: Expression, facts: _Facts, keep_outer: bool = False) -> bool:
+    """Can ``e`` succeed (with ``keep_outer``: leaving the outer node in the register)?
+
+    ``facts`` holds the same property per production.  Constructors, links
+    and predicates count as succeeding whatever their bodies do.
+    """
+    match e:
+        case Nonterminal(name):
+            return facts.get(name, False)
+        case Sequence(items):
+            return all(_may_succeed(i, facts, keep_outer) for i in items)
+        case Choice(alternatives):
+            return any(_may_succeed(a, facts, keep_outer) for a in alternatives)
+        case OneOrMore(body):
+            return _may_succeed(body, facts, keep_outer)
+        case New() | LeftFold():
+            return not keep_outer
+    return True
+
+
+def _keeps_outer(e: Expression, keeps: _Facts) -> bool:
+    return _may_succeed(e, keeps, keep_outer=True)
+
+
+def _live(grammar: Grammar) -> dict[str, list[Expression]]:
+    """Per production, the subexpressions that run while the outer node is in the register."""
+    keeps = _least_fixpoint(grammar.productions, _keeps_outer)
+    return _runs(grammar, lambda item: _keeps_outer(item, keeps), live=True)
+
+
+def _mutates_outer(x: Expression, mutates: _Facts, reach: _Facts) -> bool:
+    """Does the live subexpression ``x`` tag, fold away or link into the outer node?"""
+    match x:
+        case Tag() | LeftFold():
+            return True
+        case Link(body):
+            return any(_builds(y, reach) for y in _walk(body))
+        case Nonterminal(name):
+            return mutates.get(name, False)
+    return False
+
+
+# ---------------------------------------------------------------------------
+# validate
+
+
+def validate(grammar: Grammar) -> list[Diagnostic]:
+    """Checks a grammar and returns diagnostics; no errors means runnable."""
+    diagnostics: list[Diagnostic] = []
+
+    def report(severity: str, code: str, message: str, name: str) -> None:
+        line, col = grammar.location(name)
+        diagnostics.append(Diagnostic(severity, code, message, name, line, col))
+
+    productions = grammar.productions
+    nodes = {name: _walk(body) for name, body in productions.items()}
+    for name, xs in nodes.items():
+        refs = {x.name for x in xs if isinstance(x, Nonterminal)}
+        for ref in sorted(refs - set(productions)):
+            message = f"reference to undefined production {ref!r}"
+            report("error", "undefined-nonterminal", message, name)
+
+    nullable = _least_fixpoint(productions, _expr_nullable)
+    left_calls = _call_edges(_runs(grammar, lambda item: _expr_nullable(item, nullable)))
+    for name in productions:
+        if name in _called(left_calls, name):
+            report(
+                "error",
+                "left-recursion",
+                f"production {name!r} can call itself without consuming input",
+                name,
+            )
+
+    for name, xs in nodes.items():
+        for x in xs:
+            if isinstance(x, (ZeroOrMore, OneOrMore)) and _expr_nullable(x.body, nullable):
+                report(
+                    "warning",
+                    "nullable-repetition",
+                    "repetition body can succeed without consuming; "
+                    "the loop stops after one empty iteration",
+                    name,
+                )
+
+    # Tags that may run with no node under construction: live tags, taken
+    # from the start symbol.  A production that does not run from it, nor
+    # from an earlier such root, is checked on its own as a root.
+    succeeds = _least_fixpoint(productions, _may_succeed)
+    calls = _call_edges(_runs(grammar, lambda item: _may_succeed(item, succeeds)))
+    live = _live(grammar)
+    live_calls = _call_edges(live)
+    reached: set[str] = set()
+    warned: set[str] = set()
+    for root in (grammar.start, *productions):
+        if root in reached:
+            continue
+        reached |= {root} | _called(calls, root)
+        for name in {root} | _called(live_calls, root):
+            if any(isinstance(x, Tag) for x in live[name]):
+                warned.add(name)
+    for name in productions:
+        if name in warned:
+            report(
+                "warning",
+                "tag-outside-constructor",
+                "a #tag here can execute while no node is under "
+                "construction; it does nothing at runtime",
+                name,
+            )
+
+    order = {name: i for i, name in enumerate(productions)}
+    diagnostics.sort(key=lambda d: (order.get(d.production or "", -1), d.severity, d.code))
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -439,74 +322,54 @@ class MemoPlan:
 
 def assign_memo_points(grammar: Grammar) -> MemoPlan:
     """Chooses memo points; expects a grammar that validates without errors."""
-    tree_reach = _tree_op_reach(grammar)
-    analysis = _LeftRegisterAnalysis(grammar, tree_reach)
+    walks = {name: _walk(body) for name, body in grammar.productions.items()}
+    reach = _least_fixpoint(walks, lambda xs, facts: any(_builds(x, facts) for x in xs))
+    mutates = _least_fixpoint(
+        _live(grammar), lambda xs, facts: any(_mutates_outer(x, facts, reach) for x in xs)
+    )
+    nodes = [x for xs in walks.values() for x in xs]
 
     # Candidate link points: @Name occurrences, in grammar order.
-    link_names: list[str] = []
+    link_names = dict.fromkeys(
+        x.body.name
+        for x in nodes
+        if isinstance(x, Link)
+        and isinstance(x.body, Nonterminal)
+        and x.body.name in grammar.productions
+    )
 
-    def collect_links(e: Expression) -> None:
-        if isinstance(e, Link) and isinstance(e.body, Nonterminal):
-            if e.body.name not in link_names and e.body.name in grammar.productions:
-                link_names.append(e.body.name)
-        for child in subexpressions(e):
-            collect_links(child)
-
-    for body in grammar.productions.values():
-        collect_links(body)
-
-    # A later #tag in the same sequence disables every point stored in an
-    # earlier element: conservative guard against retroactive mutation of
-    # a stored result through the left register.
+    # Selectivity rule (see the module docstring): a later #tag in the same
+    # sequence drops every point used in an earlier element.
+    tagged: dict[int, bool] = {}
+    for x in reversed(nodes):  # subexpressions before the expressions holding them
+        tagged[id(x)] = isinstance(x, Tag) or any(tagged[id(c)] for c in subexpressions(x))
     disabled_links: set[str] = set()
     disabled_nts: set[str] = set()
 
-    def scan_tag_after(e: Expression) -> None:
-        if isinstance(e, Sequence):
-            tag_after = [False] * len(e.items)
-            seen_tag = False
-            for i in range(len(e.items) - 1, -1, -1):
-                tag_after[i] = seen_tag
-                if _contains_tag(e.items[i]):
-                    seen_tag = True
-            for i, item in enumerate(e.items):
-                if tag_after[i]:
-                    _collect_point_uses(item, disabled_links, disabled_nts)
-        for child in subexpressions(e):
-            scan_tag_after(child)
+    def scan_tag_after(e: Sequence) -> None:
+        for i, item in enumerate(e.items):
+            if any(tagged[id(later)] for later in e.items[i + 1 :]):
+                for x in _walk(item):
+                    if isinstance(x, Link) and isinstance(x.body, Nonterminal):
+                        disabled_links.add(x.body.name)
+                    if isinstance(x, Nonterminal):
+                        disabled_nts.add(x.name)
 
-    for body in grammar.productions.values():
-        scan_tag_after(body)
+    for x in nodes:
+        if isinstance(x, Sequence):
+            scan_tag_after(x)
 
     link_points: dict[str, int] = {}
     next_id = 0
     for name in link_names:
-        if name in disabled_links:
-            continue
-        if analysis.production(name, _SET_OUTER).bad:
-            continue
-        link_points[name] = next_id
-        next_id += 1
+        if name not in disabled_links and not mutates[name]:
+            link_points[name] = next_id
+            next_id += 1
 
     nonterminal_points: dict[str, int] = {}
     for name in grammar.productions:
-        if not tree_reach[name] and name not in disabled_nts:
+        if not reach[name] and name not in disabled_nts:
             nonterminal_points[name] = next_id
             next_id += 1
 
     return MemoPlan(link_points, nonterminal_points, next_id)
-
-
-def _contains_tag(e: Expression) -> bool:
-    if isinstance(e, Tag):
-        return True
-    return any(_contains_tag(c) for c in subexpressions(e))
-
-
-def _collect_point_uses(e: Expression, links: set[str], nts: set[str]) -> None:
-    if isinstance(e, Link) and isinstance(e.body, Nonterminal):
-        links.add(e.body.name)
-    if isinstance(e, Nonterminal):
-        nts.add(e.name)
-    for child in subexpressions(e):
-        _collect_point_uses(child, links, nts)

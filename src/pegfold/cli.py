@@ -9,7 +9,8 @@ Three commands over a grammar file:
   recognition and full tree construction.
 
 ``INPUT`` may be ``-`` for standard input.  Exit codes: 0 success,
-1 grammar errors / parse failure, 2 I/O trouble.
+1 grammar errors / unknown ``--start`` production / parse failure,
+2 I/O trouble.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _checked_grammar(config: CliConfig) -> Grammar | int:
     grammar = _read_grammar(config.grammar_path)
     if isinstance(grammar, int):
         return grammar
+    if config.start is not None and config.start not in grammar.productions:
+        print(f"error: unknown start production {config.start!r}", file=sys.stderr)
+        return FAILURE
     try:
         program_for(grammar, memo=config.memo, build_ast=config.mode != "recognize")
     except InvalidGrammarError as exc:

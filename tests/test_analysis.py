@@ -1,5 +1,7 @@
 """Grammar validation and memo-point assignment."""
 
+import pytest
+
 from pegfold.analysis import assign_memo_points, validate
 from pegfold.expr import LeftFold, Link, New, Nonterminal, Tag, subexpressions
 from pegfold.grammar import parse_grammar
@@ -111,7 +113,8 @@ def test_constructing_nonterminal_is_not_a_plain_point():
     assert "Name" not in plan.nonterminal_points
     assert "Symbol" not in plan.nonterminal_points
     # NAME is tree-operator free, but a #tag follows it in sequence in
-    # both uses, so the conservative scan drops it as well.
+    # both uses, so the tag-after scan drops it as well.  The scan is a
+    # selectivity rule, not a safety rule (see pegfold.analysis).
     assert "NAME" not in plan.nonterminal_points
     assert plan.count == 0
 
@@ -212,3 +215,58 @@ def test_nonterminal_points_reach_no_tree_operator():
     for name in plan.nonterminal_points:
         assert not ops_reachable(name, set())
     assert set(plan.nonterminal_points) == {"B", "C"}
+
+
+# -- left-register rules ----------------------------------------------------
+# S links T inside its own node, so T is a link point exactly when T cannot
+# tag, fold away or link into the node that was current when it started.
+
+
+def link_points_of(t_body):
+    return assign_memo_points(parse_grammar(f"S = {{ 'x' @T }}\nT = {t_body}")).link_points
+
+
+def warned(text):
+    diags = validate(parse_grammar(text))
+    return [d.production for d in diags if d.code == "tag-outside-constructor"]
+
+
+@pytest.mark.parametrize(
+    "operator", ["{ 'b' }?", "{ 'b' }*", "&{ 'b' }", "!{ 'b' }", "@'b'", "@{ 'b' }"]
+)
+def test_outer_node_survives_operator_so_later_tag_denies_point(operator):
+    assert link_points_of(f"{operator} #X 'a'") == {}
+    assert warned(f"A = {operator} #X 'a'") == ["A"]
+
+
+def test_constructor_ends_outer_liveness_so_later_tag_keeps_point():
+    assert link_points_of("{ 'b' } #X 'a'") == {"T": 0}
+
+
+@pytest.mark.parametrize("constructor", ["{ 'b' }", "{@ 'b' }"])
+def test_constructor_ends_outer_liveness_so_later_tag_does_not_warn(constructor):
+    assert validate(parse_grammar(f"A = {constructor} #X 'a'")) == []
+
+
+def test_recursion_takes_least_fixpoint():
+    # T never succeeds, so its #X never runs: T stays a link point.  With
+    # an alternative that ends the recursion, the tag is live again.
+    assert link_points_of("'a' T #X") == {"T": 0}
+    assert validate(parse_grammar("S = { 'x' @T }\nT = 'a' T #X")) == []
+    assert link_points_of("'a' T #X / 'b'") == {}
+
+
+def test_tag_warnings_follow_the_start_symbol():
+    # T runs inside S's node; U is never reached, so it is its own root.
+    assert warned("S = { 'x' @T }\nT = #X 'a'\nU = #Y 'u'") == ["U"]
+    # reached with the outer node still current, T warns
+    assert warned("S = T\nT = #X 'a'") == ["T"]
+    # N never succeeds, so T does not run from S and is its own root
+    assert warned("S = { N T }\nN = 'a' N\nT = #X 'b'") == ["T"]
+
+
+def test_tag_warning_roots_follow_production_order():
+    # B runs inside A's node, so it is no root when A comes first ...
+    assert warned("S = 'a'\nA = { B }\nB = #t 'b'") == []
+    # ... but it is analyzed on its own, and warns, when it comes first.
+    assert warned("S = 'a'\nB = #t 'b'\nA = { B }") == ["B"]

@@ -155,6 +155,14 @@ def test_parse_start_override(tmp_path, capsys):
     assert capsys.readouterr().out == "#B['b']\n"
 
 
+@pytest.mark.parametrize("command", ["parse", "bench"])
+def test_unknown_start_production_fails_before_reading_input(command, math_peg, capsys):
+    assert run([command, math_peg, "/nonexistent/input", "--start", "Nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown start production 'Nope'\n"
+    assert captured.out == ""
+
+
 def test_parse_stdin(math_peg, capsys, monkeypatch):
     import io
 
