@@ -39,6 +39,7 @@ from .expr import (
 from .grammar import Diagnostic, Grammar, GrammarSyntaxError, format_grammar, parse_grammar
 from .interp import (
     InvalidGrammarError,
+    NestingLimitExceeded,
     ParseError,
     ParseResult,
     ParseSession,
@@ -69,6 +70,7 @@ __all__ = [
     "MemoEntry",
     "MemoPlan",
     "MemoTable",
+    "NestingLimitExceeded",
     "New",
     "Node",
     "Nonterminal",

@@ -9,8 +9,8 @@ Three commands over a grammar file:
   recognition and full tree construction.
 
 ``INPUT`` may be ``-`` for standard input.  Exit codes: 0 success,
-1 grammar errors / unknown ``--start`` production / parse failure,
-2 I/O trouble.
+1 grammar errors / unknown ``--start`` production / parse failure /
+input nested too deeply for the recursion limit, 2 I/O trouble.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def cmd_parse(config: CliConfig) -> int:
     try:
         result = session.parse(config.start)
     except ParseError as exc:
-        print(f"error: parse failed at byte offset {exc.position}", file=sys.stderr)
+        print(f"error: {exc.reason} at byte offset {exc.position}", file=sys.stderr)
         return FAILURE
     if config.strict and result.consumed < len(data):
         print(
@@ -180,7 +180,7 @@ def cmd_bench(config: CliConfig) -> int:
         try:
             times[mode] = _best_time(session, config.start, config.iterations)
         except ParseError as exc:
-            print(f"error: parse failed at byte offset {exc.position}", file=sys.stderr)
+            print(f"error: {exc.reason} at byte offset {exc.position}", file=sys.stderr)
             return FAILURE
     for mode in modes:
         print(f"{mode}_best_s: {times[mode]:.6f}")

@@ -59,6 +59,7 @@ __all__ = [
     "ParseResult",
     "ParseError",
     "InvalidGrammarError",
+    "NestingLimitExceeded",
     "StepLimitExceeded",
     "Stats",
 ]
@@ -70,9 +71,18 @@ _NO_STEP_LIMIT = sys.maxsize
 class ParseError(Exception):
     """The start production failed.  ``position`` is the farthest failure."""
 
+    reason = "parse failed"
+
     def __init__(self, position: int):
-        super().__init__(f"parse failed; farthest failure at byte offset {position}")
+        super().__init__(f"{self.reason}; farthest failure at byte offset {position}")
         self.position = position
+
+
+class NestingLimitExceeded(ParseError):
+    """The input nests deeper than Python's recursion limit lets the
+    engine follow.  ``position`` is the farthest failure before that."""
+
+    reason = "input nests too deeply for the recursion limit"
 
 
 class InvalidGrammarError(ValueError):
@@ -163,7 +173,8 @@ class ParseSession:
     # -- public API --------------------------------------------------------
 
     def parse(self, start: str | None = None) -> ParseResult:
-        """Parses from offset 0; raises :class:`ParseError` if the start fails.
+        """Parses from offset 0; raises :class:`ParseError` if the start fails
+        and :class:`NestingLimitExceeded` if the input nests too deeply.
 
         Consuming only a prefix still succeeds; ``result.consumed`` tells
         how far the parse got (command-line strictness is layered on top).
@@ -174,23 +185,28 @@ class ParseSession:
         if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
             sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
 
-        end = self._program.run(self, name)
+        # The forward pass and commit recurse per nesting level.  A
+        # RecursionError unwinds through the program's ``finally``, which
+        # releases its lock and clears its cells.
+        try:
+            end = self._program.run(self, name)
+            if end < 0:
+                raise ParseError(self.farthest)
+            machine = self.machine
+            if machine.left is None:
+                root = Node("token", 0, end, self.data, ())
+                machine.created += 1
+            else:
+                root = machine.commit(TxMark(0, None, 0), self.data)
+        except RecursionError:
+            raise NestingLimitExceeded(self.farthest) from None
         stats = Stats()
         stats.backtrack_total = self.backtrack
         stats.backtrack_ratio = self.backtrack / len(self.data) if self.data else 0.0
         if self.table is not None:
             stats.memo_lookups = self.table.lookups
             stats.memo_hits = self.table.hits
-        if end < 0:
-            raise ParseError(self.farthest)
         stats.consumed = end
-
-        machine = self.machine
-        if machine.left is None:
-            root = Node("token", 0, end, self.data, ())
-            machine.created += 1
-        else:
-            root = machine.commit(TxMark(0, None, 0), self.data)
         stats.nodes_created = machine.created
         stats.nodes_in_result = _count_reachable(root)
         stats.nodes_unused = stats.nodes_created - stats.nodes_in_result

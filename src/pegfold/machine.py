@@ -5,13 +5,25 @@ log; backtracking truncates the log (``abort``) and a ``commit`` replays
 the surviving entries into real :class:`~pegfold.tree.Node` objects.
 Register effects that the parser must observe immediately (the left
 node reference and the parent stack) are applied eagerly and restored
-from transaction marks.
+from transaction marks.  An abort is therefore a plain truncation: the
+log, the stack and the left register go back to the mark, and nothing
+else needs undoing.
 
 Five entry kinds exist.  ``NEW``/``FOLD`` introduce a virtual node id,
 ``CAPTURE`` sets its end offset, ``TAG`` overrides its tag, ``LINK``
 attaches a child (at the append position or a given index; later writes
 to the same index win).  A fold entry additionally records the node that
 becomes the new node's first child.
+
+A link whose body folded the parent away would make the parent a
+descendant of itself; such a link is refused.  The engine can only build
+that cycle through a fold chain: within a link body the left register
+holds the parent or a node the body's folds derived from it, and nested
+links attach only into nodes derived from their own start, so the parent
+is never linked under anything.  The check therefore walks the child's
+first-child chain (``Machine.first``) and refuses the link when it meets
+the parent.  The walk ends at the parent or at a constructor, so it
+visits only folds made in that body.
 
 Already-materialized nodes are immutable: any logged mutation targeting
 one is an engine bug and raises :class:`InternalParserError`.  Link
@@ -52,19 +64,17 @@ class TxMark(NamedTuple):
 class Machine:
     """One parse session's construction state.  Not thread-safe."""
 
-    __slots__ = ("log", "stack", "left", "next_vid", "created", "attached")
+    __slots__ = ("log", "stack", "left", "first", "created")
 
     def __init__(self) -> None:
         self.log: list[tuple] = []
         self.stack: list[NodeRef] = []
         self.left: NodeRef = None
-        self.next_vid = 0
+        # first[vid] = the node fold ``vid`` adopted, None for a
+        # constructor; ``len(first)`` is the next virtual id.  Entries of
+        # aborted nodes stay behind, harmless because ids are never reused.
+        self.first: list[NodeRef] = []
         self.created = 0
-        # attached[x] = parents that pending node x was folded or linked
-        # into (a node can gain several fold parents when a refused cyclic
-        # connection hands it back).  Consulted to refuse connections that
-        # would close a cycle; edges roll back with their log entries.
-        self.attached: dict[int, list[int]] = {}
 
     # -- transactions ------------------------------------------------------
 
@@ -73,41 +83,23 @@ class Machine:
 
     def abort(self, mark: TxMark) -> None:
         """Discards entries and register changes made since ``mark``."""
-        log = self.log
-        for i in range(mark.log_index, len(log)):
-            entry = log[i]
-            op = entry[0]
-            if (op == _LINK or op == _FOLD) and isinstance(entry[2], int):
-                self._detach(entry[2], entry[1])
-        del log[mark.log_index :]
+        del self.log[mark.log_index :]
         del self.stack[mark.stack_depth :]
         self.left = mark.left
-
-    def _attach(self, child: int, parent: int) -> None:
-        self.attached.setdefault(child, []).append(parent)
-
-    def _detach(self, child: int, parent: int) -> None:
-        parents = self.attached.get(child)
-        if parents is not None:
-            parents.remove(parent)
-            if not parents:
-                del self.attached[child]
 
     # -- emit family (register effects eager, node mutations logged) -------
 
     def emit_new(self, pos: int) -> None:
-        vid = self.next_vid
-        self.next_vid = vid + 1
+        vid = len(self.first)
+        self.first.append(None)
         self.log.append((_NEW, vid, pos))
         self.left = vid
 
     def emit_fold(self, pos: int) -> None:
-        vid = self.next_vid
-        self.next_vid = vid + 1
+        vid = len(self.first)
         prior = self.left
+        self.first.append(prior)
         self.log.append((_FOLD, vid, prior, pos))
-        if isinstance(prior, int):
-            self._attach(prior, vid)
         self.left = vid
 
     def emit_capture(self, pos: int) -> None:
@@ -137,40 +129,22 @@ class Machine:
 
         Erroneous connections are ignored: when the body built nothing
         (left unchanged), when there is no parent to attach to, and when
-        the attachment would make the parent a descendant of itself
-        (possible when the body folded the parent away).
+        the attachment would make the parent a descendant of itself (the
+        body folded the parent away: it lies on the child's first-child
+        chain).
         """
         child = self.left
         parent = self.stack.pop()
         if child != parent and parent is not None:
             if isinstance(parent, Node):
                 raise InternalParserError("link targets a materialized parent")
-            if not (isinstance(child, int) and self._encloses(child, parent)):
+            first = self.first
+            cursor = child
+            while isinstance(cursor, int) and cursor != parent:
+                cursor = first[cursor]
+            if cursor != parent:
                 self.log.append((_LINK, parent, child, index))
-                if isinstance(child, int):
-                    self._attach(child, parent)
         self.left = parent
-
-    def _encloses(self, node: int, candidate: int) -> bool:
-        """True when ``candidate`` is already inside ``node``.
-
-        Walks upward from ``candidate`` through the pending-attachment
-        edges; reaching ``node`` means ``node`` transitively contains it.
-        """
-        attached = self.attached
-        stack = [candidate]
-        seen: set[int] = set()
-        while stack:
-            cursor = stack.pop()
-            if cursor == node:
-                return True
-            if cursor in seen:
-                continue
-            seen.add(cursor)
-            parents = attached.get(cursor)
-            if parents:
-                stack.extend(parents)
-        return False
 
     def emit_link_node(self, node: Node, index: int | None) -> None:
         """Links an already-materialized node (a memoized result)."""
@@ -225,8 +199,9 @@ class Machine:
         del self.log[base:]
 
         built: dict[int, Node] = {}
+        active: set[int] = set()  # vids being built, to catch a cycle
 
-        def build(vid: int, active: set[int]) -> Node:
+        def build(vid: int) -> Node:
             node = built.get(vid)
             if node is not None:
                 return node
@@ -241,7 +216,7 @@ class Machine:
                 if isinstance(child, Node):
                     resolved.append(child)
                 elif child in recs:
-                    resolved.append(build(child, active))
+                    resolved.append(build(child))
                 else:
                     raise InternalParserError("link references a node outside the transaction")
             active.discard(vid)
@@ -255,7 +230,7 @@ class Machine:
             return node
 
         for vid in recs:
-            build(vid, set())
+            build(vid)
 
         left = self.left
         if isinstance(left, Node):

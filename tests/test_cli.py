@@ -139,6 +139,15 @@ def test_parse_failure_exit_and_position(math_peg, tmp_path, capsys):
     assert "byte offset 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["parse", "bench"])
+def test_deep_nesting_exits_with_a_one_line_error(command, math_peg, tmp_path, capsys):
+    deep = write_input(tmp_path, b"(" * 5000 + b"1" + b")" * 5000)
+    assert run([command, math_peg, deep]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input nests too deeply") and err.count("\n") == 1
+    assert run([command, math_peg, write_input(tmp_path, b"1+2")]) == 0
+
+
 def test_parse_strict_rejects_trailing_input(math_peg, tmp_path, capsys):
     data = write_input(tmp_path, b"1+2;rest")
     assert run(["parse", math_peg, data]) == 0

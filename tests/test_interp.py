@@ -1,6 +1,9 @@
 """Engine semantics: recognition, tree construction, statistics."""
 
+import itertools
+
 import pytest
+from corpus import engine_outcome, oracle_outcome
 
 from pegfold.grammar import parse_grammar
 from pegfold.interp import (
@@ -139,6 +142,39 @@ def test_fold_right_after_constructor_adopts_its_node():
     assert serialize(result.root) == "#tree[#token['a']]"
     assert (result.root.start, result.root.end) == (1, 2)
     assert (result.root.children[0].start, result.root.children[0].end) == (0, 1)
+
+
+# Links whose bodies fold their parent away, directly or two folds deep
+# (with or without a link into the first fold), which must be refused as
+# cycles; a constructor that breaks the fold chain, so the link stands;
+# and these inside choice alternatives that fail after the link.  N is a
+# link memo point in every grammar.
+CYCLE_GRAMMARS = [
+    ("S = { #S 'a' @( {@ #F 'b' } ) ('c' @N)? }\nN = { #N 'c' }", "abc"),
+    ("S = { #S 'a' @F (@N)? } 'd'?\nF = {@ #F {@ #G 'b' } }\nN = { #N 'c' }", "abcd"),
+    (
+        "S = { #S @( {@ 'b' } @N {@ 'd' } 'x' / {@ 'b' } { #C 'c' } {@ 'd' } ) }\n"
+        "N = { #N 'c' }",
+        "bcdx",
+    ),
+    (
+        "S = { #S 'a' ( @F 'x' / @G 'y' / @H 'z' / @N @N / @F ) } / { #T @N 'q' }\n"
+        "F = {@ #F 'b' }\nG = {@ #G2 {@ #G1 'b' } }\nH = {@ 'b' } @N {@ 'd' }\nN = { #N 'b' }",
+        "abdqxyz",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, letters", CYCLE_GRAMMARS)
+def test_fold_chain_cycles_match_the_reference(text, letters):
+    grammar = parse_grammar(text)
+    for size in range(5):
+        for chars in itertools.product(letters, repeat=size):
+            data = "".join(chars).encode()
+            expected = oracle_outcome(grammar, data)
+            for memo, window in ((False, 256), (True, 1), (True, 256)):
+                got = engine_outcome(grammar, data, memo=memo, window=window)
+                assert got == expected, (data, memo, window)
 
 
 def test_root_fallback_token_when_nothing_built():

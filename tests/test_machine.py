@@ -192,8 +192,8 @@ def test_link_suppressed_when_body_built_nothing():
 
 def test_node_can_gain_two_fold_parents_after_refused_cycle():
     # x is adopted by fold N, the cyclic link N->x is refused handing x
-    # back, and a second fold adopts x again: x sits under both parents
-    # and the cycle index keeps every edge.
+    # back, and a second fold adopts x again: x sits under both parents,
+    # and each fold's first-child chain still leads to x.
     m = Machine()
     m.emit_new(0)        # x = v0
     m.emit_capture(1)
@@ -222,6 +222,54 @@ def test_link_refused_when_it_would_close_a_cycle():
     m.emit_capture(2)
     root = m.commit(mark, SRC)  # replays cleanly, no cycle
     assert root.children == ()
+
+
+def test_link_refused_when_parent_is_two_folds_deep():
+    m = Machine()
+    m.emit_new(0)          # v0
+    m.push_left()
+    m.emit_fold(1)         # v1 adopts v0
+    m.emit_fold(1)         # v2 adopts v1
+    m.emit_capture(2)
+    m.emit_link(None)      # v0 sits two folds down inside v2
+    assert m.left == 0
+    assert not any(line.startswith("LINK") for line in m.dump_log())
+    m.emit_capture(2)
+    assert m.commit(TxMark(0, None, 0), SRC).children == ()
+
+
+def test_link_accepted_when_a_constructor_breaks_the_fold_chain():
+    m = Machine()
+    m.emit_new(0)          # v0
+    m.emit_capture(5)
+    m.push_left()
+    m.emit_fold(0)         # v1 adopts v0, then is dropped by the constructor
+    m.emit_new(0)          # v2
+    m.emit_capture(2)
+    m.emit_fold(2)         # v3 adopts v2: its chain ends at v2, not v0
+    m.emit_capture(3)
+    m.emit_link(None)
+    assert m.dump_log()[-1] == "LINK v0 <- v3"
+    root = m.commit(TxMark(0, None, 0), SRC)
+    assert serialize(root) == "#tree[#tree[#token['12']]]"
+
+
+def test_link_accepted_after_aborting_a_refused_cycle():
+    m = Machine()
+    m.emit_new(0)          # v0
+    mark = m.save()
+    m.push_left()
+    m.emit_fold(1)         # v1 adopts v0
+    m.emit_capture(2)
+    m.emit_link(None)      # refused
+    m.abort(mark)          # v1's chain entry stays behind, unused
+    m.push_left()
+    m.emit_new(0)          # v2
+    m.emit_capture(2)
+    m.emit_link(None)
+    assert m.dump_log() == ["NEW v0 @0", "NEW v2 @0", "CAPTURE v2 @2", "LINK v0 <- v2"]
+    m.emit_capture(5)
+    assert serialize(m.commit(TxMark(0, None, 0), SRC)) == "#tree[#token['12']]"
 
 
 def test_commit_replays_only_since_mark():

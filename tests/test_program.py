@@ -12,7 +12,7 @@ from corpus import ENGINE_STEPS, make_corpus
 import pegfold.interp
 from pegfold.expr import Terminal
 from pegfold.grammar import parse_grammar
-from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
+from pegfold.interp import NestingLimitExceeded, ParseError, ParseSession, StepLimitExceeded
 from pegfold.tree import serialize
 
 MATH = """Expr = Sum
@@ -112,6 +112,19 @@ def test_program_keeps_no_input_or_tree_after_a_parse(text, data, raises):
         with pytest.raises(raises):
             session.parse()
     assert run_state(grammar) == (None, None, None)
+
+
+def test_deep_nesting_raises_a_clean_error_and_frees_the_program():
+    grammar = parse_grammar(MATH)
+    with pytest.raises(NestingLimitExceeded) as caught:
+        ParseSession(grammar, b"(" * 5000 + b"1" + b")" * 5000).parse()
+    assert isinstance(caught.value, ParseError)
+    assert 0 < caught.value.position < 5000
+    assert run_state(grammar) == (None, None, None)
+    lock = inspect.getclosurevars(grammar._programs[(True, True)].run).nonlocals["lock"]
+    assert not lock.locked()
+    result = ParseSession(grammar, b"1+2").parse()
+    assert serialize(result.root) == "#add[#Integer['1'] #Integer['2']]"
 
 
 def test_tree_dies_with_its_session_and_result():
