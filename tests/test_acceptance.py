@@ -10,6 +10,7 @@ A7  immutability audit never fires
 A8  textual notation round trip is a fixed point
 """
 
+import gc
 import random
 import time
 from fractions import Fraction
@@ -208,38 +209,43 @@ PATHOLOGICAL = (
 )
 
 
-def _timed_parse(session, floor=0.25):
-    """Best per-parse seconds, repeating enough to out-run timer noise."""
+def _timed_parses(sessions, rounds, floor):
+    """Best per-parse seconds of each session.
 
-    def once():
-        t0 = time.perf_counter()
-        session.parse()
-        return time.perf_counter() - t0
+    The sessions are timed in turn, round after round, so a slow spell of
+    the host lands on every size alike instead of on whichever size was
+    being timed when it came; each batch repeats its parse until it lasts
+    ``floor`` seconds, to out-run timer noise.  The collector is emptied
+    outside every timed batch and left on inside it.
+    """
 
-    first = once()
-    if first >= floor:
-        return min(first, once())
-    reps = max(3, int(floor / max(first, 1e-9)))
-    best = first
-    for _ in range(2):
+    def batch(session, reps):
+        gc.collect()
         t0 = time.perf_counter()
         for _ in range(reps):
             session.parse()
-        best = min(best, (time.perf_counter() - t0) / reps)
+        return (time.perf_counter() - t0) / reps
+
+    reps = [max(1, int(floor / max(batch(s, 1), 1e-9))) for s in sessions]
+    best = [float("inf")] * len(sessions)
+    for _ in range(rounds):
+        for i, session in enumerate(sessions):
+            best[i] = min(best[i], batch(session, reps[i]))
     return best
 
 
 def test_a5_memoization_gives_linear_time_on_pathological_grammar():
     grammar = parse_grammar(PATHOLOGICAL)
     sizes = (2048, 4096, 8192)
-    times = {True: [], False: []}
-    calls = {True: [], False: []}
-    for n in sizes:
-        data = b"b" * n
-        for memo in (True, False):
-            session = ParseSession(grammar, data, memo=memo, window=n + 16)
-            times[memo].append(_timed_parse(session))
-            calls[memo].append(session.calls)
+    times = {}
+    calls = {}
+    # memo off spends ~0.7 s per parse at the largest size: fewer rounds
+    for memo, rounds, floor in ((True, 40, 0.01), (False, 2, 0.25)):
+        sessions = [
+            ParseSession(grammar, b"b" * n, memo=memo, window=n + 16) for n in sizes
+        ]
+        times[memo] = _timed_parses(sessions, rounds, floor)
+        calls[memo] = [session.calls for session in sessions]
 
     for i in (1, 2):
         growth_on = times[True][i] / times[True][i - 1]
