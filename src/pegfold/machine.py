@@ -231,6 +231,9 @@ class Machine:
 
         for vid in recs:
             build(vid)
+        # Break build's self-reference: recs and built then go on return, so
+        # the peak memory of a parse does not depend on when the collector runs.
+        del build
 
         left = self.left
         if isinstance(left, Node):

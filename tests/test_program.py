@@ -138,6 +138,25 @@ def test_tree_dies_with_its_session_and_result():
     assert grammar._programs  # the program itself stays with the grammar
 
 
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+def test_parse_leaves_no_reference_cycles(memo):
+    # The tree and the commit's records go with their last reference, not
+    # at whatever later collection finds them, so a parse's peak memory
+    # does not depend on when the collector runs.
+    grammar = parse_grammar(MATH)
+    ParseSession(grammar, b"1", memo=memo).parse()  # compiles the program
+    gc.collect()
+    gc.disable()
+    try:
+        result = ParseSession(grammar, b"(1+2)*3-4/(5+6)", memo=memo).parse()
+        root = weakref.ref(result.root)
+        del result
+        assert root() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_threads_sharing_a_grammar_get_the_sequential_trees():
     grammar = parse_grammar(MATH)
     inputs = [[math_input(100 * t + i) for i in range(25)] for t in range(4)]
