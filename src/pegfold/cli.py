@@ -11,6 +11,11 @@ Three commands over a grammar file:
 ``INPUT`` may be ``-`` for standard input.  Exit codes: 0 success,
 1 grammar errors / unknown ``--start`` production / parse failure /
 input nested too deeply for the recursion limit, 2 I/O trouble.
+
+The nesting limit is lower for ``bench`` than for ``parse``: its memoized
+recognition pass wraps every production in a memo point, one more frame
+per level, so with the math grammar of the README (CPython 3.11.7)
+``bench`` follows 1,664 nested parentheses where ``parse`` follows 2,497.
 """
 
 from __future__ import annotations

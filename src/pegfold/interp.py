@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .analysis import MemoPlan, assign_memo_points, validate
@@ -121,13 +121,30 @@ class Stats:
         return asdict(self)
 
 
-@dataclass
 class ParseResult:
-    """A successful parse: the root node and how far it got."""
+    """A successful parse: the root node and how far it got.
 
-    root: Node
-    consumed: int
-    stats: Stats = field(repr=False)
+    ``stats`` counts the nodes reachable from the root when it is first
+    read, so a parse whose statistics nobody reads never walks the tree.
+    """
+
+    __slots__ = ("root", "consumed", "_stats")
+
+    def __init__(self, root: Node, consumed: int, stats: Stats) -> None:
+        self.root = root
+        self.consumed = consumed
+        self._stats = stats
+
+    @property
+    def stats(self) -> Stats:
+        stats = self._stats
+        if not stats.nodes_in_result:  # 0 until counted: the root is reachable
+            stats.nodes_in_result = _count_reachable(self.root)
+            stats.nodes_unused = stats.nodes_created - stats.nodes_in_result
+        return stats
+
+    def __repr__(self) -> str:
+        return f"ParseResult(root={self.root!r}, consumed={self.consumed!r})"
 
 
 class ParseSession:
@@ -208,8 +225,6 @@ class ParseSession:
             stats.memo_hits = self.table.hits
         stats.consumed = end
         stats.nodes_created = machine.created
-        stats.nodes_in_result = _count_reachable(root)
-        stats.nodes_unused = stats.nodes_created - stats.nodes_in_result
         return ParseResult(root, end, stats)
 
 

@@ -25,6 +25,12 @@ first-child chain (``Machine.first``) and refuses the link when it meets
 the parent.  The walk ends at the parent or at a constructor, so it
 visits only folds made in that body.
 
+A commit from mark 0 with an empty stack materializes every node the log
+introduced and leaves no virtual id referenced anywhere (the log and the
+stack are empty, the left register holds a node), so it also resets the
+first-child list; a parse's final commit thus frees that list before the
+caller goes on to print the tree.
+
 Already-materialized nodes are immutable: any logged mutation targeting
 one is an engine bug and raises :class:`InternalParserError`.  Link
 entries may reference materialized nodes as children only.
@@ -72,7 +78,8 @@ class Machine:
         self.left: NodeRef = None
         # first[vid] = the node fold ``vid`` adopted, None for a
         # constructor; ``len(first)`` is the next virtual id.  Entries of
-        # aborted nodes stay behind, harmless because ids are never reused.
+        # aborted nodes stay behind, harmless because an id is reused only
+        # after a whole-log commit has reset the list.
         self.first: list[NodeRef] = []
         self.created = 0
 
@@ -198,16 +205,15 @@ class Machine:
                 recs[entry[1]] = [None, entry[3], None, [] if first is None else [first]]
         del self.log[base:]
 
-        built: dict[int, Node] = {}
-        active: set[int] = set()  # vids being built, to catch a cycle
+        built: dict[int, object] = {}  # vid -> its node, or _BUILDING while in progress
 
         def build(vid: int) -> Node:
             node = built.get(vid)
             if node is not None:
+                if node is _BUILDING:
+                    raise InternalParserError("cyclic link structure")
                 return node
-            if vid in active:
-                raise InternalParserError("cyclic link structure")
-            active.add(vid)
+            built[vid] = _BUILDING
             tag, start, end, children = recs[vid]
             resolved = []
             for child in children:
@@ -219,14 +225,11 @@ class Machine:
                     resolved.append(build(child))
                 else:
                     raise InternalParserError("link references a node outside the transaction")
-            active.discard(vid)
             if end is None:
                 end = start  # never captured: a fold stole the register first
             if tag is None:
                 tag = "tree" if resolved else "token"
-            node = Node(tag, start, end, source, tuple(resolved))
-            built[vid] = node
-            self.created += 1
+            node = built[vid] = Node(tag, start, end, source, tuple(resolved))
             return node
 
         for vid in recs:
@@ -234,6 +237,7 @@ class Machine:
         # Break build's self-reference: recs and built then go on return, so
         # the peak memory of a parse does not depend on when the collector runs.
         del build
+        self.created += len(recs)
 
         left = self.left
         if isinstance(left, Node):
@@ -244,6 +248,10 @@ class Machine:
                 raise InternalParserError("left register does not resolve inside the transaction")
         else:
             raise InternalParserError("commit with no node under construction")
+        if base == 0 and not self.stack:
+            # Nothing refers to a virtual id any more: the log is empty, the
+            # stack too, and the left register holds a node.
+            self.first = []
         self.left = root
         return root
 
@@ -274,11 +282,15 @@ class Machine:
         return lines
 
 
-class _Gap:
-    __slots__ = ()
+class _Sentinel:
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __repr__(self) -> str:
-        return "<gap>"
+        return f"<{self.name}>"
 
 
-_GAP = _Gap()
+_GAP = _Sentinel("gap")  # an index a link skipped over
+_BUILDING = _Sentinel("building")  # a node whose children commit is building

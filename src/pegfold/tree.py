@@ -14,27 +14,50 @@ use :func:`equals` for structural comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import FrozenInstanceError
 from typing import Any
 
 __all__ = ["Node", "NotationError", "serialize", "parse_notation", "equals", "to_json_dict"]
 
 
-@dataclass(frozen=True, eq=False)
 class Node:
-    """Immutable tree node: tag, byte span over ``source``, children."""
+    """Immutable tree node: tag, byte span over ``source``, children.
+
+    A slotted class with no per-node ``__dict__``; assigning or deleting a
+    field raises :class:`dataclasses.FrozenInstanceError`.  Nodes compare
+    and hash by identity.
+    """
+
+    __slots__ = ("tag", "start", "end", "source", "children", "__weakref__")
 
     tag: str
     start: int
     end: int
     source: bytes
-    children: tuple[Node, ...] = field(default=())
+    children: tuple[Node, ...]
 
-    def __post_init__(self) -> None:
-        if not self.tag:
+    def __init__(
+        self, tag: str, start: int, end: int, source: bytes, children: tuple[Node, ...] = ()
+    ) -> None:
+        if not tag:
             raise ValueError("node tag must be non-empty")
-        if not (0 <= self.start <= self.end <= len(self.source)):
-            raise ValueError(f"bad span {self.start}..{self.end} for {len(self.source)}-byte source")
+        if not (0 <= start <= end <= len(source)):
+            raise ValueError(f"bad span {start}..{end} for {len(source)}-byte source")
+        _set_tag(self, tag)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_source(self, source)
+        _set_children(self, children)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Node, (self.tag, self.start, self.end, self.source, self.children)
 
     @property
     def text(self) -> bytes:
@@ -48,6 +71,15 @@ class Node:
         return f"<Node {serialize(self)}>"
 
 
+# __setattr__ refuses every write, so __init__ stores through the slot
+# descriptors themselves.
+_set_tag = Node.tag.__set__
+_set_start = Node.start.__set__
+_set_end = Node.end.__set__
+_set_source = Node.source.__set__
+_set_children = Node.children.__set__
+
+
 class NotationError(ValueError):
     """Raised by :func:`parse_notation` on malformed notation text."""
 
@@ -56,7 +88,13 @@ class NotationError(ValueError):
         self.position = position
 
 
+# Printable ASCII other than the quote and the backslash stands for itself.
+_PLAIN = re.compile(rb"[\x20-\x26\x28-\x5B\x5D-\x7E]*")
+
+
 def _quote(data: bytes) -> str:
+    if _PLAIN.fullmatch(data):
+        return "'" + data.decode("ascii") + "'"
     out = []
     for b in data:
         if b == 0x27:
@@ -78,23 +116,27 @@ def serialize(node: Node, include_inner_text: bool = False) -> str:
     that is not meant to be re-parsed).
     """
     parts: list[str] = []
-    _serialize(node, include_inner_text, parts)
+    _serialize(node, include_inner_text, parts, {})
     return "".join(parts)
 
 
-def _serialize(node: Node, include_inner_text: bool, parts: list[str]) -> None:
-    parts.append(f"#{node.tag}[")
-    if node.is_leaf():
-        parts.append(_quote(node.text))
-    else:
-        if include_inner_text:
-            parts.append(_quote(node.text))
-            parts.append(" ")
-        for i, child in enumerate(node.children):
-            if i:
-                parts.append(" ")
-            _serialize(child, include_inner_text, parts)
-    parts.append("]")
+def _serialize(node: Node, include_inner_text: bool, parts: list[str], prefixes: dict) -> None:
+    # ``prefixes`` maps each tag to its ``#tag[`` string, built once per call.
+    tag = node.tag
+    prefix = prefixes.get(tag)
+    if prefix is None:
+        prefix = prefixes[tag] = f"#{tag}["
+    children = node.children
+    if not children:
+        parts.append(prefix + _quote(node.source[node.start : node.end]) + "]")
+        return
+    parts.append(prefix)
+    if include_inner_text:
+        parts.append(_quote(node.text) + " ")
+    for child in children:
+        _serialize(child, include_inner_text, parts, prefixes)
+        parts.append(" ")
+    parts[-1] = "]"  # the last separator closes the node
 
 
 def equals(a: Node, b: Node) -> bool:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pegfold import machine
 from pegfold.machine import InternalParserError, Machine, TxMark
 from pegfold.tree import Node, serialize
 
@@ -342,6 +343,40 @@ def test_dangling_vid_is_an_internal_error():
     m.left = 0
     with pytest.raises(InternalParserError):
         m.commit(mark, SRC)
+
+
+def test_commit_refuses_a_link_cycle():
+    # emit_link refuses the cycles the engine can build; commit's guard
+    # catches any other log in which two nodes contain each other.
+    m = Machine()
+    m.log = [
+        (machine._NEW, 0, 0),
+        (machine._NEW, 1, 0),
+        (machine._LINK, 0, 1, None),
+        (machine._LINK, 1, 0, None),
+    ]
+    m.first = [None, None]
+    m.left = 0
+    assert m.dump_log() == ["NEW v0 @0", "NEW v1 @0", "LINK v0 <- v1", "LINK v1 <- v0"]
+    with pytest.raises(InternalParserError, match="cyclic link structure"):
+        m.commit(TxMark(0, None, 0), SRC)
+
+
+def test_whole_log_commit_resets_the_first_child_list():
+    m = Machine()
+    m.emit_new(0)
+    m.push_left()
+    mark = m.save()
+    m.emit_new(1)
+    m.emit_capture(2)
+    m.commit(mark, SRC)  # the stack still holds v0
+    assert m.first == [None, None]
+    m.emit_link(None)
+    m.emit_capture(5)
+    root = m.commit(TxMark(0, None, 0), SRC)
+    assert m.first == [] and m.log == [] and m.left is root
+    m.emit_new(0)
+    assert m.left == 0  # virtual ids start again at v0
 
 
 def test_orphan_records_still_materialize():

@@ -4,6 +4,7 @@ import gc
 import inspect
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -155,6 +156,57 @@ def test_parse_leaves_no_reference_cycles(memo):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_stats_count_reachable_nodes_on_first_read(monkeypatch):
+    count_reachable = pegfold.interp._count_reachable
+    calls = []
+
+    def counting(root):
+        calls.append(root)
+        return count_reachable(root)
+
+    monkeypatch.setattr(pegfold.interp, "_count_reachable", counting)
+    result = ParseSession(parse_grammar(MATH), b"(1+2)*3-4/(5+6)").parse()
+    serialize(result.root)
+    assert calls == []
+    stats = result.stats
+    assert result.stats is stats and calls == [result.root]
+    assert stats.nodes_in_result == count_reachable(result.root) == 11
+
+
+def test_stats_read_late_equal_a_direct_count():
+    for _, grammar, data in make_corpus(4242, 120):
+        for memo in (True, False):
+            session = ParseSession(grammar, data, memo=memo, max_steps=ENGINE_STEPS)
+            try:
+                result = session.parse()
+            except (ParseError, StepLimitExceeded):
+                continue
+            reachable = pegfold.interp._count_reachable(result.root)
+            assert result.stats.nodes_in_result == reachable
+            assert result.stats.nodes_unused == result.stats.nodes_created - reachable
+
+
+def test_parse_and_serialize_stay_within_an_allocation_budget():
+    # Peak traced allocation of one parse plus serialize of 8,769 bytes of
+    # math expressions, grammar already compiled: about 1.51 MB.  The bound
+    # fails nodes with a per-node __dict__ or a reachability walk on every
+    # parse, which together take 1.75 MB.
+    grammar = parse_grammar(MATH)
+    data = b"+".join(math_input(i) for i in range(400))
+    assert len(data) == 8769
+    ParseSession(grammar, b"1").parse()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        serialize(ParseSession(grammar, data).parse().root)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_625_000
 
 
 def test_threads_sharing_a_grammar_get_the_sequential_trees():

@@ -1,7 +1,12 @@
 """Node model, textual notation, structural equality, JSON shape."""
 
+import copy
+import dataclasses
+import gc
 import json
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -42,6 +47,32 @@ def test_quote_and_backslash_escaped():
 
 def test_nonprintable_bytes_hex_escaped():
     assert serialize(leaf("s", b"a\nb\x00\xff")) == "#s['a\\x0Ab\\x00\\xFF']"
+
+
+def reference_quote(data):
+    """The quoting rule, one byte at a time."""
+    out = []
+    for b in data:
+        if b == 0x27:
+            out.append("\\'")
+        elif b == 0x5C:
+            out.append("\\\\")
+        elif 0x20 <= b < 0x7F:
+            out.append(chr(b))
+        else:
+            out.append(f"\\x{b:02X}")
+    return "'" + "".join(out) + "'"
+
+
+def test_quoting_matches_the_per_byte_rule():
+    for b in range(256):
+        data = bytes([b])
+        assert serialize(leaf("s", data)) == f"#s[{reference_quote(data)}]", b
+    rng = random.Random(7)
+    for _ in range(2000):
+        alphabet = rng.choice([range(256), range(0x20, 0x7F)])
+        data = bytes(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        assert serialize(leaf("s", data)) == f"#s[{reference_quote(data)}]", data
 
 
 def test_span_must_fit_source():
@@ -107,6 +138,39 @@ def test_nodes_compare_by_identity():
     x = leaf("Int", "1")
     y = leaf("Int", "1")
     assert x != y and equals(x, y)
+    assert x == x and hash(x) == hash(x)
+    assert hash(x) != hash(y) and len({x, y}) == 2
+
+
+@pytest.mark.parametrize("name", ["tag", "start", "end", "source", "children"])
+def test_node_fields_are_read_only(name):
+    node = Node("Add", 0, 1, b"1", (leaf("Int", "1"),))
+    before = getattr(node, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, name, before)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(node, name)
+    assert getattr(node, name) is before
+
+
+def test_node_has_no_instance_dict_but_takes_weak_references():
+    node = leaf("Int", "1")
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.extra = 1
+    ref = weakref.ref(node)
+    assert ref() is node
+    del node
+    gc.collect()
+    assert ref() is None
+
+
+def test_node_copies_and_pickles_by_value():
+    src = b"1+2"
+    add = Node("Add", 0, 3, src, (Node("Int", 0, 1, src), Node("Int", 2, 3, src)))
+    for twin in (copy.copy(add), copy.deepcopy(add), pickle.loads(pickle.dumps(add))):
+        assert twin is not add and equals(twin, add)
+        assert (twin.tag, twin.start, twin.end, twin.source) == ("Add", 0, 3, src)
 
 
 def _random_node(rng, depth):
