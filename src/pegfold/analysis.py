@@ -1,4 +1,4 @@
-"""Static analyses over grammars: validation and memo-point assignment.
+"""Static analyses over grammars: validation, memo points, eager constructors.
 
 ``validate`` reports:
 
@@ -21,9 +21,6 @@ engine.  Two kinds exist:
 * nonterminal points: productions that reach no tree operator at all,
   stored as plain position advances.
 
-Every per-production fact used here is the least fixpoint of a predicate
-over that production's body (``_least_fixpoint``).
-
 A syntactic scan also drops every point used in a sequence item that a
 later ``#tag`` in the same sequence follows.  It is kept as a selectivity
 rule, not as a proven safety rule: the left-register facts carry the
@@ -33,6 +30,13 @@ pay: without it the JSON-like benchmark grammar, which tags at the end of
 each constructor, plans four points (Member, String, Value, S) that take
 32,904 lookups for 0 hits on the json-doc workload and cut its parse
 throughput from 0.27 to 0.17 MB/s.
+
+``eager_constructors`` marks the constructors whose node nothing can
+change once they close, so the engine can build it there.
+
+Per-production facts are least fixpoints (``_least_fixpoint``) or
+closures over call edges (``_spread``); those the analyses share are
+computed once per grammar and kept with it (``_facts``).
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .expr import (
 )
 from .grammar import Diagnostic, Grammar
 
-__all__ = ["validate", "MemoPlan", "assign_memo_points"]
+__all__ = ["validate", "MemoPlan", "assign_memo_points", "eager_constructors"]
 
 _Facts = dict[str, bool]
 _T = TypeVar("_T")
@@ -116,15 +120,15 @@ def _call_edges(runs: dict[str, list[Expression]]) -> dict[str, set[str]]:
     }
 
 
-def _called(edges: dict[str, set[str]], root: str) -> set[str]:
-    """Productions reached from ``root`` through one or more call ``edges``."""
-    seen: set[str] = set()
-    todo = [root]
+def _spread(seeds: set[str], edges: Mapping[str, set[str]]) -> set[str]:
+    """``seeds`` and every name reached from them through one or more ``edges``."""
+    seen = set(seeds)
+    todo = list(seeds)
     while todo:
-        for callee in edges[todo.pop()]:
-            if callee not in seen:
-                seen.add(callee)
-                todo.append(callee)
+        for name in edges.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
     return seen
 
 
@@ -227,6 +231,32 @@ def _mutates_outer(x: Expression, mutates: _Facts, reach: _Facts) -> bool:
     return False
 
 
+def _facts(grammar: Grammar) -> tuple:
+    """``(walks, nullable, reach, live, empty_loops)``, computed once per grammar.
+
+    Each production body's ``_walk``, the ``nullable`` and ``reach``
+    fixpoints, ``_live``, and the ``id`` of each repetition whose body can
+    succeed empty: what ``validate``, ``assign_memo_points`` and
+    ``eager_constructors`` share.
+    """
+    if grammar._facts is None:
+        walks = {name: _walk(body) for name, body in grammar.productions.items()}
+        nullable = _least_fixpoint(grammar.productions, _expr_nullable)
+        grammar._facts = (
+            walks,
+            nullable,
+            _least_fixpoint(walks, lambda xs, facts: any(_builds(x, facts) for x in xs)),
+            _live(grammar),
+            {
+                id(x)
+                for xs in walks.values()
+                for x in xs
+                if isinstance(x, (ZeroOrMore, OneOrMore)) and _expr_nullable(x.body, nullable)
+            },
+        )
+    return grammar._facts
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -240,17 +270,16 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
         diagnostics.append(Diagnostic(severity, code, message, name, line, col))
 
     productions = grammar.productions
-    nodes = {name: _walk(body) for name, body in productions.items()}
+    nodes, nullable, _, live, empty_loops = _facts(grammar)
     for name, xs in nodes.items():
         refs = {x.name for x in xs if isinstance(x, Nonterminal)}
         for ref in sorted(refs - set(productions)):
             message = f"reference to undefined production {ref!r}"
             report("error", "undefined-nonterminal", message, name)
 
-    nullable = _least_fixpoint(productions, _expr_nullable)
     left_calls = _call_edges(_runs(grammar, lambda item: _expr_nullable(item, nullable)))
     for name in productions:
-        if name in _called(left_calls, name):
+        if name in _spread(left_calls[name], left_calls):
             report(
                 "error",
                 "left-recursion",
@@ -260,7 +289,7 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
 
     for name, xs in nodes.items():
         for x in xs:
-            if isinstance(x, (ZeroOrMore, OneOrMore)) and _expr_nullable(x.body, nullable):
+            if id(x) in empty_loops:
                 report(
                     "warning",
                     "nullable-repetition",
@@ -274,15 +303,14 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
     # from an earlier such root, is checked on its own as a root.
     succeeds = _least_fixpoint(productions, _may_succeed)
     calls = _call_edges(_runs(grammar, lambda item: _may_succeed(item, succeeds)))
-    live = _live(grammar)
     live_calls = _call_edges(live)
     reached: set[str] = set()
     warned: set[str] = set()
     for root in (grammar.start, *productions):
         if root in reached:
             continue
-        reached |= {root} | _called(calls, root)
-        for name in {root} | _called(live_calls, root):
+        reached |= _spread({root}, calls)
+        for name in _spread({root}, live_calls):
             if any(isinstance(x, Tag) for x in live[name]):
                 warned.add(name)
     for name in productions:
@@ -322,10 +350,9 @@ class MemoPlan:
 
 def assign_memo_points(grammar: Grammar) -> MemoPlan:
     """Chooses memo points; expects a grammar that validates without errors."""
-    walks = {name: _walk(body) for name, body in grammar.productions.items()}
-    reach = _least_fixpoint(walks, lambda xs, facts: any(_builds(x, facts) for x in xs))
+    walks, _, reach, live, _ = _facts(grammar)
     mutates = _least_fixpoint(
-        _live(grammar), lambda xs, facts: any(_mutates_outer(x, facts, reach) for x in xs)
+        live, lambda xs, facts: any(_mutates_outer(x, facts, reach) for x in xs)
     )
     nodes = [x for xs in walks.values() for x in xs]
 
@@ -373,3 +400,105 @@ def assign_memo_points(grammar: Grammar) -> MemoPlan:
             next_id += 1
 
     return MemoPlan(link_points, nonterminal_points, next_id)
+
+
+# ---------------------------------------------------------------------------
+# Eager constructors
+
+
+def eager_constructors(grammar: Grammar) -> frozenset[int]:
+    """The ``id`` of each ``{ }``/``{@ }`` whose node nothing can change once it closes.
+
+    Up to the nearest enclosing ``@``, which restores the parent, the
+    closed node stays in the left register.  It is lazy if on the way
+    there is a later sequence item that can run a ``#tag`` or a
+    node-building ``@e`` outside a constructor body (``touches``), an
+    enclosing ``{ }``/``{@ }`` (its capture would target the node), an
+    enclosing ``&``/``!`` (its work is thrown away), or an enclosing
+    ``*``/``+`` whose body touches or can succeed empty; past the
+    production root, if some call site of the production is lazy.  One
+    pass down each body and two closures over call edges: linear in the
+    grammar's size.  An expression used in several places is eager only
+    if every use is.
+    """
+    _, _, reach, _, empty_loops = _facts(grammar)
+    if not any(reach.values()):
+        return frozenset()  # no tree operator at all
+
+    def builds(x: Expression) -> bool:
+        # Stops at the first tree operator, so it never enters a nested
+        # link's body: each expression is searched for its nearest link only.
+        return _builds(x, reach) or any(builds(c) for c in subexpressions(x))
+
+    # Productions that touch the node in the register: the reverse closure,
+    # over calls made outside constructor bodies, of those that tag or link
+    # there themselves.  A link whose body builds nothing touches nothing.
+    direct: set[str] = set()
+    callers: dict[str, set[str]] = {}
+    for name, xs in _runs(grammar, lambda item: True, live=True).items():
+        for x in xs:
+            if isinstance(x, Tag) or isinstance(x, Link) and builds(x.body):
+                direct.add(name)
+            elif isinstance(x, Nonterminal):
+                callers.setdefault(x.name, set()).add(name)
+    touching = _spread(direct, callers)
+
+    touched: dict[int, bool] = {}
+
+    def touches(x: Expression) -> bool:
+        key = id(x)
+        known = touched.get(key)
+        if known is None:
+            if isinstance(x, Tag):
+                known = True
+            elif isinstance(x, Link):
+                known = builds(x.body)
+            elif isinstance(x, Nonterminal):
+                known = x.name in touching
+            elif isinstance(x, (New, LeftFold)):
+                known = False
+            else:
+                known = any(touches(c) for c in subexpressions(x))
+            touched[key] = known
+        return known
+
+    # One pass down each body.  ``local``: a reason for laziness met below
+    # the production root; ``open_``: no enclosing link, so the root's
+    # call sites matter.
+    constructors: list[tuple[int, bool, bool, str]] = []
+    sites: list[tuple[str, bool, bool, str]] = []
+    for name, body in grammar.productions.items():
+        todo = [(body, False, True)]
+        while todo:
+            x, local, open_ = todo.pop()
+            if isinstance(x, Sequence):
+                later = local
+                for item in reversed(x.items):
+                    todo.append((item, later, open_))
+                    later = later or touches(item)
+            elif isinstance(x, (New, LeftFold)):
+                constructors.append((id(x), local, open_, name))
+                todo.append((x.body, True, open_))
+            elif isinstance(x, Nonterminal):
+                sites.append((x.name, local, open_, name))
+            elif isinstance(x, Link):
+                todo.append((x.body, False, False))
+            elif isinstance(x, (ZeroOrMore, OneOrMore)):
+                again = local or touches(x.body) or id(x) in empty_loops
+                todo.append((x.body, again, open_))
+            elif isinstance(x, (And, Not)):
+                todo.append((x.body, True, open_))
+            else:
+                todo.extend((c, local, open_) for c in subexpressions(x))
+
+    # A production is dirty when a call site is, directly or because its
+    # own production is dirty and nothing between them stops the walk.
+    seeds = {callee for callee, local, _, _ in sites if local}
+    inherits: dict[str, set[str]] = {}
+    for callee, local, open_, name in sites:
+        if open_ and not local:
+            inherits.setdefault(name, set()).add(callee)
+    dirty = _spread(seeds, inherits)
+
+    lazy = {key for key, local, open_, name in constructors if local or open_ and name in dirty}
+    return frozenset(key for key, _, _, _ in constructors if key not in lazy)

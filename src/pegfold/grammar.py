@@ -82,7 +82,7 @@ class Grammar:
     diagnostics; it does not participate in equality.
     """
 
-    __slots__ = ("_productions", "start", "locations", "_programs")
+    __slots__ = ("_productions", "start", "locations", "_programs", "_facts")
 
     def __init__(
         self,
@@ -99,6 +99,8 @@ class Grammar:
         self.locations = locations or {}
         # (memo, build_ast) -> compiled program; see pegfold.interp.program_for.
         self._programs: dict = {}
+        # Facts every analysis reads, computed once; see pegfold.analysis.
+        self._facts = None
 
     @property
     def productions(self) -> Mapping[str, Expression]:

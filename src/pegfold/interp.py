@@ -10,10 +10,13 @@ re-readable distance is added to the backtrack counter; predicates roll
 back even on success.
 
 Tree operators compile to machine entry emissions and never influence
-recognition.  With memoization enabled, ``@Name`` links at assigned memo
-points commit their sub-transaction as soon as the body succeeds, store
-the materialized node, and replay it on later hits at the same position;
-tree-operator-free productions are memoized as plain position advances.
+recognition; constructors that ``eager_constructors`` marks close with
+``Machine.emit_node``.  With memoization enabled, ``@Name`` links at
+assigned memo points store the materialized node as soon as the body
+succeeds (the node already in the register if the body logged nothing
+else, or else the commit of its sub-transaction), and replay it on later
+hits at the same position; tree-operator-free productions are memoized
+as plain position advances.
 
 A grammar is compiled once per ``(memo, build_ast)`` setting; the
 grammar keeps that program for every session.  Its closures reach the
@@ -28,7 +31,7 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
-from .analysis import MemoPlan, assign_memo_points, validate
+from .analysis import MemoPlan, assign_memo_points, eager_constructors, validate
 from .expr import (
     And,
     AnyChar,
@@ -104,8 +107,10 @@ class Stats:
     ``backtrack_total`` sums, over every rollback, the distance from the
     failure point back to the savepoint, including distance restored by
     predicates; the ratio divides by input length.  ``nodes_created``
-    counts materialized nodes (speculative ones included), and
-    ``nodes_unused`` is the created surplus not reachable from the root.
+    counts materialized nodes, speculative ones included: those a memo
+    link stored, and those built at an eager constructor's closing brace
+    in an alternative that then failed.  ``nodes_unused`` is the created
+    surplus not reachable from the root.
     """
 
     consumed: int = 0
@@ -210,9 +215,12 @@ class ParseSession:
             if end < 0:
                 raise ParseError(self.farthest)
             machine = self.machine
-            if machine.left is None:
+            root = machine.left
+            if root is None:
                 root = Node("token", 0, end, self.data, ())
                 machine.created += 1
+            elif isinstance(root, Node) and not machine.log:
+                machine.first = []  # as a whole-log commit would
             else:
                 root = machine.commit(TxMark(0, None, 0), self.data)
         except RecursionError:
@@ -273,6 +281,7 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
     plan: MemoPlan | None = None
     if memo:
         plan = assign_memo_points(grammar if build_ast else Grammar(bodies, grammar.start))
+    eager = eager_constructors(grammar) if build_ast else frozenset()
 
     # Run state, bound by run() for the length of one parse.
     data: bytes | None = None
@@ -453,29 +462,21 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
 
                 return run_tag
 
-            case New(body):
+            case New(body) | LeftFold(body):
                 inner = compile(body)
+                opener = Machine.emit_fold if isinstance(e, LeftFold) else Machine.emit_new
 
-                def run_new(pos: int) -> int:
-                    machine.emit_new(pos)
+                def run_constructor(pos: int, _open=opener, _eager=id(e) in eager) -> int:
+                    at = _open(machine, pos)
                     r = inner(pos)
                     if r >= 0:
-                        machine.emit_capture(r)
+                        if _eager:
+                            machine.emit_node(at, r, data)
+                        else:
+                            machine.emit_capture(r)
                     return r
 
-                return run_new
-
-            case LeftFold(body):
-                inner = compile(body)
-
-                def run_fold(pos: int) -> int:
-                    machine.emit_fold(pos)
-                    r = inner(pos)
-                    if r >= 0:
-                        machine.emit_capture(r)
-                    return r
-
-                return run_fold
+                return run_constructor
 
             case Link(body, index):
                 if (
@@ -589,7 +590,9 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                     table.memoize(point, pos, MemoEntry(True, r - pos, None))
                 machine.pop_left()
                 return r
-            node = machine.commit(mark, data)
+            node = machine.left
+            if not isinstance(node, Node) or len(machine.log) != mark.log_index:
+                node = machine.commit(mark, data)
             table.memoize(point, pos, MemoEntry(True, r - pos, node))
             machine.emit_link_node(node, _i)
             return r

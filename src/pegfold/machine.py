@@ -25,11 +25,18 @@ first-child chain (``Machine.first``) and refuses the link when it meets
 the parent.  The walk ends at the parent or at a constructor, so it
 visits only folds made in that body.
 
-A commit from mark 0 with an empty stack materializes every node the log
-introduced and leaves no virtual id referenced anywhere (the log and the
-stack are empty, the left register holds a node), so it also resets the
-first-child list; a parse's final commit thus frees that list before the
-caller goes on to print the tree.
+A constructor that ``pegfold.analysis.eager_constructors`` proves final
+once it closes ends with ``emit_node`` instead of ``emit_capture``: the
+entries since its ``NEW``/``FOLD`` collapse into a materialized node in
+the left register, and the log is truncated back to that entry.  This is
+safe because savepoints nest: marks taken in the body have closed, marks
+outside it predate the entry.  The node's id and every later one are then
+referenced nowhere, so ``first`` is cut back too.
+
+A commit from mark 0 with an empty stack, or a parse that ends with a
+node in the register and an empty log, leaves no virtual id referenced
+anywhere, so ``first`` is reset and freed before the caller goes on to
+print the tree.
 
 Already-materialized nodes are immutable: any logged mutation targeting
 one is an engine bug and raises :class:`InternalParserError`.  Link
@@ -96,18 +103,22 @@ class Machine:
 
     # -- emit family (register effects eager, node mutations logged) -------
 
-    def emit_new(self, pos: int) -> None:
+    def emit_new(self, pos: int) -> int:
+        """Opens a constructor; returns the index of its log entry."""
         vid = len(self.first)
         self.first.append(None)
         self.log.append((_NEW, vid, pos))
         self.left = vid
+        return len(self.log) - 1
 
-    def emit_fold(self, pos: int) -> None:
+    def emit_fold(self, pos: int) -> int:
+        """Opens a fold of the left node; returns the index of its log entry."""
         vid = len(self.first)
         prior = self.left
         self.first.append(prior)
         self.log.append((_FOLD, vid, prior, pos))
         self.left = vid
+        return len(self.log) - 1
 
     def emit_capture(self, pos: int) -> None:
         left = self.left
@@ -116,6 +127,43 @@ class Machine:
         if isinstance(left, Node):
             raise InternalParserError("capture targets a materialized node")
         self.log.append((_CAPTURE, left, pos))
+
+    def emit_node(self, at: int, end: int, source: bytes) -> None:
+        """Closes an eager constructor whose ``NEW`` or ``FOLD`` entry is ``log[at]``.
+
+        The entries from ``at`` on collapse into one materialized node in
+        the left register if the node is still there, a fold adopted a
+        materialized node or none, and every later entry tags the node or
+        links a materialized child into it.  Otherwise logs a capture.
+        """
+        log = self.log
+        opened = log[at]
+        vid = opened[1]
+        first = opened[2] if opened[0] == _FOLD else None
+        if self.left != vid or isinstance(first, int):
+            return self.emit_capture(end)
+        children = [] if first is None else [first]
+        tag = None
+        for entry in log[at + 1 :]:
+            if entry[1] != vid:
+                return self.emit_capture(end)
+            if entry[0] == _TAG:
+                tag = entry[2]
+            elif entry[0] == _LINK and isinstance(entry[2], Node):
+                if entry[3] is None:
+                    children.append(entry[2])
+                else:
+                    _put(children, entry[2], entry[3])
+            else:
+                return self.emit_capture(end)
+        del log[at:]
+        del self.first[vid:]
+        if _GAP in children:
+            children = [child for child in children if child is not _GAP]
+        self.created += 1
+        tag = tag or ("tree" if children else "token")
+        # The span opens at NEW's position or at the fold point.
+        self.left = Node(tag, opened[-1], end, source, tuple(children))
 
     def emit_tag(self, name: str) -> None:
         left = self.left
@@ -192,14 +240,10 @@ class Machine:
                 rec = recs.get(entry[1])
                 if rec is None:
                     raise InternalParserError("link into a node outside the transaction")
-                children = rec[3]
-                child, index = entry[2], entry[3]
-                if index is None:
-                    children.append(child)
+                if entry[3] is None:
+                    rec[3].append(entry[2])
                 else:
-                    if len(children) <= index:
-                        children.extend([_GAP] * (index + 1 - len(children)))
-                    children[index] = child
+                    _put(rec[3], entry[2], entry[3])
             else:  # _FOLD: the span opens at the fold point, after the first child
                 first = entry[2]
                 recs[entry[1]] = [None, entry[3], None, [] if first is None else [first]]
@@ -280,6 +324,13 @@ class Machine:
             else:
                 lines.append(f"FOLD v{entry[1]} <- {ref(entry[2])} @{entry[3]}")
         return lines
+
+
+def _put(children: list, child: object, index: int) -> None:
+    """An indexed link: ``child`` at ``index``, with ``_GAP`` in any slot skipped."""
+    if len(children) <= index:
+        children.extend([_GAP] * (index + 1 - len(children)))
+    children[index] = child
 
 
 class _Sentinel:

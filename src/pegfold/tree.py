@@ -113,30 +113,34 @@ def serialize(node: Node, include_inner_text: bool = False) -> str:
 
     Leaves always carry their matched substring; substrings of inner
     nodes are omitted unless ``include_inner_text`` is set (a debug view
-    that is not meant to be re-parsed).
+    that is not meant to be re-parsed).  An explicit stack replaces
+    recursion, so a tree of any depth prints.
     """
     parts: list[str] = []
-    _serialize(node, include_inner_text, parts, {})
+    append = parts.append
+    prefixes: dict[str, str] = {}  # each tag's ``#tag[`` string, built once per call
+    stack = [iter((node,))]  # per open level, its children not yet written
+    while stack:
+        for node in stack[-1]:
+            tag = node.tag
+            prefix = prefixes.get(tag)
+            if prefix is None:
+                prefix = prefixes[tag] = f"#{tag}["
+            children = node.children
+            if children:
+                append(prefix)
+                if include_inner_text:
+                    append(_quote(node.text) + " ")
+                stack.append(iter(children))
+                break
+            append(prefix + _quote(node.source[node.start : node.end]) + "]")
+            append(" ")
+        else:
+            stack.pop()
+            parts[-1] = "]"  # the last separator closes the level
+            append(" ")
+    del parts[-2:]  # the outermost level is no node
     return "".join(parts)
-
-
-def _serialize(node: Node, include_inner_text: bool, parts: list[str], prefixes: dict) -> None:
-    # ``prefixes`` maps each tag to its ``#tag[`` string, built once per call.
-    tag = node.tag
-    prefix = prefixes.get(tag)
-    if prefix is None:
-        prefix = prefixes[tag] = f"#{tag}["
-    children = node.children
-    if not children:
-        parts.append(prefix + _quote(node.source[node.start : node.end]) + "]")
-        return
-    parts.append(prefix)
-    if include_inner_text:
-        parts.append(_quote(node.text) + " ")
-    for child in children:
-        _serialize(child, include_inner_text, parts, prefixes)
-        parts.append(" ")
-    parts[-1] = "]"  # the last separator closes the node
 
 
 def equals(a: Node, b: Node) -> bool:

@@ -1,10 +1,16 @@
 """Grammar validation and memo-point assignment."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from pegfold.analysis import assign_memo_points, validate
-from pegfold.expr import LeftFold, Link, New, Nonterminal, Tag, subexpressions
-from pegfold.grammar import parse_grammar
+from pegfold.analysis import assign_memo_points, eager_constructors, validate
+from pegfold.expr import LeftFold, Link, New, Nonterminal, Sequence, Tag, Terminal, subexpressions
+from pegfold.grammar import Grammar, parse_grammar
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 MATH = """Expr = Sum
 Sum = Product {@ ( '+' #add / '-' #sub ) @Product }*
@@ -270,3 +276,66 @@ def test_tag_warning_roots_follow_production_order():
     assert warned("S = 'a'\nA = { B }\nB = #t 'b'") == []
     # ... but it is analyzed on its own, and warns, when it comes first.
     assert warned("S = 'a'\nB = #t 'b'\nA = { B }") == ["B"]
+
+
+# -- eager constructors -------------------------------------------------------
+
+
+def eager_marks(text):
+    """Per ``{ }``/``{@ }`` occurrence, in grammar order: is it eager?"""
+    grammar = parse_grammar(text)
+    eager = eager_constructors(grammar)
+    marks = []
+    for body in grammar.productions.values():
+        stack = [body]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, (New, LeftFold)):
+                marks.append(id(x) in eager)
+            stack.extend(reversed(subexpressions(x)))
+    return marks
+
+
+def benchmark_grammars():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_grammars_build_every_node_eagerly():
+    workloads = benchmark_grammars()
+    assert eager_marks(MATH) == eager_marks(workloads.MATH) == [True] * 3
+    assert eager_marks(workloads.JSON_LIKE) == [True] * 6
+    assert eager_marks(workloads.PATHOLOGICAL) == []
+
+
+@pytest.mark.parametrize(
+    "text, marks",
+    [
+        ("S = { 'a' } #T", [False]),  # a later tag
+        ("S = { 'a' } @B\nB = { 'b' }", [False, True]),  # a later link
+        ("S = { 'a' } T\nT = #X 'b'", [False]),  # a later call that tags
+        ("S = { 'a' } T\nT = 'b' { 'c' }", [True, True]),  # ... or does not
+        ("S = { 'a' {@ 'b' } 'c' }", [True, False]),  # the outer capture
+        ("S = { 'x' A }\nA = B\nB = { 'b' }", [True, False]),  # through calls
+        ("S = &{ 'a' } !{ 'b' } 'a'", [False, False]),  # predicates
+        ("S = ( { ''? } )*", [False]),  # a nullable loop body
+        ("S = ( @B { 'a' } )+\nB = { 'b' }", [False, True]),  # the next iteration
+        ("S = ( { 'a' } / 'b' #T )*", [False]),
+        ("S = { 'a' @( { 'b' } #T ) 'c' @{ 'd' } }", [True, False, True]),  # links
+    ],
+)
+def test_eager_rules(text, marks):
+    assert eager_marks(text) == marks
+
+
+def test_an_expression_shared_by_an_eager_and_a_lazy_place_is_lazy():
+    shared = New(Terminal(b"a"))
+    grammar = Grammar({"S": Sequence((Link(shared), shared, Tag("T")))})
+    assert eager_constructors(grammar) == frozenset()
+    assert eager_constructors(Grammar({"S": Link(shared)})) == {id(shared)}

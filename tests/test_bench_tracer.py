@@ -23,6 +23,11 @@ Product = Value {@ ( '*' #mul / '/' #div) @Value }*
 Value = { [0-9]+ #Integer } / '(' Expr ')'
 """
 
+# The trailing tags keep these constructors lazy, so their parse still
+# reaches a commit with log entries; the math grammar's nodes are all
+# built where their constructors close.
+LAZY = "List = { @Item (',' @Item)* } #List\nItem = { [0-9]+ } #Item\n"
+
 
 def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
@@ -42,6 +47,7 @@ def test_tracer_records_engine_layers_and_restores_them(tmp_path, capsys):
     tracer.install()
     try:
         ParseSession(parse_grammar(MATH), b"1+2*3").parse()
+        ParseSession(parse_grammar(LAZY), b"1,2,3").parse()
         assert pegfold.cli.run(["parse", str(grammar_path), str(input_path)]) == 0
     finally:
         tracer.remove()

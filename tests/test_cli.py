@@ -148,6 +148,15 @@ def test_deep_nesting_exits_with_a_one_line_error(command, math_peg, tmp_path, c
     assert run([command, math_peg, write_input(tmp_path, b"1+2")]) == 0
 
 
+def test_parse_prints_a_tree_deeper_than_the_recursion_limit(math_peg, tmp_path, capsys):
+    # A flat sum folds into a left spine 30,000 nodes deep.
+    terms = 30_000
+    assert run(["parse", math_peg, write_input(tmp_path, b"+".join([b"1"] * terms))]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("#add[" * (terms - 1) + "#Integer['1'] #Integer['1']]")
+    assert out.count("#Integer['1']") == terms and out.endswith("]\n")
+
+
 def test_parse_strict_rejects_trailing_input(math_peg, tmp_path, capsys):
     data = write_input(tmp_path, b"1+2;rest")
     assert run(["parse", math_peg, data]) == 0

@@ -165,8 +165,8 @@ CYCLE_GRAMMARS = [
 ]
 
 
-@pytest.mark.parametrize("text, letters", CYCLE_GRAMMARS)
-def test_fold_chain_cycles_match_the_reference(text, letters):
+def assert_matches_the_reference(text, letters):
+    """Every input of up to four ``letters``, memo off and on at windows 1 and 256."""
     grammar = parse_grammar(text)
     for size in range(5):
         for chars in itertools.product(letters, repeat=size):
@@ -175,6 +175,38 @@ def test_fold_chain_cycles_match_the_reference(text, letters):
             for memo, window in ((False, 256), (True, 1), (True, 256)):
                 got = engine_outcome(grammar, data, memo=memo, window=window)
                 assert got == expected, (data, memo, window)
+
+
+@pytest.mark.parametrize("text, letters", CYCLE_GRAMMARS)
+def test_fold_chain_cycles_match_the_reference(text, letters):
+    assert_matches_the_reference(text, letters)
+
+
+# Grammars on both sides of the eager-construction boundary: constructors
+# that nothing can change once they close, and ones that a tag, a link, an
+# enclosing capture, a predicate or a loop's next iteration still reaches.
+# Each also runs inside choice alternatives that fail after it.
+EAGER_BOUNDARY_GRAMMARS = [
+    # a fold inside a constructor: the outer capture targets the fold node
+    (
+        "S = { #S @F 'z' } / { #T @F } / F 'z' / @( { 'a' {@ 'b' } 'c' } ) 'y'\n"
+        "F = { 'a' {@ 'b' #B } 'c' }",
+        "abcyz",
+    ),
+    ("S = { 'a' } #T 'z' / { 'a' } #T / 'b'", "abz"),
+    ("S = { 'a' } @B 'z' / { 'a' } @B / @B\nB = { 'b' #B }", "abz"),
+    # a constructor that closes inside its caller's, directly or via C
+    ("S = A 'z' / A\nA = { 'x' B }\nB = { 'b' } / C\nC = D\nD = { 'd' }", "xbdz"),
+    ("S = &{ 'a' #P } { 'a' 'b' #Q } 'z' / !{ 'b' } { 'a' #R } / { 'b' }", "abz"),
+    ("S = ( { ''? } )* 'z' / ( { ''? #E } )* { 'a' }", "az"),
+    # a loop whose next iteration tags or links into the last node
+    ("S = ( { 'a' } / 'b' #T )* 'z' / ( { 'a' } / @B )+\nB = { 'b' }", "abz"),
+]
+
+
+@pytest.mark.parametrize("text, letters", EAGER_BOUNDARY_GRAMMARS)
+def test_eager_construction_boundaries_match_the_reference(text, letters):
+    assert_matches_the_reference(text, letters)
 
 
 def test_root_fallback_token_when_nothing_built():
@@ -331,8 +363,20 @@ def test_negation_failure_counts_partial_progress():
 def test_aborted_branches_materialize_nothing():
     g = "S = { @A 'x' #S } / { @A 'y' #S }\nA = { 'a' #A }"
     result = run(g, b"ay", memo=False)
-    # the failed first alternative's entries were aborted before any
-    # node existed: deferred mutation means zero wasted instantiation
+    # nothing can change A's node once its constructor closes, so A is
+    # built there, also in the first alternative, which then fails; S's
+    # node in that alternative was still open and materializes nothing
+    assert result.stats.nodes_created == 3
+    assert result.stats.nodes_in_result == 2
+    assert result.stats.nodes_unused == 1
+
+
+def test_aborted_lazy_branches_materialize_nothing():
+    g = "S = { @A 'x' #S } / { @A 'y' #S }\nA = { 'a' } #A"
+    result = run(g, b"ay", memo=False)
+    # the trailing tag keeps A lazy: the failed first alternative's
+    # entries were aborted before any node existed
+    assert serialize(result.root) == "#S[#A['a']]"
     assert result.stats.nodes_created == 2
     assert result.stats.nodes_unused == 0
 
