@@ -1,4 +1,4 @@
-"""Static analyses over grammars: validation, memo points, eager constructors.
+"""Static analyses over grammars: validation, memo points, eager constructors, lead masks.
 
 ``validate`` reports:
 
@@ -34,6 +34,14 @@ throughput from 0.27 to 0.17 MB/s.
 ``eager_constructors`` marks the constructors whose node nothing can
 change once they close, so the engine can build it there.
 
+``lead_masks`` gives each expression a *lead mask*, an int with bit ``b``
+set when its first consumed byte can be ``b`` (a FIRST set, as in
+Redziejowski, "Applying Classical Concepts to Parsing Expression Grammar",
+2009), or ``None`` when it can succeed empty or a ``&``/``!`` can run
+before that byte.  Where the next byte is not in the mask, or the input
+has ended, the expression fails where it starts, backtracking nothing.
+Tree operators leave masks alone, so erasing them keeps a body's mask.
+
 Per-production facts are least fixpoints (``_least_fixpoint``) or
 closures over call edges (``_spread``); those the analyses share are
 computed once per grammar and kept with it (``_facts``).
@@ -67,7 +75,7 @@ from .expr import (
 )
 from .grammar import Diagnostic, Grammar
 
-__all__ = ["validate", "MemoPlan", "assign_memo_points", "eager_constructors"]
+__all__ = ["validate", "MemoPlan", "assign_memo_points", "eager_constructors", "lead_masks"]
 
 _Facts = dict[str, bool]
 _T = TypeVar("_T")
@@ -502,3 +510,74 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
 
     lazy = {key for key, local, open_, name in constructors if local or open_ and name in dirty}
     return frozenset(key for key, _, _, _ in constructors if key not in lazy)
+
+
+# ---------------------------------------------------------------------------
+# Lead masks
+
+_ANY_BYTE = (1 << 256) - 1
+_EMPTY = 1 << 256  # can succeed consuming nothing
+_BLIND = 1 << 257  # a predicate can run before the first byte
+
+
+def _first(e: Expression, production: Callable[[str], int]) -> int:
+    """The bytes ``e``'s first consumed byte can be, with ``_EMPTY`` and ``_BLIND``."""
+    # Plain isinstance tests, the commonest kinds first: this runs at every
+    # compile, where a match statement's class patterns cost set-up time.
+    if isinstance(e, Sequence):
+        mask = 0
+        for item in e.items:
+            step = _first(item, production)
+            mask |= step
+            if not step & _EMPTY:
+                return mask & ~_EMPTY
+        return mask
+    if isinstance(e, Terminal):
+        return 1 << e.text[0]
+    if isinstance(e, Nonterminal):
+        return production(e.name)
+    if isinstance(e, Choice):
+        mask = 0
+        for a in e.alternatives:
+            mask |= _first(a, production)
+        return mask
+    if isinstance(e, (OneOrMore, New, LeftFold, Link)):
+        return _first(e.body, production)
+    if isinstance(e, (Option, ZeroOrMore)):
+        return _first(e.body, production) | _EMPTY
+    if isinstance(e, CharClass):
+        mask = 0
+        for lo, hi in e.ranges:
+            mask |= (1 << hi + 1) - (1 << lo)
+        return mask
+    if isinstance(e, (Empty, Tag)):
+        return _EMPTY
+    if isinstance(e, (And, Not)):
+        return _EMPTY | _BLIND
+    if isinstance(e, AnyChar):
+        return _ANY_BYTE
+    raise TypeError(f"unknown expression {e!r}")
+
+
+def lead_masks(grammar: Grammar) -> Callable[[Expression], int | None]:
+    """The lead mask of expressions over ``grammar`` (see the module docstring).
+
+    Expects a grammar that validates without errors.  Each production's
+    mask is computed on first use and kept: left recursion is refused, so
+    the calls a mask depends on form no cycle.
+    """
+    productions = grammar.productions
+    masks: dict[str, int] = {}
+
+    def production(name: str) -> int:
+        mask = masks.get(name)
+        if mask is None:
+            masks[name] = 0  # read back only through left recursion
+            mask = masks[name] = _first(productions[name], production)
+        return mask
+
+    def lead(e: Expression) -> int | None:
+        mask = _first(e, production)
+        return None if mask > _ANY_BYTE else mask
+
+    return lead

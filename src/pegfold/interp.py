@@ -3,11 +3,17 @@
 Expressions compile to closures of ``pos -> pos'``.  Success returns the
 new position; failure returns the bitwise complement of the position at
 which the attempt died (so backtrack distances can be accounted without
-carrying extra state).  Choice alternatives, repetition steps and
-predicate bodies run under savepoints: a parse-position snapshot plus a
-machine transaction mark.  On failure both are rolled back and the
-re-readable distance is added to the backtrack counter; predicates roll
-back even on success.
+carrying extra state).  Choice alternatives but the last, repetition
+steps, options and predicate bodies run under savepoints: a
+parse-position snapshot plus a machine transaction mark.  On failure both
+are rolled back and the re-readable distance is added to the backtrack
+counter; predicates roll back even on success.
+
+Only an attempt that can start at the next byte gets a savepoint: a
+choice dispatches on that byte to the alternatives its lead mask
+(``analysis.lead_masks``) admits, and an option or loop tests it first.
+A skipped attempt would have failed where it starts, so skipping it only
+moves the farthest failure there.
 
 Tree operators compile to machine entry emissions and never influence
 recognition; constructors that ``eager_constructors`` marks close with
@@ -31,7 +37,7 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
-from .analysis import MemoPlan, assign_memo_points, eager_constructors, validate
+from .analysis import MemoPlan, assign_memo_points, eager_constructors, lead_masks, validate
 from .expr import (
     And,
     AnyChar,
@@ -51,6 +57,7 @@ from .expr import (
     Terminal,
     ZeroOrMore,
     erase_tree_operators,
+    sequence,
 )
 from .grammar import Grammar
 from .machine import Machine, TxMark
@@ -110,7 +117,9 @@ class Stats:
     counts materialized nodes, speculative ones included: those a memo
     link stored, and those built at an eager constructor's closing brace
     in an alternative that then failed.  ``nodes_unused`` is the created
-    surplus not reachable from the root.
+    surplus not reachable from the root.  Attempts that cannot start at
+    the next byte are skipped, so neither ``nodes_created`` nor
+    ``memo_lookups`` counts the work they would have done.
     """
 
     consumed: int = 0
@@ -282,6 +291,7 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
     if memo:
         plan = assign_memo_points(grammar if build_ast else Grammar(bodies, grammar.start))
     eager = eager_constructors(grammar) if build_ast else frozenset()
+    lead = lead_masks(grammar)
 
     # Run state, bound by run() for the length of one parse.
     data: bytes | None = None
@@ -384,12 +394,28 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_seq
 
             case Choice(alternatives):
+                # Tries only the alternatives that can start at the next byte.
+                # A skipped one would fail where it starts, moving ``farthest``
+                # there: that needs doing only for skips ahead of the first
+                # one tried, since one tried and failed has moved it as far.
+                # Only the last runs without a savepoint; when it is skipped,
+                # the choice fails where it starts, as that one would have.
                 compiled = [compile(a) for a in alternatives]
-                head = tuple(compiled[:-1])
-                last = compiled[-1]
+                masks = [lead(a) for a in alternatives]
+                rows: dict[int, tuple] = {}  # next byte (256: end of input) -> (head, last, skips)
 
                 def run_choice(pos: int) -> int:
-                    nonlocal backtrack
+                    nonlocal backtrack, farthest
+                    b = data[pos] if pos < size else 256
+                    try:
+                        head, last, skips = rows[b]
+                    except KeyError:  # the first time this byte comes here
+                        fits = [mask is None or mask >> b & 1 for mask in masks]
+                        tried = [alt for alt, fit in zip(compiled, fits) if fit]
+                        last = tried.pop() if fits[-1] else None
+                        rows[b] = head, last, skips = tuple(tried), last, not fits[0]
+                    if skips and pos > farthest:
+                        farthest = pos
                     for alt in head:
                         mark = machine.save()
                         r = alt(pos)
@@ -397,21 +423,24 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                             return r
                         backtrack += ~r - pos
                         machine.abort(mark)
-                    return last(pos)
+                    return ~pos if last is None else last(pos)
 
                 return run_choice
 
             case Option(body):
                 inner = compile(body)
 
-                def run_option(pos: int) -> int:
-                    nonlocal backtrack
-                    mark = machine.save()
-                    r = inner(pos)
-                    if r >= 0:
-                        return r
-                    backtrack += ~r - pos
-                    machine.abort(mark)
+                def run_option(pos: int, _m=lead(body)) -> int:
+                    nonlocal backtrack, farthest
+                    if _m is None or pos < size and _m >> data[pos] & 1:
+                        mark = machine.save()
+                        r = inner(pos)
+                        if r >= 0:
+                            return r
+                        backtrack += ~r - pos
+                        machine.abort(mark)
+                    elif pos > farthest:
+                        farthest = pos  # as the body would have failed here
                     return pos
 
                 return run_option
@@ -463,15 +492,20 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_tag
 
             case New(body) | LeftFold(body):
-                inner = compile(body)
                 opener = Machine.emit_fold if isinstance(e, LeftFold) else Machine.emit_new
+                # An eager node takes a trailing ``#t`` as it is built.
+                items = body.items if isinstance(body, Sequence) else (body,)
+                tag = items[-1].name if id(e) in eager and isinstance(items[-1], Tag) else None
+                inner = compile(body if tag is None else sequence(items[:-1]))
 
-                def run_constructor(pos: int, _open=opener, _eager=id(e) in eager) -> int:
+                def run_constructor(
+                    pos: int, _open=opener, _eager=id(e) in eager, _tag=tag
+                ) -> int:
                     at = _open(machine, pos)
                     r = inner(pos)
                     if r >= 0:
                         if _eager:
-                            machine.emit_node(at, r, data)
+                            machine.emit_node(at, r, data, _tag)
                         else:
                             machine.emit_capture(r)
                     return r
@@ -526,9 +560,9 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
 
         inner = compile(body)
 
-        def run_star(pos: int) -> int:
-            nonlocal backtrack
-            while True:
+        def run_star(pos: int, _m=lead(body)) -> int:
+            nonlocal backtrack, farthest
+            while _m is None or pos < size and _m >> data[pos] & 1:
                 mark = machine.save()
                 r = inner(pos)
                 if r < 0:
@@ -539,6 +573,9 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                     machine.abort(mark)  # empty iteration: drop its entries, stop
                     return pos
                 pos = r
+            if pos > farthest:
+                farthest = pos  # as the body would have failed here
+            return pos
 
         return run_star
 

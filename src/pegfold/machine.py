@@ -74,6 +74,9 @@ class TxMark(NamedTuple):
     stack_depth: int
 
 
+_new_mark = tuple.__new__
+
+
 class Machine:
     """One parse session's construction state.  Not thread-safe."""
 
@@ -93,7 +96,8 @@ class Machine:
     # -- transactions ------------------------------------------------------
 
     def save(self) -> TxMark:
-        return TxMark(len(self.log), self.left, len(self.stack))
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        return _new_mark(TxMark, (len(self.log), self.left, len(self.stack)))
 
     def abort(self, mark: TxMark) -> None:
         """Discards entries and register changes made since ``mark``."""
@@ -128,42 +132,49 @@ class Machine:
             raise InternalParserError("capture targets a materialized node")
         self.log.append((_CAPTURE, left, pos))
 
-    def emit_node(self, at: int, end: int, source: bytes) -> None:
+    def emit_node(self, at: int, end: int, source: bytes, tag: str | None = None) -> None:
         """Closes an eager constructor whose ``NEW`` or ``FOLD`` entry is ``log[at]``.
 
         The entries from ``at`` on collapse into one materialized node in
         the left register if the node is still there, a fold adopted a
         materialized node or none, and every later entry tags the node or
         links a materialized child into it.  Otherwise logs a capture.
+        ``tag``, a trailing ``#tag`` of the body, beats the tags logged in
+        it; on a logged capture it is logged first, as the body would have.
         """
         log = self.log
         opened = log[at]
         vid = opened[1]
         first = opened[2] if opened[0] == _FOLD else None
         if self.left != vid or isinstance(first, int):
-            return self.emit_capture(end)
+            return self._close_logged(end, tag)
         children = [] if first is None else [first]
-        tag = None
+        logged = None
         for entry in log[at + 1 :]:
             if entry[1] != vid:
-                return self.emit_capture(end)
+                return self._close_logged(end, tag)
             if entry[0] == _TAG:
-                tag = entry[2]
+                logged = entry[2]
             elif entry[0] == _LINK and isinstance(entry[2], Node):
                 if entry[3] is None:
                     children.append(entry[2])
                 else:
                     _put(children, entry[2], entry[3])
             else:
-                return self.emit_capture(end)
+                return self._close_logged(end, tag)
         del log[at:]
         del self.first[vid:]
         if _GAP in children:
             children = [child for child in children if child is not _GAP]
         self.created += 1
-        tag = tag or ("tree" if children else "token")
+        tag = tag or logged or ("tree" if children else "token")
         # The span opens at NEW's position or at the fold point.
         self.left = Node(tag, opened[-1], end, source, tuple(children))
+
+    def _close_logged(self, end: int, tag: str | None) -> None:
+        if tag is not None:
+            self.emit_tag(tag)
+        self.emit_capture(end)
 
     def emit_tag(self, name: str) -> None:
         left = self.left

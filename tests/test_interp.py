@@ -12,6 +12,7 @@ from pegfold.interp import (
     ParseSession,
     StepLimitExceeded,
 )
+from pegfold.machine import Machine
 from pegfold.tree import serialize
 
 TAGGING = "Value  = { [0-9]+ }\nNumber = { [0-9]+ } #Int\n"
@@ -209,6 +210,37 @@ def test_eager_construction_boundaries_match_the_reference(text, letters):
     assert_matches_the_reference(text, letters)
 
 
+# Choices whose next byte rules out alternatives that open a node: the
+# skipped constructors, folds and trailing tags must leave the same trees.
+DISPATCH_GRAMMARS = [
+    ("S = { 'a' #A } / { 'b' #B } / 'c' / { #C }", "abc"),
+    ("S = X ({@ '+' @X #Add } / {@ '-' @X #Sub })*\nX = { 'a' #X } / { 'b' }", "ab+-"),
+    ("S = ({ 'a' #A } / {@ 'b' #B })* { 'c' }? / { 'a' } 'b'", "abc"),
+    ("S = { 'a' {@ 'b' } #T } / { 'a' #T } / 'b'", "ab"),
+    ("S = { @A 'x' #S } / { @B 'y' #S } / @B\nA = { 'a' #A }\nB = { 'a' } #B / { 'b' }", "abxy"),
+]
+
+
+@pytest.mark.parametrize("text, letters", DISPATCH_GRAMMARS)
+def test_dispatch_skips_constructors_to_the_reference_trees(text, letters):
+    assert_matches_the_reference(text, letters)
+
+
+def test_eager_node_takes_its_trailing_tag():
+    assert tree_of("S = { #a 'x' #b }", b"x") == "#b['x']"
+
+
+def test_math_parse_aborts_nothing(monkeypatch):
+    aborts = []
+    monkeypatch.setattr(Machine, "abort", lambda self, mark: aborts.append(mark))
+    g = parse_grammar(MATH)
+    data = b"(1+2)*3-(4*(5-6)+7)/8*9+((0))"
+    for memo, build_ast in itertools.product((False, True), repeat=2):
+        ParseSession(g, data, memo=memo, build_ast=build_ast).parse()
+    # every choice, option and loop step that starts is one that can succeed
+    assert aborts == []
+
+
 def test_root_fallback_token_when_nothing_built():
     result = run("A = 'ab' 'c'", b"abc")
     assert serialize(result.root) == "#token['abc']"
@@ -346,6 +378,49 @@ def test_choice_backtrack_counts_consumed_bytes():
     result = run("A = 'a' 'b' 'X' / 'a' 'b' 'c'", b"abc", memo=False)
     assert result.stats.backtrack_total == 2
     assert result.stats.backtrack_ratio == pytest.approx(2 / 3)
+
+
+# An attempt that cannot start at the next byte is skipped; the failure
+# position, backtrack total and (on success) farthest failure are those of
+# running it: ("ok", consumed, backtrack_total, farthest) or ("fail",
+# position, backtrack_total).
+GUARD_CASES = [
+    # a skipped alternative before the winner
+    ("S = 'a' ('x' / 'y')", b"ay", ("ok", 2, 0, 1)),
+    ("S = 'a' ('x' / 'y')", b"az", ("fail", 1, 0)),
+    # a skipped last alternative
+    ("S = 'a' ('x' / 'y') / 'a' 'b'", b"ab", ("ok", 2, 1, 1)),
+    ("S = 'a' ('x' / 'y') / 'a' 'b'", b"ac", ("fail", 1, 1)),
+    # no last alternative in the row, and the tried ones fail
+    ("S = 'a' ('x' 'z' / 'x' 'w' / 'y') / 'a' 'x'", b"ax", ("ok", 2, 3, 2)),
+    ("S = 'a' ('x' 'z' / 'x' 'w' / 'y')", b"axq", ("fail", 2, 2)),
+    # guarded loops and options, at the end of input too
+    ("S = 'a' ('b' 'c')* ('d' 'e')?", b"abc", ("ok", 3, 0, 3)),
+    ("S = 'a' ('b' 'c')* ('d' 'e')?", b"ab", ("ok", 1, 1, 2)),
+    ("S = ('b' 'c')*", b"bc", ("ok", 2, 0, 2)),
+    ("S = 'a' ('d' 'e')?", b"a", ("ok", 1, 0, 1)),
+    ("S = ('b' 'c')? 'z'", b"b", ("fail", 1, 1)),
+    # nullable bodies always run
+    ("S = 'a' ('x' / 'y'?) ('b'? 'c'?)*", b"a", ("ok", 1, 0, 1)),
+    ("S = ('x' / 'y'?) 'z'", b"z", ("ok", 1, 0, 0)),
+    # a predicate-led body always runs
+    ("S = '\"' (!'\"' .)* '\"'", b'"ab"', ("ok", 4, 1, 3)),
+    ("S = '\"' (!'\"' .)* '\"'", b'"ab', ("fail", 3, 0)),
+    ("S = (!'b' 'a')* 'b'", b"aab", ("ok", 3, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("text, data, expected", GUARD_CASES)
+def test_skipped_attempts_fail_where_they_start(text, data, expected, memo):
+    session = ParseSession(parse_grammar(text), data, memo=memo)
+    try:
+        result = session.parse()
+    except ParseError as error:
+        got = ("fail", error.position, session.backtrack)
+    else:
+        got = ("ok", result.consumed, result.stats.backtrack_total, session.farthest)
+    assert got == expected
 
 
 def test_and_predicate_consumption_counts_as_backtrack():

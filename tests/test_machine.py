@@ -409,6 +409,20 @@ def test_eager_capture_collapses_the_node_and_truncates_the_log():
     assert m.emit_new(3) == 2 and m.left == 1  # the collapsed node's id is free again
 
 
+def test_eager_close_takes_a_trailing_tag():
+    m = Machine()
+    m.emit_node(m.emit_new(0), 2, SRC, "Int")  # nothing logged since the NEW
+    assert serialize(m.left) == "#Int['12']" and m.log == [] and m.created == 1
+    at = m.emit_new(0)
+    m.emit_tag("A")
+    m.emit_node(at, 2, SRC, "B")  # the trailing tag beats the logged one
+    assert serialize(m.left) == "#B['12']"
+    at = m.emit_new(0)
+    m.emit_fold(1)
+    m.emit_node(at, 3, SRC, "T")  # no collapse: tag, then capture, the fold
+    assert m.dump_log()[-2:] == ["TAG v1 #T", "CAPTURE v1 @3"]
+
+
 def test_eager_fold_adopts_a_materialized_first_child_and_links():
     m = Machine()
     at = m.emit_new(0)
