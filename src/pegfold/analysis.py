@@ -1,4 +1,5 @@
-"""Static analyses over grammars: validation, memo points, eager constructors, lead masks.
+"""Static analyses over grammars: validation, memo points, eager constructors,
+transactions, lead masks.
 
 ``validate`` reports:
 
@@ -34,6 +35,20 @@ throughput from 0.27 to 0.17 MB/s.
 ``eager_constructors`` marks the constructors whose node nothing can
 change once they close, so the engine can build it there.
 
+``transactions`` says which attempts a rollback can find work after, so
+the engine opens a savepoint only around those.  An expression *builds*
+when it can leave the machine changed: it reaches a tree operator outside
+a predicate, which drops what its body did.  It is *dirty* when it can
+fail after having changed the machine, a per-production least fixpoint: a
+sequence is dirty when an item is, or when an earlier item builds and a
+later one can fail; a choice when its last alternative is (the others run
+under savepoints when dirty); a constructor when its body can fail after
+it opened the node; a link when its body is, unless it is a memoized
+``@Name``, which takes its own savepoint.  Options, loops and predicates
+never fail with work left behind.  A *direct* constructor is an eager one
+whose body, minus a trailing ``#t``, reaches no tree operator: it changes
+nothing until its body has succeeded, so it is clean.
+
 ``lead_masks`` gives each expression a *lead mask*, an int with bit ``b``
 set when its first consumed byte can be ``b`` (a FIRST set, as in
 Redziejowski, "Applying Classical Concepts to Parsing Expression Grammar",
@@ -49,9 +64,9 @@ computed once per grammar and kept with it (``_facts``).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .expr import (
     And,
@@ -71,11 +86,21 @@ from .expr import (
     Tag,
     Terminal,
     ZeroOrMore,
+    sequence,
     subexpressions,
 )
 from .grammar import Diagnostic, Grammar
 
-__all__ = ["validate", "MemoPlan", "assign_memo_points", "eager_constructors", "lead_masks"]
+__all__ = [
+    "validate",
+    "MemoPlan",
+    "assign_memo_points",
+    "eager_constructors",
+    "untagged",
+    "Transactions",
+    "transactions",
+    "lead_masks",
+]
 
 _Facts = dict[str, bool]
 _T = TypeVar("_T")
@@ -182,6 +207,17 @@ def _builds(x: Expression, reach: _Facts) -> bool:
     return isinstance(x, (New, LeftFold, Link, Tag)) or (
         isinstance(x, Nonterminal) and reach.get(x.name, False)
     )
+
+
+def _reaches(e: Expression, reach: _Facts) -> bool:
+    """Does ``e`` or a subexpression pass ``_builds``?  Stops at the first that does."""
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if _builds(x, reach):
+            return True
+        todo.extend(subexpressions(x))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +472,7 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
     def builds(x: Expression) -> bool:
         # Stops at the first tree operator, so it never enters a nested
         # link's body: each expression is searched for its nearest link only.
-        return _builds(x, reach) or any(builds(c) for c in subexpressions(x))
+        return _reaches(x, reach)
 
     # Productions that touch the node in the register: the reverse closure,
     # over calls made outside constructor bodies, of those that tag or link
@@ -510,6 +546,117 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
 
     lazy = {key for key, local, open_, name in constructors if local or open_ and name in dirty}
     return frozenset(key for key, _, _, _ in constructors if key not in lazy)
+
+
+def untagged(body: Expression) -> tuple[Expression, str | None]:
+    """An eager constructor's ``body`` without a trailing ``#t``, and ``t`` or None.
+
+    The eager node takes that tag as it is built, so the body runs without it.
+    """
+    items = body.items if isinstance(body, Sequence) else (body,)
+    if isinstance(items[-1], Tag):
+        return sequence(items[:-1]), items[-1].name
+    return body, None
+
+
+# ---------------------------------------------------------------------------
+# Transactions
+
+
+def _may_fail(e: Expression, fails: _Facts) -> bool:
+    """Can ``e`` fail?  ``fails`` holds the same property per production."""
+    # Loops, not any()/all(): this and ``transactions`` run at every
+    # compile, where generator set-up costs time.
+    while isinstance(e, (OneOrMore, New, LeftFold, Link, And)):
+        e = e.body
+    if isinstance(e, Sequence):
+        for item in e.items:
+            if _may_fail(item, fails):
+                return True
+        return False
+    if isinstance(e, Nonterminal):
+        return fails.get(e.name, False)
+    if isinstance(e, Choice):
+        for a in e.alternatives:
+            if not _may_fail(a, fails):
+                return False
+        return True
+    return not isinstance(e, (Empty, Tag, Option, ZeroOrMore))  # else a byte test or a ``!``
+
+
+class Transactions(NamedTuple):
+    """Which attempts need a savepoint (see the module docstring).
+
+    ``builds(e)``: can ``e`` change the machine?  ``dirty(e)``: can it
+    fail after changing it?  ``nullable(e)``: can it succeed consuming
+    nothing?  ``direct``: the ``id`` of each direct constructor.
+    """
+
+    builds: Callable[[Expression], bool]
+    dirty: Callable[[Expression], bool]
+    nullable: Callable[[Expression], bool]
+    direct: frozenset[int]
+
+
+def transactions(
+    grammar: Grammar, eager: frozenset[int], memo_links: Collection[str]
+) -> Transactions:
+    """Savepoint facts for ``grammar`` as compiled with ``eager`` constructors
+    and the ``@Name`` links memoized for each name in ``memo_links``.
+
+    Expects a grammar that validates without errors.
+    """
+    walks, nullable, reach, _, _ = _facts(grammar)
+
+    def builds(e: Expression) -> bool:
+        if isinstance(e, (And, Not)):
+            return False  # a predicate drops what its body did
+        if _builds(e, reach):
+            return True
+        for c in subexpressions(e):
+            if builds(c):
+                return True
+        return False
+
+    def can_be_empty(e: Expression) -> bool:
+        return _expr_nullable(e, nullable)
+
+    if not any(reach.values()):  # no tree operator: nothing changes the machine
+        return Transactions(builds, builds, can_be_empty, frozenset())
+
+    # Not ``builds``: a tree operator in a predicate would target the node
+    # in the register, which a direct constructor leaves as it was.
+    direct = frozenset(
+        id(x)
+        for xs in walks.values()
+        for x in xs
+        if id(x) in eager and not _reaches(untagged(x.body)[0], reach)
+    )
+    fails = _least_fixpoint(grammar.productions, _may_fail)
+
+    def dirty_in(e: Expression, facts: _Facts) -> bool:
+        if isinstance(e, Sequence):
+            built = False
+            for item in e.items:
+                if dirty_in(item, facts) or built and _may_fail(item, fails):
+                    return True
+                built = built or builds(item)
+            return False
+        if isinstance(e, Nonterminal):
+            return facts.get(e.name, False)
+        if isinstance(e, Choice):
+            return dirty_in(e.alternatives[-1], facts)
+        if isinstance(e, (New, LeftFold)):
+            return id(e) not in direct and _may_fail(e.body, fails)
+        if isinstance(e, Link):
+            memoized = isinstance(e.body, Nonterminal) and e.body.name in memo_links
+            return not memoized and dirty_in(e.body, facts)
+        if isinstance(e, OneOrMore):
+            return dirty_in(e.body, facts)
+        return False  # cannot fail, cannot build, or rolls back itself
+
+    dirty = _least_fixpoint(grammar.productions, dirty_in)
+    return Transactions(builds, lambda e: dirty_in(e, dirty), can_be_empty, direct)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes a str as
 
 from .analysis import assign_memo_points, validate
 from .grammar import Grammar, GrammarSyntaxError, parse_grammar
@@ -146,12 +147,55 @@ def cmd_parse(config: CliConfig) -> int:
         payload: dict = {"ast": to_json_dict(result.root), "consumed": result.consumed}
         if config.stats:
             payload["stats"] = result.stats.as_dict()
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         print(serialize(result.root))
         if config.stats:
             print(_format_stats(result.stats))
     return OK
+
+
+class _Raw(str):
+    """Text ``_dumps`` writes as it is."""
+
+
+def _dumps(payload: dict) -> str:
+    """``json.dumps(payload)``, also for trees nested deeper than its recursion allows.
+
+    Past that depth the same text comes from an explicit stack.
+    """
+    try:
+        return json.dumps(payload)
+    except RecursionError:
+        pass
+    parts: list[str] = []
+    todo: list = [payload]  # values to write and _Raw text, the next one last
+    while todo:
+        value = todo.pop()
+        if isinstance(value, _Raw):
+            parts.append(value)
+        elif isinstance(value, dict):
+            todo.append(_Raw("}"))
+            first = len(value) - 1
+            for n, (key, item) in enumerate(reversed(value.items())):
+                todo.append(item)
+                todo.append(_Raw(("" if n == first else ", ") + _quote(key) + ": "))
+            todo.append(_Raw("{"))
+        elif isinstance(value, list):
+            todo.append(_Raw("]"))
+            first = len(value) - 1
+            for n, item in enumerate(reversed(value)):
+                todo.append(item)
+                if n != first:
+                    todo.append(_Raw(", "))
+            todo.append(_Raw("["))
+        elif isinstance(value, str):
+            parts.append(_quote(value))
+        elif type(value) is int:  # not a bool
+            parts.append(repr(value))
+        else:
+            parts.append(json.dumps(value))
+    return "".join(parts)
 
 
 def _best_time(session: ParseSession, start: str | None, iterations: int) -> float:

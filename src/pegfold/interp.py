@@ -3,26 +3,33 @@
 Expressions compile to closures of ``pos -> pos'``.  Success returns the
 new position; failure returns the bitwise complement of the position at
 which the attempt died (so backtrack distances can be accounted without
-carrying extra state).  Choice alternatives but the last, repetition
-steps, options and predicate bodies run under savepoints: a
-parse-position snapshot plus a machine transaction mark.  On failure both
-are rolled back and the re-readable distance is added to the backtrack
-counter; predicates roll back even on success.
+carrying extra state).  A failed choice alternative, option body or
+repetition step, and every predicate body, adds its re-readable distance
+to the backtrack counter and leaves the position where it started;
+predicates restore it even on success.
 
-Only an attempt that can start at the next byte gets a savepoint: a
-choice dispatches on that byte to the alternatives its lead mask
-(``analysis.lead_masks``) admits, and an option or loop tests it first.
-A skipped attempt would have failed where it starts, so skipping it only
-moves the farthest failure there.
+Only an attempt that can start at the next byte runs: a choice dispatches
+on that byte to the alternatives its lead mask (``analysis.lead_masks``)
+admits, and an option or loop tests it first.  A skipped attempt would
+have failed where it starts, so skipping it only moves the farthest
+failure there.
+
+Only an attempt a rollback can find work after gets a savepoint, a machine
+transaction mark (``analysis.transactions``): a choice alternative but the
+last, or an option body, that can fail after changing the machine; a loop
+body that can, or that can change it and succeed empty (an empty step is
+dropped); a predicate body that can change it at all.  With tree
+operators erased, as in recognize mode, nothing gets one.
 
 Tree operators compile to machine entry emissions and never influence
 recognition; constructors that ``eager_constructors`` marks close with
-``Machine.emit_node``.  With memoization enabled, ``@Name`` links at
-assigned memo points store the materialized node as soon as the body
-succeeds (the node already in the register if the body logged nothing
-else, or else the commit of its sub-transaction), and replay it on later
-hits at the same position; tree-operator-free productions are memoized
-as plain position advances.
+``Machine.emit_node``, and direct ones, whose bodies reach no tree
+operator, open nothing and close with ``Machine.emit_direct``.  With
+memoization enabled, ``@Name`` links at assigned memo points store the
+materialized node as soon as the body succeeds (the node already in the
+register if the body logged nothing else, or else the commit of its
+sub-transaction), and replay it on later hits at the same position;
+tree-operator-free productions are memoized as plain position advances.
 
 A grammar is compiled once per ``(memo, build_ast)`` setting; the
 grammar keeps that program for every session.  Its closures reach the
@@ -37,7 +44,15 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
-from .analysis import MemoPlan, assign_memo_points, eager_constructors, lead_masks, validate
+from .analysis import (
+    MemoPlan,
+    assign_memo_points,
+    eager_constructors,
+    lead_masks,
+    transactions,
+    untagged,
+    validate,
+)
 from .expr import (
     And,
     AnyChar,
@@ -57,7 +72,6 @@ from .expr import (
     Terminal,
     ZeroOrMore,
     erase_tree_operators,
-    sequence,
 )
 from .grammar import Grammar
 from .machine import Machine, TxMark
@@ -111,12 +125,12 @@ class StepLimitExceeded(Exception):
 class Stats:
     """Internal counters for one parse.
 
-    ``backtrack_total`` sums, over every rollback, the distance from the
-    failure point back to the savepoint, including distance restored by
-    predicates; the ratio divides by input length.  ``nodes_created``
-    counts materialized nodes, speculative ones included: those a memo
-    link stored, and those built at an eager constructor's closing brace
-    in an alternative that then failed.  ``nodes_unused`` is the created
+    ``backtrack_total`` sums, over every failed attempt, the distance from
+    the failure point back to where the attempt started, including
+    distance restored by predicates; the ratio divides by input length.
+    ``nodes_created`` counts materialized nodes, speculative ones
+    included: those a memo link stored, and those built at an eager
+    constructor's closing brace in an alternative that then failed.  ``nodes_unused`` is the created
     surplus not reachable from the root.  Attempts that cannot start at
     the next byte are skipped, so neither ``nodes_created`` nor
     ``memo_lookups`` counts the work they would have done.
@@ -282,16 +296,21 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
         if problems:
             raise InvalidGrammarError(problems)
 
-    bodies = dict(grammar.productions)
+    # The analyses see what actually runs: with tree building off, links
+    # are gone, every production is a plain-advance candidate memo point
+    # and nothing needs a savepoint.
+    running = grammar
     if not build_ast:
-        bodies = {name: erase_tree_operators(body) for name, body in bodies.items()}
-    # Memo points reflect what actually runs: with tree building off,
-    # links are gone and every production is a plain-advance candidate.
-    plan: MemoPlan | None = None
-    if memo:
-        plan = assign_memo_points(grammar if build_ast else Grammar(bodies, grammar.start))
-    eager = eager_constructors(grammar) if build_ast else frozenset()
-    lead = lead_masks(grammar)
+        running = Grammar(
+            {name: erase_tree_operators(body) for name, body in grammar.productions.items()},
+            grammar.start,
+        )
+    bodies = running.productions
+    plan = assign_memo_points(running) if memo else None
+    eager = eager_constructors(running)
+    rollback = transactions(running, eager, plan.link_points if plan is not None else ())
+    builds, dirty = rollback.builds, rollback.dirty
+    lead = lead_masks(running)
 
     # Run state, bound by run() for the length of one parse.
     data: bytes | None = None
@@ -398,9 +417,12 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 # A skipped one would fail where it starts, moving ``farthest``
                 # there: that needs doing only for skips ahead of the first
                 # one tried, since one tried and failed has moved it as far.
-                # Only the last runs without a savepoint; when it is skipped,
-                # the choice fails where it starts, as that one would have.
-                compiled = [compile(a) for a in alternatives]
+                # Of the others, a dirty one runs under a savepoint; the last
+                # needs none, since a failure there is the choice's own.  When
+                # the last is skipped, the choice fails where it starts, as
+                # that one would have.
+                compiled = [(compile(a), dirty(a)) for a in alternatives[:-1]]
+                compiled.append((compile(alternatives[-1]), False))
                 masks = [lead(a) for a in alternatives]
                 rows: dict[int, tuple] = {}  # next byte (256: end of input) -> (head, last, skips)
 
@@ -412,17 +434,19 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                     except KeyError:  # the first time this byte comes here
                         fits = [mask is None or mask >> b & 1 for mask in masks]
                         tried = [alt for alt, fit in zip(compiled, fits) if fit]
-                        last = tried.pop() if fits[-1] else None
+                        last = tried.pop()[0] if fits[-1] else None
                         rows[b] = head, last, skips = tuple(tried), last, not fits[0]
                     if skips and pos > farthest:
                         farthest = pos
-                    for alt in head:
-                        mark = machine.save()
+                    for alt, save in head:
+                        if save:
+                            mark = machine.save()
                         r = alt(pos)
                         if r >= 0:
                             return r
                         backtrack += ~r - pos
-                        machine.abort(mark)
+                        if save:
+                            machine.abort(mark)
                     return ~pos if last is None else last(pos)
 
                 return run_choice
@@ -430,15 +454,17 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
             case Option(body):
                 inner = compile(body)
 
-                def run_option(pos: int, _m=lead(body)) -> int:
+                def run_option(pos: int, _m=lead(body), _save=dirty(body)) -> int:
                     nonlocal backtrack, farthest
                     if _m is None or pos < size and _m >> data[pos] & 1:
-                        mark = machine.save()
+                        if _save:
+                            mark = machine.save()
                         r = inner(pos)
                         if r >= 0:
                             return r
                         backtrack += ~r - pos
-                        machine.abort(mark)
+                        if _save:
+                            machine.abort(mark)
                     elif pos > farthest:
                         farthest = pos  # as the body would have failed here
                     return pos
@@ -451,21 +477,24 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
             case OneOrMore(body):
                 return compile(Sequence((body, ZeroOrMore(body))))
 
+            # A predicate discards what its body did, so it needs a
+            # savepoint only when the body can change the machine.
             case Not(body):
                 inner = compile(body)
 
-                def run_not(pos: int) -> int:
+                def run_not(pos: int, _save=builds(body)) -> int:
                     nonlocal backtrack, farthest
-                    mark = machine.save()
+                    if _save:
+                        mark = machine.save()
                     r = inner(pos)
+                    if _save:
+                        machine.abort(mark)
                     if r >= 0:
                         backtrack += r - pos
-                        machine.abort(mark)
                         if pos > farthest:
                             farthest = pos
                         return ~pos
                     backtrack += ~r - pos
-                    machine.abort(mark)
                     return pos
 
                 return run_not
@@ -473,12 +502,14 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
             case And(body):
                 inner = compile(body)
 
-                def run_and(pos: int) -> int:
+                def run_and(pos: int, _save=builds(body)) -> int:
                     nonlocal backtrack
-                    mark = machine.save()
+                    if _save:
+                        mark = machine.save()
                     r = inner(pos)
                     backtrack += (r if r >= 0 else ~r) - pos
-                    machine.abort(mark)
+                    if _save:
+                        machine.abort(mark)
                     return pos if r >= 0 else ~pos
 
                 return run_and
@@ -492,11 +523,21 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_tag
 
             case New(body) | LeftFold(body):
-                opener = Machine.emit_fold if isinstance(e, LeftFold) else Machine.emit_new
+                fold = isinstance(e, LeftFold)
                 # An eager node takes a trailing ``#t`` as it is built.
-                items = body.items if isinstance(body, Sequence) else (body,)
-                tag = items[-1].name if id(e) in eager and isinstance(items[-1], Tag) else None
-                inner = compile(body if tag is None else sequence(items[:-1]))
+                body, tag = untagged(body) if id(e) in eager else (body, None)
+                inner = compile(body)
+                if id(e) in rollback.direct:
+
+                    def run_direct(pos: int, _tag=tag, _fold=fold) -> int:
+                        r = inner(pos)
+                        if r >= 0:
+                            machine.emit_direct(pos, r, data, _tag, _fold)
+                        return r
+
+                    return run_direct
+
+                opener = Machine.emit_fold if fold else Machine.emit_new
 
                 def run_constructor(
                     pos: int, _open=opener, _eager=id(e) in eager, _tag=tag
@@ -535,9 +576,8 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
         raise TypeError(f"cannot compile {e!r}")
 
     def compile_star(body: Expression) -> Callable[[int], int]:
-        # Byte loops: a failed or empty iteration of these bodies cannot
-        # move the position or touch the machine, so the savepoint per
-        # iteration degenerates to nothing.
+        # Byte loops: an iteration of these bodies tests one byte or one
+        # literal, so the loop needs no call per iteration.
         if isinstance(body, CharClass):
             membership = bytes(body.membership_table())
 
@@ -559,18 +599,24 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
             return run_scan_text
 
         inner = compile(body)
+        # A savepoint for a failed iteration, or for an empty one, whose
+        # entries are dropped too.
+        save = builds(body) and (dirty(body) or rollback.nullable(body))
 
-        def run_star(pos: int, _m=lead(body)) -> int:
+        def run_star(pos: int, _m=lead(body), _save=save) -> int:
             nonlocal backtrack, farthest
             while _m is None or pos < size and _m >> data[pos] & 1:
-                mark = machine.save()
+                if _save:
+                    mark = machine.save()
                 r = inner(pos)
                 if r < 0:
                     backtrack += ~r - pos
-                    machine.abort(mark)
+                    if _save:
+                        machine.abort(mark)
                     return pos
                 if r == pos:
-                    machine.abort(mark)  # empty iteration: drop its entries, stop
+                    if _save:
+                        machine.abort(mark)  # empty iteration: drop its entries, stop
                     return pos
                 pos = r
             if pos > farthest:

@@ -31,7 +31,9 @@ entries since its ``NEW``/``FOLD`` collapse into a materialized node in
 the left register, and the log is truncated back to that entry.  This is
 safe because savepoints nest: marks taken in the body have closed, marks
 outside it predate the entry.  The node's id and every later one are then
-referenced nowhere, so ``first`` is cut back too.
+referenced nowhere, so ``first`` is cut back too.  An eager constructor
+whose body reaches no tree operator opens nothing at all: ``emit_direct``
+puts its node in the register at the close.
 
 A commit from mark 0 with an empty stack, or a parse that ends with a
 node in the register and an empty log, leaves no virtual id referenced
@@ -170,6 +172,27 @@ class Machine:
         tag = tag or logged or ("tree" if children else "token")
         # The span opens at NEW's position or at the fold point.
         self.left = Node(tag, opened[-1], end, source, tuple(children))
+
+    def emit_direct(
+        self, start: int, end: int, source: bytes, tag: str | None, fold: bool
+    ) -> None:
+        """Closes an eager constructor, opened at ``start``, whose body logged nothing.
+
+        Its node goes straight into the left register, with no entry and
+        no virtual id: a leaf, or for a fold (``fold``) a node adopting the
+        node in the register, if any.  A fold whose register holds a
+        virtual id logs its ``FOLD`` and a capture instead, as ``emit_node``
+        would after it; the body logged nothing in between.
+        """
+        first = self.left if fold else None
+        if isinstance(first, int):
+            self.emit_fold(start)
+            return self._close_logged(end, tag)
+        self.created += 1
+        if first is None:
+            self.left = Node(tag or "token", start, end, source, ())
+        else:
+            self.left = Node(tag or "tree", start, end, source, (first,))
 
     def _close_logged(self, end: int, tag: str | None) -> None:
         if tag is not None:

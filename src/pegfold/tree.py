@@ -153,13 +153,29 @@ def equals(a: Node, b: Node) -> bool:
 
 
 def to_json_dict(node: Node) -> dict[str, Any]:
-    """JSON-ready form: tag, span, and leaf text or children."""
-    d: dict[str, Any] = {"tag": node.tag, "start": node.start, "end": node.end}
-    if node.is_leaf():
-        d["text"] = node.text.decode("utf-8", errors="backslashreplace")
-    else:
-        d["children"] = [to_json_dict(c) for c in node.children]
-    return d
+    """JSON-ready form: tag, span, and leaf text or children.
+
+    An explicit stack replaces recursion, so a tree of any depth converts.
+    """
+    out: list[dict[str, Any]] = []
+    stack = [(iter((node,)), out)]  # per open level, its children not yet converted
+    while stack:
+        nodes, into = stack[-1]
+        for node in nodes:
+            children = node.children
+            if children:
+                dicts: list[dict[str, Any]] = []
+                into.append(
+                    {"tag": node.tag, "start": node.start, "end": node.end, "children": dicts}
+                )
+                stack.append((iter(children), dicts))
+                break
+            start, end = node.start, node.end
+            text = node.source[start:end].decode("utf-8", errors="backslashreplace")
+            into.append({"tag": node.tag, "start": start, "end": end, "text": text})
+        else:
+            stack.pop()
+    return out[0]
 
 
 class _NotationReader:

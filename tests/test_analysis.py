@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pegfold.analysis import assign_memo_points, eager_constructors, validate
+from pegfold.analysis import assign_memo_points, eager_constructors, transactions, validate
 from pegfold.expr import LeftFold, Link, New, Nonterminal, Sequence, Tag, Terminal, subexpressions
 from pegfold.grammar import Grammar, parse_grammar
 
@@ -339,3 +339,59 @@ def test_an_expression_shared_by_an_eager_and_a_lazy_place_is_lazy():
     grammar = Grammar({"S": Sequence((Link(shared), shared, Tag("T")))})
     assert eager_constructors(grammar) == frozenset()
     assert eager_constructors(Grammar({"S": Link(shared)})) == {id(shared)}
+
+
+# -- transactions ----------------------------------------------------------------
+
+
+def dirty_productions(text, memo_links=()):
+    """Per production: can it fail after changing the machine?"""
+    grammar = parse_grammar(text)
+    facts = transactions(grammar, eager_constructors(grammar), memo_links)
+    return {name: facts.dirty(body) for name, body in grammar.productions.items()}
+
+
+def test_benchmark_grammars_fail_dirty_only_where_a_node_is_open_or_built():
+    workloads = benchmark_grammars()
+    # '(' Expr ')' builds, then can fail at ')'
+    assert dirty_productions(MATH) == dict.fromkeys(["Expr", "Sum", "Product", "Value"], True)
+    assert dirty_productions(workloads.JSON_LIKE) == {
+        "Doc": False,
+        "Value": False,  # its last alternative, Lit, is a direct constructor
+        "Object": True,  # open constructors whose body can fail
+        "Member": True,
+        "Array": True,
+        "String": True,  # the node is built before the closing quote
+        "Number": False,
+        "Lit": False,
+        "S": False,
+    }
+    assert dirty_productions(workloads.PATHOLOGICAL) == dict.fromkeys("RTU", False)
+
+
+@pytest.mark.parametrize(
+    "text, dirty",
+    [
+        ("S = 'a' #T 'b'", True),  # built earlier, fails later
+        ("S = 'a' 'b' #T", False),
+        ("S = 'c' / 'a' #T 'b'", True),  # the last alternative decides
+        ("S = 'a' #T 'b' / 'c'", False),
+        ("S = ( 'a' #T 'b' )* ( 'a' #T 'b' )?", False),  # restore themselves
+        ("S = !( #T 'x' ) &( #T 'y' )", False),
+        ("S = ( 'a' #T 'b' )+", True),
+        ("S = { 'a' 'b' #T }", False),  # direct: nothing opened
+        ("S = {@ 'a' 'b' }", False),
+        ("S = { 'a' } {@ 'b' }", True),
+        ("S = { @A 'b' }\nA = { 'a' }", True),  # an open constructor
+        ("S = { @A? 'b'? }\nA = { 'a' }", False),  # ... whose body cannot fail
+        ("S = 'x' A\nA = 'a' #T 'b'", True),  # through a call
+    ],
+)
+def test_dirty_rules(text, dirty):
+    assert dirty_productions(text)["S"] is dirty
+
+
+def test_a_memoized_link_is_clean():
+    text = "S = @A\nA = { 'a' } #T 'b'"
+    assert dirty_productions(text)["S"] is True
+    assert dirty_productions(text, memo_links={"A"})["S"] is False

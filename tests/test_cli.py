@@ -157,6 +157,44 @@ def test_parse_prints_a_tree_deeper_than_the_recursion_limit(math_peg, tmp_path,
     assert out.count("#Integer['1']") == terms and out.endswith("]\n")
 
 
+def test_parse_json_prints_a_tree_deeper_than_the_recursion_limit(math_peg, tmp_path, capsys):
+    terms = 30_000
+    data = b"+".join([b"1"] * terms)
+    assert run(["parse", math_peg, write_input(tmp_path, data), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    # The outermost fold opens at the last '+'; the innermost adopts the first term.
+    end = len(data)
+    assert out.startswith(f'{{"ast": {{"tag": "add", "start": {end - 2}, "end": {end}, "children": [')
+    innermost = (
+        '{"tag": "add", "start": 1, "end": 3, "children": ['
+        '{"tag": "Integer", "start": 0, "end": 1, "text": "1"}, '
+        '{"tag": "Integer", "start": 2, "end": 3, "text": "1"}]}'
+    )
+    assert innermost in out
+    assert out.count('"tag": "add"') == terms - 1 and out.count('"text": "1"') == terms
+    last = f'{{"tag": "Integer", "start": {end - 1}, "end": {end}, "text": "1"}}'
+    assert out.endswith(f'{last}]}}, "consumed": {end}}}\n')
+
+
+def test_parse_json_past_the_recursion_limit_writes_what_json_dumps_writes(
+    math_peg, tmp_path, capsys, monkeypatch
+):
+    argv = ["parse", math_peg, write_input(tmp_path, b"(1+2)*3-4/5"), "--format", "json", "--stats"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+
+    dumps = json.dumps
+
+    def too_deep(value, **options):
+        if isinstance(value, dict) and "ast" in value:
+            raise RecursionError
+        return dumps(value, **options)
+
+    monkeypatch.setattr(json, "dumps", too_deep)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_parse_strict_rejects_trailing_input(math_peg, tmp_path, capsys):
     data = write_input(tmp_path, b"1+2;rest")
     assert run(["parse", math_peg, data]) == 0

@@ -241,6 +241,78 @@ def test_math_parse_aborts_nothing(monkeypatch):
     assert aborts == []
 
 
+# The JSON-like grammar of the benchmark's json-doc workload.
+JSON_LIKE = r"""Doc    = S Value S
+Value  = Object / Array / String / Number / Lit
+Object = { '{' S (@Member S (',' S @Member S)*)? '}' #Object }
+Member = { @String S ':' S @Value #Member }
+Array  = { '[' S (@Value S (',' S @Value S)*)? ']' #Array }
+String = '"' { (!["\\] . / '\\' .)* #String } '"'
+Number = { '-'? [0-9]+ ('.' [0-9]+)? ([eE] [+\-]? [0-9]+)? #Number }
+Lit    = { ('true' / 'false' / 'null') #Lit }
+S      = [ \t\r\n]*
+"""
+
+JSON_INPUT = b'{"a": [1, -2.5e3, true, "x\\"y"], "b": {}, "c": null}'
+
+
+def count_transactions(monkeypatch):
+    """Patches ``Machine.save`` and ``Machine.abort`` to count their calls."""
+    counts = {"save": 0, "abort": 0}
+    for name in counts:
+
+        def counted(self, *args, _name=name, _real=getattr(Machine, name)):
+            counts[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Machine, name, counted)
+    return counts
+
+
+def test_recognize_mode_opens_no_savepoint(monkeypatch):
+    counts = count_transactions(monkeypatch)
+    for text, data in ((MATH, b"(1+2)*3-(4*(5-6)+7)/8*9+((0))"), (JSON_LIKE, JSON_INPUT)):
+        for memo in (False, True):
+            result = ParseSession(parse_grammar(text), data, memo=memo, build_ast=False).parse()
+            assert result.consumed == len(data)
+    # with tree operators erased no attempt can change the machine
+    assert counts == {"save": 0, "abort": 0}
+
+
+@pytest.mark.parametrize("memo", [False, True])
+def test_json_parse_opens_savepoints_only_where_a_rollback_finds_work(monkeypatch, memo):
+    counts = count_transactions(monkeypatch)
+    result = ParseSession(parse_grammar(JSON_LIKE), JSON_INPUT, memo=memo).parse()
+    assert serialize(result.root).startswith("#Object[#Member[#String['a'] #Array[#Number['1']")
+    # Value's Object alternative twice, Array once and String once; Object's
+    # option once and its loop twice.  Keys, numbers and literals need none.
+    assert counts == {"save": 7, "abort": 0}
+
+
+# Alternatives, options and loop steps that fail after a tag, a link, an
+# opened constructor or a fold over a lazily built node: each is dirty, so
+# its entries must roll back, while clean ones around it run without a
+# savepoint.  Memo on, @A is a memoized link, clean whatever its body.
+TRANSACTION_GRAMMARS = [
+    ("S = { 'x' } ( 'a' #T 'b' / 'a' 'c' )", "xabc"),
+    ("S = { 'x' } ( ( 'q' / 'a' #T 'b' ) / 'a' 'c' )", "xabcq"),
+    ("S = { 'x' ( @A 'b' / @A 'c' ) #S }\nA = { 'a' #A }", "xabc"),
+    ("S = { @A 'b' #B } / { @A 'c' #C } / { 'a' 'd' }\nA = { 'a' #A }", "abcd"),
+    ("S = { 'x' } #T ( {@ 'a' } 'b' / {@ 'a' #F } 'c' / 'a' )", "xabc"),
+    ("S = { 'x' ( 'a' #T 'b' )? ( @A 'c' )* 'a'? }\nA = { 'a' } #A", "xabc"),
+    ("S = { 'x' ( @A / 'a' 'c' ) #S }\nA = { @B 'c' #A }\nB = { 'a' 'b' } / 'a'", "xabc"),
+    ("S = { 'x' ( @A / 'a' ) }\nA = 'a' #T 'b'", "xab"),  # a link body that tags the parent
+    # tree operators in predicates inside constructors that open no node
+    ("S = { 'a' } { &( #T 'b' ) 'b' } / { 'a' } { !( @A ) 'c' } / 'a'\nA = { 'b' }", "abc"),
+    ("S = { 'x' } ( !( #T 'b' ) 'a' / &( @A ) 'b' )\nA = { 'b' #A }", "xab"),
+]
+
+
+@pytest.mark.parametrize("text, letters", TRANSACTION_GRAMMARS)
+def test_failures_after_building_match_the_reference(text, letters):
+    assert_matches_the_reference(text, letters)
+
+
 def test_root_fallback_token_when_nothing_built():
     result = run("A = 'ab' 'c'", b"abc")
     assert serialize(result.root) == "#token['abc']"
@@ -444,6 +516,16 @@ def test_aborted_branches_materialize_nothing():
     assert result.stats.nodes_created == 3
     assert result.stats.nodes_in_result == 2
     assert result.stats.nodes_unused == 1
+
+
+@pytest.mark.parametrize("memo", [False, True])
+def test_a_link_that_fails_after_building_leaves_no_entries(memo):
+    g = "S = { 'x' ( @A / 'a' 'd' ) }\nA = { @B 'c' #A }\nB = { 'a' #B }"
+    result = run(g, b"xad", memo=memo)
+    assert serialize(result.root) == "#token['xad']"
+    # B is built at its close; A's entries roll back, memoized link or not,
+    # so no commit builds A
+    assert result.stats.nodes_created == 2
 
 
 def test_aborted_lazy_branches_materialize_nothing():
