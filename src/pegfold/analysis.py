@@ -33,21 +33,23 @@ each constructor, plans four points (Member, String, Value, S) that take
 throughput from 0.27 to 0.17 MB/s.
 
 ``eager_constructors`` marks the constructors whose node nothing can
-change once they close, so the engine can build it there.
+change once they close and nothing but their own level changes before:
+the engine keeps such a node's tag and children in a record of its own
+and builds the node as it closes.
 
 ``transactions`` says which attempts a rollback can find work after, so
 the engine opens a savepoint only around those.  An expression *builds*
-when it can leave the machine changed: it reaches a tree operator outside
-a predicate, which drops what its body did.  It is *dirty* when it can
-fail after having changed the machine, a per-production least fixpoint: a
-sequence is dirty when an item is, or when an earlier item builds and a
-later one can fail; a choice when its last alternative is (the others run
-under savepoints when dirty); a constructor when its body can fail after
-it opened the node; a link when its body is, unless it is a memoized
-``@Name``, which takes its own savepoint.  Options, loops and predicates
-never fail with work left behind.  A *direct* constructor is an eager one
-whose body, minus a trailing ``#t``, reaches no tree operator: it changes
-nothing until its body has succeeded, so it is clean.
+when it can leave the machine, or the record of the eager constructor it
+runs in, changed: it reaches a tree operator outside a predicate, which
+drops what its body did.  It is *dirty* when it can fail after having
+changed them, a per-production least fixpoint: a sequence is dirty when
+an item is, or when an earlier item builds and a later one can fail; a
+choice when its last alternative is (the others run under savepoints when
+dirty); a lazy constructor when its body can fail after it opened the
+node; a link when its body is, unless it is a memoized ``@Name``, which
+takes its own savepoint, or runs at an eager constructor's level, where
+it restores the machine itself.  Options, loops, predicates and eager
+constructors never fail with work left behind.
 
 ``lead_masks`` gives each expression a *lead mask*, an int with bit ``b``
 set when its first consumed byte can be ``b`` (a FIRST set, as in
@@ -184,21 +186,31 @@ def _least_fixpoint(
     return facts
 
 
+# The analyses below run at every compile.  They use plain isinstance tests
+# and loops, not match statements or any()/all() over generators, whose
+# set-up costs time there.
+
+
 def _expr_nullable(e: Expression, nullable: _Facts) -> bool:
     """Can ``e`` succeed consuming nothing?"""
-    match e:
-        case Empty() | Tag() | Option() | ZeroOrMore() | And() | Not():
-            return True
-        case Terminal() | CharClass() | AnyChar():
-            return False
-        case Nonterminal(name):
-            return nullable.get(name, False)
-        case Sequence(items):
-            return all(_expr_nullable(i, nullable) for i in items)
-        case Choice(alternatives):
-            return any(_expr_nullable(a, nullable) for a in alternatives)
-        case OneOrMore(body) | New(body) | LeftFold(body) | Link(body):
-            return _expr_nullable(body, nullable)
+    while isinstance(e, (OneOrMore, New, LeftFold, Link)):
+        e = e.body
+    if isinstance(e, Sequence):
+        for item in e.items:
+            if not _expr_nullable(item, nullable):
+                return False
+        return True
+    if isinstance(e, Nonterminal):
+        return nullable.get(e.name, False)
+    if isinstance(e, Choice):
+        for a in e.alternatives:
+            if _expr_nullable(a, nullable):
+                return True
+        return False
+    if isinstance(e, (Empty, Tag, Option, ZeroOrMore, And, Not)):
+        return True
+    if isinstance(e, (Terminal, CharClass, AnyChar)):
+        return False
     raise TypeError(f"unknown expression {e!r}")
 
 
@@ -239,17 +251,22 @@ def _may_succeed(e: Expression, facts: _Facts, keep_outer: bool = False) -> bool
     ``facts`` holds the same property per production.  Constructors, links
     and predicates count as succeeding whatever their bodies do.
     """
-    match e:
-        case Nonterminal(name):
-            return facts.get(name, False)
-        case Sequence(items):
-            return all(_may_succeed(i, facts, keep_outer) for i in items)
-        case Choice(alternatives):
-            return any(_may_succeed(a, facts, keep_outer) for a in alternatives)
-        case OneOrMore(body):
-            return _may_succeed(body, facts, keep_outer)
-        case New() | LeftFold():
-            return not keep_outer
+    while isinstance(e, OneOrMore):
+        e = e.body
+    if isinstance(e, Sequence):
+        for item in e.items:
+            if not _may_succeed(item, facts, keep_outer):
+                return False
+        return True
+    if isinstance(e, Nonterminal):
+        return facts.get(e.name, False)
+    if isinstance(e, Choice):
+        for a in e.alternatives:
+            if _may_succeed(a, facts, keep_outer):
+                return True
+        return False
+    if isinstance(e, (New, LeftFold)):
+        return not keep_outer
     return True
 
 
@@ -265,38 +282,41 @@ def _live(grammar: Grammar) -> dict[str, list[Expression]]:
 
 def _mutates_outer(x: Expression, mutates: _Facts, reach: _Facts) -> bool:
     """Does the live subexpression ``x`` tag, fold away or link into the outer node?"""
-    match x:
-        case Tag() | LeftFold():
-            return True
-        case Link(body):
-            return any(_builds(y, reach) for y in _walk(body))
-        case Nonterminal(name):
-            return mutates.get(name, False)
-    return False
+    if isinstance(x, Nonterminal):
+        return mutates.get(x.name, False)
+    if isinstance(x, Link):
+        return _reaches(x.body, reach)
+    return isinstance(x, (Tag, LeftFold))
 
 
 def _facts(grammar: Grammar) -> tuple:
-    """``(walks, nullable, reach, live, empty_loops)``, computed once per grammar.
+    """``(walks, nullable, reach, live, empty_loops, mutates)``, computed once per grammar.
 
     Each production body's ``_walk``, the ``nullable`` and ``reach``
-    fixpoints, ``_live``, and the ``id`` of each repetition whose body can
-    succeed empty: what ``validate``, ``assign_memo_points`` and
-    ``eager_constructors`` share.
+    fixpoints, ``_live``, the ``id`` of each repetition whose body can
+    succeed empty, and the ``mutates`` fixpoint (can the production mutate
+    the outer node?): what ``validate``, ``assign_memo_points``,
+    ``eager_constructors`` and ``transactions`` share.
     """
     if grammar._facts is None:
         walks = {name: _walk(body) for name, body in grammar.productions.items()}
         nullable = _least_fixpoint(grammar.productions, _expr_nullable)
+        reach = _least_fixpoint(walks, lambda xs, facts: any(_builds(x, facts) for x in xs))
+        live = _live(grammar)
         grammar._facts = (
             walks,
             nullable,
-            _least_fixpoint(walks, lambda xs, facts: any(_builds(x, facts) for x in xs)),
-            _live(grammar),
+            reach,
+            live,
             {
                 id(x)
                 for xs in walks.values()
                 for x in xs
                 if isinstance(x, (ZeroOrMore, OneOrMore)) and _expr_nullable(x.body, nullable)
             },
+            _least_fixpoint(
+                live, lambda xs, facts: any(_mutates_outer(x, facts, reach) for x in xs)
+            ),
         )
     return grammar._facts
 
@@ -314,7 +334,7 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
         diagnostics.append(Diagnostic(severity, code, message, name, line, col))
 
     productions = grammar.productions
-    nodes, nullable, _, live, empty_loops = _facts(grammar)
+    nodes, nullable, _, live, empty_loops, _ = _facts(grammar)
     for name, xs in nodes.items():
         refs = {x.name for x in xs if isinstance(x, Nonterminal)}
         for ref in sorted(refs - set(productions)):
@@ -394,10 +414,7 @@ class MemoPlan:
 
 def assign_memo_points(grammar: Grammar) -> MemoPlan:
     """Chooses memo points; expects a grammar that validates without errors."""
-    walks, _, reach, live, _ = _facts(grammar)
-    mutates = _least_fixpoint(
-        live, lambda xs, facts: any(_mutates_outer(x, facts, reach) for x in xs)
-    )
+    walks, _, reach, _, _, mutates = _facts(grammar)
     nodes = [x for xs in walks.values() for x in xs]
 
     # Candidate link points: @Name occurrences, in grammar order.
@@ -451,21 +468,31 @@ def assign_memo_points(grammar: Grammar) -> MemoPlan:
 
 
 def eager_constructors(grammar: Grammar) -> frozenset[int]:
-    """The ``id`` of each ``{ }``/``{@ }`` whose node nothing can change once it closes.
+    """The ``id`` of each ``{ }``/``{@ }`` built from a local record as it closes.
 
-    Up to the nearest enclosing ``@``, which restores the parent, the
-    closed node stays in the left register.  It is lazy if on the way
-    there is a later sequence item that can run a ``#tag`` or a
+    Such a constructor is *final*: nothing can change its node once it
+    closes.  Up to the nearest enclosing ``@``, which restores the parent,
+    the closed node stays in the left register.  It is not final if on the
+    way there is a later sequence item that can run a ``#tag`` or a
     node-building ``@e`` outside a constructor body (``touches``), an
     enclosing ``{ }``/``{@ }`` (its capture would target the node), an
     enclosing ``&``/``!`` (its work is thrown away), or an enclosing
     ``*``/``+`` whose body touches or can succeed empty; past the
-    production root, if some call site of the production is lazy.  One
-    pass down each body and two closures over call edges: linear in the
-    grammar's size.  An expression used in several places is eager only
-    if every use is.
+    production root, if some call site of the production is not final.
+
+    It is also *local*: everything that can change its node happens at its
+    own level.  Its body, not entering link bodies, holds no ``{ }`` or
+    ``{@ }``, no call of a production that reaches a tree operator, no
+    predicate whose body reaches one, and no ``@e`` but links of production
+    calls that cannot mutate the node they start with.  So a ``#tag`` at
+    its level targets the node, a link there receives a finished child,
+    and nothing else touches it.
+
+    One pass down each body and two closures over call edges: linear in
+    the grammar's size.  An expression used in several places is eager
+    only if every use is.
     """
-    _, _, reach, _, empty_loops = _facts(grammar)
+    _, _, reach, _, empty_loops, mutates = _facts(grammar)
     if not any(reach.values()):
         return frozenset()  # no tree operator at all
 
@@ -506,45 +533,59 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
             touched[key] = known
         return known
 
-    # One pass down each body.  ``local``: a reason for laziness met below
-    # the production root; ``open_``: no enclosing link, so the root's
-    # call sites matter.
+    # One pass down each body.  ``below``: a reason not to be final met
+    # below the production root; ``open_``: no enclosing link, so the
+    # root's call sites matter; ``owner``: the constructor at whose level
+    # the expression runs, if any.
     constructors: list[tuple[int, bool, bool, str]] = []
     sites: list[tuple[str, bool, bool, str]] = []
+    not_local: set[int] = set()  # constructors whose node more than their level changes
     for name, body in grammar.productions.items():
-        todo = [(body, False, True)]
+        todo: list[tuple[Expression, bool, bool, int | None]] = [(body, False, True, None)]
         while todo:
-            x, local, open_ = todo.pop()
+            x, below, open_, owner = todo.pop()
             if isinstance(x, Sequence):
-                later = local
+                later = below
                 for item in reversed(x.items):
-                    todo.append((item, later, open_))
+                    todo.append((item, later, open_, owner))
                     later = later or touches(item)
             elif isinstance(x, (New, LeftFold)):
-                constructors.append((id(x), local, open_, name))
-                todo.append((x.body, True, open_))
+                if owner is not None:
+                    not_local.add(owner)
+                constructors.append((id(x), below, open_, name))
+                todo.append((x.body, True, open_, id(x)))
             elif isinstance(x, Nonterminal):
-                sites.append((x.name, local, open_, name))
+                if owner is not None and reach.get(x.name, False):
+                    not_local.add(owner)
+                sites.append((x.name, below, open_, name))
             elif isinstance(x, Link):
-                todo.append((x.body, False, False))
+                if owner is not None and not (
+                    isinstance(x.body, Nonterminal) and not mutates.get(x.body.name, True)
+                ):
+                    not_local.add(owner)
+                todo.append((x.body, False, False, None))
             elif isinstance(x, (ZeroOrMore, OneOrMore)):
-                again = local or touches(x.body) or id(x) in empty_loops
-                todo.append((x.body, again, open_))
+                again = below or touches(x.body) or id(x) in empty_loops
+                todo.append((x.body, again, open_, owner))
             elif isinstance(x, (And, Not)):
-                todo.append((x.body, True, open_))
+                if owner is not None and builds(x.body):
+                    not_local.add(owner)
+                todo.append((x.body, True, open_, None))
             else:
-                todo.extend((c, local, open_) for c in subexpressions(x))
+                todo.extend((c, below, open_, owner) for c in subexpressions(x))
 
     # A production is dirty when a call site is, directly or because its
     # own production is dirty and nothing between them stops the walk.
-    seeds = {callee for callee, local, _, _ in sites if local}
+    seeds = {callee for callee, below, _, _ in sites if below}
     inherits: dict[str, set[str]] = {}
-    for callee, local, open_, name in sites:
-        if open_ and not local:
+    for callee, below, open_, name in sites:
+        if open_ and not below:
             inherits.setdefault(name, set()).add(callee)
     dirty = _spread(seeds, inherits)
 
-    lazy = {key for key, local, open_, name in constructors if local or open_ and name in dirty}
+    lazy = not_local | {
+        key for key, below, open_, name in constructors if below or open_ and name in dirty
+    }
     return frozenset(key for key, _, _, _ in constructors if key not in lazy)
 
 
@@ -565,8 +606,6 @@ def untagged(body: Expression) -> tuple[Expression, str | None]:
 
 def _may_fail(e: Expression, fails: _Facts) -> bool:
     """Can ``e`` fail?  ``fails`` holds the same property per production."""
-    # Loops, not any()/all(): this and ``transactions`` run at every
-    # compile, where generator set-up costs time.
     while isinstance(e, (OneOrMore, New, LeftFold, Link, And)):
         e = e.body
     if isinstance(e, Sequence):
@@ -587,15 +626,15 @@ def _may_fail(e: Expression, fails: _Facts) -> bool:
 class Transactions(NamedTuple):
     """Which attempts need a savepoint (see the module docstring).
 
-    ``builds(e)``: can ``e`` change the machine?  ``dirty(e)``: can it
-    fail after changing it?  ``nullable(e)``: can it succeed consuming
-    nothing?  ``direct``: the ``id`` of each direct constructor.
+    ``builds(e)``: can ``e`` change the machine, or the record of the eager
+    constructor it runs in?  ``dirty(e, local)``: can it fail after
+    changing them, running at an eager constructor's level if ``local``?
+    ``nullable(e)``: can it succeed consuming nothing?
     """
 
     builds: Callable[[Expression], bool]
-    dirty: Callable[[Expression], bool]
+    dirty: Callable[[Expression, bool], bool]
     nullable: Callable[[Expression], bool]
-    direct: frozenset[int]
 
 
 def transactions(
@@ -606,7 +645,7 @@ def transactions(
 
     Expects a grammar that validates without errors.
     """
-    walks, nullable, reach, _, _ = _facts(grammar)
+    _, nullable, reach, _, _, _ = _facts(grammar)
 
     def builds(e: Expression) -> bool:
         if isinstance(e, (And, Not)):
@@ -622,41 +661,35 @@ def transactions(
         return _expr_nullable(e, nullable)
 
     if not any(reach.values()):  # no tree operator: nothing changes the machine
-        return Transactions(builds, builds, can_be_empty, frozenset())
+        return Transactions(builds, lambda e, local=False: False, can_be_empty)
 
-    # Not ``builds``: a tree operator in a predicate would target the node
-    # in the register, which a direct constructor leaves as it was.
-    direct = frozenset(
-        id(x)
-        for xs in walks.values()
-        for x in xs
-        if id(x) in eager and not _reaches(untagged(x.body)[0], reach)
-    )
     fails = _least_fixpoint(grammar.productions, _may_fail)
 
-    def dirty_in(e: Expression, facts: _Facts) -> bool:
+    def dirty_in(e: Expression, facts: _Facts, local: bool = False) -> bool:
         if isinstance(e, Sequence):
             built = False
             for item in e.items:
-                if dirty_in(item, facts) or built and _may_fail(item, fails):
+                if dirty_in(item, facts, local) or built and _may_fail(item, fails):
                     return True
                 built = built or builds(item)
             return False
         if isinstance(e, Nonterminal):
             return facts.get(e.name, False)
         if isinstance(e, Choice):
-            return dirty_in(e.alternatives[-1], facts)
+            return dirty_in(e.alternatives[-1], facts, local)
         if isinstance(e, (New, LeftFold)):
-            return id(e) not in direct and _may_fail(e.body, fails)
+            return id(e) not in eager and _may_fail(e.body, fails)
         if isinstance(e, Link):
+            # At an eager constructor's level a link restores the machine
+            # itself; a memoized one takes its own savepoint.
             memoized = isinstance(e.body, Nonterminal) and e.body.name in memo_links
-            return not memoized and dirty_in(e.body, facts)
+            return not (local or memoized) and dirty_in(e.body, facts)
         if isinstance(e, OneOrMore):
-            return dirty_in(e.body, facts)
+            return dirty_in(e.body, facts, local)
         return False  # cannot fail, cannot build, or rolls back itself
 
     dirty = _least_fixpoint(grammar.productions, dirty_in)
-    return Transactions(builds, lambda e: dirty_in(e, dirty), can_be_empty, direct)
+    return Transactions(builds, lambda e, local=False: dirty_in(e, dirty, local), can_be_empty)
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,38 @@ admits, and an option or loop tests it first.  A skipped attempt would
 have failed where it starts, so skipping it only moves the farthest
 failure there.
 
-Only an attempt a rollback can find work after gets a savepoint, a machine
-transaction mark (``analysis.transactions``): a choice alternative but the
-last, or an option body, that can fail after changing the machine; a loop
-body that can, or that can change it and succeed empty (an empty step is
-dropped); a predicate body that can change it at all.  With tree
-operators erased, as in recognize mode, nothing gets one.
+Tree operators never influence recognition, and build nodes on one of
+two paths:
 
-Tree operators compile to machine entry emissions and never influence
-recognition; constructors that ``eager_constructors`` marks close with
-``Machine.emit_node``, and direct ones, whose bodies reach no tree
-operator, open nothing and close with ``Machine.emit_direct``.  With
-memoization enabled, ``@Name`` links at assigned memo points store the
-materialized node as soon as the body succeeds (the node already in the
-register if the body logged nothing else, or else the commit of its
+* An eager constructor (``analysis.eager_constructors``) is local: only
+  its own level changes its node.  It keeps ``[tag, links, indexed]`` in a
+  record of its own while its body runs, and builds its node from that as
+  it closes.  A ``#t`` at its level sets the record's tag, and a trailing
+  one beats it; an ``@Name`` there calls the production, puts the child in
+  the record and restores the left register, committing a lazily built
+  child at once and rolling back what the body logged if it fails.  A
+  *direct* constructor has nothing at its level but a trailing tag, so no
+  record either.  A ``{@ }`` that finds a virtual id in the register logs
+  its node instead (``Machine.emit_local_fold``).
+* Every other constructor is lazy: its operators append entries to the
+  machine's log, and a commit builds its node.
+
+Only an attempt a rollback can find work after gets a savepoint
+(``analysis.transactions``): a choice alternative but the last, or an
+option body, that can fail after changing the machine; a loop body that
+can, or that can change it and succeed empty (an empty step is dropped); a
+predicate body that can change it at all.  At an eager constructor's level
+the machine does not change, so a savepoint there marks the record: its
+tag and how many links it holds.  With tree operators erased, as in
+recognize mode, nothing gets one.
+
+With memoization enabled, ``@Name`` links at assigned memo points store
+the materialized node as soon as the body succeeds (the node already in
+the register if the body logged nothing else, or else the commit of its
 sub-transaction), and replay it on later hits at the same position;
-tree-operator-free productions are memoized as plain position advances.
+calls of tree-operator-free productions at memo points look their result
+up and store it as a plain position advance.  The start of a parse goes
+through such a call too, counted as none.
 
 A grammar is compiled once per ``(memo, build_ast)`` setting; the
 grammar keeps that program for every session.  Its closures reach the
@@ -74,9 +90,9 @@ from .expr import (
     erase_tree_operators,
 )
 from .grammar import Grammar
-from .machine import Machine, TxMark
+from .machine import Machine, NodeRef, TxMark, place_links
 from .memo import DEFAULT_WINDOW, FAILED, MemoEntry, MemoTable
-from .tree import Node
+from .tree import Node, unchecked_node
 
 __all__ = [
     "ParseSession",
@@ -129,9 +145,11 @@ class Stats:
     the failure point back to where the attempt started, including
     distance restored by predicates; the ratio divides by input length.
     ``nodes_created`` counts materialized nodes, speculative ones
-    included: those a memo link stored, and those built at an eager
-    constructor's closing brace in an alternative that then failed.  ``nodes_unused`` is the created
-    surplus not reachable from the root.  Attempts that cannot start at
+    included: those a memo link stored, those built at an eager
+    constructor's closing brace, and lazily built children a link at an
+    eager constructor's level committed, in an alternative that then
+    failed.  ``nodes_unused`` is the created surplus not reachable from
+    the root.  Attempts that cannot start at
     the next byte are skipped, so neither ``nodes_created`` nor
     ``memo_lookups`` counts the work they would have done.
     """
@@ -319,10 +337,28 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
     table: MemoTable | None = None
     farthest = backtrack = calls = 0
     limit = _NO_STEP_LIMIT
+    # The record of the innermost eager constructor running: [tag, links,
+    # indexed], where ``links`` holds each linked child, or ``(index,
+    # child)`` for an indexed link, and ``indexed`` says whether any is.
+    record: list | None = None
     rules: dict[str, Callable[[int], int]] = {}
+    starts: dict[str, Callable[[int], int]] = {}
     lock = threading.Lock()
 
-    def compile(e: Expression) -> Callable[[int], int]:
+    # Savepoints as (save, abort) pairs: the machine's, or, at an eager
+    # constructor's level, where the machine does not change, its record's.
+    def save_record(_machine: Machine) -> tuple:
+        return record[0], len(record[1])
+
+    def abort_record(_machine: Machine, mark: tuple) -> None:
+        record[0] = mark[0]
+        del record[1][mark[1] :]
+
+    def savepoints(local: bool) -> tuple:
+        return (save_record, abort_record) if local else (Machine.save, Machine.abort)
+
+    def compile(e: Expression, local: bool = False) -> Callable[[int], int]:
+        """``e`` as a closure; ``local``: it runs at an eager constructor's level."""
         match e:
             case Empty():
                 return lambda pos: pos
@@ -380,18 +416,38 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_any
 
             case Nonterminal(name):
+                if plan is None or name not in plan.nonterminal_points:
 
-                def run_call(pos: int, _n=name) -> int:
+                    def run_call(pos: int, _n=name) -> int:
+                        nonlocal calls
+                        calls += 1
+                        if calls > limit:
+                            over_limit()
+                        return rules[_n](pos)
+
+                    return run_call
+
+                # A tree-operator-free production at a memo point: the call
+                # looks its result up and stores it, as a plain advance.
+                def run_memo_call(pos: int, _n=name, _p=plan.nonterminal_points[name]) -> int:
                     nonlocal calls
                     calls += 1
                     if calls > limit:
-                        raise StepLimitExceeded(f"more than {limit} production calls")
-                    return rules[_n](pos)
+                        over_limit()
+                    entry = table.lookup(_p, pos)
+                    if entry is not None:
+                        return pos + entry.consumed if entry.ok else ~pos
+                    r = rules[_n](pos)
+                    if r >= 0:
+                        table.memoize(_p, pos, MemoEntry(True, r - pos, None))
+                    else:
+                        table.memoize(_p, pos, FAILED)
+                    return r
 
-                return run_call
+                return run_memo_call
 
             case Sequence(items):
-                parts = [compile(i) for i in items]
+                parts = [compile(i, local) for i in items]
                 if len(parts) == 2:
                     first, second = parts
 
@@ -421,10 +477,11 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 # needs none, since a failure there is the choice's own.  When
                 # the last is skipped, the choice fails where it starts, as
                 # that one would have.
-                compiled = [(compile(a), dirty(a)) for a in alternatives[:-1]]
-                compiled.append((compile(alternatives[-1]), False))
+                compiled = [(compile(a, local), dirty(a, local)) for a in alternatives[:-1]]
+                compiled.append((compile(alternatives[-1], local), False))
                 masks = [lead(a) for a in alternatives]
                 rows: dict[int, tuple] = {}  # next byte (256: end of input) -> (head, last, skips)
+                _save, _abort = savepoints(local)
 
                 def run_choice(pos: int) -> int:
                     nonlocal backtrack, farthest
@@ -440,31 +497,32 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                         farthest = pos
                     for alt, save in head:
                         if save:
-                            mark = machine.save()
+                            mark = _save(machine)
                         r = alt(pos)
                         if r >= 0:
                             return r
                         backtrack += ~r - pos
                         if save:
-                            machine.abort(mark)
+                            _abort(machine, mark)
                     return ~pos if last is None else last(pos)
 
                 return run_choice
 
             case Option(body):
-                inner = compile(body)
+                inner = compile(body, local)
+                _save, _abort = savepoints(local) if dirty(body, local) else (None, None)
 
-                def run_option(pos: int, _m=lead(body), _save=dirty(body)) -> int:
+                def run_option(pos: int, _m=lead(body)) -> int:
                     nonlocal backtrack, farthest
                     if _m is None or pos < size and _m >> data[pos] & 1:
                         if _save:
-                            mark = machine.save()
+                            mark = _save(machine)
                         r = inner(pos)
                         if r >= 0:
                             return r
                         backtrack += ~r - pos
                         if _save:
-                            machine.abort(mark)
+                            _abort(machine, mark)
                     elif pos > farthest:
                         farthest = pos  # as the body would have failed here
                     return pos
@@ -472,15 +530,16 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_option
 
             case ZeroOrMore(body):
-                return compile_star(body)
+                return compile_star(body, local)
 
             case OneOrMore(body):
-                return compile(Sequence((body, ZeroOrMore(body))))
+                return compile(Sequence((body, ZeroOrMore(body))), local)
 
             # A predicate discards what its body did, so it needs a
-            # savepoint only when the body can change the machine.
+            # savepoint only when the body can change the machine.  At an
+            # eager constructor's level no body can.
             case Not(body):
-                inner = compile(body)
+                inner = compile(body, local)
 
                 def run_not(pos: int, _save=builds(body)) -> int:
                     nonlocal backtrack, farthest
@@ -500,7 +559,7 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_not
 
             case And(body):
-                inner = compile(body)
+                inner = compile(body, local)
 
                 def run_and(pos: int, _save=builds(body)) -> int:
                     nonlocal backtrack
@@ -515,6 +574,13 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_and
 
             case Tag(name):
+                if local:
+
+                    def run_record_tag(pos: int, _n=name) -> int:
+                        record[0] = _n
+                        return pos
+
+                    return run_record_tag
 
                 def run_tag(pos: int, _n=name) -> int:
                     machine.emit_tag(_n)
@@ -523,37 +589,23 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                 return run_tag
 
             case New(body) | LeftFold(body):
-                fold = isinstance(e, LeftFold)
-                # An eager node takes a trailing ``#t`` as it is built.
-                body, tag = untagged(body) if id(e) in eager else (body, None)
+                if id(e) in eager:
+                    return compile_eager(e)
                 inner = compile(body)
-                if id(e) in rollback.direct:
+                opener = Machine.emit_fold if isinstance(e, LeftFold) else Machine.emit_new
 
-                    def run_direct(pos: int, _tag=tag, _fold=fold) -> int:
-                        r = inner(pos)
-                        if r >= 0:
-                            machine.emit_direct(pos, r, data, _tag, _fold)
-                        return r
-
-                    return run_direct
-
-                opener = Machine.emit_fold if fold else Machine.emit_new
-
-                def run_constructor(
-                    pos: int, _open=opener, _eager=id(e) in eager, _tag=tag
-                ) -> int:
-                    at = _open(machine, pos)
+                def run_constructor(pos: int, _open=opener) -> int:
+                    _open(machine, pos)
                     r = inner(pos)
                     if r >= 0:
-                        if _eager:
-                            machine.emit_node(at, r, data, _tag)
-                        else:
-                            machine.emit_capture(r)
+                        machine.emit_capture(r)
                     return r
 
                 return run_constructor
 
             case Link(body, index):
+                if local:
+                    return compile_record_link(body.name, index)
                 if (
                     plan is not None
                     and isinstance(body, Nonterminal)
@@ -575,7 +627,170 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
 
         raise TypeError(f"cannot compile {e!r}")
 
-    def compile_star(body: Expression) -> Callable[[int], int]:
+    def compile_eager(e: New | LeftFold) -> Callable[[int], int]:
+        """An eager constructor: its level writes a record, or nothing if it
+        is direct, and it builds its node from that as it closes.  A ``{@ }``
+        that finds a virtual id in the register logs the node instead."""
+        fold = isinstance(e, LeftFold)
+        body, tag = untagged(e.body)  # the node takes a trailing ``#t`` as it is built
+        # The constructor runs the items of its body itself, each ``e+`` as
+        # ``e`` then ``e*``: one frame fewer, so that tree building follows
+        # as deep a nesting as recognition.
+        items: list[Expression] = []
+        for item in body.items if isinstance(body, Sequence) else (body,):
+            if isinstance(item, OneOrMore):
+                items += (item.body, ZeroOrMore(item.body))
+            else:
+                items.append(item)
+        parts = tuple(compile(item, True) for item in items)
+
+        if not builds(body):  # direct: nothing at its level but a trailing tag
+
+            def run_direct(pos: int, _tag=tag, _fold=fold) -> int:
+                r = pos
+                for part in parts:
+                    r = part(r)
+                    if r < 0:
+                        return r
+                first = machine.left if _fold else None
+                if first is None:
+                    machine.left = unchecked_node(_tag or "token", pos, r, data, ())
+                elif type(first) is int:
+                    machine.emit_local_fold(pos, r, _tag, ())
+                    return r
+                else:
+                    machine.left = unchecked_node(_tag or "tree", pos, r, data, (first,))
+                machine.created += 1
+                return r
+
+            return run_direct
+
+        # The node is built in a helper: every level of a deep parse holds
+        # this frame, and a small one crosses fewer frame-stack chunks.
+        def run_record(pos: int, _tag=tag, _fold=fold) -> int:
+            nonlocal record
+            outer = record
+            record = rec = [None, [], False]
+            r = pos
+            for part in parts:
+                r = part(r)
+                if r < 0:
+                    break
+            record = outer
+            if r >= 0:
+                close_record(rec, pos, r, _tag, _fold)
+            return r
+
+        return run_record
+
+    def compile_record_link(name: str, index: int | None) -> Callable[[int], int]:
+        """``@Name`` at an eager constructor's level: puts the child in the
+        record and restores the register, committing a lazily built child at
+        once.  On failure it rolls back what the body logged itself.  At a
+        memo point it stores the child, and replays it on later hits."""
+        if plan is not None and name in plan.link_points:
+            return memoized_record_link(name, index)
+        if plan is not None and name in plan.nonterminal_points:
+            return compile(Nonterminal(name))  # builds nothing: a plain call
+
+        def run_record_link(pos: int, _n=name, _i=index) -> int:
+            nonlocal calls
+            prior = machine.left
+            base = len(machine.log)
+            # The link makes the production call itself, one frame fewer;
+            # undoing and committing are helpers, to keep this frame small.
+            calls += 1
+            if calls > limit:
+                over_limit()
+            r = rules[_n](pos)
+            if r < 0:
+                restore(base, prior)
+                return r
+            child = machine.left
+            if child != prior:  # else the body built nothing, so it logged nothing
+                if type(child) is not Node or len(machine.log) != base:
+                    child = settle(base, prior)
+                machine.left = prior
+                if _i is None:
+                    record[1].append(child)
+                else:
+                    record[1].append((_i, child))
+                    record[2] = True
+            return r
+
+        return run_record_link
+
+    def memoized_record_link(name: str, index: int | None) -> Callable[[int], int]:
+        """``compile_record_link`` at a memo point."""
+        point = plan.link_points[name]
+        body = compile(Nonterminal(name))
+
+        def run_memo_record_link(pos: int, _i=index) -> int:
+            entry = table.lookup(point, pos)
+            if entry is None:
+                prior = machine.left
+                base = len(machine.log)
+                r = body(pos)
+                if r < 0:
+                    table.memoize(point, pos, FAILED)
+                    restore(base, prior)
+                    return r
+                child = machine.left
+                if child == prior:  # the body built nothing, so it logged nothing
+                    table.memoize(point, pos, MemoEntry(True, r - pos, None))
+                    return r
+                if type(child) is not Node or len(machine.log) != base:
+                    child = settle(base, prior)
+                machine.left = prior
+                table.memoize(point, pos, MemoEntry(True, r - pos, child))
+            elif entry.ok:
+                child = entry.node
+                r = pos + entry.consumed
+                if child is None:
+                    return r
+            else:
+                return ~pos
+            if _i is None:
+                record[1].append(child)
+            else:
+                record[1].append((_i, child))
+                record[2] = True
+            return r
+
+        return run_memo_record_link
+
+    def close_record(rec: list, start: int, end: int, tag: str | None, fold: bool) -> None:
+        """Builds the node of a record constructor that succeeded; a trailing
+        ``tag`` beats those its level set."""
+        tag = tag or rec[0]
+        links = rec[1]
+        first = machine.left if fold else None
+        if type(first) is int:
+            machine.emit_local_fold(start, end, tag, links)
+            return
+        if rec[2]:
+            links = place_links(first, links)
+        elif first is not None:
+            links = (first, *links)
+        machine.left = unchecked_node(
+            tag or ("tree" if links else "token"), start, end, data, tuple(links)
+        )
+        machine.created += 1
+
+    def restore(base: int, prior: NodeRef) -> None:
+        """Undoes a failed link body: drops what it logged, restores the register."""
+        if len(machine.log) != base:
+            machine.abort(TxMark(base, prior, len(machine.stack)))
+        machine.left = prior
+
+    def settle(base: int, prior: NodeRef) -> Node:
+        """Commits what a link body logged since ``base``: its child, built."""
+        return machine.commit(TxMark(base, prior, len(machine.stack)), data)
+
+    def over_limit() -> None:
+        raise StepLimitExceeded(f"more than {limit} production calls")
+
+    def compile_star(body: Expression, local: bool) -> Callable[[int], int]:
         # Byte loops: an iteration of these bodies tests one byte or one
         # literal, so the loop needs no call per iteration.
         if isinstance(body, CharClass):
@@ -598,25 +813,26 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
 
             return run_scan_text
 
-        inner = compile(body)
+        inner = compile(body, local)
         # A savepoint for a failed iteration, or for an empty one, whose
         # entries are dropped too.
-        save = builds(body) and (dirty(body) or rollback.nullable(body))
+        save = builds(body) and (dirty(body, local) or rollback.nullable(body))
+        _save, _abort = savepoints(local) if save else (None, None)
 
-        def run_star(pos: int, _m=lead(body), _save=save) -> int:
+        def run_star(pos: int, _m=lead(body)) -> int:
             nonlocal backtrack, farthest
             while _m is None or pos < size and _m >> data[pos] & 1:
                 if _save:
-                    mark = machine.save()
+                    mark = _save(machine)
                 r = inner(pos)
                 if r < 0:
                     backtrack += ~r - pos
                     if _save:
-                        machine.abort(mark)
+                        _abort(machine, mark)
                     return pos
                 if r == pos:
                     if _save:
-                        machine.abort(mark)  # empty iteration: drop its entries, stop
+                        _abort(machine, mark)  # empty iteration: drop its entries, stop
                     return pos
                 pos = r
             if pos > farthest:
@@ -624,23 +840,6 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
             return pos
 
         return run_star
-
-    def memoized_production(name: str, inner: Callable[[int], int]) -> Callable[[int], int]:
-        """Wraps a tree-operator-free production with a memo point."""
-        point = plan.nonterminal_points[name]
-
-        def run_memo(pos: int) -> int:
-            entry = table.lookup(point, pos)
-            if entry is not None:
-                return pos + entry.consumed if entry.ok else ~pos
-            r = inner(pos)
-            if r >= 0:
-                table.memoize(point, pos, MemoEntry(True, r - pos, None))
-            else:
-                table.memoize(point, pos, FAILED)
-            return r
-
-        return run_memo
 
     def memoized_link(name: str, index: int | None) -> Callable[[int], int]:
         """``@Name`` at a memo point: commit-on-success, store, replay on hit."""
@@ -683,15 +882,18 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
         return run_memo_link
 
     for name, body in bodies.items():
-        compiled = compile(body)
-        if plan is not None and name in plan.nonterminal_points:
-            compiled = memoized_production(name, compiled)
-        rules[name] = compiled
+        rules[name] = compile(body)
 
     def run(session: ParseSession, name: str) -> int:
-        nonlocal data, size, machine, table, farthest, backtrack, calls, limit
+        nonlocal data, size, machine, table, farthest, backtrack, calls, limit, record
         with lock:
-            farthest = backtrack = calls = 0
+            start = starts.get(name)
+            if start is None:
+                start = starts[name] = compile(Nonterminal(name))
+            # The start goes through a call, memo point included, that
+            # counts as none.
+            farthest = backtrack = 0
+            calls = -1
             try:
                 data = session.data
                 size = len(data)
@@ -700,11 +902,11 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                     MemoTable(plan.count, session.window) if plan is not None else None
                 )
                 limit = _NO_STEP_LIMIT if session.max_steps is None else session.max_steps
-                return rules[name](0)
+                return start(0)
             finally:
                 session.farthest, session.backtrack, session.calls = farthest, backtrack, calls
                 # Drop the input and the trees: the program outlives this parse.
-                data = machine = table = None
+                data = machine = table = record = None
 
     program = grammar._programs[(memo, build_ast)] = Program(plan, run)
     return program

@@ -1,8 +1,12 @@
 """The transactional node-construction machine.
 
-Node mutations are never applied while parsing.  They are appended to a
-log; backtracking truncates the log (``abort``) and a ``commit`` replays
-the surviving entries into real :class:`~pegfold.tree.Node` objects.
+The machine serves the lazy constructors, those that something outside
+their own level can still change (see :mod:`pegfold.interp`; eager ones
+build their nodes from records of their own and only put them in the left
+register).  Their node mutations are never applied while parsing.  They
+are appended to a log; backtracking truncates the log (``abort``) and a
+``commit`` replays the surviving entries into real
+:class:`~pegfold.tree.Node` objects.
 Register effects that the parser must observe immediately (the left
 node reference and the parent stack) are applied eagerly and restored
 from transaction marks.  An abort is therefore a plain truncation: the
@@ -25,15 +29,12 @@ first-child chain (``Machine.first``) and refuses the link when it meets
 the parent.  The walk ends at the parent or at a constructor, so it
 visits only folds made in that body.
 
-A constructor that ``pegfold.analysis.eager_constructors`` proves final
-once it closes ends with ``emit_node`` instead of ``emit_capture``: the
-entries since its ``NEW``/``FOLD`` collapse into a materialized node in
-the left register, and the log is truncated back to that entry.  This is
-safe because savepoints nest: marks taken in the body have closed, marks
-outside it predate the entry.  The node's id and every later one are then
-referenced nowhere, so ``first`` is cut back too.  An eager constructor
-whose body reaches no tree operator opens nothing at all: ``emit_direct``
-puts its node in the register at the close.
+A link at an eager constructor's level restores the left register
+itself, and commits, or on failure aborts, what its body logged from the
+log length it started at.  An eager ``{@ }`` whose left register holds a
+virtual id when it closes cannot build its node, since its first child is
+not built yet: ``emit_local_fold`` logs its ``FOLD``, links, tag and
+capture together.
 
 A commit from mark 0 with an empty stack, or a parse that ends with a
 node in the register and an empty log, leaves no virtual id referenced
@@ -109,22 +110,20 @@ class Machine:
 
     # -- emit family (register effects eager, node mutations logged) -------
 
-    def emit_new(self, pos: int) -> int:
-        """Opens a constructor; returns the index of its log entry."""
+    def emit_new(self, pos: int) -> None:
+        """Opens a constructor."""
         vid = len(self.first)
         self.first.append(None)
         self.log.append((_NEW, vid, pos))
         self.left = vid
-        return len(self.log) - 1
 
-    def emit_fold(self, pos: int) -> int:
-        """Opens a fold of the left node; returns the index of its log entry."""
+    def emit_fold(self, pos: int) -> None:
+        """Opens a fold of the left node."""
         vid = len(self.first)
         prior = self.left
         self.first.append(prior)
         self.log.append((_FOLD, vid, prior, pos))
         self.left = vid
-        return len(self.log) - 1
 
     def emit_capture(self, pos: int) -> None:
         left = self.left
@@ -134,70 +133,24 @@ class Machine:
             raise InternalParserError("capture targets a materialized node")
         self.log.append((_CAPTURE, left, pos))
 
-    def emit_node(self, at: int, end: int, source: bytes, tag: str | None = None) -> None:
-        """Closes an eager constructor whose ``NEW`` or ``FOLD`` entry is ``log[at]``.
+    def emit_local_fold(self, start: int, end: int, tag: str | None, links: list) -> None:
+        """Logs a local ``{@ }`` (see the module docstring) that closed at
+        ``end`` while the register held a virtual id.
 
-        The entries from ``at`` on collapse into one materialized node in
-        the left register if the node is still there, a fold adopted a
-        materialized node or none, and every later entry tags the node or
-        links a materialized child into it.  Otherwise logs a capture.
-        ``tag``, a trailing ``#tag`` of the body, beats the tags logged in
-        it; on a logged capture it is logged first, as the body would have.
+        Its ``FOLD``, ``LINK`` and ``TAG`` entries and its capture are
+        logged together: nothing at its level logged anything meanwhile.
         """
+        self.emit_fold(start)
+        vid = self.left
         log = self.log
-        opened = log[at]
-        vid = opened[1]
-        first = opened[2] if opened[0] == _FOLD else None
-        if self.left != vid or isinstance(first, int):
-            return self._close_logged(end, tag)
-        children = [] if first is None else [first]
-        logged = None
-        for entry in log[at + 1 :]:
-            if entry[1] != vid:
-                return self._close_logged(end, tag)
-            if entry[0] == _TAG:
-                logged = entry[2]
-            elif entry[0] == _LINK and isinstance(entry[2], Node):
-                if entry[3] is None:
-                    children.append(entry[2])
-                else:
-                    _put(children, entry[2], entry[3])
+        for link in links:
+            if type(link) is tuple:
+                log.append((_LINK, vid, link[1], link[0]))
             else:
-                return self._close_logged(end, tag)
-        del log[at:]
-        del self.first[vid:]
-        if _GAP in children:
-            children = [child for child in children if child is not _GAP]
-        self.created += 1
-        tag = tag or logged or ("tree" if children else "token")
-        # The span opens at NEW's position or at the fold point.
-        self.left = Node(tag, opened[-1], end, source, tuple(children))
-
-    def emit_direct(
-        self, start: int, end: int, source: bytes, tag: str | None, fold: bool
-    ) -> None:
-        """Closes an eager constructor, opened at ``start``, whose body logged nothing.
-
-        Its node goes straight into the left register, with no entry and
-        no virtual id: a leaf, or for a fold (``fold``) a node adopting the
-        node in the register, if any.  A fold whose register holds a
-        virtual id logs its ``FOLD`` and a capture instead, as ``emit_node``
-        would after it; the body logged nothing in between.
-        """
-        first = self.left if fold else None
-        if isinstance(first, int):
-            self.emit_fold(start)
-            return self._close_logged(end, tag)
-        self.created += 1
-        if first is None:
-            self.left = Node(tag or "token", start, end, source, ())
-        else:
-            self.left = Node(tag or "tree", start, end, source, (first,))
-
-    def _close_logged(self, end: int, tag: str | None) -> None:
+                log.append((_LINK, vid, link, None))
         if tag is not None:
-            self.emit_tag(tag)
-        self.emit_capture(end)
+            log.append((_TAG, vid, tag))
+        log.append((_CAPTURE, vid, end))
 
     def emit_tag(self, name: str) -> None:
         left = self.left
@@ -365,6 +318,19 @@ def _put(children: list, child: object, index: int) -> None:
     if len(children) <= index:
         children.extend([_GAP] * (index + 1 - len(children)))
     children[index] = child
+
+
+def place_links(first: Node | None, links: list) -> tuple[Node, ...]:
+    """The children of a local record: ``first``, a fold's first child, then
+    ``links`` in link order, each a node appended or an ``(index, node)``
+    put at its index, as a commit replays ``LINK`` entries."""
+    children: list = [] if first is None else [first]
+    for link in links:
+        if type(link) is tuple:
+            _put(children, link[1], link[0])
+        else:
+            children.append(link)
+    return tuple(child for child in children if child is not _GAP)
 
 
 class _Sentinel:

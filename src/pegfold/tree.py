@@ -78,6 +78,25 @@ _set_start = Node.start.__set__
 _set_end = Node.end.__set__
 _set_source = Node.source.__set__
 _set_children = Node.children.__set__
+_new = object.__new__
+
+
+def unchecked_node(
+    tag: str, start: int, end: int, source: bytes, children: tuple[Node, ...]
+) -> Node:
+    """A node whose tag and span the caller has already made valid.
+
+    The engine builds nodes at the close of an eager constructor from a
+    non-empty tag and a span inside the input; this skips the checks of
+    ``Node.__init__`` and its call.
+    """
+    node = _new(Node)
+    _set_tag(node, tag)
+    _set_start(node, start)
+    _set_end(node, end)
+    _set_source(node, source)
+    _set_children(node, children)
+    return node
 
 
 class NotationError(ValueError):
@@ -144,12 +163,21 @@ def serialize(node: Node, include_inner_text: bool = False) -> str:
 
 
 def equals(a: Node, b: Node) -> bool:
-    """Structural equality: tags, leaf substrings and child shape; spans ignored."""
-    if a.tag != b.tag or len(a.children) != len(b.children):
-        return False
-    if a.is_leaf():
-        return a.text == b.text
-    return all(equals(x, y) for x, y in zip(a.children, b.children))
+    """Structural equality: tags, leaf substrings and child shape; spans ignored.
+
+    An explicit stack replaces recursion, so trees of any depth compare.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a.tag != b.tag or len(a.children) != len(b.children):
+            return False
+        if not a.children:
+            if a.text != b.text:
+                return False
+        else:
+            stack.extend(zip(a.children, b.children))
+    return True
 
 
 def to_json_dict(node: Node) -> dict[str, Any]:
@@ -197,7 +225,7 @@ class _NotationReader:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def read_node(self) -> Node:
+    def read_tag(self) -> str:
         self.expect("#")
         start = self.pos
         while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
@@ -207,19 +235,36 @@ class _NotationReader:
             raise self.error("expected tag name after '#'")
         self.expect("[")
         self.skip_space()
-        if self.pos < len(self.text) and self.text[self.pos] == "'":
-            text = self.read_quoted()
-            self.skip_space()
-            self.expect("]")
-            return Node(tag, 0, len(text), text, ())
-        children = []
-        while self.pos < len(self.text) and self.text[self.pos] == "#":
-            children.append(self.read_node())
-            self.skip_space()
-        if not children:
-            raise self.error("node needs a quoted substring or at least one child")
-        self.expect("]")
-        return Node(tag, 0, 0, b"", tuple(children))
+        return tag
+
+    def read_node(self) -> Node:
+        """One node and its subtree.  An explicit stack of the inner nodes
+        still open replaces recursion, so any depth reads."""
+        open_: list[tuple[str, list[Node]]] = []  # (tag, children read so far)
+        while True:
+            tag = self.read_tag()
+            if self.pos < len(self.text) and self.text[self.pos] == "'":
+                text = self.read_quoted()
+                self.skip_space()
+                self.expect("]")
+                node = Node(tag, 0, len(text), text, ())
+            elif self.pos < len(self.text) and self.text[self.pos] == "#":
+                open_.append((tag, []))
+                continue
+            else:
+                raise self.error("node needs a quoted substring or at least one child")
+            # Close every inner node that ends here; go on with the next sibling.
+            while True:
+                if not open_:
+                    return node
+                tag, children = open_[-1]
+                children.append(node)
+                self.skip_space()
+                if self.pos < len(self.text) and self.text[self.pos] == "#":
+                    break
+                self.expect("]")
+                open_.pop()
+                node = Node(tag, 0, 0, b"", tuple(children))
 
     def read_quoted(self) -> bytes:
         self.expect("'")

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from pegfold.analysis import assign_memo_points, eager_constructors, transactions, validate
+from pegfold.analysis import (
+    assign_memo_points,
+    eager_constructors,
+    transactions,
+    untagged,
+    validate,
+)
 from pegfold.expr import LeftFold, Link, New, Nonterminal, Sequence, Tag, Terminal, subexpressions
 from pegfold.grammar import Grammar, parse_grammar
 
@@ -314,6 +320,31 @@ def test_benchmark_grammars_build_every_node_eagerly():
     assert eager_marks(workloads.PATHOLOGICAL) == []
 
 
+def direct_marks(text):
+    """Per eager ``{ }``/``{@ }`` occurrence, in grammar order: is it direct,
+    with nothing at its level but a trailing tag?"""
+    grammar = parse_grammar(text)
+    eager = eager_constructors(grammar)
+    builds = transactions(grammar, eager, ()).builds
+    marks = []
+    for body in grammar.productions.values():
+        stack = [body]
+        while stack:
+            x = stack.pop()
+            if id(x) in eager:
+                marks.append(not builds(untagged(x.body)[0]))
+            stack.extend(reversed(subexpressions(x)))
+    return marks
+
+
+def test_benchmark_grammars_build_every_node_from_a_record_or_directly():
+    workloads = benchmark_grammars()
+    # the two folds tag and link at their level; Value's leaf has no level
+    assert direct_marks(MATH) == [False, False, True]
+    # Object, Member and Array link at theirs; String, Number and Lit do not
+    assert direct_marks(workloads.JSON_LIKE) == [False, False, False, True, True, True]
+
+
 @pytest.mark.parametrize(
     "text, marks",
     [
@@ -321,13 +352,24 @@ def test_benchmark_grammars_build_every_node_eagerly():
         ("S = { 'a' } @B\nB = { 'b' }", [False, True]),  # a later link
         ("S = { 'a' } T\nT = #X 'b'", [False]),  # a later call that tags
         ("S = { 'a' } T\nT = 'b' { 'c' }", [True, True]),  # ... or does not
-        ("S = { 'a' {@ 'b' } 'c' }", [True, False]),  # the outer capture
-        ("S = { 'x' A }\nA = B\nB = { 'b' }", [True, False]),  # through calls
+        # the outer capture targets the fold, and the outer node is not local
+        ("S = { 'a' {@ 'b' } 'c' }", [False, False]),
+        ("S = { 'x' A }\nA = B\nB = { 'b' }", [False, False]),  # through calls
         ("S = &{ 'a' } !{ 'b' } 'a'", [False, False]),  # predicates
         ("S = ( { ''? } )*", [False]),  # a nullable loop body
         ("S = ( @B { 'a' } )+\nB = { 'b' }", [False, True]),  # the next iteration
         ("S = ( { 'a' } / 'b' #T )*", [False]),
-        ("S = { 'a' @( { 'b' } #T ) 'c' @{ 'd' } }", [True, False, True]),  # links
+        # a link of a lazily built child, or of anything but a production
+        # call, makes the outer node lazy up front
+        ("S = { 'a' @( { 'b' } #T ) 'c' @{ 'd' } }", [False, False, True]),
+        # a local level: tags, choices, loops and indexed links of
+        # productions that leave the node they start with alone
+        ("S = { 'a' #A ( 'b' #B / 'c' ) @C ( ',' @[0]C )* #S }\nC = { 'c' }", [True, True]),
+        # ... but a production's lazily built child is committed as it links
+        ("S = { @B 'c' }\nB = { 'b' } #B", [True, False]),
+        ("S = { @B 'c' }\nB = #X 'b'", [False]),  # a link that tags the node
+        ("S = { 'a' B #S }\nB = 'b' #B", [False]),  # a call that reaches a tag
+        ("S = { &( @B ) 'b' }\nB = { 'b' }", [False, True]),  # a predicate that links
     ],
 )
 def test_eager_rules(text, marks):
@@ -358,9 +400,9 @@ def test_benchmark_grammars_fail_dirty_only_where_a_node_is_open_or_built():
     assert dirty_productions(workloads.JSON_LIKE) == {
         "Doc": False,
         "Value": False,  # its last alternative, Lit, is a direct constructor
-        "Object": True,  # open constructors whose body can fail
-        "Member": True,
-        "Array": True,
+        "Object": False,  # local constructors: a failed body drops their record
+        "Member": False,
+        "Array": False,
         "String": True,  # the node is built before the closing quote
         "Number": False,
         "Lit": False,
@@ -382,8 +424,9 @@ def test_benchmark_grammars_fail_dirty_only_where_a_node_is_open_or_built():
         ("S = { 'a' 'b' #T }", False),  # direct: nothing opened
         ("S = {@ 'a' 'b' }", False),
         ("S = { 'a' } {@ 'b' }", True),
-        ("S = { @A 'b' }\nA = { 'a' }", True),  # an open constructor
-        ("S = { @A? 'b'? }\nA = { 'a' }", False),  # ... whose body cannot fail
+        ("S = { @A 'b' }\nA = { 'a' }", False),  # a local constructor
+        ("S = { @A 'b' } #T\nA = { 'a' }", True),  # an open constructor
+        ("S = { @A? 'b'? } #T\nA = { 'a' }", False),  # ... whose body cannot fail
         ("S = 'x' A\nA = 'a' #T 'b'", True),  # through a call
     ],
 )
@@ -395,3 +438,12 @@ def test_a_memoized_link_is_clean():
     text = "S = @A\nA = { 'a' } #T 'b'"
     assert dirty_productions(text)["S"] is True
     assert dirty_productions(text, memo_links={"A"})["S"] is False
+
+
+def test_a_link_at_a_local_level_is_clean():
+    grammar = parse_grammar("S = { @A } / @A\nA = { 'a' } #T 'b'")
+    facts = transactions(grammar, eager_constructors(grammar), ())
+    local, plain = grammar.productions["S"].alternatives
+    # it restores the machine itself when its body fails
+    assert facts.dirty(local.body, True) is False
+    assert facts.dirty(plain) is True

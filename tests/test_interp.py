@@ -230,6 +230,52 @@ def test_eager_node_takes_its_trailing_tag():
     assert tree_of("S = { #a 'x' #b }", b"x") == "#b['x']"
 
 
+# Local constructors: tags, links and savepoints at their level go to a
+# record, links commit lazily built children at once and restore the
+# machine when they fail, and a fold over a lazily built node is logged.
+LOCAL_GRAMMARS = [
+    # record savepoints: a failed alternative, option or loop step drops
+    # the tags and links it added
+    ("S = { ( @A #X 'b' / @A 'c' / 'a' #Y ) ( @A #Z 'b' )? ( @A 'c' #W )* }\nA = { 'a' }", "abc"),
+    ("S = { ( #E )* ( 'a' #T )* ( @A ''? )* }\nA = { 'b' }", "ab"),
+    # indexed links, with gaps, overwritten slots and a replaced first child
+    ("S = { @[2]A ( @[0]A 'x' / @[2]B ) ( @[1]B )? }\nA = { 'a' }\nB = { 'b' #B }", "abx"),
+    ("S = A {@ @[0]B ( ',' @[2]A )* #F }*\nA = { 'a' }\nB = { 'b' }", "ab,"),
+    # lazily built children, and link bodies that fail after building
+    ("S = { @A ( 'x' @A )* #S } / { @B #R }\nA = { 'a' } #A\nB = { 'a' } #B 'c' / 'a'", "acx"),
+    ("S = { @A ( 'x' @A )* } 'y' / A\nA = { 'a' } #A 'b' / { 'a' #C }", "abxy"),
+    # folds over a lazily built node, with and without a level
+    ("S = A {@ 'b' @C #F } ( {@ 'c' } )?\nA = { 'a' } #A\nC = { 'c' }", "abc"),
+]
+
+
+@pytest.mark.parametrize("text, letters", LOCAL_GRAMMARS)
+def test_local_constructors_match_the_reference(text, letters):
+    assert_matches_the_reference(text, letters)
+
+
+def test_a_trailing_tag_beats_the_tags_of_a_local_level():
+    g = "S = { #A 'a' ( 'b' #B )? } ';' / { #A 'a' ( 'b' #B )? #T }"
+    assert tree_of(g, b"ab;") == "#B['ab']"
+    assert tree_of(g, b"a;") == "#A['a']"
+    assert tree_of(g, b"ab") == "#T['ab']"
+
+
+def test_a_local_fold_adopts_a_built_node_and_links_into_it():
+    session = ParseSession(parse_grammar("S = N {@ '+' @N #Add }*\nN = { [0-9] #Int }"), b"1+2+3")
+    root = session.parse().root
+    assert serialize(root) == "#Add[#Add[#Int['1'] #Int['2']] #Int['3']]"
+    assert (root.start, root.end) == (3, 5)  # the span opens at the fold point
+    assert (root.children[0].start, root.children[0].end) == (1, 3)
+    # every node was built at its close: nothing was logged
+    assert session.machine.log == [] and session.machine.first == []
+
+
+def test_local_indexed_links_fill_their_slots_and_drop_gaps():
+    g = "S = { @[3]D @[1]D @[3]D }\nD = { [0-9] #d }"
+    assert tree_of(g, b"123") == "#tree[#d['2'] #d['3']]"
+
+
 def test_math_parse_aborts_nothing(monkeypatch):
     aborts = []
     monkeypatch.setattr(Machine, "abort", lambda self, mark: aborts.append(mark))
@@ -284,9 +330,10 @@ def test_json_parse_opens_savepoints_only_where_a_rollback_finds_work(monkeypatc
     counts = count_transactions(monkeypatch)
     result = ParseSession(parse_grammar(JSON_LIKE), JSON_INPUT, memo=memo).parse()
     assert serialize(result.root).startswith("#Object[#Member[#String['a'] #Array[#Number['1']")
-    # Value's Object alternative twice, Array once and String once; Object's
-    # option once and its loop twice.  Keys, numbers and literals need none.
-    assert counts == {"save": 7, "abort": 0}
+    # Value's String alternative, once: its node is built before the closing
+    # quote.  Objects, arrays and members build from local records, which a
+    # failure drops, and their links restore the machine themselves.
+    assert counts == {"save": 1, "abort": 0}
 
 
 # Alternatives, options and loop steps that fail after a tag, a link, an
@@ -528,14 +575,36 @@ def test_a_link_that_fails_after_building_leaves_no_entries(memo):
     assert result.stats.nodes_created == 2
 
 
+@pytest.mark.parametrize("memo", [False, True])
+def test_a_local_link_that_fails_after_building_leaves_no_entries(memo):
+    g = "S = { 'x' ( @A / 'a' 'd' ) }\nA = { 'a' } #A 'c'"
+    session = ParseSession(parse_grammar(g), b"xad", memo=memo)
+    result = session.parse()
+    assert serialize(result.root) == "#token['xad']"
+    # S builds from a record; the failed @A rolled back the lazy node it
+    # logged, so no commit builds it
+    assert result.stats.nodes_created == 1
+    assert session.machine.log == []
+
+
 def test_aborted_lazy_branches_materialize_nothing():
-    g = "S = { @A 'x' #S } / { @A 'y' #S }\nA = { 'a' } #A"
+    g = "S = { @A 'x' } #S / { @A 'y' } #S\nA = { 'a' } #A"
     result = run(g, b"ay", memo=False)
-    # the trailing tag keeps A lazy: the failed first alternative's
+    # the trailing tags keep S and A lazy: the failed first alternative's
     # entries were aborted before any node existed
     assert serialize(result.root) == "#S[#A['a']]"
     assert result.stats.nodes_created == 2
     assert result.stats.nodes_unused == 0
+
+
+def test_a_local_link_commits_a_lazily_built_child_at_once():
+    g = "S = { @A 'x' #S } / { @A 'y' #S }\nA = { 'a' } #A"
+    result = run(g, b"ay", memo=False)
+    # S builds from a local record, so its links commit A as they close,
+    # also in the first alternative, which then fails
+    assert serialize(result.root) == "#S[#A['a']]"
+    assert result.stats.nodes_created == 3
+    assert result.stats.nodes_unused == 1
 
 
 def test_speculative_memo_nodes_can_end_up_unused():

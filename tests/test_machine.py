@@ -390,92 +390,33 @@ def test_orphan_records_still_materialize():
     assert m.created == 2
 
 
-# -- eager constructors ---------------------------------------------------------
+# -- local folds over a virtual id ------------------------------------------------
 
 
-def test_eager_capture_collapses_the_node_and_truncates_the_log():
+def test_a_local_fold_over_a_virtual_id_logs_its_links_tag_and_capture():
     m = Machine()
     m.emit_new(0)
-    m.push_left()
-    at = m.emit_new(0)
-    m.emit_tag("A")
-    m.emit_tag("Int")  # later tags override earlier ones
-    m.emit_node(at, 2, SRC)
-    assert isinstance(m.left, Node) and serialize(m.left) == "#Int['12']"
-    assert (m.left.start, m.left.end) == (0, 2)
-    assert m.dump_log() == ["NEW v0 @0"] and m.first == [None] and m.created == 1
-    m.emit_link(None)
-    assert m.dump_log() == ["NEW v0 @0", "LINK v0 <- <Int>"]
-    assert m.emit_new(3) == 2 and m.left == 1  # the collapsed node's id is free again
+    m.emit_capture(2)  # v0: a lazily built first child
+    one, two = Node("d", 3, 4, SRC), Node("d", 4, 5, SRC)
+    m.emit_local_fold(2, 5, "Add", [one, (0, two)])
+    assert m.dump_log()[2:] == [
+        "FOLD v1 <- v0 @2",
+        "LINK v1 <- <d>",
+        "LINK v1 <- <d> [0]",
+        "TAG v1 #Add",
+        "CAPTURE v1 @5",
+    ]
+    root = m.commit(TxMark(0, None, 0), SRC)
+    # the indexed link replaced the first child, as a commit replays it
+    assert serialize(root) == "#Add[#d['4'] #d['3']]"
+    assert (root.start, root.end) == (2, 5)
 
 
-def test_eager_close_takes_a_trailing_tag():
-    m = Machine()
-    m.emit_node(m.emit_new(0), 2, SRC, "Int")  # nothing logged since the NEW
-    assert serialize(m.left) == "#Int['12']" and m.log == [] and m.created == 1
-    at = m.emit_new(0)
-    m.emit_tag("A")
-    m.emit_node(at, 2, SRC, "B")  # the trailing tag beats the logged one
-    assert serialize(m.left) == "#B['12']"
-    at = m.emit_new(0)
-    m.emit_fold(1)
-    m.emit_node(at, 3, SRC, "T")  # no collapse: tag, then capture, the fold
-    assert m.dump_log()[-2:] == ["TAG v1 #T", "CAPTURE v1 @3"]
-
-
-def test_eager_fold_adopts_a_materialized_first_child_and_links():
-    m = Machine()
-    at = m.emit_new(0)
-    m.emit_node(at, 2, SRC)
-    first = m.left
-    at = m.emit_fold(2)
-    m.push_left()
-    child = Node("Int", 3, 5, SRC)
-    m.left = child
-    m.emit_link(None)
-    m.emit_tag("Add")
-    m.emit_node(at, 5, SRC)
-    assert m.left.children == (first, child) and m.left.tag == "Add"
-    assert (m.left.start, m.left.end) == (2, 5)
-    assert m.log == [] and m.first == []
-
-
-def test_eager_capture_places_indexed_links_and_drops_gaps():
-    m = Machine()
-    at = m.emit_new(0)
-    for index, (start, end) in ((3, (0, 1)), (1, (3, 4)), (3, (1, 2))):
-        m.push_left()
-        m.left = Node("d", start, end, SRC)
-        m.emit_link(index)
-    m.emit_node(at, 5, SRC)
-    assert serialize(m.left) == "#tree[#d['3'] #d['2']]"
-
-
-@pytest.mark.parametrize(
-    "case", ["fold-stole-register", "lazy-child", "lazy-first-child", "foreign-entry"]
-)
-def test_eager_capture_falls_back_to_a_logged_capture(case):
-    m = Machine()
-    at = m.emit_new(0)
-    if case == "foreign-entry":
-        at = m.emit_new(1)
-        m.left = 0
-        m.emit_tag("X")  # an entry after ``at`` that targets another node
-        m.left = 1
-    elif case == "fold-stole-register":
-        m.emit_fold(1)  # the capture targets the fold, not the node at ``at``
-    elif case == "lazy-child":
-        m.push_left()
-        m.emit_new(1)
-        m.emit_capture(2)
-        m.emit_link(None)
-    else:
-        at = m.emit_fold(1)  # adopts v0, which is still virtual
-    m.emit_node(at, 3, SRC)
-    assert isinstance(m.left, int) and m.dump_log()[-1] == f"CAPTURE v{m.left} @3"
-    assert m.created == 0
-    m.commit(TxMark(0, None, 0), SRC)
-    assert m.created == 2
+def test_place_links_puts_indexed_links_and_drops_gaps():
+    first, a, b, c = (Node("d", i, i + 1, SRC) for i in range(4))
+    assert machine.place_links(first, [a, b]) == (first, a, b)
+    assert machine.place_links(None, [(3, a), (1, b), (3, c)]) == (b, c)
+    assert machine.place_links(first, [a, (0, b)]) == (b, a)
 
 
 def test_dump_log_format():

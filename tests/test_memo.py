@@ -130,6 +130,14 @@ def test_plain_nonterminal_hit_is_a_pure_advance():
     assert serialize(result.root) == "#token['abcy']"
 
 
+def test_the_start_goes_through_its_memo_point_and_counts_as_no_call():
+    # recognition makes every production a memo point, S included
+    session = ParseSession(parse_grammar("S = 'a' T / 'a' T 'x'\nT = 'b'"), b"ab", build_ast=False)
+    result = session.parse()
+    assert result.stats.memo_lookups == 2  # S at 0, T at 1
+    assert session.calls == 1
+
+
 def test_memoized_link_of_sometimes_creating_body():
     # V creates a node for digits but not for 'z': both outcomes are
     # stored and replayed faithfully.

@@ -128,6 +128,29 @@ def test_deep_nesting_raises_a_clean_error_and_frees_the_program():
     assert serialize(result.root) == "#add[#Integer['1'] #Integer['2']]"
 
 
+def deepest_nesting(grammar, **options):
+    """The most nested parentheses a parse follows, by bisection."""
+    low, high = 100, 8000  # parses, raises
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            ParseSession(grammar, b"(" * middle + b"1" + b")" * middle, **options).parse()
+            low = middle
+        except NestingLimitExceeded:
+            high = middle
+    return low
+
+
+def test_recognition_follows_as_deep_a_nesting_as_tree_building():
+    # A memoized production's call looks its result up itself, so erasing
+    # the tree operators, which makes every production a memo point, adds
+    # no frame per level.
+    grammar = parse_grammar(MATH)
+    deepest = deepest_nesting(grammar)
+    assert deepest > 1000
+    assert deepest_nesting(grammar, build_ast=False) == deepest
+
+
 def test_tree_dies_with_its_session_and_result():
     grammar = parse_grammar(MEMO_NODE)
     session = ParseSession(grammar, b"ay")

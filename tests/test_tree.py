@@ -10,7 +10,15 @@ import weakref
 
 import pytest
 
+from pegfold.grammar import parse_grammar
+from pegfold.interp import ParseSession
 from pegfold.tree import Node, NotationError, equals, parse_notation, serialize, to_json_dict
+
+MATH = """Expr = Sum
+Sum = Product {@ ( '+' #add / '-' #sub ) @Product }*
+Product = Value {@ ( '*' #mul / '/' #div) @Value }*
+Value = { [0-9]+ #Integer } / '(' Expr ')'
+"""
 
 
 def leaf(tag, text):
@@ -132,6 +140,27 @@ def test_equals_ignores_spans():
     x = Node("Int", 0, 2, b"12")
     y = Node("Int", 3, 5, b"...12", ())
     assert equals(x, y)
+
+
+def flat_sum(last=b"1", terms=30_000):
+    """The tree of ``1+1+...+last``: a left spine ``terms`` deep, past the
+    recursion limit."""
+    data = b"1+" * (terms - 1) + last
+    return ParseSession(parse_grammar(MATH), data).parse().root
+
+
+def test_equals_compares_trees_deeper_than_the_recursion_limit():
+    tree = flat_sum()
+    assert equals(tree, flat_sum())
+    assert not equals(tree, flat_sum(last=b"2"))
+
+
+def test_parse_notation_reads_trees_deeper_than_the_recursion_limit():
+    text = serialize(flat_sum())
+    assert text.startswith("#add[" * 29_999 + "#Integer['1'] #Integer['1']]")
+    tree = parse_notation(text)
+    assert equals(tree, flat_sum())
+    assert serialize(tree) == text
 
 
 def test_nodes_compare_by_identity():
