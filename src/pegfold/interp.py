@@ -1,32 +1,41 @@
 """The parsing engine: evaluates a grammar over input bytes.
 
-Expressions compile to closures of ``pos -> pos'``.  Success returns the
-new position; failure returns the bitwise complement of the position at
-which the attempt died (so backtrack distances can be accounted without
-carrying extra state).  A failed choice alternative, option body or
-repetition step, and every predicate body, adds its re-readable distance
-to the backtrack counter and leaves the position where it started;
-predicates restore it even on success.
+A grammar compiles to Python source with one function per production,
+named after it (``_mangle``), which ``compile`` and ``exec`` turn into a
+module whose globals hold the run state of a parse.  A production's
+function takes a position and returns the new one on success, or the
+bitwise complement of the position at which the attempt died (so backtrack
+distances can be accounted without carrying extra state).  Inside it every
+expression is inlined: terminals, classes, byte loops, sequences, choices,
+options, loops, predicates and tree operators.  A call of another
+production is the only Python call the generated code makes, besides the
+machine's methods for lazy constructors, ``place_links`` and the memo
+table.  A failed choice alternative, option body or repetition step, and
+every predicate body, adds its re-readable distance to the backtrack
+counter and leaves the position where it started; predicates restore it
+even on success.  A call site counts the call against the step limit.
 
 Only an attempt that can start at the next byte runs: a choice dispatches
 on that byte to the alternatives its lead mask (``analysis.lead_masks``)
 admits, and an option or loop tests it first.  A skipped attempt would
 have failed where it starts, so skipping it only moves the farthest
-failure there.
+failure there.  A byte test that such a guard has already decided is left
+out of the code under it.
 
 Tree operators never influence recognition, and build nodes on one of
 two paths:
 
 * An eager constructor (``analysis.eager_constructors``) is local: only
-  its own level changes its node.  It keeps ``[tag, links, indexed]`` in a
-  record of its own while its body runs, and builds its node from that as
-  it closes.  A ``#t`` at its level sets the record's tag, and a trailing
-  one beats it; an ``@Name`` there calls the production, puts the child in
-  the record and restores the left register, committing a lazily built
-  child at once and rolling back what the body logged if it fails.  A
-  *direct* constructor has nothing at its level but a trailing tag, so no
-  record either.  A ``{@ }`` that finds a virtual id in the register logs
-  its node instead (``Machine.emit_local_fold``).
+  its own level changes its node.  It keeps its record in locals of the
+  function, a tag, a list of links and whether any link is indexed, and
+  builds its node from them as it closes.  A ``#t`` at its level sets the
+  record's tag, and a trailing one beats it; an ``@Name`` there calls the
+  production, puts the child in the record and restores the left
+  register, committing a lazily built child at once and rolling back what
+  the body logged if it fails.  A *direct* constructor has nothing at its
+  level but a trailing tag, so no record either.  A ``{@ }`` that finds a
+  virtual id in the register logs its node instead
+  (``Machine.emit_local_fold``).
 * Every other constructor is lazy: its operators append entries to the
   machine's log, and a commit builds its node.
 
@@ -42,22 +51,27 @@ recognize mode, nothing gets one.
 With memoization enabled, ``@Name`` links at assigned memo points store
 the materialized node as soon as the body succeeds (the node already in
 the register if the body logged nothing else, or else the commit of its
-sub-transaction), and replay it on later hits at the same position;
-calls of tree-operator-free productions at memo points look their result
-up and store it as a plain position advance.  The start of a parse goes
-through such a call too, counted as none.
+sub-transaction), and replay it on later hits at the same position; a
+call of a tree-operator-free production at a memo point looks its result
+up at the call site and stores it as a plain advance.  The start of a
+parse goes through such a lookup too, counted as no call.
 
-A grammar is compiled once per ``(memo, build_ast)`` setting; the
-grammar keeps that program for every session.  Its closures reach the
-input, machine, memo table and counters through cells of the scope that
-made them, which a parse binds on entry and clears on exit.
+A grammar is compiled once per ``(memo, build_ast)`` setting; the grammar
+keeps that program for every session.  Equal productions give equal
+source, so grammars read from the same text share one compiled module
+(``_modules``), and each program ``exec``s it into globals of its own,
+which a parse binds on entry and clears on exit.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
+import keyword
 import sys
 import threading
 from dataclasses import asdict, dataclass
+from types import CodeType, FunctionType
 from typing import Callable, NamedTuple
 
 from .analysis import (
@@ -90,9 +104,9 @@ from .expr import (
     erase_tree_operators,
 )
 from .grammar import Grammar
-from .machine import Machine, NodeRef, TxMark, place_links
+from .machine import Machine, TxMark, place_links
 from .memo import DEFAULT_WINDOW, FAILED, MemoEntry, MemoTable
-from .tree import Node, unchecked_node
+from .tree import Node, _set_children, _set_end, _set_source, _set_start, _set_tag
 
 __all__ = [
     "ParseSession",
@@ -104,8 +118,11 @@ __all__ = [
     "Stats",
 ]
 
-_MIN_RECURSION_LIMIT = 20000
 _NO_STEP_LIMIT = sys.maxsize
+# A TxMark or MemoEntry without the named tuple's Python-level constructor,
+# and a Node the engine knows to be valid, to fill through the slot setters.
+_new_tuple = tuple.__new__
+_new_node = object.__new__
 
 
 class ParseError(Exception):
@@ -237,7 +254,9 @@ class ParseSession:
 
     def parse(self, start: str | None = None) -> ParseResult:
         """Parses from offset 0; raises :class:`ParseError` if the start fails
-        and :class:`NestingLimitExceeded` if the input nests too deeply.
+        and :class:`NestingLimitExceeded` if the input nests deeper than
+        the caller's recursion limit lets the parse follow (a frame per
+        production call), which the parse leaves as it is.
 
         Consuming only a prefix still succeeds; ``result.consumed`` tells
         how far the parse got (command-line strictness is layered on top).
@@ -245,20 +264,24 @@ class ParseSession:
         name = start if start is not None else self.grammar.start
         if name not in self.grammar.productions:
             raise KeyError(f"unknown start production {name!r}")
-        if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
-            sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
 
-        # The forward pass and commit recurse per nesting level.  A
-        # RecursionError unwinds through the program's ``finally``, which
-        # releases its lock and clears its cells.
+        # The forward pass and commit recurse per nesting level, as deep as
+        # the caller's recursion limit lets them.  A RecursionError unwinds
+        # through the program's ``finally``, which releases its lock and
+        # clears its globals.
         try:
             end = self._program.run(self, name)
             if end < 0:
                 raise ParseError(self.farthest)
             machine = self.machine
             root = machine.left
-            if root is None:
-                root = Node("token", 0, end, self.data, ())
+            if root is None:  # a token over what the parse consumed
+                root = _new_node(Node)
+                _set_tag(root, "token")
+                _set_start(root, 0)
+                _set_end(root, end)
+                _set_source(root, self.data)
+                _set_children(root, ())
                 machine.created += 1
             elif isinstance(root, Node) and not machine.log:
                 machine.first = []  # as a whole-log commit would
@@ -292,10 +315,14 @@ def _count_reachable(root: Node) -> int:
 class Program(NamedTuple):
     """A grammar compiled for one setting.  ``run(session, name)`` parses
     ``session.data``, one parse at a time, and leaves the machine, memo
-    table and counters on the session."""
+    table and counters on the session.  ``source`` is the generated module
+    and ``code`` its compiled form, shared by every program of a grammar
+    with equal productions."""
 
     plan: MemoPlan | None
     run: Callable[[ParseSession, str], int]
+    source: str
+    code: CodeType
 
 
 def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
@@ -323,590 +350,857 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
             {name: erase_tree_operators(body) for name, body in grammar.productions.items()},
             grammar.start,
         )
-    bodies = running.productions
     plan = assign_memo_points(running) if memo else None
-    eager = eager_constructors(running)
-    rollback = transactions(running, eager, plan.link_points if plan is not None else ())
-    builds, dirty = rollback.builds, rollback.dirty
-    lead = lead_masks(running)
-
-    # Run state, bound by run() for the length of one parse.
-    data: bytes | None = None
-    size = 0
-    machine: Machine | None = None
-    table: MemoTable | None = None
-    farthest = backtrack = calls = 0
-    limit = _NO_STEP_LIMIT
-    # The record of the innermost eager constructor running: [tag, links,
-    # indexed], where ``links`` holds each linked child, or ``(index,
-    # child)`` for an indexed link, and ``indexed`` says whether any is.
-    record: list | None = None
-    rules: dict[str, Callable[[int], int]] = {}
-    starts: dict[str, Callable[[int], int]] = {}
+    key = (tuple(grammar.productions.items()), memo, build_ast)
+    module = _modules.get(key)
+    if module is None:
+        source = generate(running, plan)
+        module = (source, compile(source, "<pegfold grammar>", "exec"))
+        with _modules_lock:
+            _modules[key] = module
+            if len(_modules) > _MAX_MODULES:
+                del _modules[next(iter(_modules))]  # the oldest
+    source, code = module
+    namespace = dict(_GLOBALS)
+    exec(code, namespace)
+    functions = {name: namespace[_mangle(name)] for name in running.productions}
+    points = plan.nonterminal_points if plan is not None else {}
     lock = threading.Lock()
 
-    # Savepoints as (save, abort) pairs: the machine's, or, at an eager
-    # constructor's level, where the machine does not change, its record's.
-    def save_record(_machine: Machine) -> tuple:
-        return record[0], len(record[1])
-
-    def abort_record(_machine: Machine, mark: tuple) -> None:
-        record[0] = mark[0]
-        del record[1][mark[1] :]
-
-    def savepoints(local: bool) -> tuple:
-        return (save_record, abort_record) if local else (Machine.save, Machine.abort)
-
-    def compile(e: Expression, local: bool = False) -> Callable[[int], int]:
-        """``e`` as a closure; ``local``: it runs at an eager constructor's level."""
-        match e:
-            case Empty():
-                return lambda pos: pos
-
-            case Terminal(text):
-                if len(text) == 1:
-                    byte = text[0]
-
-                    def run_byte(pos: int, _b=byte) -> int:
-                        nonlocal farthest
-                        if pos < size and data[pos] == _b:
-                            return pos + 1
-                        if pos > farthest:
-                            farthest = pos
-                        return ~pos
-
-                    return run_byte
-
-                width = len(text)
-
-                def run_text(pos: int, _t=text, _w=width) -> int:
-                    nonlocal farthest
-                    end = pos + _w
-                    if data[pos:end] == _t:
-                        return end
-                    if pos > farthest:
-                        farthest = pos
-                    return ~pos
-
-                return run_text
-
-            case CharClass() as cc:
-                membership = bytes(cc.membership_table())
-
-                def run_class(pos: int, _t=membership) -> int:
-                    nonlocal farthest
-                    if pos < size and _t[data[pos]]:
-                        return pos + 1
-                    if pos > farthest:
-                        farthest = pos
-                    return ~pos
-
-                return run_class
-
-            case AnyChar():
-
-                def run_any(pos: int) -> int:
-                    nonlocal farthest
-                    if pos < size:
-                        return pos + 1
-                    if pos > farthest:
-                        farthest = pos
-                    return ~pos
-
-                return run_any
-
-            case Nonterminal(name):
-                if plan is None or name not in plan.nonterminal_points:
-
-                    def run_call(pos: int, _n=name) -> int:
-                        nonlocal calls
-                        calls += 1
-                        if calls > limit:
-                            over_limit()
-                        return rules[_n](pos)
-
-                    return run_call
-
-                # A tree-operator-free production at a memo point: the call
-                # looks its result up and stores it, as a plain advance.
-                def run_memo_call(pos: int, _n=name, _p=plan.nonterminal_points[name]) -> int:
-                    nonlocal calls
-                    calls += 1
-                    if calls > limit:
-                        over_limit()
-                    entry = table.lookup(_p, pos)
-                    if entry is not None:
-                        return pos + entry.consumed if entry.ok else ~pos
-                    r = rules[_n](pos)
-                    if r >= 0:
-                        table.memoize(_p, pos, MemoEntry(True, r - pos, None))
-                    else:
-                        table.memoize(_p, pos, FAILED)
-                    return r
-
-                return run_memo_call
-
-            case Sequence(items):
-                parts = [compile(i, local) for i in items]
-                if len(parts) == 2:
-                    first, second = parts
-
-                    def run_pair(pos: int) -> int:
-                        pos = first(pos)
-                        if pos < 0:
-                            return pos
-                        return second(pos)
-
-                    return run_pair
-
-                def run_seq(pos: int, _parts=tuple(parts)) -> int:
-                    for part in _parts:
-                        pos = part(pos)
-                        if pos < 0:
-                            return pos
-                    return pos
-
-                return run_seq
-
-            case Choice(alternatives):
-                # Tries only the alternatives that can start at the next byte.
-                # A skipped one would fail where it starts, moving ``farthest``
-                # there: that needs doing only for skips ahead of the first
-                # one tried, since one tried and failed has moved it as far.
-                # Of the others, a dirty one runs under a savepoint; the last
-                # needs none, since a failure there is the choice's own.  When
-                # the last is skipped, the choice fails where it starts, as
-                # that one would have.
-                compiled = [(compile(a, local), dirty(a, local)) for a in alternatives[:-1]]
-                compiled.append((compile(alternatives[-1], local), False))
-                masks = [lead(a) for a in alternatives]
-                rows: dict[int, tuple] = {}  # next byte (256: end of input) -> (head, last, skips)
-                _save, _abort = savepoints(local)
-
-                def run_choice(pos: int) -> int:
-                    nonlocal backtrack, farthest
-                    b = data[pos] if pos < size else 256
-                    try:
-                        head, last, skips = rows[b]
-                    except KeyError:  # the first time this byte comes here
-                        fits = [mask is None or mask >> b & 1 for mask in masks]
-                        tried = [alt for alt, fit in zip(compiled, fits) if fit]
-                        last = tried.pop()[0] if fits[-1] else None
-                        rows[b] = head, last, skips = tuple(tried), last, not fits[0]
-                    if skips and pos > farthest:
-                        farthest = pos
-                    for alt, save in head:
-                        if save:
-                            mark = _save(machine)
-                        r = alt(pos)
-                        if r >= 0:
-                            return r
-                        backtrack += ~r - pos
-                        if save:
-                            _abort(machine, mark)
-                    return ~pos if last is None else last(pos)
-
-                return run_choice
-
-            case Option(body):
-                inner = compile(body, local)
-                _save, _abort = savepoints(local) if dirty(body, local) else (None, None)
-
-                def run_option(pos: int, _m=lead(body)) -> int:
-                    nonlocal backtrack, farthest
-                    if _m is None or pos < size and _m >> data[pos] & 1:
-                        if _save:
-                            mark = _save(machine)
-                        r = inner(pos)
-                        if r >= 0:
-                            return r
-                        backtrack += ~r - pos
-                        if _save:
-                            _abort(machine, mark)
-                    elif pos > farthest:
-                        farthest = pos  # as the body would have failed here
-                    return pos
-
-                return run_option
-
-            case ZeroOrMore(body):
-                return compile_star(body, local)
-
-            case OneOrMore(body):
-                return compile(Sequence((body, ZeroOrMore(body))), local)
-
-            # A predicate discards what its body did, so it needs a
-            # savepoint only when the body can change the machine.  At an
-            # eager constructor's level no body can.
-            case Not(body):
-                inner = compile(body, local)
-
-                def run_not(pos: int, _save=builds(body)) -> int:
-                    nonlocal backtrack, farthest
-                    if _save:
-                        mark = machine.save()
-                    r = inner(pos)
-                    if _save:
-                        machine.abort(mark)
-                    if r >= 0:
-                        backtrack += r - pos
-                        if pos > farthest:
-                            farthest = pos
-                        return ~pos
-                    backtrack += ~r - pos
-                    return pos
-
-                return run_not
-
-            case And(body):
-                inner = compile(body, local)
-
-                def run_and(pos: int, _save=builds(body)) -> int:
-                    nonlocal backtrack
-                    if _save:
-                        mark = machine.save()
-                    r = inner(pos)
-                    backtrack += (r if r >= 0 else ~r) - pos
-                    if _save:
-                        machine.abort(mark)
-                    return pos if r >= 0 else ~pos
-
-                return run_and
-
-            case Tag(name):
-                if local:
-
-                    def run_record_tag(pos: int, _n=name) -> int:
-                        record[0] = _n
-                        return pos
-
-                    return run_record_tag
-
-                def run_tag(pos: int, _n=name) -> int:
-                    machine.emit_tag(_n)
-                    return pos
-
-                return run_tag
-
-            case New(body) | LeftFold(body):
-                if id(e) in eager:
-                    return compile_eager(e)
-                inner = compile(body)
-                opener = Machine.emit_fold if isinstance(e, LeftFold) else Machine.emit_new
-
-                def run_constructor(pos: int, _open=opener) -> int:
-                    _open(machine, pos)
-                    r = inner(pos)
-                    if r >= 0:
-                        machine.emit_capture(r)
-                    return r
-
-                return run_constructor
-
-            case Link(body, index):
-                if local:
-                    return compile_record_link(body.name, index)
-                if (
-                    plan is not None
-                    and isinstance(body, Nonterminal)
-                    and body.name in plan.link_points
-                ):
-                    return memoized_link(body.name, index)
-                inner = compile(body)
-
-                def run_link(pos: int, _i=index) -> int:
-                    machine.push_left()
-                    r = inner(pos)
-                    if r < 0:
-                        machine.pop_left()
-                        return r
-                    machine.emit_link(_i)
-                    return r
-
-                return run_link
-
-        raise TypeError(f"cannot compile {e!r}")
-
-    def compile_eager(e: New | LeftFold) -> Callable[[int], int]:
-        """An eager constructor: its level writes a record, or nothing if it
-        is direct, and it builds its node from that as it closes.  A ``{@ }``
-        that finds a virtual id in the register logs the node instead."""
-        fold = isinstance(e, LeftFold)
-        body, tag = untagged(e.body)  # the node takes a trailing ``#t`` as it is built
-        # The constructor runs the items of its body itself, each ``e+`` as
-        # ``e`` then ``e*``: one frame fewer, so that tree building follows
-        # as deep a nesting as recognition.
-        items: list[Expression] = []
-        for item in body.items if isinstance(body, Sequence) else (body,):
-            if isinstance(item, OneOrMore):
-                items += (item.body, ZeroOrMore(item.body))
-            else:
-                items.append(item)
-        parts = tuple(compile(item, True) for item in items)
-
-        if not builds(body):  # direct: nothing at its level but a trailing tag
-
-            def run_direct(pos: int, _tag=tag, _fold=fold) -> int:
-                r = pos
-                for part in parts:
-                    r = part(r)
-                    if r < 0:
-                        return r
-                first = machine.left if _fold else None
-                if first is None:
-                    machine.left = unchecked_node(_tag or "token", pos, r, data, ())
-                elif type(first) is int:
-                    machine.emit_local_fold(pos, r, _tag, ())
-                    return r
-                else:
-                    machine.left = unchecked_node(_tag or "tree", pos, r, data, (first,))
-                machine.created += 1
-                return r
-
-            return run_direct
-
-        # The node is built in a helper: every level of a deep parse holds
-        # this frame, and a small one crosses fewer frame-stack chunks.
-        def run_record(pos: int, _tag=tag, _fold=fold) -> int:
-            nonlocal record
-            outer = record
-            record = rec = [None, [], False]
-            r = pos
-            for part in parts:
-                r = part(r)
-                if r < 0:
-                    break
-            record = outer
-            if r >= 0:
-                close_record(rec, pos, r, _tag, _fold)
-            return r
-
-        return run_record
-
-    def compile_record_link(name: str, index: int | None) -> Callable[[int], int]:
-        """``@Name`` at an eager constructor's level: puts the child in the
-        record and restores the register, committing a lazily built child at
-        once.  On failure it rolls back what the body logged itself.  At a
-        memo point it stores the child, and replays it on later hits."""
-        if plan is not None and name in plan.link_points:
-            return memoized_record_link(name, index)
-        if plan is not None and name in plan.nonterminal_points:
-            return compile(Nonterminal(name))  # builds nothing: a plain call
-
-        def run_record_link(pos: int, _n=name, _i=index) -> int:
-            nonlocal calls
-            prior = machine.left
-            base = len(machine.log)
-            # The link makes the production call itself, one frame fewer;
-            # undoing and committing are helpers, to keep this frame small.
-            calls += 1
-            if calls > limit:
-                over_limit()
-            r = rules[_n](pos)
-            if r < 0:
-                restore(base, prior)
-                return r
-            child = machine.left
-            if child != prior:  # else the body built nothing, so it logged nothing
-                if type(child) is not Node or len(machine.log) != base:
-                    child = settle(base, prior)
-                machine.left = prior
-                if _i is None:
-                    record[1].append(child)
-                else:
-                    record[1].append((_i, child))
-                    record[2] = True
-            return r
-
-        return run_record_link
-
-    def memoized_record_link(name: str, index: int | None) -> Callable[[int], int]:
-        """``compile_record_link`` at a memo point."""
-        point = plan.link_points[name]
-        body = compile(Nonterminal(name))
-
-        def run_memo_record_link(pos: int, _i=index) -> int:
-            entry = table.lookup(point, pos)
-            if entry is None:
-                prior = machine.left
-                base = len(machine.log)
-                r = body(pos)
-                if r < 0:
-                    table.memoize(point, pos, FAILED)
-                    restore(base, prior)
-                    return r
-                child = machine.left
-                if child == prior:  # the body built nothing, so it logged nothing
-                    table.memoize(point, pos, MemoEntry(True, r - pos, None))
-                    return r
-                if type(child) is not Node or len(machine.log) != base:
-                    child = settle(base, prior)
-                machine.left = prior
-                table.memoize(point, pos, MemoEntry(True, r - pos, child))
-            elif entry.ok:
-                child = entry.node
-                r = pos + entry.consumed
-                if child is None:
-                    return r
-            else:
-                return ~pos
-            if _i is None:
-                record[1].append(child)
-            else:
-                record[1].append((_i, child))
-                record[2] = True
-            return r
-
-        return run_memo_record_link
-
-    def close_record(rec: list, start: int, end: int, tag: str | None, fold: bool) -> None:
-        """Builds the node of a record constructor that succeeded; a trailing
-        ``tag`` beats those its level set."""
-        tag = tag or rec[0]
-        links = rec[1]
-        first = machine.left if fold else None
-        if type(first) is int:
-            machine.emit_local_fold(start, end, tag, links)
-            return
-        if rec[2]:
-            links = place_links(first, links)
-        elif first is not None:
-            links = (first, *links)
-        machine.left = unchecked_node(
-            tag or ("tree" if links else "token"), start, end, data, tuple(links)
-        )
-        machine.created += 1
-
-    def restore(base: int, prior: NodeRef) -> None:
-        """Undoes a failed link body: drops what it logged, restores the register."""
-        if len(machine.log) != base:
-            machine.abort(TxMark(base, prior, len(machine.stack)))
-        machine.left = prior
-
-    def settle(base: int, prior: NodeRef) -> Node:
-        """Commits what a link body logged since ``base``: its child, built."""
-        return machine.commit(TxMark(base, prior, len(machine.stack)), data)
-
-    def over_limit() -> None:
-        raise StepLimitExceeded(f"more than {limit} production calls")
-
-    def compile_star(body: Expression, local: bool) -> Callable[[int], int]:
-        # Byte loops: an iteration of these bodies tests one byte or one
-        # literal, so the loop needs no call per iteration.
-        if isinstance(body, CharClass):
-            membership = bytes(body.membership_table())
-
-            def run_scan(pos: int, _t=membership) -> int:
-                while pos < size and _t[data[pos]]:
-                    pos += 1
-                return pos
-
-            return run_scan
-        if isinstance(body, Terminal):
-            text = body.text
-            width = len(text)
-
-            def run_scan_text(pos: int, _t=text, _w=width) -> int:
-                while data[pos : pos + _w] == _t:
-                    pos += _w
-                return pos
-
-            return run_scan_text
-
-        inner = compile(body, local)
-        # A savepoint for a failed iteration, or for an empty one, whose
-        # entries are dropped too.
-        save = builds(body) and (dirty(body, local) or rollback.nullable(body))
-        _save, _abort = savepoints(local) if save else (None, None)
-
-        def run_star(pos: int, _m=lead(body)) -> int:
-            nonlocal backtrack, farthest
-            while _m is None or pos < size and _m >> data[pos] & 1:
-                if _save:
-                    mark = _save(machine)
-                r = inner(pos)
-                if r < 0:
-                    backtrack += ~r - pos
-                    if _save:
-                        _abort(machine, mark)
-                    return pos
-                if r == pos:
-                    if _save:
-                        _abort(machine, mark)  # empty iteration: drop its entries, stop
-                    return pos
-                pos = r
-            if pos > farthest:
-                farthest = pos  # as the body would have failed here
-            return pos
-
-        return run_star
-
-    def memoized_link(name: str, index: int | None) -> Callable[[int], int]:
-        """``@Name`` at a memo point: commit-on-success, store, replay on hit."""
-        point = plan.link_points[name]
-        body = compile(Nonterminal(name))
-
-        def run_memo_link(pos: int, _i=index) -> int:
-            machine.push_left()
-            entry = table.lookup(point, pos)
-            if entry is not None:
-                if not entry.ok:
-                    machine.pop_left()
-                    return ~pos
-                if entry.node is not None:
-                    machine.emit_link_node(entry.node, _i)
-                else:
-                    machine.pop_left()
-                return pos + entry.consumed
-            mark = machine.save()
-            r = body(pos)
-            if r < 0:
-                table.memoize(point, pos, FAILED)
-                machine.abort(mark)
-                machine.pop_left()
-                return r
-            if machine.left == mark.left:
-                # The body built nothing.  Memoize the bare advance, but
-                # only when it logged nothing a stored entry would lose.
-                if len(machine.log) == mark.log_index:
-                    table.memoize(point, pos, MemoEntry(True, r - pos, None))
-                machine.pop_left()
-                return r
-            node = machine.left
-            if not isinstance(node, Node) or len(machine.log) != mark.log_index:
-                node = machine.commit(mark, data)
-            table.memoize(point, pos, MemoEntry(True, r - pos, node))
-            machine.emit_link_node(node, _i)
-            return r
-
-        return run_memo_link
-
-    for name, body in bodies.items():
-        rules[name] = compile(body)
-
     def run(session: ParseSession, name: str) -> int:
-        nonlocal data, size, machine, table, farthest, backtrack, calls, limit, record
         with lock:
-            start = starts.get(name)
-            if start is None:
-                start = starts[name] = compile(Nonterminal(name))
-            # The start goes through a call, memo point included, that
-            # counts as none.
-            farthest = backtrack = 0
-            calls = -1
+            start = functions[name]
+            state = namespace
             try:
-                data = session.data
-                size = len(data)
-                machine = session.machine = Machine()
-                table = session.table = (
+                state["data"] = data = session.data
+                state["size"] = len(data)
+                state["machine"] = session.machine = Machine()
+                state["table"] = table = session.table = (
                     MemoTable(plan.count, session.window) if plan is not None else None
                 )
-                limit = _NO_STEP_LIMIT if session.max_steps is None else session.max_steps
-                return start(0)
+                state["limit"] = _NO_STEP_LIMIT if session.max_steps is None else session.max_steps
+                state["farthest"] = state["backtrack"] = state["calls"] = 0
+                enter = _on_fresh_stack if len(data) >= _FRESH_STACK_INPUT else _call
+                # The start is a call that counts as none, memo point included.
+                point = points.get(name)
+                if point is None:
+                    return enter(start, 0)
+                table.lookup(point, 0)  # a new table holds nothing
+                end = enter(start, 0)
+                entry = _new_tuple(MemoEntry, (True, end, None)) if end >= 0 else FAILED
+                table.memoize(point, 0, entry)
+                return end
             finally:
-                session.farthest, session.backtrack, session.calls = farthest, backtrack, calls
+                session.farthest = state["farthest"]
+                session.backtrack = state["backtrack"]
+                session.calls = state["calls"]
                 # Drop the input and the trees: the program outlives this parse.
-                data = machine = table = record = None
+                state["data"] = state["machine"] = state["table"] = None
 
-    program = grammar._programs[(memo, build_ast)] = Program(plan, run)
+    program = grammar._programs[(memo, build_ast)] = Program(plan, run, source, code)
     return program
+
+
+def generate(grammar: Grammar, plan: MemoPlan | None) -> str:
+    """The module of ``grammar``'s functions, with the memo points of ``plan``
+    (None: no memoization).  Expects a grammar that validates without
+    errors; the source depends on nothing else."""
+    eager = eager_constructors(grammar)
+    rollback = transactions(grammar, eager, plan.link_points if plan is not None else ())
+    return _Emitter(grammar, plan, eager, rollback, lead_masks(grammar)).module()
+
+
+# Generated modules by ``(productions, memo, build_ast)``: equal productions
+# give equal source, so grammars read from the same text share one module,
+# written and compiled once.  The oldest goes past ``_MAX_MODULES``.
+_modules: dict[tuple, tuple[str, CodeType]] = {}
+_modules_lock = threading.Lock()
+_MAX_MODULES = 64
+
+
+# What the generated functions find besides each other: the run state that
+# ``run`` binds per parse, and what they build and store.
+_GLOBALS: dict[str, object] = {
+    "data": None,
+    "size": 0,
+    "machine": None,
+    "table": None,
+    "limit": _NO_STEP_LIMIT,
+    "farthest": 0,
+    "backtrack": 0,
+    "calls": 0,
+    "Node": Node,
+    "TxMark": TxMark,
+    "MemoEntry": MemoEntry,
+    "FAILED": FAILED,
+    "StepLimitExceeded": StepLimitExceeded,
+    "place_links": place_links,
+    "_new": _new_node,
+    "_set_tag": _set_tag,
+    "_set_start": _set_start,
+    "_set_end": _set_end,
+    "_set_source": _set_source,
+    "_set_children": _set_children,
+    "_new_tuple": _new_tuple,
+}
+
+_RESERVED = frozenset(dir(builtins)) | frozenset(keyword.kwlist) | frozenset(_GLOBALS)
+
+
+def _mangle(name: str) -> str:
+    """A production's function name: the name itself where it is a plain
+    identifier, else ``_P_`` and its text with every other character than
+    an ASCII letter or digit written ``_HEX_``.
+
+    The name may clash with no keyword, builtin or engine global, start with
+    no underscore (the engine's own names do), and look like no local
+    (a lowercase letter and digits).
+    """
+    if (
+        name.isidentifier()
+        and name.isascii()
+        and name[0] != "_"
+        and name not in _RESERVED
+        and not ("a" <= name[0] <= "z" and (len(name) == 1 or name[1:].isdigit()))
+    ):
+        return name
+    return "_P_" + "".join(
+        ch if ch.isascii() and ch.isalnum() else f"_{ord(ch):X}_" for ch in name
+    )
+
+
+def _call(function: Callable[[int], int], pos: int) -> int:
+    return function(pos)
+
+
+# CPython 3.11 keeps Python frames in chunks of 16 KB, maps a chunk when a
+# call does not fit in the current one and unmaps it as soon as the call
+# returns.  A recursion that goes back and forth across a chunk's end pays
+# a map, an unmap and a page fault each time, and where that end lies
+# depends on how deep the caller's stack is.  This function's frame reserves
+# 25 KB it never touches, more than a chunk holds, so calling it maps a
+# chunk of 64 KB of its own, where the parse then has 39 KB to itself.  That
+# costs about as much as parsing a few hundred bytes, so only parses of
+# inputs of ``_FRESH_STACK_INPUT`` bytes or more start there.
+_on_fresh_stack = FunctionType(_call.__code__.replace(co_stacksize=3200), globals())
+_FRESH_STACK_INPUT = 1024
+
+
+@functools.lru_cache(maxsize=1024)
+def _ranges(mask: int) -> tuple[tuple[int, int], ...]:
+    """The runs of set bits of ``mask``, as inclusive ``(lo, hi)`` pairs."""
+    out = []
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        run = mask >> lo
+        width = (~run & (run + 1)).bit_length() - 1  # trailing ones
+        out.append((lo, lo + width - 1))
+        mask ^= ((1 << width) - 1) << lo
+    return tuple(out)
+
+
+# How deep a function's body may nest before an expression moves into a
+# helper function of its own: CPython allows 100 levels of indentation and
+# 20 nested loops per function.
+_MAX_INDENT = 24 * 4  # in spaces
+_MAX_LOOPS = 12
+_STEP = "    "
+_NESTING = (Sequence, Choice, Option, ZeroOrMore, OneOrMore, And, Not, New, LeftFold, Link)
+
+
+class _Function:
+    """A generated function: a production's, or a helper nested in one.
+    ``lines`` holds its body as indented text, a line or a few each."""
+
+    __slots__ = ("name", "indent", "lines", "globals", "nonlocals", "helpers", "loops")
+
+    def __init__(self, name: str, indent: str) -> None:
+        self.name = name
+        self.indent = indent  # of its body
+        self.lines: list[str] = []
+        self.globals: set[str] = set()
+        self.nonlocals: set[str] = set()
+        self.helpers: list[_Function] = []
+        self.loops = 0
+
+    def render(self, out: list[str]) -> None:
+        i = self.indent
+        out.append(f"{i[4:]}def {self.name}(p):")
+        if self.globals:
+            out.append(f"{i}global {', '.join(sorted(self.globals))}")
+        if self.nonlocals:
+            out.append(f"{i}nonlocal {', '.join(sorted(self.nonlocals))}")
+        for helper in self.helpers:
+            helper.render(out)
+        out.extend(self.lines)
+
+
+class _Record:
+    """The locals that hold an eager constructor's record: ``t`` its tag,
+    ``l`` its links (each a child, or ``(index, child)``), ``x`` whether
+    any link is indexed."""
+
+    __slots__ = ("owner", "tag", "links", "indexed", "used")
+
+    def __init__(self, owner: _Function, n: int) -> None:
+        self.owner = owner
+        self.tag, self.links, self.indexed = f"t{n}", f"l{n}", f"x{n}"
+        self.used: set[str] = set()
+
+    def use(self, var: str, fn: _Function, assigns: bool = False) -> str:
+        self.used.add(var)
+        if assigns and fn is not self.owner:
+            fn.nonlocals.add(var)
+        return var
+
+
+class _Emitter:
+    """Writes a grammar's module: one function per production.
+
+    ``emit(e, pv, i, fn, rec, known)`` appends to ``fn`` the statements
+    that run ``e`` from the position in variable ``pv`` at indentation
+    ``i``, inside the record ``rec`` of an eager constructor if any, and
+    returns ``(rv, fails)``: the variable holding the result, and whether
+    it can fail.  A result is a position, or the complement of the position
+    where the attempt died; one that can fail is in ``r``.  An expression
+    writes ``r`` and fresh names only, never ``pv`` or a variable its
+    caller holds.  ``known``, where given, is what a guard before the
+    expression established about the byte at ``pv`` (see ``guard``); a
+    byte test it decides is left out.
+    """
+
+    def __init__(self, grammar: Grammar, plan, eager, rollback, lead) -> None:
+        self.bodies = grammar.productions
+        self.link_points = plan.link_points if plan is not None else {}
+        self.nonterminal_points = plan.nonterminal_points if plan is not None else {}
+        self.eager = eager
+        self.builds, self.dirty, self.nullable = rollback
+        self.lead = lead
+        self.names = {name: _mangle(name) for name in self.bodies}
+        self.tables: dict[bytes, str] = {}
+        self.count = 0
+        self.kinds = {
+            Sequence: self.sequence,
+            Terminal: self.terminal,
+            Nonterminal: self.call,
+            Choice: self.choice,
+            CharClass: self.char_class,
+            ZeroOrMore: self.star,
+            OneOrMore: self.plus,
+            Option: self.option,
+            Tag: self.tag,
+            Link: self.link,
+            New: self.constructor,
+            LeftFold: self.constructor,
+            Not: self.not_,
+            And: self.and_,
+            AnyChar: self.any_char,
+            Empty: self.empty,
+        }
+
+    def module(self) -> str:
+        out: list[str] = []
+        for name, body in self.bodies.items():
+            self.count = 0
+            fn = _Function(self.names[name], _STEP)
+            rv, _ = self.emit(body, "p", _STEP, fn, None)
+            fn.lines.append(f"{_STEP}return {rv}")
+            fn.render(out)
+        tables = [f"{var} = {table!r}" for table, var in self.tables.items()]
+        return "\n".join(tables + out) + "\n"
+
+    def fresh(self, letter: str) -> str:
+        self.count += 1
+        return f"{letter}{self.count}"
+
+    def emit(self, e: Expression, pv: str, i: str, fn: _Function, rec, known=None) -> tuple[str, bool]:
+        if (len(i) - len(fn.indent) > _MAX_INDENT or fn.loops > _MAX_LOOPS) and isinstance(
+            e, _NESTING
+        ):
+            return self.helper(e, pv, i, fn, rec)
+        return self.kinds[type(e)](e, pv, i, fn, rec, known)
+
+    def helper(self, e: Expression, pv: str, i: str, fn: _Function, rec) -> tuple[str, bool]:
+        """``e`` in a function nested in ``fn``, which reaches a record of
+        ``fn`` through its closure."""
+        helper = _Function(self.fresh("h"), fn.indent + _STEP)
+        rv, fails = self.kinds[type(e)](e, "p", helper.indent, helper, rec, None)
+        helper.lines.append(f"{helper.indent}return {rv}")
+        fn.helpers.append(helper)
+        result = "r" if fails else self.fresh("s")
+        fn.lines.append(f"{i}{result} = {helper.name}({pv})")
+        return result, fails
+
+    # -- shared pieces -----------------------------------------------------
+
+    def stable(self, pv: str, i: str, fn: _Function) -> str:
+        """A variable holding ``pv``'s position that the code to come keeps."""
+        if pv != "r":
+            return pv
+        s = self.fresh("s")
+        fn.lines.append(f"{i}{s} = r")
+        return s
+
+    def reach(self, pv: str, i: str, fn: _Function) -> str:
+        """Text that moves the farthest failure to ``pv``."""
+        fn.globals.add("farthest")
+        return f"{i}if {pv} > farthest:\n{i}    farthest = {pv}"
+
+    def die(self, pv: str, i: str, fn: _Function) -> str:
+        """Text for an attempt that fails where it starts."""
+        return f"{self.reach(pv, i, fn)}\n{i}r = ~{pv}"
+
+    def backtrack(self, s: str, i: str, fn: _Function) -> str:
+        """Text that counts the re-readable distance of an attempt at ``s``
+        that failed as ``r``."""
+        fn.globals.add("backtrack")
+        return f"{i}backtrack += ~r - {s}"
+
+    def test(self, mask: int, value: str, bind: bool = True) -> tuple[str, str]:
+        """A condition that the byte ``value`` is in ``mask``, and, with
+        ``bind``, a variable holding the byte once it holds.  ``value`` may
+        be 256, the end of input, which no mask holds."""
+        ranges = _ranges(mask)
+        var = first = value
+        if not value.isidentifier() and (bind or len(ranges) > 1):
+            var = self.fresh("c")
+            first = f"({var} := {value})"
+        if len(ranges) > 3:
+            table = bytearray(257)
+            for lo, hi in ranges:
+                table[lo : hi + 1] = b"\1" * (hi + 1 - lo)
+            name = self.tables.setdefault(bytes(table), f"_t{len(self.tables)}")
+            return f"{name}[{first}]", var
+        tests = []
+        for lo, hi in ranges:
+            if lo == hi:
+                tests.append(f"{first} == {lo}")
+            elif lo == 0:
+                tests.append(f"{first} <= {hi}")
+            else:
+                tests.append(f"{lo} <= {first} <= {hi}")
+            first = var
+        return (tests[0] if len(tests) == 1 else f"({' or '.join(tests)})"), var
+
+    def guard(self, mask: int, s: str, known) -> tuple[str | None, tuple]:
+        """The condition that the byte at ``s`` is in ``mask`` (None: it
+        holds whatever the byte), and what the code under it knows of that
+        byte: ``(var, bytes)``, a variable holding it and a mask of the
+        values it can have.  ``known`` is the same for the byte at ``s``,
+        or None.  A mask of 0 says the condition never holds."""
+        if known is None:
+            cond, var = self.test(mask, f"data[{s}]")
+            return f"{s} < size and {cond}", (var, mask)
+        var, can = known
+        mask &= can
+        if mask == can or not mask:
+            return None, (var, mask)
+        return self.test(mask, var)[0], (var, mask)
+
+    def save(self, i: str, fn: _Function, rec) -> tuple[str, ...]:
+        """A savepoint: of the machine, or at an eager constructor's level,
+        where the machine does not change, of its record."""
+        if rec is None:
+            mark = self.fresh("m")
+            fn.lines.append(f"{i}{mark} = machine.save()")
+            return (mark,)
+        tag, count = self.fresh("m"), self.fresh("n")
+        fn.lines.append(
+            f"{i}{tag} = {rec.use(rec.tag, fn)}\n{i}{count} = len({rec.use(rec.links, fn)})"
+        )
+        return tag, count
+
+    def abort(self, mark: tuple[str, ...], i: str, fn: _Function, rec) -> str:
+        if rec is None:
+            return f"{i}machine.abort({mark[0]})"
+        return f"{i}{rec.use(rec.tag, fn, True)} = {mark[0]}\n{i}del {rec.links}[{mark[1]}:]"
+
+    # -- recognition ---------------------------------------------------------
+
+    def empty(self, e, pv, i, fn, rec, known):
+        return pv, False
+
+    def byte(self, mask: int, width: int, pv, i, fn, known, rest=None):
+        """A test of the byte at ``pv`` against ``mask``, advancing ``width``
+        on success; ``rest``, if given, tests what follows it."""
+        if known is None:
+            first = f"{pv} < size and {self.test(mask, f'data[{pv}]', False)[0]}"
+        else:
+            var, can = known
+            if not can & mask:
+                fn.lines.append(self.die(pv, i, fn))
+                return "r", True
+            first = None if can & ~mask == 0 else self.test(mask & can, var)[0]
+        test = " and ".join(c for c in (first, rest) if c)
+        if not test:
+            fn.lines.append(f"{i}r = {pv} + {width}")
+            return "r", False
+        fn.lines.append(
+            f"{i}if {test}:\n{i}    r = {pv} + {width}\n{i}else:\n{self.die(pv, i + _STEP, fn)}"
+        )
+        return "r", True
+
+    def terminal(self, e: Terminal, pv, i, fn, rec, known):
+        text = e.text
+        if len(text) == 1:
+            return self.byte(1 << text[0], 1, pv, i, fn, known)
+        if known is not None:
+            rest = f"data.startswith({text[1:]!r}, {pv} + 1)"
+            return self.byte(1 << text[0], len(text), pv, i, fn, known, rest)
+        fn.lines.append(
+            f"{i}if data.startswith({text!r}, {pv}):\n{i}    r = {pv} + {len(text)}\n"
+            f"{i}else:\n{self.die(pv, i + _STEP, fn)}"
+        )
+        return "r", True
+
+    def char_class(self, e: CharClass, pv, i, fn, rec, known):
+        return self.byte(self.lead(e), 1, pv, i, fn, known)
+
+    def any_char(self, e, pv, i, fn, rec, known):
+        if known is not None:
+            return self.byte(self.lead(e), 1, pv, i, fn, known)
+        fn.lines.append(f"{i}if {pv} < size:\n{i}    r = {pv} + 1\n{i}else:\n{self.die(pv, i + _STEP, fn)}")
+        return "r", True
+
+    def call(self, e: Nonterminal, pv, i, fn, rec=None, known=None):
+        """A production call: counted against the step limit, and at a memo
+        point of a production that builds nothing, looked up and stored as
+        a plain advance.  The call site does both, so that a hit makes no
+        call and every production takes one frame per level."""
+        fn.globals.add("calls")
+        count = (
+            f"{i}calls += 1\n{i}if calls > limit:\n"
+            f'{i}    raise StepLimitExceeded(f"more than {{limit}} production calls")'
+        )
+        point = self.nonterminal_points.get(e.name)
+        if point is None:
+            fn.lines.append(f"{count}\n{i}r = {self.names[e.name]}({pv})")
+            return "r", True
+        s = self.stable(pv, i, fn)
+        entry = self.fresh("e")
+        fn.lines.append(
+            f"{count}\n"
+            f"{i}{entry} = table.lookup({point}, {s})\n"
+            f"{i}if {entry} is None:\n"
+            f"{i}    r = {self.names[e.name]}({s})\n"
+            f"{i}    if r >= 0:\n"
+            f"{i}        table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))\n"
+            f"{i}    else:\n"
+            f"{i}        table.memoize({point}, {s}, FAILED)\n"
+            f"{i}elif {entry}[0]:\n"
+            f"{i}    r = {s} + {entry}[1]\n"
+            f"{i}else:\n"
+            f"{i}    r = ~{s}"
+        )
+        return "r", True
+
+    def sequence(self, e: Sequence, pv, i, fn, rec, known):
+        return self.items(e.items, pv, i, fn, rec, known)
+
+    def items(self, items, pv, i, fn, rec, known):
+        """One after another.  Each item after one that can fail runs under
+        ``if r >= 0``, so a sequence nests one level however long it is."""
+        lines = fn.lines
+        guard = f"{i}if r >= 0:"
+        level = i
+        fails = False
+        for item in items:
+            rv, item_fails = self.emit(item, pv, level, fn, rec, known)
+            if rv != pv or pv == "r":
+                known = None  # the next item starts elsewhere
+            pv = rv
+            if item_fails:
+                fails = True
+                if not lines or lines[-1] is not guard:
+                    lines.append(guard)
+                level = i + _STEP
+        if fails and pv != "r":
+            lines.append(f"{level}r = {pv}")
+            pv = "r"
+        if lines and lines[-1] is guard:  # nothing followed it
+            lines.pop()
+        return pv, fails
+
+    def choice(self, e: Choice, pv, i, fn, rec, known):
+        """Tries only the alternatives that can start at the next byte.  A
+        skipped one would fail where it starts, moving ``farthest`` there:
+        that needs doing only for a skipped first alternative, since one
+        tried and failed has moved it as far.  Of the others, a dirty one
+        runs under a savepoint; the last needs none, since a failure there
+        is the choice's own.  When the last is skipped, the choice fails
+        where it starts, as that one would have."""
+        add = fn.lines.append
+        alternatives = e.alternatives
+        s = self.stable(pv, i, fn)
+        masks = [self.lead(a) for a in alternatives]
+        if known is None:
+            for mask in masks:
+                if mask is not None:
+                    byte = self.fresh("c")
+                    add(f"{i}{byte} = data[{s}] if {s} < size else 256")
+                    known = (byte, (1 << 257) - 1)  # any byte, or the end
+                    break
+        j = i + _STEP
+        last = len(alternatives) - 1
+        for k, alternative in enumerate(alternatives):
+            inner = j
+            test, fits = None, known
+            if masks[k] is not None:
+                test, fits = self.guard(masks[k], s, known)
+                if not fits[1]:  # never fits: fails where it starts
+                    if k == 0:
+                        add(self.die(s, i, fn))
+                    elif k == last:
+                        add(f"{i}if r < 0:\n{j}r = ~{s}")
+                    continue
+            if k == 0:
+                if test is None:
+                    inner = i
+                else:
+                    add(f"{i}if {test}:")
+            elif k < last:
+                add(f"{i}if r < 0:" if test is None else f"{i}if r < 0 and {test}:")
+            elif test is None:
+                add(f"{i}if r < 0:")
+            else:
+                add(f"{i}if r < 0:\n{j}if {test}:")
+                inner = j + _STEP
+            save = k < last and self.dirty(alternative, rec is not None)
+            mark = self.save(inner, fn, rec) if save else None
+            rv, fails = self.emit(alternative, s, inner, fn, rec, fits)
+            if rv != "r":
+                add(f"{inner}r = {rv}")
+            if k < last and fails:
+                add(f"{inner}if r < 0:\n{self.backtrack(s, inner + _STEP, fn)}")
+                if mark:
+                    add(self.abort(mark, inner + _STEP, fn, rec))
+            if test is not None:
+                if k == 0:
+                    add(f"{i}else:\n{self.die(s, j, fn)}")
+                elif k == last:
+                    add(f"{j}else:\n{j}    r = ~{s}")
+        return "r", True
+
+    def option(self, e: Option, pv, i, fn, rec, known):
+        add = fn.lines.append
+        body = e.body
+        s = self.stable(pv, i, fn)
+        mask = self.lead(body)
+        test, fits = None, known
+        if mask is not None:
+            test, fits = self.guard(mask, s, known)
+            if not fits[1]:  # the body cannot start here
+                add(self.reach(s, i, fn))
+                return s, False
+        inner = i
+        if test is not None:
+            add(f"{i}if {test}:")
+            inner = i + _STEP
+        mark = self.save(inner, fn, rec) if self.dirty(body, rec is not None) else None
+        rv, fails = self.emit(body, s, inner, fn, rec, fits)
+        if not fails and test is None:
+            return rv, False
+        if rv != "r":
+            add(f"{inner}r = {rv}")
+        if fails:
+            add(f"{inner}if r < 0:\n{self.backtrack(s, inner + _STEP, fn)}")
+            if mark:
+                add(self.abort(mark, inner + _STEP, fn, rec))
+            add(f"{inner}    r = {s}")
+        if test is not None:
+            # As the body would have failed here.
+            add(f"{i}else:\n{self.reach(s, inner, fn)}\n{inner}r = {s}")
+        return "r", False
+
+    def star(self, e: ZeroOrMore, pv, i, fn, rec, known):
+        add = fn.lines.append
+        body = e.body
+        s = self.fresh("s")
+        j = i + _STEP
+        # Byte loops: an iteration of these bodies tests one byte or one
+        # literal, and a failed one moves nothing.
+        if isinstance(body, CharClass) or isinstance(body, Terminal) and len(body.text) == 1:
+            test = self.test(self.lead(body), f"data[{s}]", False)[0]
+            add(f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1")
+            return s, False
+        if isinstance(body, Terminal):
+            add(f"{i}{s} = {pv}\n{i}while data.startswith({body.text!r}, {s}):\n{j}{s} += {len(body.text)}")
+            return s, False
+        mask = self.lead(body)
+        test, fits = (None, None) if mask is None else self.guard(mask, s, None)
+        add(f"{i}{s} = {pv}\n{i}while True:" if test is None else f"{i}{s} = {pv}\n{i}while {test}:")
+        # A savepoint for a failed iteration, or for an empty one, whose
+        # entries are dropped too.
+        local = rec is not None
+        save = self.builds(body) and (self.dirty(body, local) or self.nullable(body))
+        mark = self.save(j, fn, rec) if save else None
+        fn.loops += 1
+        rv, fails = self.emit(body, s, j, fn, rec, fits)
+        fn.loops -= 1
+        k = j + _STEP
+        if fails:
+            add(f"{j}if r < 0:\n{self.backtrack(s, k, fn)}")
+            if mark:
+                add(self.abort(mark, k, fn, rec))
+            add(f"{k}break")
+        add(f"{j}if {rv} == {s}:")  # an empty iteration: drop its entries, stop
+        if mark:
+            add(self.abort(mark, k, fn, rec))
+        add(f"{k}break\n{j}{s} = {rv}")
+        if test is not None:
+            add(f"{i}else:\n{self.reach(s, j, fn)}")  # as the body would have failed here
+        return s, False
+
+    def plus(self, e: OneOrMore, pv, i, fn, rec, known):
+        return self.items((e.body, ZeroOrMore(e.body)), pv, i, fn, rec, known)
+
+    # A predicate discards what its body did, so it needs a savepoint only
+    # when the body can change the machine.  At an eager constructor's
+    # level no body can.
+
+    def not_(self, e: Not, pv, i, fn, rec, known):
+        add = fn.lines.append
+        s = self.stable(pv, i, fn)
+        mark = self.save(i, fn, None) if self.builds(e.body) else None
+        rv, fails = self.emit(e.body, s, i, fn, rec, known)
+        if mark:
+            add(self.abort(mark, i, fn, None))
+        fn.globals.add("backtrack")
+        if not fails:
+            add(f"{i}backtrack += {rv} - {s}\n{self.die(s, i, fn)}")
+            return "r", True
+        j = i + _STEP
+        add(
+            f"{i}if r >= 0:\n{j}backtrack += r - {s}\n{self.die(s, j, fn)}\n"
+            f"{i}else:\n{j}backtrack += ~r - {s}\n{j}r = {s}"
+        )
+        return "r", True
+
+    def and_(self, e: And, pv, i, fn, rec, known):
+        add = fn.lines.append
+        s = self.stable(pv, i, fn)
+        mark = self.save(i, fn, None) if self.builds(e.body) else None
+        rv, fails = self.emit(e.body, s, i, fn, rec, known)
+        if mark:
+            add(self.abort(mark, i, fn, None))
+        fn.globals.add("backtrack")
+        if not fails:
+            add(f"{i}backtrack += {rv} - {s}")
+            return s, False
+        j = i + _STEP
+        add(
+            f"{i}if r >= 0:\n{j}backtrack += r - {s}\n{j}r = {s}\n"
+            f"{i}else:\n{j}backtrack += ~r - {s}\n{j}r = ~{s}"
+        )
+        return "r", True
+
+    # -- tree building -------------------------------------------------------
+
+    def tag(self, e: Tag, pv, i, fn, rec, known):
+        if rec is not None:
+            fn.lines.append(f"{i}{rec.use(rec.tag, fn, True)} = {e.name!r}")
+        else:
+            fn.lines.append(f"{i}machine.emit_tag({e.name!r})")
+        return pv, False
+
+    def constructor(self, e: New | LeftFold, pv, i, fn, rec, known):
+        if id(e) in self.eager:
+            return self.eager_constructor(e, pv, i, fn, known)
+        add = fn.lines.append
+        opener = "emit_fold" if isinstance(e, LeftFold) else "emit_new"
+        add(f"{i}machine.{opener}({pv})")
+        rv, fails = self.emit(e.body, pv, i, fn, None, known)
+        if fails:
+            add(f"{i}if r >= 0:\n{i}    machine.emit_capture(r)")
+        else:
+            add(f"{i}machine.emit_capture({rv})")
+        return rv, fails
+
+    def eager_constructor(self, e: New | LeftFold, pv, i, fn, known):
+        """Its level writes a record, or nothing if it is direct, and it
+        builds its node from that as it closes.  A ``{@ }`` that finds a
+        virtual id in the register logs the node instead."""
+        add = fn.lines.append
+        fold = isinstance(e, LeftFold)
+        body, tag = untagged(e.body)  # the node takes a trailing ``#t`` as it is built
+        s = self.stable(pv, i, fn)
+        rec = None
+        if self.builds(body):
+            self.count += 1
+            rec = _Record(fn, self.count)
+            at = len(fn.lines)
+        rv, fails = self.emit(body, s, i, fn, rec, known)
+        given = repr(tag)  # the record's tag, which a trailing one beats
+        links = indexed = None
+        if rec is not None:  # its variables, as far as the body uses them
+            used = rec.used
+            init = []
+            if rec.tag in used:
+                init.append(f"{i}{rec.tag} = None")
+                if tag is None:
+                    given = rec.tag
+            if rec.links in used:
+                init.append(f"{i}{rec.links} = []")
+                links = rec.links
+            if rec.indexed in used:
+                init.append(f"{i}{rec.indexed} = False")
+                indexed = rec.indexed
+            fn.lines[at:at] = init
+        if fails:
+            add(f"{i}if r >= 0:")
+            i += _STEP
+        if fold:
+            add(
+                f"{i}k = machine.left\n{i}if type(k) is int:\n"
+                f"{i}    machine.emit_local_fold({s}, {rv}, {given}, {links or '()'})\n{i}else:"
+            )
+            i += _STEP
+            if links is None:
+                children = "(k,) if k is not None else ()"
+            else:
+                children = f"(k, *{links}) if k is not None else tuple({links})"
+                if indexed:
+                    children = f"place_links(k, {links}) if {indexed} else {children}"
+        elif links is None:
+            children = "()"
+        else:
+            children = f"tuple({links})"
+            if indexed:
+                children = f"place_links(None, {links}) if {indexed} else {children}"
+        default = "'token'" if children == "()" else "('tree' if k else 'token')"
+        node_tag = default if given == "None" else f"{given} or {default}" if tag is None else given
+        # Built through the slot descriptors, skipping ``Node.__init__``:
+        # the tag is not empty and the span lies in the input.
+        add(
+            f"{i}k = {children}\n"
+            f"{i}n = _new(Node)\n"
+            f"{i}_set_tag(n, {node_tag})\n"
+            f"{i}_set_start(n, {s})\n"
+            f"{i}_set_end(n, {rv})\n"
+            f"{i}_set_source(n, data)\n"
+            f"{i}_set_children(n, k)\n"
+            f"{i}machine.left = n\n"
+            f"{i}machine.created += 1"
+        )
+        return rv, fails
+
+    def link(self, e: Link, pv, i, fn, rec, known):
+        if rec is not None:
+            return self.record_link(e.body.name, e.index, pv, i, fn, rec)
+        body = e.body
+        if isinstance(body, Nonterminal) and body.name in self.link_points:
+            return self.memo_link(body.name, e.index, pv, i, fn)
+        add = fn.lines.append
+        add(f"{i}machine.push_left()")
+        rv, fails = self.emit(body, pv, i, fn, None, known)
+        if fails:
+            add(f"{i}if r < 0:\n{i}    machine.pop_left()\n{i}else:\n{i}    machine.emit_link({e.index})")
+        else:
+            add(f"{i}machine.emit_link({e.index})")
+        return rv, fails
+
+    def memo_link(self, name: str, index, pv, i, fn):
+        """``@Name`` at a memo point: commit-on-success, store, replay on hit."""
+        add = fn.lines.append
+        point = self.link_points[name]
+        s = self.stable(pv, i, fn)
+        entry, mark = self.fresh("e"), self.fresh("m")
+        j = i + _STEP
+        add(
+            f"{i}machine.push_left()\n"
+            f"{i}{entry} = table.lookup({point}, {s})\n"
+            f"{i}if {entry} is None:\n"
+            f"{j}{mark} = machine.save()"
+        )
+        self.call(Nonterminal(name), s, j, fn)
+        # When the body built nothing, the bare advance is memoized, but
+        # only if it logged nothing a stored entry would lose.
+        add(
+            f"{j}if r < 0:\n"
+            f"{j}    table.memoize({point}, {s}, FAILED)\n"
+            f"{j}    machine.abort({mark})\n"
+            f"{j}    machine.pop_left()\n"
+            f"{j}elif machine.left == {mark}[1]:\n"
+            f"{j}    if len(machine.log) == {mark}[0]:\n"
+            f"{j}        table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))\n"
+            f"{j}    machine.pop_left()\n"
+            f"{j}else:\n"
+            f"{j}    k = machine.left\n"
+            f"{j}    if type(k) is not Node or len(machine.log) != {mark}[0]:\n"
+            f"{j}        k = machine.commit({mark}, data)\n"
+            f"{j}    table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, k)))\n"
+            f"{j}    machine.emit_link_node(k, {index})\n"
+            f"{i}elif {entry}[0]:\n"
+            f"{j}if {entry}[2] is not None:\n"
+            f"{j}    machine.emit_link_node({entry}[2], {index})\n"
+            f"{j}else:\n"
+            f"{j}    machine.pop_left()\n"
+            f"{j}r = {s} + {entry}[1]\n"
+            f"{i}else:\n"
+            f"{j}machine.pop_left()\n"
+            f"{j}r = ~{s}"
+        )
+        return "r", True
+
+    def record_link(self, name: str, index, pv, i, fn, rec):
+        """``@Name`` at an eager constructor's level: puts the child in the
+        record and restores the register, committing a lazily built child
+        at once.  On failure it rolls back what the body logged itself.  At
+        a memo point it stores the child, and replays it on later hits."""
+        add = fn.lines.append
+        point = self.link_points.get(name)
+        if point is None and name in self.nonterminal_points:
+            return self.call(Nonterminal(name), pv, i, fn)  # builds nothing
+        s = self.stable(pv, i, fn)
+        links = rec.use(rec.links, fn)
+        put = f"{links}.append(k)"
+        if index is not None:
+            put = f"{links}.append(({index}, k))\n{{0}}{rec.use(rec.indexed, fn, True)} = True"
+        prior, base = self.fresh("q"), self.fresh("b")
+        mark = f"_new_tuple(TxMark, ({base}, {prior}, len(machine.stack)))"
+        d = i
+        if point is not None:
+            entry = self.fresh("e")
+            add(f"{i}{entry} = table.lookup({point}, {s})\n{i}if {entry} is None:")
+            d = i + _STEP
+        add(f"{d}{prior} = machine.left\n{d}{base} = len(machine.log)")
+        self.call(Nonterminal(name), s, d, fn)
+        e1, e2, e3 = d + _STEP, d + 2 * _STEP, d + 3 * _STEP
+        add(
+            f"{d}if r < 0:\n"
+            + (f"{e1}table.memoize({point}, {s}, FAILED)\n" if point is not None else "")
+            + f"{e1}if len(machine.log) != {base}:\n"
+            f"{e2}machine.abort({mark})\n"
+            f"{e1}machine.left = {prior}\n"
+            f"{d}else:\n"
+            f"{e1}k = machine.left\n"
+            + (
+                # The body built nothing, so it logged nothing.
+                f"{e1}if k == {prior}:\n"
+                f"{e2}table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))\n"
+                f"{e1}else:\n"
+                if point is not None
+                else f"{e1}if k != {prior}:\n"
+            )
+            + f"{e2}if type(k) is not Node or len(machine.log) != {base}:\n"
+            f"{e3}k = machine.commit({mark}, data)\n"
+            f"{e2}machine.left = {prior}\n"
+            + (
+                f"{e2}table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, k)))\n"
+                if point is not None
+                else ""
+            )
+            + f"{e2}{put.format(e2)}"
+        )
+        if point is not None:
+            j = i + _STEP
+            add(
+                f"{i}elif {entry}[0]:\n"
+                f"{j}r = {s} + {entry}[1]\n"
+                f"{j}k = {entry}[2]\n"
+                f"{j}if k is not None:\n"
+                f"{j}    {put.format(j + _STEP)}\n"
+                f"{i}else:\n"
+                f"{j}r = ~{s}"
+            )
+        return "r", True

@@ -71,32 +71,13 @@ class Node:
         return f"<Node {serialize(self)}>"
 
 
-# __setattr__ refuses every write, so __init__ stores through the slot
-# descriptors themselves.
+# __setattr__ refuses every write, so __init__, and the engine where it
+# builds a node it knows to be valid, store through the slot descriptors.
 _set_tag = Node.tag.__set__
 _set_start = Node.start.__set__
 _set_end = Node.end.__set__
 _set_source = Node.source.__set__
 _set_children = Node.children.__set__
-_new = object.__new__
-
-
-def unchecked_node(
-    tag: str, start: int, end: int, source: bytes, children: tuple[Node, ...]
-) -> Node:
-    """A node whose tag and span the caller has already made valid.
-
-    The engine builds nodes at the close of an eager constructor from a
-    non-empty tag and a span inside the input; this skips the checks of
-    ``Node.__init__`` and its call.
-    """
-    node = _new(Node)
-    _set_tag(node, tag)
-    _set_start(node, start)
-    _set_end(node, end)
-    _set_source(node, source)
-    _set_children(node, children)
-    return node
 
 
 class NotationError(ValueError):

@@ -140,6 +140,21 @@ def test_parse_failure_exit_and_position(math_peg, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["parse", "bench"])
+def test_commands_nest_deeper_than_the_library_and_restore_the_limit(
+    command, math_peg, tmp_path, capsys
+):
+    # 1,000 nested parentheses take about 4,000 frames: past the default
+    # recursion limit a library parse runs under, well inside the
+    # command's own.
+    limit = sys.getrecursionlimit()
+    deep = write_input(tmp_path, b"(" * 1000 + b"1" + b")" * 1000)
+    args = [command, math_peg, deep] + (["--iterations", "1"] if command == "bench" else [])
+    assert run(args) == 0
+    assert sys.getrecursionlimit() == limit
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["parse", "bench"])
 def test_deep_nesting_exits_with_a_one_line_error(command, math_peg, tmp_path, capsys):
     deep = write_input(tmp_path, b"(" * 5000 + b"1" + b")" * 5000)
     assert run([command, math_peg, deep]) == 1

@@ -45,10 +45,21 @@ def outcome(grammar, data, **options):
 
 
 def run_state(grammar, memo=True, build_ast=True):
-    """What the grammar's program holds between parses."""
+    """What the grammar's program holds between parses: the globals of its
+    generated functions."""
     program = grammar._programs[(memo, build_ast)]
-    state = inspect.getclosurevars(program.run).nonlocals
+    state = inspect.getclosurevars(program.run).nonlocals["namespace"]
     return state["data"], state["machine"], state["table"]
+
+
+@pytest.fixture
+def deep_stack():
+    """A recursion limit deep enough for thousands of nested parentheses,
+    as the command line sets one; the caller's limit comes back after."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    yield
+    sys.setrecursionlimit(saved)
 
 
 def math_input(i):
@@ -115,7 +126,7 @@ def test_program_keeps_no_input_or_tree_after_a_parse(text, data, raises):
     assert run_state(grammar) == (None, None, None)
 
 
-def test_deep_nesting_raises_a_clean_error_and_frees_the_program():
+def test_deep_nesting_raises_a_clean_error_and_frees_the_program(deep_stack):
     grammar = parse_grammar(MATH)
     with pytest.raises(NestingLimitExceeded) as caught:
         ParseSession(grammar, b"(" * 5000 + b"1" + b")" * 5000).parse()
@@ -141,7 +152,7 @@ def deepest_nesting(grammar, **options):
     return low
 
 
-def test_recognition_follows_as_deep_a_nesting_as_tree_building():
+def test_recognition_follows_as_deep_a_nesting_as_tree_building(deep_stack):
     # A memoized production's call looks its result up itself, so erasing
     # the tree operators, which makes every production a memo point, adds
     # no frame per level.
