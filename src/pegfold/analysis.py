@@ -646,26 +646,16 @@ def transactions(
     Expects a grammar that validates without errors.
     """
     _, nullable, reach, _, _, _ = _facts(grammar)
-    # Answers by ``id``, each kept with its expression so that the id stays
-    # that expression's while the answers are asked for.
-    built: dict[int, tuple[Expression, bool]] = {}
 
     def builds(e: Expression) -> bool:
-        known = built.get(id(e))
-        if known is not None:
-            return known[1]
-        answer = False
         if isinstance(e, (And, Not)):
-            pass  # a predicate drops what its body did
-        elif _builds(e, reach):
-            answer = True
-        else:
-            for c in subexpressions(e):
-                if builds(c):
-                    answer = True
-                    break
-        built[id(e)] = (e, answer)
-        return answer
+            return False  # a predicate drops what its body did
+        if _builds(e, reach):
+            return True
+        for c in subexpressions(e):
+            if builds(c):
+                return True
+        return False
 
     def can_be_empty(e: Expression) -> bool:
         return _expr_nullable(e, nullable)
@@ -699,15 +689,7 @@ def transactions(
         return False  # cannot fail, cannot build, or rolls back itself
 
     dirty = _least_fixpoint(grammar.productions, dirty_in)
-    answers: dict[tuple[int, bool], tuple[Expression, bool]] = {}
-
-    def dirty_at(e: Expression, local: bool = False) -> bool:
-        known = answers.get((id(e), local))
-        if known is None:
-            known = answers[id(e), local] = (e, dirty_in(e, dirty, local))
-        return known[1]
-
-    return Transactions(builds, dirty_at, can_be_empty)
+    return Transactions(builds, lambda e, local=False: dirty_in(e, dirty, local), can_be_empty)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +748,6 @@ def lead_masks(grammar: Grammar) -> Callable[[Expression], int | None]:
     """
     productions = grammar.productions
     masks: dict[str, int] = {}
-    leads: dict[int, tuple[Expression, int | None]] = {}  # by id, as in ``transactions``
 
     def production(name: str) -> int:
         mask = masks.get(name)
@@ -776,10 +757,7 @@ def lead_masks(grammar: Grammar) -> Callable[[Expression], int | None]:
         return mask
 
     def lead(e: Expression) -> int | None:
-        known = leads.get(id(e))
-        if known is None:
-            mask = _first(e, production)
-            known = leads[id(e)] = (e, None if mask > _ANY_BYTE else mask)
-        return known[1]
+        mask = _first(e, production)
+        return None if mask > _ANY_BYTE else mask
 
     return lead

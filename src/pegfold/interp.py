@@ -57,9 +57,9 @@ up at the call site and stores it as a plain advance.  The start of a
 parse goes through such a lookup too, counted as no call.
 
 A grammar is compiled once per ``(memo, build_ast)`` setting; the grammar
-keeps that program for every session.  Equal productions give equal
-source, so grammars read from the same text share one compiled module
-(``_modules``), and each program ``exec``s it into globals of its own,
+keeps that program for every session.  Grammars with equal productions
+share one memo plan and compiled module (``_compiled``), analysed, written
+and compiled once, and each program ``exec``s it into globals of its own,
 which a parse binds on entry and clears on exit.
 """
 
@@ -341,29 +341,10 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
         if problems:
             raise InvalidGrammarError(problems)
 
-    # The analyses see what actually runs: with tree building off, links
-    # are gone, every production is a plain-advance candidate memo point
-    # and nothing needs a savepoint.
-    running = grammar
-    if not build_ast:
-        running = Grammar(
-            {name: erase_tree_operators(body) for name, body in grammar.productions.items()},
-            grammar.start,
-        )
-    plan = assign_memo_points(running) if memo else None
-    key = (tuple(grammar.productions.items()), memo, build_ast)
-    module = _modules.get(key)
-    if module is None:
-        source = generate(running, plan)
-        module = (source, compile(source, "<pegfold grammar>", "exec"))
-        with _modules_lock:
-            _modules[key] = module
-            if len(_modules) > _MAX_MODULES:
-                del _modules[next(iter(_modules))]  # the oldest
-    source, code = module
+    plan, source, code = _compiled(tuple(grammar.productions.items()), memo, build_ast)
     namespace = dict(_GLOBALS)
     exec(code, namespace)
-    functions = {name: namespace[_mangle(name)] for name in running.productions}
+    functions = {name: namespace[_mangle(name)] for name in grammar.productions}
     points = plan.nonterminal_points if plan is not None else {}
     lock = threading.Lock()
 
@@ -410,12 +391,23 @@ def generate(grammar: Grammar, plan: MemoPlan | None) -> str:
     return _Emitter(grammar, plan, eager, rollback, lead_masks(grammar)).module()
 
 
-# Generated modules by ``(productions, memo, build_ast)``: equal productions
-# give equal source, so grammars read from the same text share one module,
-# written and compiled once.  The oldest goes past ``_MAX_MODULES``.
-_modules: dict[tuple, tuple[str, CodeType]] = {}
-_modules_lock = threading.Lock()
-_MAX_MODULES = 64
+@functools.lru_cache(maxsize=64)
+def _compiled(
+    productions: tuple[tuple[str, Expression], ...], memo: bool, build_ast: bool
+) -> tuple[MemoPlan | None, str, CodeType]:
+    """The memo plan, module source and code for a grammar's productions in
+    one setting.  Equal productions give equal source, so grammars read from
+    the same text share them, analysed, written and compiled once."""
+    # The analyses see what actually runs: with tree building off, links
+    # are gone, every production is a plain-advance candidate memo point
+    # and nothing needs a savepoint.
+    bodies = dict(productions)
+    if not build_ast:
+        bodies = {name: erase_tree_operators(body) for name, body in bodies.items()}
+    running = Grammar(bodies)
+    plan = assign_memo_points(running) if memo else None
+    source = generate(running, plan)
+    return plan, source, compile(source, "<pegfold grammar>", "exec")
 
 
 # What the generated functions find besides each other: the run state that
@@ -479,9 +471,15 @@ def _call(function: Callable[[int], int], pos: int) -> int:
 # a map, an unmap and a page fault each time, and where that end lies
 # depends on how deep the caller's stack is.  This function's frame reserves
 # 25 KB it never touches, more than a chunk holds, so calling it maps a
-# chunk of 64 KB of its own, where the parse then has 39 KB to itself.  That
-# costs about as much as parsing a few hundred bytes, so only parses of
-# inputs of ``_FRESH_STACK_INPUT`` bytes or more start there.
+# chunk of 64 KB of its own, where the parse then has 39 KB to itself.
+#
+# That costs 9-19 us a parse (2 vCPUs, CPython 3.11.7).  Averaged over 16
+# caller stack depths 1 KB apart, parses of the math, depth-3 math,
+# JSON-like and A5 grammars, with trees and without, started to win it
+# back somewhere between 87 bytes and 1 KB of input: at 512 bytes A5's
+# grammar and depth-3 math with trees still ran 2-4% slower on a fresh
+# chunk, and from 1 KB on no case did.  Input length stands in for
+# nesting, which a parse only learns as it goes.
 _on_fresh_stack = FunctionType(_call.__code__.replace(co_stacksize=3200), globals())
 _FRESH_STACK_INPUT = 1024
 
