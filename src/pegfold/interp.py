@@ -397,7 +397,8 @@ def _compiled(
 ) -> tuple[MemoPlan | None, str, CodeType]:
     """The memo plan, module source and code for a grammar's productions in
     one setting.  Equal productions give equal source, so grammars read from
-    the same text share them, analysed, written and compiled once."""
+    the same text share them, analysed, written and compiled once; their
+    sessions read one ``MemoPlan``, which nothing changes."""
     # The analyses see what actually runs: with tree building off, links
     # are gone, every production is a plain-advance candidate memo point
     # and nothing needs a savepoint.
