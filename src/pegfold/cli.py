@@ -6,7 +6,7 @@ Three commands over a grammar file:
 * ``pegfold parse GRAMMAR INPUT`` -- parse and print the tree (textual
   notation or JSON), optionally with engine statistics;
 * ``pegfold bench GRAMMAR INPUT`` -- best-of-N wall times for pure
-  recognition and full tree construction.
+  recognition and full tree construction, the two parsed in turn.
 
 ``INPUT`` may be ``-`` for standard input.  Exit codes: 0 success,
 1 grammar errors / unknown ``--start`` production / parse failure /
@@ -18,8 +18,8 @@ so they raise it to ``RECURSION_LIMIT`` while they run and put it back
 after.  With the math grammar of the README (CPython 3.11.7) both follow
 4,996 nested parentheses, against 247 for a library parse at Python's
 default limit of 1,000.  The memoized recognition pass of ``bench`` makes
-every production a memo point, looked up at the call site with no frame
-more, so it follows as deep as ``parse``.
+every production a memo point, which each production looks up in its own
+frame, so it follows as deep as ``parse``.
 """
 
 from __future__ import annotations
@@ -203,17 +203,6 @@ def _dumps(payload: dict) -> str:
     return "".join(parts)
 
 
-def _best_time(session: ParseSession, start: str | None, iterations: int) -> float:
-    best = None
-    for _ in range(iterations):
-        began = time.perf_counter()
-        session.parse(start)
-        elapsed = time.perf_counter() - began
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
-
-
 def cmd_bench(config: CliConfig) -> int:
     grammar = _checked_grammar(config)
     if isinstance(grammar, int):
@@ -222,20 +211,24 @@ def cmd_bench(config: CliConfig) -> int:
     if isinstance(data, int):
         return data
     modes = ("recognize", "ast") if config.mode == "both" else (config.mode,)
-    times: dict[str, float] = {}
-    for mode in modes:
-        session = ParseSession(
-            grammar,
-            data,
-            memo=config.memo,
-            window=config.window,
-            build_ast=(mode == "ast"),
+    sessions = {
+        mode: ParseSession(
+            grammar, data, memo=config.memo, window=config.window, build_ast=(mode == "ast")
         )
-        try:
-            times[mode] = _best_time(session, config.start, config.iterations)
-        except ParseError as exc:
-            print(f"error: {exc.reason} at byte offset {exc.position}", file=sys.stderr)
-            return FAILURE
+        for mode in modes
+    }
+    # The modes take turns parse by parse, so a slow spell of the host
+    # falls on both; each keeps its best time.
+    times = dict.fromkeys(modes, float("inf"))
+    try:
+        for _ in range(config.iterations):
+            for mode, session in sessions.items():
+                began = time.perf_counter()
+                session.parse(config.start)
+                times[mode] = min(times[mode], time.perf_counter() - began)
+    except ParseError as exc:
+        print(f"error: {exc.reason} at byte offset {exc.position}", file=sys.stderr)
+        return FAILURE
     for mode in modes:
         print(f"{mode}_best_s: {times[mode]:.6f}")
     if len(times) == 2 and times["recognize"] > 0:

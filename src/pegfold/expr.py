@@ -83,14 +83,6 @@ class CharClass(Expression):
             if not (0 <= lo <= hi <= 0xFF):
                 raise ValueError(f"invalid byte range {lo}-{hi}")
 
-    def membership_table(self) -> bytearray:
-        """256-entry byte membership table, indexed by byte value."""
-        table = bytearray(256)
-        for lo, hi in self.ranges:
-            for b in range(lo, hi + 1):
-                table[b] = 1
-        return table
-
 
 @dataclass(frozen=True, slots=True)
 class AnyChar(Expression):

@@ -13,7 +13,8 @@ machine's methods for lazy constructors, ``place_links`` and the memo
 table.  A failed choice alternative, option body or repetition step, and
 every predicate body, adds its re-readable distance to the backtrack
 counter and leaves the position where it started; predicates restore it
-even on success.  A call site counts the call against the step limit.
+even on success.  Each function opens with a prologue that counts its call
+against the step limit.
 
 Only an attempt that can start at the next byte runs: a choice dispatches
 on that byte to the alternatives its lead mask (``analysis.lead_masks``)
@@ -51,10 +52,12 @@ recognize mode, nothing gets one.
 With memoization enabled, ``@Name`` links at assigned memo points store
 the materialized node as soon as the body succeeds (the node already in
 the register if the body logged nothing else, or else the commit of its
-sub-transaction), and replay it on later hits at the same position; a
-call of a tree-operator-free production at a memo point looks its result
-up at the call site and stores it as a plain advance.  The start of a
-parse goes through such a lookup too, counted as no call.
+sub-transaction), and replay it on later hits at the same position.  A
+tree-operator-free production at a memo point looks itself up in its
+prologue, returning at once on a hit, and stores its result as a plain
+advance before it returns; the start of a parse is no different, and
+counts as no call.  Only an ``@Name`` site may make a stored node final,
+so link points keep their lookups at the call site.
 
 A grammar is compiled once per ``(memo, build_ast)`` setting; the grammar
 keeps that program for every session.  Grammars with equal productions
@@ -221,7 +224,8 @@ class ParseSession:
     byte positions).  ``build_ast=False`` strips all tree operators at
     compile time: recognition behavior is identical, no nodes are built.
     ``max_steps`` bounds production invocations per parse as a runaway
-    guard (:class:`StepLimitExceeded`).
+    guard (:class:`StepLimitExceeded`); the start counts as none, and a
+    negative bound raises ``ValueError``.
     """
 
     def __init__(
@@ -234,6 +238,8 @@ class ParseSession:
         build_ast: bool = True,
         max_steps: int | None = None,
     ):
+        if max_steps is not None and max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         self._program = program_for(grammar, memo=memo, build_ast=build_ast)
         self.plan = self._program.plan
         self.grammar = grammar
@@ -345,7 +351,6 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
     namespace = dict(_GLOBALS)
     exec(code, namespace)
     functions = {name: namespace[_mangle(name)] for name in grammar.productions}
-    points = plan.nonterminal_points if plan is not None else {}
     lock = threading.Lock()
 
     def run(session: ParseSession, name: str) -> int:
@@ -360,17 +365,10 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
                     MemoTable(plan.count, session.window) if plan is not None else None
                 )
                 state["limit"] = _NO_STEP_LIMIT if session.max_steps is None else session.max_steps
-                state["farthest"] = state["backtrack"] = state["calls"] = 0
+                state["farthest"] = state["backtrack"] = 0
+                state["calls"] = -1  # the start counts its own call as none
                 enter = _on_fresh_stack if len(data) >= _FRESH_STACK_INPUT else _call
-                # The start is a call that counts as none, memo point included.
-                point = points.get(name)
-                if point is None:
-                    return enter(start, 0)
-                table.lookup(point, 0)  # a new table holds nothing
-                end = enter(start, 0)
-                entry = _new_tuple(MemoEntry, (True, end, None)) if end >= 0 else FAILED
-                table.memoize(point, 0, entry)
-                return end
+                return enter(start, 0)
             finally:
                 session.farthest = state["farthest"]
                 session.backtrack = state["backtrack"]
@@ -602,7 +600,23 @@ class _Emitter:
         for name, body in self.bodies.items():
             self.count = 0
             fn = _Function(self.names[name], _STEP)
-            rv, _ = self.emit(body, "p", _STEP, fn, None)
+            fn.globals.add("calls")
+            fn.lines.append(
+                f"{_STEP}calls += 1\n{_STEP}if calls > limit:\n"
+                f'{_STEP}    raise StepLimitExceeded(f"more than {{limit}} production calls")'
+            )
+            point = self.nonterminal_points.get(name)
+            if point is not None:  # builds nothing: a hit is a plain advance
+                fn.lines.append(
+                    f"{_STEP}e = table.lookup({point}, p)\n{_STEP}if e is not None:\n"
+                    f"{_STEP}    return p + e[1] if e[0] else ~p"
+                )
+            rv, fails = self.emit(body, "p", _STEP, fn, None)
+            if point is not None:
+                entry = f"_new_tuple(MemoEntry, (True, {rv} - p, None))"
+                if fails:
+                    entry += f" if {rv} >= 0 else FAILED"
+                fn.lines.append(f"{_STEP}table.memoize({point}, p, {entry})")
             fn.lines.append(f"{_STEP}return {rv}")
             fn.render(out)
         tables = [f"{var} = {table!r}" for table, var in self.tables.items()]
@@ -762,35 +776,9 @@ class _Emitter:
         return "r", True
 
     def call(self, e: Nonterminal, pv, i, fn, rec=None, known=None):
-        """A production call: counted against the step limit, and at a memo
-        point of a production that builds nothing, looked up and stored as
-        a plain advance.  The call site does both, so that a hit makes no
-        call and every production takes one frame per level."""
-        fn.globals.add("calls")
-        count = (
-            f"{i}calls += 1\n{i}if calls > limit:\n"
-            f'{i}    raise StepLimitExceeded(f"more than {{limit}} production calls")'
-        )
-        point = self.nonterminal_points.get(e.name)
-        if point is None:
-            fn.lines.append(f"{count}\n{i}r = {self.names[e.name]}({pv})")
-            return "r", True
-        s = self.stable(pv, i, fn)
-        entry = self.fresh("e")
-        fn.lines.append(
-            f"{count}\n"
-            f"{i}{entry} = table.lookup({point}, {s})\n"
-            f"{i}if {entry} is None:\n"
-            f"{i}    r = {self.names[e.name]}({s})\n"
-            f"{i}    if r >= 0:\n"
-            f"{i}        table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))\n"
-            f"{i}    else:\n"
-            f"{i}        table.memoize({point}, {s}, FAILED)\n"
-            f"{i}elif {entry}[0]:\n"
-            f"{i}    r = {s} + {entry}[1]\n"
-            f"{i}else:\n"
-            f"{i}    r = ~{s}"
-        )
+        """A production call: the callee counts it, and at a memo point looks
+        itself up."""
+        fn.lines.append(f"{i}r = {self.names[e.name]}({pv})")
         return "r", True
 
     def sequence(self, e: Sequence, pv, i, fn, rec, known):

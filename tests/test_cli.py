@@ -279,7 +279,7 @@ def test_bench_single_mode(math_peg, tmp_path, capsys):
 
 
 def test_bench_recognize_not_slower_sanity(math_peg, tmp_path, capsys):
-    data = write_input(tmp_path, b"(1+2)*3-4*(5+6)/7" * 200)
+    data = write_input(tmp_path, b"+".join([b"(1+2)*3-4*(5+6)/7"] * 200))
     assert run(["bench", math_peg, data, "--iterations", "5"]) == 0
     out = capsys.readouterr().out.splitlines()
     recognize = float(out[0].split(": ")[1])

@@ -109,11 +109,6 @@ def test_erase_pure_tagging_becomes_empty():
     assert erase_tree_operators(New(Tag("T"))) == EMPTY
 
 
-def test_membership_table():
-    table = CharClass(((0x61, 0x63), (0x30, 0x30))).membership_table()
-    assert [i for i in range(256) if table[i]] == [0x30, 0x61, 0x62, 0x63]
-
-
 def test_format_expression_minimal_parens():
     e = Choice((Sequence((A, Not(ZeroOrMore(B)))), EMPTY))
     assert format_expression(e) == "'a' !'b'* / ''"

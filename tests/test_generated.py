@@ -11,6 +11,7 @@ import pegfold.interp
 from pegfold.analysis import assign_memo_points
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseSession, StepLimitExceeded, generate, program_for
+from test_analysis import benchmark_grammars
 
 MATH = """Expr = Sum
 Sum = Product {@ ( '+' #add / '-' #sub ) @Product }*
@@ -70,6 +71,25 @@ def test_step_limit_stops_the_call_past_it(build_ast, memo):
         assert limited.calls == k + 1  # raised as call k + 1 started
     enough = ParseSession(grammar, data, build_ast=build_ast, memo=memo, max_steps=19)
     assert enough.parse().consumed == len(data)
+
+
+def test_each_production_checks_the_limit_and_looks_itself_up_once():
+    grammar = parse_grammar(benchmark_grammars().JSON_LIKE)
+    program = program_for(grammar, memo=True, build_ast=False)
+    assert program.source.count("if calls > limit:") == len(grammar.productions)
+    points = program.plan.nonterminal_points
+    assert len(points) == len(grammar.productions)  # recognition memoizes every production
+    for point in points.values():
+        assert program.source.count(f"table.lookup({point}, ") == 1
+
+
+def test_a_negative_step_limit_is_refused():
+    grammar = parse_grammar("S = 'a'")
+    with pytest.raises(ValueError):
+        ParseSession(grammar, b"a", max_steps=-1)
+    for build_ast, memo in SETTINGS:  # the start is no call, so no limit stops it
+        session = ParseSession(grammar, b"a", build_ast=build_ast, memo=memo, max_steps=0)
+        assert session.parse().consumed == 1
 
 
 @pytest.mark.parametrize("build_ast", [True, False])

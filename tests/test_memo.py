@@ -3,7 +3,7 @@
 import pytest
 
 from pegfold.grammar import parse_grammar
-from pegfold.interp import ParseSession
+from pegfold.interp import ParseSession, StepLimitExceeded
 from pegfold.memo import FAILED, MemoEntry, MemoTable
 from pegfold.tree import serialize
 
@@ -136,6 +136,18 @@ def test_the_start_goes_through_its_memo_point_and_counts_as_no_call():
     result = session.parse()
     assert result.stats.memo_lookups == 2  # S at 0, T at 1
     assert session.calls == 1
+
+
+def test_a_nonterminal_memo_hit_still_counts_as_a_call():
+    grammar = parse_grammar("S = T 'x' / T 'y'\nT = 'a'")
+    session = ParseSession(grammar, b"ay", build_ast=False)
+    result = session.parse()
+    assert (result.stats.memo_lookups, result.stats.memo_hits) == (3, 1)  # S at 0, T at 0 twice
+    assert session.calls == 2
+    limited = ParseSession(grammar, b"ay", build_ast=False, max_steps=1)
+    with pytest.raises(StepLimitExceeded):
+        limited.parse()  # the hit is the second call
+    assert limited.calls == 2
 
 
 def test_memoized_link_of_sometimes_creating_body():
