@@ -48,7 +48,7 @@ from .interp import (
 )
 from .machine import InternalParserError, Machine, TxMark
 from .memo import MemoEntry, MemoTable
-from .tree import Node, NotationError, equals, parse_notation, serialize, to_json_dict
+from .tree import Node, NotationError, equals, parse_notation, serialize, to_json, to_json_dict
 
 __version__ = "0.1.0"
 
@@ -97,6 +97,7 @@ __all__ = [
     "parse_grammar",
     "parse_notation",
     "serialize",
+    "to_json",
     "to_json_dict",
     "validate",
     "__version__",

@@ -37,6 +37,10 @@ change once they close and nothing but their own level changes before:
 the engine keeps such a node's tag and children in a record of its own
 and builds the node as it closes.
 
+``never_logs`` says which expressions, run outside an eager constructor's
+level, can change nothing of the machine but its left register: they
+append no log entry and push nothing on its stack.
+
 ``transactions`` says which attempts a rollback can find work after, so
 the engine opens a savepoint only around those.  An expression *builds*
 when it can leave the machine, or the record of the eager constructor it
@@ -99,6 +103,7 @@ __all__ = [
     "assign_memo_points",
     "eager_constructors",
     "untagged",
+    "never_logs",
     "Transactions",
     "transactions",
     "lead_masks",
@@ -598,6 +603,65 @@ def untagged(body: Expression) -> tuple[Expression, str | None]:
     if isinstance(items[-1], Tag):
         return sequence(items[:-1]), items[-1].name
     return body, None
+
+
+def never_logs(grammar: Grammar, eager: frozenset[int]) -> Callable[[Expression], bool]:
+    """Whether an expression, run outside an eager constructor's level, never
+    logs (see the module docstring), with ``eager`` constructors.
+
+    Such an expression reaches no lazy tree operator: every ``{ }`` and
+    ``{@ }`` it runs is eager, every ``#t`` and ``@e`` runs at an eager
+    constructor's level, and every production it calls never logs.  An
+    eager ``{@ }`` that finds a virtual id in the register logs its node,
+    so a production must also leave the node it starts with alone: a fold
+    in it then finds a node that an eager constructor built.  An expression
+    must hold no ``{@ }`` of its own.
+
+    Expects a grammar that validates without errors.
+    """
+    _, _, _, _, _, mutates = _facts(grammar)
+
+    def logs_itself(e: Expression, folds: bool) -> tuple[bool, set[str]]:
+        """Does ``e`` log at its own levels (an eager ``{@ }`` only if not
+        ``folds``), and else which productions does it call?"""
+        calls: set[str] = set()
+        todo = [(e, False)]  # each with: does it run at an eager constructor's level?
+        while todo:
+            x, level = todo.pop()
+            if isinstance(x, (New, LeftFold)):
+                if id(x) not in eager or not folds and isinstance(x, LeftFold):
+                    return True, calls
+                todo.append((x.body, True))
+            elif isinstance(x, (Tag, Link)):
+                if not level:
+                    return True, calls
+                if isinstance(x, Link):
+                    todo.append((x.body, False))
+            elif isinstance(x, Nonterminal):
+                calls.add(x.name)
+            elif isinstance(x, (And, Not)):
+                todo.append((x.body, False))
+            else:
+                todo.extend((c, level) for c in subexpressions(x))
+        return False, calls
+
+    direct: set[str] = set()
+    callers: dict[str, set[str]] = {}
+    for name, body in grammar.productions.items():
+        logs, calls = logs_itself(body, True)
+        if logs or mutates[name]:
+            direct.add(name)
+        for callee in calls:
+            callers.setdefault(callee, set()).add(name)
+    loud = _spread(direct, callers)
+
+    def quiet(e: Expression) -> bool:
+        if isinstance(e, Nonterminal):
+            return e.name not in loud
+        logs, calls = logs_itself(e, False)
+        return not logs and loud.isdisjoint(calls)
+
+    return quiet
 
 
 # ---------------------------------------------------------------------------

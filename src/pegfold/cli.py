@@ -4,7 +4,9 @@ Three commands over a grammar file:
 
 * ``pegfold check GRAMMAR`` -- diagnostics plus a memo-point summary;
 * ``pegfold parse GRAMMAR INPUT`` -- parse and print the tree (textual
-  notation or JSON), optionally with engine statistics;
+  notation or JSON, each written straight from the tree by one iterative
+  writer, so a tree of any depth prints), optionally with engine
+  statistics;
 * ``pegfold bench GRAMMAR INPUT`` -- best-of-N wall times for pure
   recognition and full tree construction, the two parsed in turn.
 
@@ -29,13 +31,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes a str as
 
 from .analysis import assign_memo_points, validate
 from .grammar import Grammar, GrammarSyntaxError, parse_grammar
 from .interp import InvalidGrammarError, ParseError, ParseSession, Stats, program_for
 from .memo import DEFAULT_WINDOW
-from .tree import serialize, to_json_dict
+from .tree import serialize, to_json
+from .tree import to_json_dict  # unused here; bench/tracing.py wraps it by this name
 
 __all__ = ["main", "CliConfig", "cmd_check", "cmd_parse", "cmd_bench"]
 
@@ -149,58 +151,15 @@ def cmd_parse(config: CliConfig) -> int:
         )
         return FAILURE
     if config.format == "json":
-        payload: dict = {"ast": to_json_dict(result.root), "consumed": result.consumed}
-        if config.stats:
-            payload["stats"] = result.stats.as_dict()
-        print(_dumps(payload))
+        # json.dumps of {"ast": …, "consumed": …, "stats": …}, the tree
+        # written straight from its nodes.
+        stats = f', "stats": {json.dumps(result.stats.as_dict())}' if config.stats else ""
+        print(f'{{"ast": {to_json(result.root)}, "consumed": {result.consumed}{stats}}}')
     else:
         print(serialize(result.root))
         if config.stats:
             print(_format_stats(result.stats))
     return OK
-
-
-class _Raw(str):
-    """Text ``_dumps`` writes as it is."""
-
-
-def _dumps(payload: dict) -> str:
-    """``json.dumps(payload)``, also for trees nested deeper than its recursion allows.
-
-    Past that depth the same text comes from an explicit stack.
-    """
-    try:
-        return json.dumps(payload)
-    except RecursionError:
-        pass
-    parts: list[str] = []
-    todo: list = [payload]  # values to write and _Raw text, the next one last
-    while todo:
-        value = todo.pop()
-        if isinstance(value, _Raw):
-            parts.append(value)
-        elif isinstance(value, dict):
-            todo.append(_Raw("}"))
-            first = len(value) - 1
-            for n, (key, item) in enumerate(reversed(value.items())):
-                todo.append(item)
-                todo.append(_Raw(("" if n == first else ", ") + _quote(key) + ": "))
-            todo.append(_Raw("{"))
-        elif isinstance(value, list):
-            todo.append(_Raw("]"))
-            first = len(value) - 1
-            for n, item in enumerate(reversed(value)):
-                todo.append(item)
-                if n != first:
-                    todo.append(_Raw(", "))
-            todo.append(_Raw("["))
-        elif isinstance(value, str):
-            parts.append(_quote(value))
-        elif type(value) is int:  # not a bool
-            parts.append(repr(value))
-        else:
-            parts.append(json.dumps(value))
-    return "".join(parts)
 
 
 def cmd_bench(config: CliConfig) -> int:

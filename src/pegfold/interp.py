@@ -33,8 +33,12 @@ two paths:
   record's tag, and a trailing one beats it; an ``@Name`` there calls the
   production, puts the child in the record and restores the left
   register, committing a lazily built child at once and rolling back what
-  the body logged if it fails.  A *direct* constructor has nothing at its
-  level but a trailing tag, so no record either.  A ``{@ }`` that finds a
+  the body logged if it fails.  A production that never logs
+  (``analysis.never_logs``) leaves a built node or nothing in the register
+  and nothing in the log, so a link that calls one, here or at a memo
+  point, reads no log length and neither commits nor rolls back.  A
+  *direct* constructor has nothing at its level but a trailing tag, so no
+  record either.  A ``{@ }`` that finds a
   virtual id in the register logs its node instead
   (``Machine.emit_local_fold``).
 * Every other constructor is lazy: its operators append entries to the
@@ -44,10 +48,12 @@ Only an attempt a rollback can find work after gets a savepoint
 (``analysis.transactions``): a choice alternative but the last, or an
 option body, that can fail after changing the machine; a loop body that
 can, or that can change it and succeed empty (an empty step is dropped); a
-predicate body that can change it at all.  At an eager constructor's level
-the machine does not change, so a savepoint there marks the record: its
-tag and how many links it holds.  With tree operators erased, as in
-recognize mode, nothing gets one.
+predicate body that can change it at all.  Where the attempt never logs,
+the left register is all it can change, and its savepoint is that
+register alone.  At an eager constructor's level the machine does not
+change, so a savepoint there marks the record: its tag and how many links
+it holds.  With tree operators erased, as in recognize mode, nothing gets
+one.
 
 With memoization enabled, ``@Name`` links at assigned memo points store
 the materialized node as soon as the body succeeds (the node already in
@@ -82,6 +88,7 @@ from .analysis import (
     assign_memo_points,
     eager_constructors,
     lead_masks,
+    never_logs,
     transactions,
     untagged,
     validate,
@@ -386,7 +393,8 @@ def generate(grammar: Grammar, plan: MemoPlan | None) -> str:
     errors; the source depends on nothing else."""
     eager = eager_constructors(grammar)
     rollback = transactions(grammar, eager, plan.link_points if plan is not None else ())
-    return _Emitter(grammar, plan, eager, rollback, lead_masks(grammar)).module()
+    quiet = never_logs(grammar, eager)
+    return _Emitter(grammar, plan, eager, rollback, quiet, lead_masks(grammar)).module()
 
 
 @functools.lru_cache(maxsize=64)
@@ -566,12 +574,13 @@ class _Emitter:
     byte test it decides is left out.
     """
 
-    def __init__(self, grammar: Grammar, plan, eager, rollback, lead) -> None:
+    def __init__(self, grammar: Grammar, plan, eager, rollback, quiet, lead) -> None:
         self.bodies = grammar.productions
         self.link_points = plan.link_points if plan is not None else {}
         self.nonterminal_points = plan.nonterminal_points if plan is not None else {}
         self.eager = eager
         self.builds, self.dirty, self.nullable = rollback
+        self.quiet = quiet
         self.lead = lead
         self.names = {name: _mangle(name) for name in self.bodies}
         self.tables: dict[bytes, str] = {}
@@ -710,23 +719,24 @@ class _Emitter:
             return None, (var, mask)
         return self.test(mask, var)[0], (var, mask)
 
-    def save(self, i: str, fn: _Function, rec) -> tuple[str, ...]:
-        """A savepoint: of the machine, or at an eager constructor's level,
-        where the machine does not change, of its record."""
-        if rec is None:
-            mark = self.fresh("m")
-            fn.lines.append(f"{i}{mark} = machine.save()")
-            return (mark,)
-        tag, count = self.fresh("m"), self.fresh("n")
-        fn.lines.append(
-            f"{i}{tag} = {rec.use(rec.tag, fn)}\n{i}{count} = len({rec.use(rec.links, fn)})"
-        )
-        return tag, count
-
-    def abort(self, mark: tuple[str, ...], i: str, fn: _Function, rec) -> str:
-        if rec is None:
-            return f"{i}machine.abort({mark[0]})"
-        return f"{i}{rec.use(rec.tag, fn, True)} = {mark[0]}\n{i}del {rec.links}[{mark[1]}:]"
+    def save(self, e: Expression, i: str, fn: _Function, rec) -> str:
+        """A savepoint for the attempt ``e``, and the text that rolls back to
+        it, with ``{0}`` for its indentation.  It saves the machine, or its
+        left register alone where ``e`` never logs, or at an eager
+        constructor's level, where the machine does not change, the record."""
+        if rec is not None:
+            tag, count = self.fresh("m"), self.fresh("n")
+            fn.lines.append(
+                f"{i}{tag} = {rec.use(rec.tag, fn)}\n{i}{count} = len({rec.use(rec.links, fn)})"
+            )
+            return f"{{0}}{rec.use(rec.tag, fn, True)} = {tag}\n{{0}}del {rec.links}[{count}:]"
+        if self.quiet(e):
+            prior = self.fresh("q")
+            fn.lines.append(f"{i}{prior} = machine.left")
+            return f"{{0}}machine.left = {prior}"
+        mark = self.fresh("m")
+        fn.lines.append(f"{i}{mark} = machine.save()")
+        return f"{{0}}machine.abort({mark})"
 
     # -- recognition ---------------------------------------------------------
 
@@ -853,14 +863,14 @@ class _Emitter:
                 add(f"{i}if r < 0:\n{j}if {test}:")
                 inner = j + _STEP
             save = k < last and self.dirty(alternative, rec is not None)
-            mark = self.save(inner, fn, rec) if save else None
+            undo = self.save(alternative, inner, fn, rec) if save else None
             rv, fails = self.emit(alternative, s, inner, fn, rec, fits)
             if rv != "r":
                 add(f"{inner}r = {rv}")
             if k < last and fails:
                 add(f"{inner}if r < 0:\n{self.backtrack(s, inner + _STEP, fn)}")
-                if mark:
-                    add(self.abort(mark, inner + _STEP, fn, rec))
+                if undo:
+                    add(undo.format(inner + _STEP))
             if test is not None:
                 if k == 0:
                     add(f"{i}else:\n{self.die(s, j, fn)}")
@@ -883,7 +893,7 @@ class _Emitter:
         if test is not None:
             add(f"{i}if {test}:")
             inner = i + _STEP
-        mark = self.save(inner, fn, rec) if self.dirty(body, rec is not None) else None
+        undo = self.save(body, inner, fn, rec) if self.dirty(body, rec is not None) else None
         rv, fails = self.emit(body, s, inner, fn, rec, fits)
         if not fails and test is None:
             return rv, False
@@ -891,8 +901,8 @@ class _Emitter:
             add(f"{inner}r = {rv}")
         if fails:
             add(f"{inner}if r < 0:\n{self.backtrack(s, inner + _STEP, fn)}")
-            if mark:
-                add(self.abort(mark, inner + _STEP, fn, rec))
+            if undo:
+                add(undo.format(inner + _STEP))
             add(f"{inner}    r = {s}")
         if test is not None:
             # As the body would have failed here.
@@ -920,19 +930,19 @@ class _Emitter:
         # entries are dropped too.
         local = rec is not None
         save = self.builds(body) and (self.dirty(body, local) or self.nullable(body))
-        mark = self.save(j, fn, rec) if save else None
+        undo = self.save(body, j, fn, rec) if save else None
         fn.loops += 1
         rv, fails = self.emit(body, s, j, fn, rec, fits)
         fn.loops -= 1
         k = j + _STEP
         if fails:
             add(f"{j}if r < 0:\n{self.backtrack(s, k, fn)}")
-            if mark:
-                add(self.abort(mark, k, fn, rec))
+            if undo:
+                add(undo.format(k))
             add(f"{k}break")
         add(f"{j}if {rv} == {s}:")  # an empty iteration: drop its entries, stop
-        if mark:
-            add(self.abort(mark, k, fn, rec))
+        if undo:
+            add(undo.format(k))
         add(f"{k}break\n{j}{s} = {rv}")
         if test is not None:
             add(f"{i}else:\n{self.reach(s, j, fn)}")  # as the body would have failed here
@@ -948,10 +958,10 @@ class _Emitter:
     def not_(self, e: Not, pv, i, fn, rec, known):
         add = fn.lines.append
         s = self.stable(pv, i, fn)
-        mark = self.save(i, fn, None) if self.builds(e.body) else None
+        undo = self.save(e.body, i, fn, None) if self.builds(e.body) else None
         rv, fails = self.emit(e.body, s, i, fn, rec, known)
-        if mark:
-            add(self.abort(mark, i, fn, None))
+        if undo:
+            add(undo.format(i))
         fn.globals.add("backtrack")
         if not fails:
             add(f"{i}backtrack += {rv} - {s}\n{self.die(s, i, fn)}")
@@ -966,10 +976,10 @@ class _Emitter:
     def and_(self, e: And, pv, i, fn, rec, known):
         add = fn.lines.append
         s = self.stable(pv, i, fn)
-        mark = self.save(i, fn, None) if self.builds(e.body) else None
+        undo = self.save(e.body, i, fn, None) if self.builds(e.body) else None
         rv, fails = self.emit(e.body, s, i, fn, rec, known)
-        if mark:
-            add(self.abort(mark, i, fn, None))
+        if undo:
+            add(undo.format(i))
         fn.globals.add("backtrack")
         if not fails:
             add(f"{i}backtrack += {rv} - {s}")
@@ -1087,35 +1097,48 @@ class _Emitter:
         return rv, fails
 
     def memo_link(self, name: str, index, pv, i, fn):
-        """``@Name`` at a memo point: commit-on-success, store, replay on hit."""
+        """``@Name`` at a memo point: commit-on-success, store, replay on hit.
+        A call of a production that never logs needs no savepoint but the
+        register, which the link restores itself, and no commit."""
         add = fn.lines.append
         point = self.link_points[name]
+        quiet = self.quiet(Nonterminal(name))
         s = self.stable(pv, i, fn)
-        entry, mark = self.fresh("e"), self.fresh("m")
+        entry, mark = self.fresh("e"), self.fresh("q" if quiet else "m")
         j = i + _STEP
         add(
             f"{i}machine.push_left()\n"
             f"{i}{entry} = table.lookup({point}, {s})\n"
             f"{i}if {entry} is None:\n"
-            f"{j}{mark} = machine.save()"
+            f"{j}{mark} = machine.{'left' if quiet else 'save()'}"
         )
         self.call(Nonterminal(name), s, j, fn)
-        # When the body built nothing, the bare advance is memoized, but
-        # only if it logged nothing a stored entry would lose.
+        advance = f"table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))"
+        if quiet:
+            prior, abort, commit = mark, "", ""
+            advance = f"{j}    {advance}\n"
+        else:
+            prior = f"{mark}[1]"
+            abort = f"{j}    machine.abort({mark})\n"
+            # When the body built nothing, the bare advance is memoized, but
+            # only if it logged nothing a stored entry would lose.
+            advance = f"{j}    if len(machine.log) == {mark}[0]:\n{j}        {advance}\n"
+            commit = (
+                f"{j}    if type(k) is not Node or len(machine.log) != {mark}[0]:\n"
+                f"{j}        k = machine.commit({mark}, data)\n"
+            )
         add(
             f"{j}if r < 0:\n"
             f"{j}    table.memoize({point}, {s}, FAILED)\n"
-            f"{j}    machine.abort({mark})\n"
-            f"{j}    machine.pop_left()\n"
-            f"{j}elif machine.left == {mark}[1]:\n"
-            f"{j}    if len(machine.log) == {mark}[0]:\n"
-            f"{j}        table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))\n"
-            f"{j}    machine.pop_left()\n"
+            + abort
+            + f"{j}    machine.pop_left()\n"
+            f"{j}elif machine.left == {prior}:\n"
+            + advance
+            + f"{j}    machine.pop_left()\n"
             f"{j}else:\n"
             f"{j}    k = machine.left\n"
-            f"{j}    if type(k) is not Node or len(machine.log) != {mark}[0]:\n"
-            f"{j}        k = machine.commit({mark}, data)\n"
-            f"{j}    table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, k)))\n"
+            + commit
+            + f"{j}    table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, k)))\n"
             f"{j}    machine.emit_link_node(k, {index})\n"
             f"{i}elif {entry}[0]:\n"
             f"{j}if {entry}[2] is not None:\n"
@@ -1133,32 +1156,43 @@ class _Emitter:
         """``@Name`` at an eager constructor's level: puts the child in the
         record and restores the register, committing a lazily built child
         at once.  On failure it rolls back what the body logged itself.  At
-        a memo point it stores the child, and replays it on later hits."""
+        a memo point it stores the child, and replays it on later hits.  A
+        call of a production that never logs leaves a node or nothing in
+        the register and nothing to roll back but the register."""
         add = fn.lines.append
         point = self.link_points.get(name)
         if point is None and name in self.nonterminal_points:
             return self.call(Nonterminal(name), pv, i, fn)  # builds nothing
+        quiet = self.quiet(Nonterminal(name))
         s = self.stable(pv, i, fn)
         links = rec.use(rec.links, fn)
         put = f"{links}.append(k)"
         if index is not None:
             put = f"{links}.append(({index}, k))\n{{0}}{rec.use(rec.indexed, fn, True)} = True"
-        prior, base = self.fresh("q"), self.fresh("b")
-        mark = f"_new_tuple(TxMark, ({base}, {prior}, len(machine.stack)))"
+        prior = self.fresh("q")
+        base = None if quiet else self.fresh("b")
         d = i
         if point is not None:
             entry = self.fresh("e")
             add(f"{i}{entry} = table.lookup({point}, {s})\n{i}if {entry} is None:")
             d = i + _STEP
-        add(f"{d}{prior} = machine.left\n{d}{base} = len(machine.log)")
-        self.call(Nonterminal(name), s, d, fn)
         e1, e2, e3 = d + _STEP, d + 2 * _STEP, d + 3 * _STEP
+        add(f"{d}{prior} = machine.left")
+        abort = commit = ""
+        if base is not None:
+            add(f"{d}{base} = len(machine.log)")
+            mark = f"_new_tuple(TxMark, ({base}, {prior}, len(machine.stack)))"
+            abort = f"{e1}if len(machine.log) != {base}:\n{e2}machine.abort({mark})\n"
+            commit = (
+                f"{e2}if type(k) is not Node or len(machine.log) != {base}:\n"
+                f"{e3}k = machine.commit({mark}, data)\n"
+            )
+        self.call(Nonterminal(name), s, d, fn)
         add(
             f"{d}if r < 0:\n"
             + (f"{e1}table.memoize({point}, {s}, FAILED)\n" if point is not None else "")
-            + f"{e1}if len(machine.log) != {base}:\n"
-            f"{e2}machine.abort({mark})\n"
-            f"{e1}machine.left = {prior}\n"
+            + abort
+            + f"{e1}machine.left = {prior}\n"
             f"{d}else:\n"
             f"{e1}k = machine.left\n"
             + (
@@ -1169,9 +1203,8 @@ class _Emitter:
                 if point is not None
                 else f"{e1}if k != {prior}:\n"
             )
-            + f"{e2}if type(k) is not Node or len(machine.log) != {base}:\n"
-            f"{e3}k = machine.commit({mark}, data)\n"
-            f"{e2}machine.left = {prior}\n"
+            + commit
+            + f"{e2}machine.left = {prior}\n"
             + (
                 f"{e2}table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, k)))\n"
                 if point is not None

@@ -7,18 +7,29 @@ nodes with their children only::
     #Add[#Int['1'] #Int['2']]
 
 ``serialize`` produces that notation bit-exactly (quotes and backslashes
-escaped, non-printable bytes as ``\\xHH``); ``parse_notation`` is its
-structural inverse with synthesized spans.  Nodes compare by identity;
-use :func:`equals` for structural comparison.
+escaped, non-printable bytes as ``\\xHH``), rendering each distinct leaf
+once per call; ``parse_notation`` is its structural inverse with
+synthesized spans.  ``to_json_dict`` gives a tree's JSON-ready dict form,
+and ``to_json`` writes the JSON text of that form straight from the tree.
+Nodes compare by identity; use :func:`equals` for structural comparison.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError
+from json.encoder import encode_basestring_ascii as _json_str  # a str as json.dumps writes it
 from typing import Any
 
-__all__ = ["Node", "NotationError", "serialize", "parse_notation", "equals", "to_json_dict"]
+__all__ = [
+    "Node",
+    "NotationError",
+    "serialize",
+    "parse_notation",
+    "equals",
+    "to_json_dict",
+    "to_json",
+]
 
 
 class Node:
@@ -118,22 +129,29 @@ def serialize(node: Node, include_inner_text: bool = False) -> str:
     """
     parts: list[str] = []
     append = parts.append
-    prefixes: dict[str, str] = {}  # each tag's ``#tag[`` string, built once per call
+    # Per tag, built once per call: its ``#tag[`` string, and each distinct
+    # leaf text under it rendered whole.
+    rendered: dict[str, tuple[str, dict[bytes, str]]] = {}
     stack = [iter((node,))]  # per open level, its children not yet written
     while stack:
         for node in stack[-1]:
             tag = node.tag
-            prefix = prefixes.get(tag)
-            if prefix is None:
-                prefix = prefixes[tag] = f"#{tag}["
+            known = rendered.get(tag)
+            if known is None:
+                known = rendered[tag] = (f"#{tag}[", {})
             children = node.children
             if children:
-                append(prefix)
+                append(known[0])
                 if include_inner_text:
                     append(_quote(node.text) + " ")
                 stack.append(iter(children))
                 break
-            append(prefix + _quote(node.source[node.start : node.end]) + "]")
+            text = node.source[node.start : node.end]
+            leaves = known[1]
+            leaf = leaves.get(text)
+            if leaf is None:
+                leaf = leaves[text] = known[0] + _quote(text) + "]"
+            append(leaf)
             append(" ")
         else:
             stack.pop()
@@ -185,6 +203,41 @@ def to_json_dict(node: Node) -> dict[str, Any]:
         else:
             stack.pop()
     return out[0]
+
+
+def to_json(node: Node) -> str:
+    """``json.dumps(to_json_dict(node))``, written straight from the tree.
+
+    No dict is built.  Each tag's ``{"tag": …, "start": `` text is written
+    once per call, and leaf text is the ``backslashreplace`` decoding of its
+    bytes, quoted as ``json.dumps`` quotes a string.  An explicit stack
+    replaces recursion, so a tree of any depth writes.
+    """
+    parts: list[str] = []
+    append = parts.append
+    heads: dict[str, str] = {}
+    stack = [iter((node,))]  # per open level, its children not yet written
+    while stack:
+        for node in stack[-1]:
+            tag = node.tag
+            head = heads.get(tag)
+            if head is None:
+                head = heads[tag] = f'{{"tag": {_json_str(tag)}, "start": '
+            children = node.children
+            start, end = node.start, node.end
+            if children:
+                append(f'{head}{start}, "end": {end}, "children": [')
+                stack.append(iter(children))
+                break
+            text = node.source[start:end].decode("utf-8", "backslashreplace")
+            append(f'{head}{start}, "end": {end}, "text": {_json_str(text)}}}')
+            append(", ")
+        else:
+            stack.pop()
+            parts[-1] = "]}"  # the last separator closes the level
+            append(", ")
+    del parts[-2:]  # the outermost level is no node
+    return "".join(parts)
 
 
 class _NotationReader:

@@ -9,6 +9,7 @@ import pytest
 from pegfold.analysis import (
     assign_memo_points,
     eager_constructors,
+    never_logs,
     transactions,
     untagged,
     validate,
@@ -381,6 +382,54 @@ def test_an_expression_shared_by_an_eager_and_a_lazy_place_is_lazy():
     grammar = Grammar({"S": Sequence((Link(shared), shared, Tag("T")))})
     assert eager_constructors(grammar) == frozenset()
     assert eager_constructors(Grammar({"S": Link(shared)})) == {id(shared)}
+
+
+# -- never-logging productions -------------------------------------------------
+
+
+def quiet_productions(text):
+    """Per production: does it never log?"""
+    grammar = parse_grammar(text)
+    quiet = never_logs(grammar, eager_constructors(grammar))
+    return {name: quiet(Nonterminal(name)) for name in grammar.productions}
+
+
+def test_benchmark_grammars_never_log():
+    workloads = benchmark_grammars()
+    for text in (MATH, workloads.MATH, workloads.JSON_LIKE, workloads.PATHOLOGICAL):
+        assert all(quiet_productions(text).values()), text
+
+
+@pytest.mark.parametrize(
+    "text, quiet",
+    [
+        ("S = { 'a' @A #S }\nA = { 'a' #A }", {"S": True, "A": True}),
+        ("S = { 'a' } #T", {"S": False}),  # a lazy constructor
+        ("S = #T 'a'", {"S": False}),  # a tag outside any constructor
+        ("S = @A 'b'\nA = { 'a' }", {"S": False, "A": True}),  # a link outside one
+        # a call of a production that logs, even where a link commits it at once
+        ("S = { 'x' @A #S }\nA = { 'a' } #T", {"S": False, "A": False}),
+        ("S = 'x' A\nA = { 'a' } #T", {"S": False, "A": False}),
+        # a fold of a node an eager constructor built, or of the outer node
+        ("S = A {@ 'b' #F }\nA = { 'a' }", {"S": True, "A": True}),
+        ("S = 'a'? {@ 'b' #F }", {"S": False}),
+        ("S = B\nB = 'b'? {@ 'c' }", {"S": False, "B": False}),
+        ("S = &{ 'a' } 'a'", {"S": False}),  # a constructor in a predicate is lazy
+        ("S = 'a'", {"S": True}),
+    ],
+)
+def test_never_logs_rules(text, quiet):
+    assert quiet_productions(text) == quiet
+
+
+def test_an_expression_with_a_fold_of_its_own_may_log():
+    # No fold of S's can find the outer node, but on its own the sequence
+    # may run where the register holds a node still being logged.
+    grammar = parse_grammar("S = A {@ 'b' #F }\nA = { 'a' }")
+    quiet = never_logs(grammar, eager_constructors(grammar))
+    assert quiet(Nonterminal("S"))
+    assert not quiet(grammar.productions["S"])
+    assert quiet(grammar.productions["S"].items[0])
 
 
 # -- transactions ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from corpus import ENGINE_STEPS, make_corpus
 
 import pegfold
 import pegfold.cli
@@ -191,23 +192,24 @@ def test_parse_json_prints_a_tree_deeper_than_the_recursion_limit(math_peg, tmp_
     assert out.endswith(f'{last}]}}, "consumed": {end}}}\n')
 
 
-def test_parse_json_past_the_recursion_limit_writes_what_json_dumps_writes(
-    math_peg, tmp_path, capsys, monkeypatch
-):
-    argv = ["parse", math_peg, write_input(tmp_path, b"(1+2)*3-4/5"), "--format", "json", "--stats"]
-    assert run(argv) == 0
-    expected = capsys.readouterr().out
-
-    dumps = json.dumps
-
-    def too_deep(value, **options):
-        if isinstance(value, dict) and "ast" in value:
-            raise RecursionError
-        return dumps(value, **options)
-
-    monkeypatch.setattr(json, "dumps", too_deep)
-    assert run(argv) == 0
-    assert capsys.readouterr().out == expected
+@pytest.mark.parametrize("stats", [False, True], ids=["plain", "stats"])
+def test_parse_json_writes_what_json_dumps_writes(stats, tmp_path, capsys):
+    grammar_path = tmp_path / "grammar.peg"
+    flags = ["--format", "json"] + (["--stats"] if stats else [])
+    checked = 0
+    for text, grammar, data in make_corpus(101, 150):
+        try:
+            result = pegfold.ParseSession(grammar, data, max_steps=ENGINE_STEPS).parse()
+        except (pegfold.ParseError, pegfold.StepLimitExceeded):
+            continue
+        payload = {"ast": pegfold.to_json_dict(result.root), "consumed": result.consumed}
+        if stats:
+            payload["stats"] = result.stats.as_dict()
+        grammar_path.write_text(text)
+        assert run(["parse", str(grammar_path), write_input(tmp_path, data), *flags]) == 0
+        assert capsys.readouterr().out == json.dumps(payload) + "\n"
+        checked += 1
+    assert checked > 50
 
 
 def test_parse_strict_rejects_trailing_input(math_peg, tmp_path, capsys):

@@ -140,3 +140,14 @@ def test_expressions_nested_past_a_function_limit_move_into_helpers(tagged):
         assert result.consumed == n
         if tagged:
             assert result.root.tag == f"T{n - 1}"
+
+
+def test_calls_of_productions_that_never_log_read_no_log():
+    # Every production of the math and JSON-like grammars never logs, so no
+    # link reads the log length, commits or rolls back, and no attempt saves
+    # more of the machine than its left register.
+    for text in (MATH, benchmark_grammars().JSON_LIKE):
+        for memo in (True, False):
+            source = program_for(parse_grammar(text), memo=memo, build_ast=True).source
+            for needless in ("len(machine.log)", "machine.commit", "machine.abort", "machine.save"):
+                assert needless not in source, (text, memo, needless)

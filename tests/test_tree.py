@@ -9,10 +9,21 @@ import random
 import weakref
 
 import pytest
+from corpus import ENGINE_STEPS, make_corpus
+from test_analysis import benchmark_grammars
 
+import pegfold.tree
 from pegfold.grammar import parse_grammar
-from pegfold.interp import ParseSession
-from pegfold.tree import Node, NotationError, equals, parse_notation, serialize, to_json_dict
+from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
+from pegfold.tree import (
+    Node,
+    NotationError,
+    equals,
+    parse_notation,
+    serialize,
+    to_json,
+    to_json_dict,
+)
 
 MATH = """Expr = Sum
 Sum = Product {@ ( '+' #add / '-' #sub ) @Product }*
@@ -234,3 +245,138 @@ def test_json_shape():
             {"tag": "Int", "start": 2, "end": 3, "text": "2"},
         ],
     }
+
+
+# -- serialize renders each distinct leaf once --------------------------------
+
+
+def under(*children, tag="P"):
+    return Node(tag, 0, 0, b"", children)
+
+
+@pytest.mark.parametrize(
+    "tree, text",
+    [
+        (under(leaf("A", "x"), leaf("B", "x"), leaf("A", "x")), "#P[#A['x'] #B['x'] #A['x']]"),
+        (under(leaf("A", "x"), leaf("A", "y"), leaf("A", "x")), "#P[#A['x'] #A['y'] #A['x']]"),
+        (
+            under(leaf("A", b"it's"), leaf("A", b"\\\x00\xff"), leaf("A", b"it's")),
+            "#P[#A['it\\'s'] #A['\\\\\\x00\\xFF'] #A['it\\'s']]",
+        ),
+        # equal texts from two source buffers, at different offsets
+        (under(Node("A", 0, 1, b"xy"), Node("A", 1, 2, b"yx")), "#P[#A['x'] #A['x']]"),
+        (under(under(leaf("A", "x"), tag="Q"), leaf("Q", "x")), "#P[#Q[#A['x']] #Q['x']]"),
+        (leaf("A", "x"), "#A['x']"),
+    ],
+)
+def test_serialize_repeated_and_distinct_leaves(tree, text):
+    assert serialize(tree) == text
+
+
+def test_serialize_inner_text_with_repeated_leaves():
+    src = b"x+x"
+    add = Node("Add", 0, 3, src, (Node("Int", 0, 1, src), Node("Int", 2, 3, src)))
+    assert serialize(add, include_inner_text=True) == "#Add['x+x' #Int['x'] #Int['x']]"
+    assert serialize(add.children[0], include_inner_text=True) == "#Int['x']"
+
+
+def test_serialize_quotes_each_distinct_leaf_once(monkeypatch):
+    workloads = benchmark_grammars()
+    workload = workloads.math_wide(workloads.DEFAULT_SEEDS["math-wide"])
+    root = ParseSession(parse_grammar(workload.grammar), workload.inputs[0]).parse().root
+    quoted = []
+
+    def counting(data):
+        quoted.append(data)
+        return quote(data)
+
+    quote = pegfold.tree._quote
+    expected = serialize(root)
+    monkeypatch.setattr(pegfold.tree, "_quote", counting)
+    assert serialize(root) == expected
+    # every leaf is an #Integer of one digit
+    assert sorted(quoted) == [str(d).encode() for d in range(10)]
+    assert workload.check(0, expected)
+
+
+# -- to_json writes what json.dumps writes -----------------------------------
+
+
+def reference_dumps(value) -> str:
+    """``json.dumps(value)`` for dicts, lists, strings and ints nested to any
+    depth: one value at a time from an explicit stack, each scalar through
+    ``json.dumps`` itself."""
+    parts = []
+    todo = [value]  # values to write, and text to write as it is, the next one last
+    while todo:
+        value = todo.pop()
+        if isinstance(value, dict):
+            todo.append(("}",))
+            for n, (key, item) in enumerate(reversed(value.items())):
+                todo.append(item)
+                todo.append((("" if n == len(value) - 1 else ", ") + json.dumps(key) + ": ",))
+            todo.append(("{",))
+        elif isinstance(value, list):
+            todo.append(("]",))
+            for n, item in enumerate(reversed(value)):
+                todo.append(item)
+                if n != len(value) - 1:
+                    todo.append((", ",))
+            todo.append(("[",))
+        elif isinstance(value, tuple):
+            parts.append(value[0])
+        else:
+            parts.append(json.dumps(value))
+    return "".join(parts)
+
+
+def corpus_trees():
+    for _, grammar, data in make_corpus(100, 300):
+        try:
+            yield ParseSession(grammar, data, max_steps=ENGINE_STEPS).parse().root
+        except (ParseError, StepLimitExceeded):
+            pass
+
+
+def test_to_json_writes_what_json_dumps_writes_over_the_corpus():
+    count = 0
+    for root in corpus_trees():
+        expected = json.dumps(to_json_dict(root))
+        assert to_json(root) == expected
+        assert reference_dumps(to_json_dict(root)) == expected
+        count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"don't",
+        b"back\\slash",
+        b"nul\x00 and \x1f",
+        b"caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x99\x82",  # non-ASCII UTF-8
+        b"\xff\xfe\xc3 cut \xe2\x82",  # invalid UTF-8
+        b'"quoted"\t\n',
+        b"",
+    ],
+)
+def test_to_json_leaf_text_as_json_dumps_writes_it(text):
+    src = b"<" + text + b">"
+    node = Node("Leaf", 1, 1 + len(text), src)
+    assert to_json(node) == json.dumps(to_json_dict(node))
+    tree = Node("Pair", 0, len(src), src, (node, Node("Leaf", 0, 1, src)))
+    assert to_json(tree) == json.dumps(to_json_dict(tree))
+
+
+def test_to_json_tags_as_json_dumps_writes_them():
+    src = b"ab"
+    for tag in ("t\u00e9g", 'q"x', "w\\y", "\u2603"):
+        tree = Node(tag, 0, 2, src, (Node(tag, 0, 1, src), Node("b", 1, 2, src)))
+        assert to_json(tree) == json.dumps(to_json_dict(tree))
+
+
+def test_to_json_writes_a_tree_deeper_than_the_recursion_limit():
+    tree = flat_sum()
+    text = to_json(tree)
+    assert text == reference_dumps(to_json_dict(tree))
+    assert text.count('"tag": "add"') == 29_999
