@@ -39,7 +39,7 @@ and builds the node as it closes.
 
 ``never_logs`` says which expressions, run outside an eager constructor's
 level, can change nothing of the machine but its left register: they
-append no log entry and push nothing on its stack.
+append no log entry.
 
 ``transactions`` says which attempts a rollback can find work after, so
 the engine opens a savepoint only around those.  An expression *builds*

@@ -414,6 +414,11 @@ def parse_grammar(text: str) -> Grammar:
     """Parses grammar-file text into a :class:`Grammar`.
 
     Raises :class:`GrammarSyntaxError` (with positioned diagnostics) on
-    malformed syntax or duplicate production names.
+    malformed syntax, duplicate production names, or brackets nested deeper
+    than the caller's recursion limit lets the reader follow.
     """
-    return _Reader(text).read_grammar()
+    reader = _Reader(text)
+    try:
+        return reader.read_grammar()
+    except RecursionError:
+        raise reader.fail("grammar nests too deeply") from None

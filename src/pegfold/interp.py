@@ -231,8 +231,9 @@ class ParseSession:
     byte positions).  ``build_ast=False`` strips all tree operators at
     compile time: recognition behavior is identical, no nodes are built.
     ``max_steps`` bounds production invocations per parse as a runaway
-    guard (:class:`StepLimitExceeded`); the start counts as none, and a
-    negative bound raises ``ValueError``.
+    guard (:class:`StepLimitExceeded`); the start counts as none.  A
+    negative bound, or a window below 1, raises ``ValueError``, with
+    memoization on or off.
     """
 
     def __init__(
@@ -247,6 +248,8 @@ class ParseSession:
     ):
         if max_steps is not None and max_steps < 0:
             raise ValueError("max_steps must be non-negative")
+        if window < 1:
+            raise ValueError("window must be at least 1")
         self._program = program_for(grammar, memo=memo, build_ast=build_ast)
         self.plan = self._program.plan
         self.grammar = grammar
@@ -299,7 +302,7 @@ class ParseSession:
             elif isinstance(root, Node) and not machine.log:
                 machine.first = []  # as a whole-log commit would
             else:
-                root = machine.commit(TxMark(0, None, 0), self.data)
+                root = machine.commit(TxMark(0, None), self.data)
         except RecursionError:
             raise NestingLimitExceeded(self.farthest) from None
         stats = Stats()
@@ -1082,93 +1085,43 @@ class _Emitter:
         return rv, fails
 
     def link(self, e: Link, pv, i, fn, rec, known):
-        if rec is not None:
-            return self.record_link(e.body.name, e.index, pv, i, fn, rec)
+        """A lazy link keeps its parent in a local and puts it back in the
+        register as it closes; one at a memo point or at an eager
+        constructor's level commits its child (``commit_link``)."""
         body = e.body
-        if isinstance(body, Nonterminal) and body.name in self.link_points:
-            return self.memo_link(body.name, e.index, pv, i, fn)
+        if rec is not None or isinstance(body, Nonterminal) and body.name in self.link_points:
+            return self.commit_link(body.name, e.index, pv, i, fn, rec)
         add = fn.lines.append
-        add(f"{i}machine.push_left()")
+        parent = self.fresh("q")
+        add(f"{i}{parent} = machine.left")
         rv, fails = self.emit(body, pv, i, fn, None, known)
-        if fails:
-            add(f"{i}if r < 0:\n{i}    machine.pop_left()\n{i}else:\n{i}    machine.emit_link({e.index})")
-        else:
-            add(f"{i}machine.emit_link({e.index})")
+        close = f"machine.emit_link({parent}, machine.left, {e.index})"
+        add(f"{i}if r >= 0:\n{i}    {close}" if fails else f"{i}{close}")
+        add(f"{i}machine.left = {parent}")
         return rv, fails
 
-    def memo_link(self, name: str, index, pv, i, fn):
-        """``@Name`` at a memo point: commit-on-success, store, replay on hit.
-        A call of a production that never logs needs no savepoint but the
-        register, which the link restores itself, and no commit."""
-        add = fn.lines.append
-        point = self.link_points[name]
-        quiet = self.quiet(Nonterminal(name))
-        s = self.stable(pv, i, fn)
-        entry, mark = self.fresh("e"), self.fresh("q" if quiet else "m")
-        j = i + _STEP
-        add(
-            f"{i}machine.push_left()\n"
-            f"{i}{entry} = table.lookup({point}, {s})\n"
-            f"{i}if {entry} is None:\n"
-            f"{j}{mark} = machine.{'left' if quiet else 'save()'}"
-        )
-        self.call(Nonterminal(name), s, j, fn)
-        advance = f"table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))"
-        if quiet:
-            prior, abort, commit = mark, "", ""
-            advance = f"{j}    {advance}\n"
-        else:
-            prior = f"{mark}[1]"
-            abort = f"{j}    machine.abort({mark})\n"
-            # When the body built nothing, the bare advance is memoized, but
-            # only if it logged nothing a stored entry would lose.
-            advance = f"{j}    if len(machine.log) == {mark}[0]:\n{j}        {advance}\n"
-            commit = (
-                f"{j}    if type(k) is not Node or len(machine.log) != {mark}[0]:\n"
-                f"{j}        k = machine.commit({mark}, data)\n"
-            )
-        add(
-            f"{j}if r < 0:\n"
-            f"{j}    table.memoize({point}, {s}, FAILED)\n"
-            + abort
-            + f"{j}    machine.pop_left()\n"
-            f"{j}elif machine.left == {prior}:\n"
-            + advance
-            + f"{j}    machine.pop_left()\n"
-            f"{j}else:\n"
-            f"{j}    k = machine.left\n"
-            + commit
-            + f"{j}    table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, k)))\n"
-            f"{j}    machine.emit_link_node(k, {index})\n"
-            f"{i}elif {entry}[0]:\n"
-            f"{j}if {entry}[2] is not None:\n"
-            f"{j}    machine.emit_link_node({entry}[2], {index})\n"
-            f"{j}else:\n"
-            f"{j}    machine.pop_left()\n"
-            f"{j}r = {s} + {entry}[1]\n"
-            f"{i}else:\n"
-            f"{j}machine.pop_left()\n"
-            f"{j}r = ~{s}"
-        )
-        return "r", True
-
-    def record_link(self, name: str, index, pv, i, fn, rec):
-        """``@Name`` at an eager constructor's level: puts the child in the
-        record and restores the register, committing a lazily built child
-        at once.  On failure it rolls back what the body logged itself.  At
-        a memo point it stores the child, and replays it on later hits.  A
-        call of a production that never logs leaves a node or nothing in
-        the register and nothing to roll back but the register."""
+    def commit_link(self, name: str, index, pv, i, fn, rec):
+        """``@Name`` that commits its child: at a memo point, or at an eager
+        constructor's level.  It restores the register, committing a lazily
+        built child at once, and puts the child in the record ``rec``, or
+        links it into the parent if there is none.  On failure it rolls
+        back what the body logged itself.  At a memo point it stores the
+        child, and replays it on later hits.  A call of a production that
+        never logs leaves a node or nothing in the register and nothing to
+        roll back but the register."""
         add = fn.lines.append
         point = self.link_points.get(name)
         if point is None and name in self.nonterminal_points:
             return self.call(Nonterminal(name), pv, i, fn)  # builds nothing
         quiet = self.quiet(Nonterminal(name))
         s = self.stable(pv, i, fn)
-        links = rec.use(rec.links, fn)
-        put = f"{links}.append(k)"
-        if index is not None:
-            put = f"{links}.append(({index}, k))\n{{0}}{rec.use(rec.indexed, fn, True)} = True"
+        if rec is None:  # into the parent, ``{1}``, which is back in the register
+            put = f"machine.emit_link({{1}}, k, {index})"
+        else:
+            links = rec.use(rec.links, fn)
+            put = f"{links}.append(k)"
+            if index is not None:
+                put = f"{links}.append(({index}, k))\n{{0}}{rec.use(rec.indexed, fn, True)} = True"
         prior = self.fresh("q")
         base = None if quiet else self.fresh("b")
         d = i
@@ -1181,7 +1134,7 @@ class _Emitter:
         abort = commit = ""
         if base is not None:
             add(f"{d}{base} = len(machine.log)")
-            mark = f"_new_tuple(TxMark, ({base}, {prior}, len(machine.stack)))"
+            mark = f"_new_tuple(TxMark, ({base}, {prior}))"
             abort = f"{e1}if len(machine.log) != {base}:\n{e2}machine.abort({mark})\n"
             commit = (
                 f"{e2}if type(k) is not Node or len(machine.log) != {base}:\n"
@@ -1196,7 +1149,8 @@ class _Emitter:
             f"{d}else:\n"
             f"{e1}k = machine.left\n"
             + (
-                # The body built nothing, so it logged nothing.
+                # The body built nothing and leaves the node it started
+                # with alone, so it logged nothing.
                 f"{e1}if k == {prior}:\n"
                 f"{e2}table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))\n"
                 f"{e1}else:\n"
@@ -1210,7 +1164,7 @@ class _Emitter:
                 if point is not None
                 else ""
             )
-            + f"{e2}{put.format(e2)}"
+            + f"{e2}{put.format(e2, prior)}"
         )
         if point is not None:
             j = i + _STEP
@@ -1219,7 +1173,7 @@ class _Emitter:
                 f"{j}r = {s} + {entry}[1]\n"
                 f"{j}k = {entry}[2]\n"
                 f"{j}if k is not None:\n"
-                f"{j}    {put.format(j + _STEP)}\n"
+                f"{j}    {put.format(j + _STEP, 'machine.left')}\n"
                 f"{i}else:\n"
                 f"{j}r = ~{s}"
             )

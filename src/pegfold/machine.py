@@ -7,11 +7,12 @@ register).  Their node mutations are never applied while parsing.  They
 are appended to a log; backtracking truncates the log (``abort``) and a
 ``commit`` replays the surviving entries into real
 :class:`~pegfold.tree.Node` objects.
-Register effects that the parser must observe immediately (the left
-node reference and the parent stack) are applied eagerly and restored
-from transaction marks.  An abort is therefore a plain truncation: the
-log, the stack and the left register go back to the mark, and nothing
-else needs undoing.
+The one register effect that the parser must observe immediately, the
+left node reference, is applied eagerly and restored from transaction
+marks.  An abort is therefore a plain truncation: the log and the left
+register go back to the mark, and nothing else needs undoing.  A link
+keeps its parent itself, in a local of the generated code, and puts it
+back in the register when its body is done.
 
 Five entry kinds exist.  ``NEW``/``FOLD`` introduce a virtual node id,
 ``CAPTURE`` sets its end offset, ``TAG`` overrides its tag, ``LINK``
@@ -29,17 +30,16 @@ first-child chain (``Machine.first``) and refuses the link when it meets
 the parent.  The walk ends at the parent or at a constructor, so it
 visits only folds made in that body.
 
-A link at an eager constructor's level restores the left register
-itself, and commits, or on failure aborts, what its body logged from the
-log length it started at.  An eager ``{@ }`` whose left register holds a
-virtual id when it closes cannot build its node, since its first child is
-not built yet: ``emit_local_fold`` logs its ``FOLD``, links, tag and
-capture together.
+A link that commits its child, at a memo point or at an eager
+constructor's level, restores the left register itself, and commits, or
+on failure aborts, what its body logged from the log length it started
+at.  An eager ``{@ }`` whose left register holds a virtual id when it
+closes cannot build its node, since its first child is not built yet:
+``emit_local_fold`` logs its ``FOLD``, links, tag and capture together.
 
-A commit from mark 0 with an empty stack, or a parse that ends with a
-node in the register and an empty log, leaves no virtual id referenced
-anywhere, so ``first`` is reset and freed before the caller goes on to
-print the tree.
+A commit from mark 0, or a parse that ends with a node in the register
+and an empty log, leaves no virtual id referenced anywhere, so ``first``
+is reset and freed before the caller goes on to print the tree.
 
 Already-materialized nodes are immutable: any logged mutation targeting
 one is an engine bug and raises :class:`InternalParserError`.  Link
@@ -74,7 +74,6 @@ class TxMark(NamedTuple):
 
     log_index: int
     left: NodeRef
-    stack_depth: int
 
 
 _new_mark = tuple.__new__
@@ -83,11 +82,10 @@ _new_mark = tuple.__new__
 class Machine:
     """One parse session's construction state.  Not thread-safe."""
 
-    __slots__ = ("log", "stack", "left", "first", "created")
+    __slots__ = ("log", "left", "first", "created")
 
     def __init__(self) -> None:
         self.log: list[tuple] = []
-        self.stack: list[NodeRef] = []
         self.left: NodeRef = None
         # first[vid] = the node fold ``vid`` adopted, None for a
         # constructor; ``len(first)`` is the next virtual id.  Entries of
@@ -100,12 +98,11 @@ class Machine:
 
     def save(self) -> TxMark:
         # tuple.__new__ skips the named tuple's Python-level constructor.
-        return _new_mark(TxMark, (len(self.log), self.left, len(self.stack)))
+        return _new_mark(TxMark, (len(self.log), self.left))
 
     def abort(self, mark: TxMark) -> None:
         """Discards entries and register changes made since ``mark``."""
         del self.log[mark.log_index :]
-        del self.stack[mark.stack_depth :]
         self.left = mark.left
 
     # -- emit family (register effects eager, node mutations logged) -------
@@ -160,23 +157,16 @@ class Machine:
             raise InternalParserError("tag targets a materialized node")
         self.log.append((_TAG, left, name))
 
-    def push_left(self) -> None:
-        self.stack.append(self.left)
-
-    def pop_left(self) -> None:
-        self.left = self.stack.pop()
-
-    def emit_link(self, index: int | None) -> None:
-        """Closes ``@e``: links the node built by the body into the parent.
+    def emit_link(self, parent: NodeRef, child: NodeRef, index: int | None) -> None:
+        """Closes ``@e``: links ``child``, the node its body built, into
+        ``parent``, the node in the register when it opened.
 
         Erroneous connections are ignored: when the body built nothing
-        (left unchanged), when there is no parent to attach to, and when
-        the attachment would make the parent a descendant of itself (the
-        body folded the parent away: it lies on the child's first-child
-        chain).
+        (``child`` is ``parent``), when there is no parent to attach to, and
+        when the attachment would make the parent a descendant of itself
+        (the body folded the parent away: it lies on the child's
+        first-child chain).
         """
-        child = self.left
-        parent = self.stack.pop()
         if child != parent and parent is not None:
             if isinstance(parent, Node):
                 raise InternalParserError("link targets a materialized parent")
@@ -186,16 +176,6 @@ class Machine:
                 cursor = first[cursor]
             if cursor != parent:
                 self.log.append((_LINK, parent, child, index))
-        self.left = parent
-
-    def emit_link_node(self, node: Node, index: int | None) -> None:
-        """Links an already-materialized node (a memoized result)."""
-        parent = self.stack.pop()
-        if parent is not None:
-            if isinstance(parent, Node):
-                raise InternalParserError("link targets a materialized parent")
-            self.log.append((_LINK, parent, node, index))
-        self.left = parent
 
     # -- commit ------------------------------------------------------------
 
@@ -279,9 +259,9 @@ class Machine:
                 raise InternalParserError("left register does not resolve inside the transaction")
         else:
             raise InternalParserError("commit with no node under construction")
-        if base == 0 and not self.stack:
-            # Nothing refers to a virtual id any more: the log is empty, the
-            # stack too, and the left register holds a node.
+        if base == 0:
+            # Nothing refers to a virtual id any more: the log is empty and
+            # the left register holds a node.
             self.first = []
         self.left = root
         return root

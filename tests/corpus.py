@@ -6,11 +6,21 @@ trip).  Back-references are always guarded by a preceding literal, which
 rules out left recursion by construction; a validation check retries the
 rare rejects.  Inputs mix grammar-guided samples, mutations of them, and
 plain noise, capped at 64 bytes.
+
+``python tests/corpus.py`` prints ``digest()``, one SHA-256 over the
+engine's outcomes on a fixed corpus, which a change that must keep the
+engine's behaviour can compare before and after.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: read the package from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pegfold.analysis import validate
 from pegfold.expr import (
@@ -35,7 +45,7 @@ from pegfold.expr import (
 )
 from pegfold.grammar import Grammar, format_grammar, parse_grammar
 from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
-from pegfold.tree import serialize
+from pegfold.tree import serialize, to_json
 
 from oracle import OracleInterpreter, OracleStepLimit
 
@@ -224,3 +234,62 @@ def oracle_outcome(grammar: Grammar, data: bytes):
         return ("fail",)
     root, consumed = parsed
     return ("ok", consumed, serialize(root))
+
+
+# -- corpus digest ------------------------------------------------------------
+
+DIGEST_SEEDS = range(100, 130)
+DIGEST_PAIRS = 200
+# (memo, window) settings, each run with and without tree building.
+DIGEST_SETTINGS = ((False, 256), (True, 1), (True, 256))
+
+
+def session_outcome(grammar: Grammar, data: bytes, *, memo: bool, window: int, build_ast: bool):
+    """One parse and the counters it leaves: the result (``consumed``, the
+    tree as JSON, with every node's span, and the nodes reachable from the
+    root; the failure position; or the step limit), then ``backtrack``,
+    ``calls``, ``farthest``, memo lookups and hits, and the nodes created."""
+    session = ParseSession(
+        grammar, data, memo=memo, window=window, build_ast=build_ast, max_steps=ENGINE_STEPS
+    )
+    try:
+        result = session.parse()
+    except ParseError as error:
+        outcome: tuple = ("fail", error.position)
+    except StepLimitExceeded:
+        outcome = ("steps",)
+    else:
+        outcome = ("ok", result.consumed, to_json(result.root), result.stats.nodes_in_result)
+    table = session.table
+    return outcome + (
+        session.backtrack,
+        session.calls,
+        session.farthest,
+        table.lookups if table is not None else 0,
+        table.hits if table is not None else 0,
+        session.machine.created,
+    )
+
+
+def digest(seeds=DIGEST_SEEDS, pairs: int = DIGEST_PAIRS) -> tuple[str, int]:
+    """The SHA-256 of every ``session_outcome`` over ``make_corpus(seed,
+    pairs)`` for each seed, in every ``DIGEST_SETTINGS`` setting with trees
+    and without, and how many outcomes it covers."""
+    sha = hashlib.sha256()
+    count = 0
+    for seed in seeds:
+        for _, grammar, data in make_corpus(seed, pairs):
+            for memo, window in DIGEST_SETTINGS:
+                for build_ast in (True, False):
+                    outcome = session_outcome(
+                        grammar, data, memo=memo, window=window, build_ast=build_ast
+                    )
+                    sha.update(repr(outcome).encode())
+                    sha.update(b"\n")
+                    count += 1
+    return sha.hexdigest(), count
+
+
+if __name__ == "__main__":
+    hexdigest, outcomes = digest()
+    print(f"{hexdigest}  {outcomes} outcomes")

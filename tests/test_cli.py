@@ -69,6 +69,15 @@ def test_check_syntax_error(tmp_path, capsys):
     assert "error syntax" in capsys.readouterr().err
 
 
+def test_check_a_grammar_nested_too_deeply_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.peg"
+    path.write_text("S = " + "(" * 400 + "'a'" + ")" * 400 + "\n")
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error syntax <grammar>: grammar nests too deeply\n"
+    assert captured.out == ""
+
+
 def test_parse_prints_tree(math_peg, tmp_path, capsys):
     assert run(["parse", math_peg, write_input(tmp_path, b"1+2*3")]) == 0
     out = capsys.readouterr().out

@@ -92,6 +92,14 @@ def test_a_negative_step_limit_is_refused():
         assert session.parse().consumed == 1
 
 
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_window_below_one_is_refused_when_the_session_is_built(memo):
+    grammar = parse_grammar("S = 'a'")
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window"):
+            ParseSession(grammar, b"a", memo=memo, window=window)
+
+
 @pytest.mark.parametrize("build_ast", [True, False])
 def test_profiles_name_each_production(build_ast):
     session = ParseSession(parse_grammar(MATH), b"(1+2)*3-4/(5+6)", build_ast=build_ast)

@@ -187,6 +187,19 @@ def test_syntax_errors(bad):
     assert d.line >= 1 and d.column >= 1
 
 
+@pytest.mark.parametrize("open_, close, wrap", [("(", ")", lambda e: e), ("{ ", "}", New)])
+def test_nesting_past_the_recursion_limit_is_a_syntax_error(open_, close, wrap):
+    with pytest.raises(GrammarSyntaxError) as info:
+        parse_grammar("A = 'a'\nB = " + open_ * 400 + "'b'" + close * 400)
+    d = info.value.diagnostics[0]
+    assert (d.severity, d.code, d.message) == ("error", "syntax", "grammar nests too deeply")
+    assert d.line == 2 and d.column > 4  # inside the brackets
+    expected = Terminal(b"b")
+    for _ in range(150):
+        expected = wrap(expected)
+    assert body("B = " + open_ * 150 + "'b'" + close * 150) == expected
+
+
 def test_duplicate_production_rejected():
     with pytest.raises(GrammarSyntaxError) as info:
         parse_grammar("A = 'a'\nA = 'b'")

@@ -9,9 +9,17 @@ from pegfold.tree import Node, serialize
 SRC = b"12+34"
 
 
+def close_link(m, parent, index=None):
+    """What a lazy ``@e`` runs as its body succeeds: links the node in the
+    register into ``parent``, the node that was there when it opened, and
+    puts ``parent`` back in the register."""
+    m.emit_link(parent, m.left, index)
+    m.left = parent
+
+
 def test_fresh_machine_mark():
     m = Machine()
-    assert m.save() == TxMark(0, None, 0)
+    assert m.save() == TxMark(0, None)
 
 
 def test_mark_counts_entries():
@@ -34,7 +42,7 @@ def test_abort_full_rollback():
     m.emit_new(0)
     m.emit_capture(2)
     m.abort(mark)
-    assert m.log == [] and m.left is None and m.stack == []
+    assert m.log == [] and m.left is None
 
 
 def test_abort_with_no_new_entries_is_noop():
@@ -60,15 +68,14 @@ def test_nested_abort_keeps_outer_entries():
     assert m.dump_log() == ["NEW v0 @0"]
 
 
-def test_abort_restores_left_and_stack_depth():
+def test_abort_restores_left():
     m = Machine()
     m.emit_new(0)
     mark = m.save()
-    m.push_left()
     m.emit_new(1)
-    assert m.left == 1 and len(m.stack) == 1
+    assert m.left == 1
     m.abort(mark)
-    assert m.left == 0 and m.stack == []
+    assert m.left == 0 and m.dump_log() == ["NEW v0 @0"]
 
 
 def test_commit_tag_capture():
@@ -94,10 +101,10 @@ def test_commit_default_tags():
     m2 = Machine()
     mark2 = m2.save()
     m2.emit_new(0)
-    m2.push_left()
+    parent = m2.left
     m2.emit_new(0)
     m2.emit_capture(2)
-    m2.emit_link(None)
+    close_link(m2, parent)
     m2.emit_capture(5)
     assert m2.commit(mark2, SRC).tag == "tree"
 
@@ -118,10 +125,10 @@ def test_indexed_links_override_and_reorder():
     m.emit_new(0)  # v0 parent
 
     def child(start, end, idx):
-        m.push_left()
+        parent = m.left
         m.emit_new(start)
         m.emit_capture(end)
-        m.emit_link(idx)
+        close_link(m, parent, idx)
 
     child(0, 2, 1)   # "12" at index 1
     child(3, 5, 0)   # "34" at index 0
@@ -134,10 +141,10 @@ def test_index_gap_dropped_when_unfilled():
     m = Machine()
     mark = m.save()
     m.emit_new(0)
-    m.push_left()
+    parent = m.left
     m.emit_new(0)
     m.emit_capture(2)
-    m.emit_link(2)  # children 0 and 1 never filled
+    close_link(m, parent, 2)  # children 0 and 1 never filled
     m.emit_capture(2)
     node = m.commit(mark, SRC)
     assert [c.text for c in node.children] == [b"12"]
@@ -151,11 +158,11 @@ def test_fold_adopts_prior_left_as_first_child():
     m.emit_capture(2)
     m.emit_fold(2)
     m.emit_tag("Add")
-    m.push_left()
+    parent = m.left
     m.emit_new(3)
     m.emit_tag("Int")
     m.emit_capture(5)
-    m.emit_link(None)
+    close_link(m, parent)
     m.emit_capture(5)
     node = m.commit(mark, SRC)
     assert serialize(node) == "#Add[#Int['12'] #Int['34']]"
@@ -174,10 +181,10 @@ def test_fold_without_prior_left_has_no_first_child():
 
 def test_link_suppressed_without_parent():
     m = Machine()
-    m.push_left()          # parent: nothing
+    parent = m.left        # nothing
     m.emit_new(0)
     m.emit_capture(2)
-    m.emit_link(None)
+    close_link(m, parent)
     assert m.left is None
     assert not any(line.startswith("LINK") for line in m.dump_log())
 
@@ -185,8 +192,7 @@ def test_link_suppressed_without_parent():
 def test_link_suppressed_when_body_built_nothing():
     m = Machine()
     m.emit_new(0)
-    m.push_left()
-    m.emit_link(None)  # left unchanged: erroneous self-connection, ignored
+    close_link(m, m.left)  # left unchanged: erroneous self-connection, ignored
     assert m.left == 0
     assert not any(line.startswith("LINK") for line in m.dump_log())
 
@@ -198,14 +204,14 @@ def test_node_can_gain_two_fold_parents_after_refused_cycle():
     m = Machine()
     m.emit_new(0)        # x = v0
     m.emit_capture(1)
-    m.push_left()
+    parent = m.left
     m.emit_fold(1)       # N = v1 adopts x
     m.emit_capture(2)
-    m.emit_link(None)    # refused: N already contains x
+    close_link(m, parent)  # refused: N already contains x
     assert m.left == 0
     m.emit_fold(2)       # N2 = v2 adopts x again
     m.emit_capture(3)
-    root = m.commit(TxMark(0, None, 0), SRC)
+    root = m.commit(TxMark(0, None), SRC)
     assert serialize(root) == "#tree[#token['1']]"
     assert m.created == 3  # x, the orphaned N, and N2
 
@@ -213,13 +219,13 @@ def test_node_can_gain_two_fold_parents_after_refused_cycle():
 def test_link_refused_when_it_would_close_a_cycle():
     m = Machine()
     m.emit_new(0)          # v0
-    m.push_left()
+    parent = m.left
     m.emit_fold(1)         # v1 adopts v0
     m.emit_capture(2)
-    m.emit_link(0)         # v1 into v0 would make v0 its own descendant
+    close_link(m, parent, 0)  # v1 into v0 would make v0 its own descendant
     assert m.left == 0
     assert not any(line.startswith("LINK") for line in m.dump_log())
-    mark = TxMark(0, None, 0)
+    mark = TxMark(0, None)
     m.emit_capture(2)
     root = m.commit(mark, SRC)  # replays cleanly, no cycle
     assert root.children == ()
@@ -228,30 +234,30 @@ def test_link_refused_when_it_would_close_a_cycle():
 def test_link_refused_when_parent_is_two_folds_deep():
     m = Machine()
     m.emit_new(0)          # v0
-    m.push_left()
+    parent = m.left
     m.emit_fold(1)         # v1 adopts v0
     m.emit_fold(1)         # v2 adopts v1
     m.emit_capture(2)
-    m.emit_link(None)      # v0 sits two folds down inside v2
+    close_link(m, parent)  # v0 sits two folds down inside v2
     assert m.left == 0
     assert not any(line.startswith("LINK") for line in m.dump_log())
     m.emit_capture(2)
-    assert m.commit(TxMark(0, None, 0), SRC).children == ()
+    assert m.commit(TxMark(0, None), SRC).children == ()
 
 
 def test_link_accepted_when_a_constructor_breaks_the_fold_chain():
     m = Machine()
     m.emit_new(0)          # v0
     m.emit_capture(5)
-    m.push_left()
+    parent = m.left
     m.emit_fold(0)         # v1 adopts v0, then is dropped by the constructor
     m.emit_new(0)          # v2
     m.emit_capture(2)
     m.emit_fold(2)         # v3 adopts v2: its chain ends at v2, not v0
     m.emit_capture(3)
-    m.emit_link(None)
+    close_link(m, parent)
     assert m.dump_log()[-1] == "LINK v0 <- v3"
-    root = m.commit(TxMark(0, None, 0), SRC)
+    root = m.commit(TxMark(0, None), SRC)
     assert serialize(root) == "#tree[#tree[#token['12']]]"
 
 
@@ -259,24 +265,24 @@ def test_link_accepted_after_aborting_a_refused_cycle():
     m = Machine()
     m.emit_new(0)          # v0
     mark = m.save()
-    m.push_left()
+    parent = m.left
     m.emit_fold(1)         # v1 adopts v0
     m.emit_capture(2)
-    m.emit_link(None)      # refused
+    close_link(m, parent)  # refused
     m.abort(mark)          # v1's chain entry stays behind, unused
-    m.push_left()
+    parent = m.left
     m.emit_new(0)          # v2
     m.emit_capture(2)
-    m.emit_link(None)
+    close_link(m, parent)
     assert m.dump_log() == ["NEW v0 @0", "NEW v2 @0", "CAPTURE v2 @2", "LINK v0 <- v2"]
     m.emit_capture(5)
-    assert serialize(m.commit(TxMark(0, None, 0), SRC)) == "#tree[#token['12']]"
+    assert serialize(m.commit(TxMark(0, None), SRC)) == "#tree[#token['12']]"
 
 
 def test_commit_replays_only_since_mark():
     m = Machine()
     m.emit_new(0)
-    m.push_left()
+    parent = m.left
     mark = m.save()
     m.emit_new(1)
     m.emit_tag("Inner")
@@ -285,8 +291,9 @@ def test_commit_replays_only_since_mark():
     assert serialize(node) == "#Inner['2']"
     # the outer NEW is still pending
     assert m.dump_log() == ["NEW v0 @0"]
-    m.pop_left()
+    close_link(m, parent)  # the committed node links as a materialized child
     assert m.left == 0
+    assert m.dump_log() == ["NEW v0 @0", "LINK v0 <- <Inner>"]
 
 
 def test_commit_is_pure_over_the_entry_range():
@@ -294,11 +301,11 @@ def test_commit_is_pure_over_the_entry_range():
         m = Machine()
         mark = m.save()
         m.emit_new(0)
-        m.push_left()
+        parent = m.left
         m.emit_new(0)
         m.emit_tag("A")
         m.emit_capture(2)
-        m.emit_link(None)
+        close_link(m, parent)
         m.emit_tag("B")
         m.emit_capture(5)
         return serialize(m.commit(mark, SRC))
@@ -314,12 +321,13 @@ def test_materialized_node_is_never_a_mutation_target():
     with pytest.raises(InternalParserError):
         m.emit_capture(1)
     m2 = Machine()
-    m2.left = Node("done", 0, 1, SRC)
-    m2.push_left()
+    parent = m2.left = Node("done", 0, 1, SRC)
     m2.emit_new(1)
     m2.emit_capture(2)
     with pytest.raises(InternalParserError):
-        m2.emit_link(None)
+        m2.emit_link(parent, m2.left, None)
+    with pytest.raises(InternalParserError):  # a materialized child too
+        m2.emit_link(parent, Node("memo", 1, 2, SRC), 0)
 
 
 def test_materialized_children_allowed_in_links():
@@ -327,9 +335,8 @@ def test_materialized_children_allowed_in_links():
     done = Node("memo", 0, 2, SRC)
     mark = m.save()
     m.emit_new(0)
-    m.push_left()
-    m.left = done
-    m.emit_link(None)
+    m.emit_link(m.left, done, None)
+    assert m.left == 0  # a link leaves the register to its caller
     m.emit_capture(5)
     node = m.commit(mark, SRC)
     assert node.children == (done,)
@@ -359,21 +366,21 @@ def test_commit_refuses_a_link_cycle():
     m.left = 0
     assert m.dump_log() == ["NEW v0 @0", "NEW v1 @0", "LINK v0 <- v1", "LINK v1 <- v0"]
     with pytest.raises(InternalParserError, match="cyclic link structure"):
-        m.commit(TxMark(0, None, 0), SRC)
+        m.commit(TxMark(0, None), SRC)
 
 
 def test_whole_log_commit_resets_the_first_child_list():
     m = Machine()
     m.emit_new(0)
-    m.push_left()
+    parent = m.left
     mark = m.save()
     m.emit_new(1)
     m.emit_capture(2)
-    m.commit(mark, SRC)  # the stack still holds v0
+    m.commit(mark, SRC)  # the log still holds v0
     assert m.first == [None, None]
-    m.emit_link(None)
+    close_link(m, parent)
     m.emit_capture(5)
-    root = m.commit(TxMark(0, None, 0), SRC)
+    root = m.commit(TxMark(0, None), SRC)
     assert m.first == [] and m.log == [] and m.left is root
     m.emit_new(0)
     assert m.left == 0  # virtual ids start again at v0
@@ -406,7 +413,7 @@ def test_a_local_fold_over_a_virtual_id_logs_its_links_tag_and_capture():
         "TAG v1 #Add",
         "CAPTURE v1 @5",
     ]
-    root = m.commit(TxMark(0, None, 0), SRC)
+    root = m.commit(TxMark(0, None), SRC)
     # the indexed link replaced the first child, as a commit replays it
     assert serialize(root) == "#Add[#d['4'] #d['3']]"
     assert (root.start, root.end) == (2, 5)
@@ -422,11 +429,11 @@ def test_place_links_puts_indexed_links_and_drops_gaps():
 def test_dump_log_format():
     m = Machine()
     m.emit_new(0)
-    m.push_left()
+    parent = m.left
     m.emit_new(1)
     m.emit_tag("Int")
     m.emit_capture(2)
-    m.emit_link(3)
+    close_link(m, parent, 3)
     assert m.dump_log() == [
         "NEW v0 @0",
         "NEW v1 @1",

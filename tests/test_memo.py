@@ -7,6 +7,8 @@ from pegfold.interp import ParseSession, StepLimitExceeded
 from pegfold.memo import FAILED, MemoEntry, MemoTable
 from pegfold.tree import serialize
 
+from corpus import engine_outcome, oracle_outcome
+
 
 def entry(consumed):
     return MemoEntry(True, consumed, None)
@@ -175,3 +177,39 @@ def test_window_only_affects_hit_rate():
     tiny, _ = run(g, b"abcy", window=1)
     assert wide.consumed == tiny.consumed == 4
     assert tiny.stats.memo_hits <= wide.stats.memo_hits
+
+
+# A link point at a lazy constructor's level: B tags L's node after the
+# link, so L's node is built through the log, and the link commits A's node
+# itself before storing it.
+LAZY_LEVEL_LINK = """S = L 'x' / L 'y'
+L = { @A 'b' B }
+B = '' #T
+A = { 'a' } #A
+"""
+
+
+@pytest.mark.parametrize(
+    "text, data, expect, hits",
+    [
+        (LAZY_LEVEL_LINK, b"aby", "#T[#A['a']]", 1),
+        (
+            LAZY_LEVEL_LINK.replace("@A 'b' B", "@[1]A 'b' @[0]C B") + "C = { 'c' } #C\n",
+            b"abcy",
+            "#T[#C['c'] #A['a']]",
+            2,
+        ),
+    ],
+    ids=["append", "indexed"],
+)
+def test_a_link_point_at_a_lazy_level_replays_the_stored_node(text, data, expect, hits):
+    grammar = parse_grammar(text)
+    result, session = run(text, data)
+    assert serialize(result.root) == expect
+    assert result.stats.memo_hits == hits
+    entries = [entry for row in session.table.rows if row is not None for entry in row[1]]
+    stored = [entry.node for entry in entries if entry is not None and entry.node is not None]
+    assert len(stored) == hits
+    assert all(any(node is child for child in result.root.children) for node in stored)
+    assert engine_outcome(grammar, data, memo=True) == oracle_outcome(grammar, data)
+    assert engine_outcome(grammar, data, memo=False) == oracle_outcome(grammar, data)

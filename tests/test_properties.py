@@ -2,7 +2,7 @@
 
 import random
 
-from corpus import ENGINE_STEPS, _Generator, engine_outcome, make_corpus, oracle_outcome
+from corpus import ENGINE_STEPS, _Generator, digest, engine_outcome, make_corpus, oracle_outcome
 
 from pegfold.analysis import assign_memo_points
 from pegfold.expr import desugar
@@ -125,3 +125,9 @@ def test_oracle_equivalence_quick():
         if engine is None or reference is None:
             continue
         assert engine == reference, (format_grammar(grammar), data)
+
+
+def test_the_corpus_digest_covers_six_settings_per_pair_and_repeats():
+    first = digest(seeds=[100], pairs=3)
+    assert first == digest(seeds=[100], pairs=3)
+    assert first[1] == 3 * 6 and len(first[0]) == 64
