@@ -70,6 +70,8 @@ class Diagnostic:
 
     def __str__(self) -> str:
         where = self.production or "<grammar>"
+        if self.line > 0:
+            where += f":{self.line}:{self.column}"
         return f"{self.severity} {self.code} {where}: {self.message}"
 
 

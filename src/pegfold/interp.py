@@ -28,17 +28,20 @@ two paths:
 
 * An eager constructor (``analysis.eager_constructors``) is local: only
   its own level changes its node.  It keeps its record in locals of the
-  function, a tag, a list of links and whether any link is indexed, and
-  builds its node from them as it closes.  A ``#t`` at its level sets the
-  record's tag, and a trailing one beats it; an ``@Name`` there calls the
-  production, puts the child in the record and restores the left
-  register, committing a lazily built child at once and rolling back what
-  the body logged if it fails.  A production that never logs
-  (``analysis.never_logs``) leaves a built node or nothing in the register
-  and nothing in the log, so a link that calls one, here or at a memo
-  point, reads no log length and neither commits nor rolls back.  A
-  *direct* constructor has nothing at its level but a trailing tag, so no
-  record either.  A ``{@ }`` that finds a
+  function, a tag, its links and whether any link is indexed, and builds
+  its node from them as it closes: one ``object.__new__`` call for a slot
+  record, sealed into a ``Node`` (``tree._NodeSlots``).  The links are a
+  list, or the child itself where the level has one unindexed ``@`` site
+  that no loop there repeats, as a fold step of ``{@ op @Operand }*``
+  has.  A ``#t`` at its level sets the record's tag, and a trailing one
+  beats it; an ``@Name`` there calls the production, puts the child in
+  the record and restores the left register, committing a lazily built
+  child at once and rolling back what the body logged if it fails.  A
+  production that never logs (``analysis.never_logs``) leaves a built
+  node or nothing in the register and nothing in the log, so a link that
+  calls one, here or at a memo point, reads no log length and neither
+  commits nor rolls back.  A *direct* constructor has nothing at its
+  level but a trailing tag, so no record either.  A ``{@ }`` that finds a
   virtual id in the register logs its node instead
   (``Machine.emit_local_fold``).
 * Every other constructor is lazy: its operators append entries to the
@@ -51,9 +54,9 @@ can, or that can change it and succeed empty (an empty step is dropped); a
 predicate body that can change it at all.  Where the attempt never logs,
 the left register is all it can change, and its savepoint is that
 register alone.  At an eager constructor's level the machine does not
-change, so a savepoint there marks the record: its tag and how many links
-it holds.  With tree operators erased, as in recognize mode, nothing gets
-one.
+change, so a savepoint there marks the record: its tag, and how many links
+it holds or its lone link.  With tree operators erased, as in recognize
+mode, nothing gets one.
 
 With memoization enabled, ``@Name`` links at assigned memo points store
 the materialized node as soon as the body succeeds (the node already in
@@ -112,11 +115,12 @@ from .expr import (
     Terminal,
     ZeroOrMore,
     erase_tree_operators,
+    subexpressions,
 )
 from .grammar import Grammar
 from .machine import Machine, TxMark, place_links
 from .memo import DEFAULT_WINDOW, FAILED, MemoEntry, MemoTable
-from .tree import Node, _set_children, _set_end, _set_source, _set_start, _set_tag
+from .tree import Node, _NodeSlots
 
 __all__ = [
     "ParseSession",
@@ -130,7 +134,7 @@ __all__ = [
 
 _NO_STEP_LIMIT = sys.maxsize
 # A TxMark or MemoEntry without the named tuple's Python-level constructor,
-# and a Node the engine knows to be valid, to fill through the slot setters.
+# and a slot record to fill and seal into a valid Node (``tree._NodeSlots``).
 _new_tuple = tuple.__new__
 _new_node = object.__new__
 
@@ -292,12 +296,13 @@ class ParseSession:
             machine = self.machine
             root = machine.left
             if root is None:  # a token over what the parse consumed
-                root = _new_node(Node)
-                _set_tag(root, "token")
-                _set_start(root, 0)
-                _set_end(root, end)
-                _set_source(root, self.data)
-                _set_children(root, ())
+                root = _new_node(_NodeSlots)
+                root.tag = "token"
+                root.start = 0
+                root.end = end
+                root.source = self.data
+                root.children = ()
+                root.__class__ = Node
                 machine.created += 1
             elif isinstance(root, Node) and not machine.log:
                 machine.first = []  # as a whole-log commit would
@@ -432,17 +437,13 @@ _GLOBALS: dict[str, object] = {
     "backtrack": 0,
     "calls": 0,
     "Node": Node,
+    "_NodeSlots": _NodeSlots,
     "TxMark": TxMark,
     "MemoEntry": MemoEntry,
     "FAILED": FAILED,
     "StepLimitExceeded": StepLimitExceeded,
     "place_links": place_links,
     "_new": _new_node,
-    "_set_tag": _set_tag,
-    "_set_start": _set_start,
-    "_set_end": _set_end,
-    "_set_source": _set_source,
-    "_set_children": _set_children,
     "_new_tuple": _new_tuple,
 }
 
@@ -546,13 +547,17 @@ class _Function:
 class _Record:
     """The locals that hold an eager constructor's record: ``t`` its tag,
     ``l`` its links (each a child, or ``(index, child)``), ``x`` whether
-    any link is indexed."""
+    any link is indexed.  Where the level has one ``@`` site, unindexed
+    and repeated by no loop there (``lone``), ``l`` is that child itself,
+    or None."""
 
-    __slots__ = ("owner", "tag", "links", "indexed", "used")
+    __slots__ = ("owner", "tag", "links", "indexed", "lone", "used")
 
-    def __init__(self, owner: _Function, n: int) -> None:
+    def __init__(self, owner: _Function, n: int, body: Expression) -> None:
         self.owner = owner
         self.tag, self.links, self.indexed = f"t{n}", f"l{n}", f"x{n}"
+        sites = _level_links(body)
+        self.lone = len(sites) == 1 and sites[0][0].index is None and not sites[0][1]
         self.used: set[str] = set()
 
     def use(self, var: str, fn: _Function, assigns: bool = False) -> str:
@@ -560,6 +565,15 @@ class _Record:
         if assigns and fn is not self.owner:
             fn.nonlocals.add(var)
         return var
+
+
+def _level_links(e: Expression, looped: bool = False) -> list[tuple[Link, bool]]:
+    """The ``@`` sites in ``e`` at its eager constructor's level, which
+    holds no constructor, each with whether a loop there repeats it."""
+    if isinstance(e, Link):
+        return [(e, looped)]
+    looped = looped or isinstance(e, (ZeroOrMore, OneOrMore))
+    return [site for sub in subexpressions(e) for site in _level_links(sub, looped)]
 
 
 class _Emitter:
@@ -729,10 +743,13 @@ class _Emitter:
         constructor's level, where the machine does not change, the record."""
         if rec is not None:
             tag, count = self.fresh("m"), self.fresh("n")
+            links = rec.use(rec.links, fn, rec.lone)
             fn.lines.append(
-                f"{i}{tag} = {rec.use(rec.tag, fn)}\n{i}{count} = len({rec.use(rec.links, fn)})"
+                f"{i}{tag} = {rec.use(rec.tag, fn)}\n"
+                f"{i}{count} = {links if rec.lone else f'len({links})'}"
             )
-            return f"{{0}}{rec.use(rec.tag, fn, True)} = {tag}\n{{0}}del {rec.links}[{count}:]"
+            undo = f"{links} = {count}" if rec.lone else f"del {links}[{count}:]"
+            return f"{{0}}{rec.use(rec.tag, fn, True)} = {tag}\n{{0}}{undo}"
         if self.quiet(e):
             prior = self.fresh("q")
             fn.lines.append(f"{i}{prior} = machine.left")
@@ -1027,7 +1044,7 @@ class _Emitter:
         rec = None
         if self.builds(body):
             self.count += 1
-            rec = _Record(fn, self.count)
+            rec = _Record(fn, self.count, body)
             at = len(fn.lines)
         rv, fails = self.emit(body, s, i, fn, rec, known)
         given = repr(tag)  # the record's tag, which a trailing one beats
@@ -1040,45 +1057,55 @@ class _Emitter:
                 if tag is None:
                     given = rec.tag
             if rec.links in used:
-                init.append(f"{i}{rec.links} = []")
+                init.append(f"{i}{rec.links} = {'None' if rec.lone else '[]'}")
                 links = rec.links
             if rec.indexed in used:
                 init.append(f"{i}{rec.indexed} = False")
                 indexed = rec.indexed
             fn.lines[at:at] = init
+        lone = links is not None and rec.lone
         if fails:
             add(f"{i}if r >= 0:")
             i += _STEP
         if fold:
+            logged = f"[{links}] if {links} is not None else ()" if lone else links or "()"
             add(
                 f"{i}k = machine.left\n{i}if type(k) is int:\n"
-                f"{i}    machine.emit_local_fold({s}, {rv}, {given}, {links or '()'})\n{i}else:"
+                f"{i}    machine.emit_local_fold({s}, {rv}, {given}, {logged})\n{i}else:"
             )
             i += _STEP
             if links is None:
                 children = "(k,) if k is not None else ()"
+            elif lone:
+                children = (
+                    f"((k, {links}) if {links} is not None else (k,)) if k is not None "
+                    f"else ({links},) if {links} is not None else ()"
+                )
             else:
-                children = f"(k, *{links}) if k is not None else tuple({links})"
+                children = f"(k, *{links}) if k is not None else (*{links},)"
                 if indexed:
                     children = f"place_links(k, {links}) if {indexed} else {children}"
         elif links is None:
             children = "()"
+        elif lone:
+            children = f"({links},) if {links} is not None else ()"
         else:
-            children = f"tuple({links})"
+            children = f"(*{links},)"
             if indexed:
                 children = f"place_links(None, {links}) if {indexed} else {children}"
         default = "'token'" if children == "()" else "('tree' if k else 'token')"
         node_tag = default if given == "None" else f"{given} or {default}" if tag is None else given
-        # Built through the slot descriptors, skipping ``Node.__init__``:
-        # the tag is not empty and the span lies in the input.
+        # A slot record sealed into a Node, skipping ``Node.__init__``: the
+        # tag is not empty and the span lies in the input.
         add(
             f"{i}k = {children}\n"
-            f"{i}n = _new(Node)\n"
-            f"{i}_set_tag(n, {node_tag})\n"
-            f"{i}_set_start(n, {s})\n"
-            f"{i}_set_end(n, {rv})\n"
-            f"{i}_set_source(n, data)\n"
-            f"{i}_set_children(n, k)\n"
+            f"{i}n = _new(_NodeSlots)\n"
+            f"{i}n.tag = {node_tag}\n"
+            f"{i}n.start = {s}\n"
+            f"{i}n.end = {rv}\n"
+            f"{i}n.source = data\n"
+            f"{i}n.children = k\n"
+            f"{i}n.__class__ = Node\n"
             f"{i}machine.left = n\n"
             f"{i}machine.created += 1"
         )
@@ -1118,8 +1145,8 @@ class _Emitter:
         if rec is None:  # into the parent, ``{1}``, which is back in the register
             put = f"machine.emit_link({{1}}, k, {index})"
         else:
-            links = rec.use(rec.links, fn)
-            put = f"{links}.append(k)"
+            links = rec.use(rec.links, fn, rec.lone)
+            put = f"{links} = k" if rec.lone else f"{links}.append(k)"
             if index is not None:
                 put = f"{links}.append(({index}, k))\n{{0}}{rec.use(rec.indexed, fn, True)} = True"
         prior = self.fresh("q")

@@ -12,6 +12,10 @@ once per call; ``parse_notation`` is its structural inverse with
 synthesized spans.  ``to_json_dict`` gives a tree's JSON-ready dict form,
 and ``to_json`` writes the JSON text of that form straight from the tree.
 Nodes compare by identity; use :func:`equals` for structural comparison.
+
+The engine builds each node of a parse with one call: it fills a private
+slot record (``_NodeSlots``) and seals it with ``__class__ = Node``, which
+skips the checks of ``Node.__init__`` but keeps the rest of the contract.
 """
 
 from __future__ import annotations
@@ -32,13 +36,10 @@ __all__ = [
 ]
 
 
-class Node:
-    """Immutable tree node: tag, byte span over ``source``, children.
-
-    A slotted class with no per-node ``__dict__``; assigning or deleting a
-    field raises :class:`dataclasses.FrozenInstanceError`.  Nodes compare
-    and hash by identity.
-    """
+class _NodeSlots:
+    """A node's fields without ``Node``'s refusing ``__setattr__``, for the
+    engine to fill and seal (see the module docstring); ``Node`` adds no
+    slot to them."""
 
     __slots__ = ("tag", "start", "end", "source", "children", "__weakref__")
 
@@ -47,6 +48,17 @@ class Node:
     end: int
     source: bytes
     children: tuple[Node, ...]
+
+
+class Node(_NodeSlots):
+    """Immutable tree node: tag, byte span over ``source``, children.
+
+    A slotted class with no per-node ``__dict__``; assigning or deleting a
+    field raises :class:`dataclasses.FrozenInstanceError`.  Nodes compare
+    and hash by identity.
+    """
+
+    __slots__ = ()
 
     def __init__(
         self, tag: str, start: int, end: int, source: bytes, children: tuple[Node, ...] = ()
@@ -82,13 +94,13 @@ class Node:
         return f"<Node {serialize(self)}>"
 
 
-# __setattr__ refuses every write, so __init__, and the engine where it
-# builds a node it knows to be valid, store through the slot descriptors.
-_set_tag = Node.tag.__set__
-_set_start = Node.start.__set__
-_set_end = Node.end.__set__
-_set_source = Node.source.__set__
-_set_children = Node.children.__set__
+# __setattr__ refuses every write, so __init__ stores through the slot
+# descriptors.
+_set_tag = _NodeSlots.tag.__set__
+_set_start = _NodeSlots.start.__set__
+_set_end = _NodeSlots.end.__set__
+_set_source = _NodeSlots.source.__set__
+_set_children = _NodeSlots.children.__set__
 
 
 class NotationError(ValueError):

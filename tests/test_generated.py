@@ -2,7 +2,9 @@
 production, and the step limit it enforces."""
 
 import cProfile
+import dis
 import pstats
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pegfold.interp
 from pegfold.analysis import assign_memo_points
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseSession, StepLimitExceeded, generate, program_for
+from pegfold.tree import serialize
 from test_analysis import benchmark_grammars
 
 MATH = """Expr = Sum
@@ -150,6 +153,21 @@ def test_expressions_nested_past_a_function_limit_move_into_helpers(tagged):
             assert result.root.tag == f"T{n - 1}"
 
 
+def test_a_lone_link_in_a_helper_is_its_records_local_and_rolls_back():
+    # The link sits 40 options deep, in a helper nested in S's function,
+    # which assigns S's local; a failed option puts the local back.
+    body = "@B 'z'"
+    for k in reversed(range(40)):
+        body = f"'{chr(97 + k % 26)}' ({body})?"
+    grammar = parse_grammar("S = { " + body + " #S }\nB = { 'q' #B }\n")
+    source = program_for(grammar, memo=True, build_ast=True).source
+    assert "nonlocal l1, t1" in source and ".append(" not in source
+    data = bytes(97 + k % 26 for k in range(40))
+    assert serialize(ParseSession(grammar, data + b"qz").parse().root) == "#S[#B['q']]"
+    rolled_back = ParseSession(grammar, data + b"q").parse()
+    assert rolled_back.consumed == 40 and rolled_back.root.children == ()
+
+
 def test_calls_of_productions_that_never_log_read_no_log():
     # Every production of the math and JSON-like grammars never logs, so no
     # link reads the log length, commits or rolls back, and no attempt saves
@@ -159,3 +177,41 @@ def test_calls_of_productions_that_never_log_read_no_log():
             source = program_for(parse_grammar(text), memo=memo, build_ast=True).source
             for needless in ("len(machine.log)", "machine.commit", "machine.abort", "machine.save"):
                 assert needless not in source, (text, memo, needless)
+
+
+def calls_per_node_build(source):
+    """The CALL instructions on the lines of each node build in a generated
+    module: from the line that computes its children, ``k = …``, to the one
+    that counts the node."""
+    lines = source.splitlines()
+    builds = []
+    for last, line in enumerate(lines, 1):
+        if line.strip() == "machine.created += 1":
+            first = last
+            while not lines[first - 1].strip().startswith("k = "):
+                first -= 1
+            builds.append(range(first, last + 1))
+    calls = Counter()
+    codes = [compile(source, "<pegfold grammar>", "exec")]
+    while codes:
+        code = codes.pop()
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+        for instruction in dis.get_instructions(code):
+            if instruction.opname in ("CALL", "CALL_FUNCTION_EX"):
+                calls[instruction.positions.lineno] += 1
+    return [sum(calls[number] for number in build) for build in builds]
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_each_generated_node_build_makes_one_call(memo):
+    for text, count in ((MATH, 3), (benchmark_grammars().JSON_LIKE, 6)):
+        source = program_for(parse_grammar(text), memo=memo, build_ast=True).source
+        assert calls_per_node_build(source) == [1] * count, (text, memo)
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_fold_step_keeps_its_lone_link_in_a_local(memo):
+    # Sum's and Product's fold steps link one child each: no list per step.
+    source = program_for(parse_grammar(MATH), memo=memo, build_ast=True).source
+    assert "= []" not in source and ".append(" not in source
+    assert source.count("l3 = None") == 2 and source.count("l3 = k") == 2 * (1 + memo)

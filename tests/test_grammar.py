@@ -19,7 +19,7 @@ from pegfold.expr import (
     Terminal,
     ZeroOrMore,
 )
-from pegfold.grammar import GrammarSyntaxError, format_grammar, parse_grammar
+from pegfold.grammar import Diagnostic, GrammarSyntaxError, format_grammar, parse_grammar
 
 
 def body(text, name=None):
@@ -212,6 +212,14 @@ def test_error_positions_are_line_and_column():
         parse_grammar("A = 'a'\nB = [")
     d = info.value.diagnostics[0]
     assert d.line == 2
+
+
+def test_a_diagnostic_prints_its_position_when_it_has_one():
+    with pytest.raises(GrammarSyntaxError) as info:
+        parse_grammar("A = 'a'\nB = (")
+    assert str(info.value.diagnostics[0]) == "error syntax <grammar>:2:6: expected an expression"
+    assert str(Diagnostic("warning", "w", "text", "A", 3, 1)) == "warning w A:3:1: text"
+    assert str(Diagnostic("error", "e", "text")) == "error e <grammar>: text"
 
 
 def test_locations_recorded():

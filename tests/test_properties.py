@@ -131,3 +131,13 @@ def test_the_corpus_digest_covers_six_settings_per_pair_and_repeats():
     first = digest(seeds=[100], pairs=3)
     assert first == digest(seeds=[100], pairs=3)
     assert first[1] == 3 * 6 and len(first[0]) == 64
+
+
+def test_the_corpus_digest_is_pinned():
+    # Every tree, span, failure position and counter over 6,000 outcomes.
+    # A change that must keep the engine's behaviour keeps this value; one
+    # that changes it on purpose re-pins it as a recorded spec change.
+    assert digest(seeds=range(100, 105)) == (
+        "5b6a9fbd459e33dc4bca22f1f5361a00222345fe77f501e50c1a80cc37e96742",
+        6000,
+    )

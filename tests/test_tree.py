@@ -12,9 +12,11 @@ import pytest
 from corpus import ENGINE_STEPS, make_corpus
 from test_analysis import benchmark_grammars
 
+import pegfold
 import pegfold.tree
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
+from pegfold.machine import Machine
 from pegfold.tree import (
     Node,
     NotationError,
@@ -346,6 +348,47 @@ def test_to_json_writes_what_json_dumps_writes_over_the_corpus():
         assert reference_dumps(to_json_dict(root)) == expected
         count += 1
     assert count > 100
+
+
+def engine_trees():
+    """Trees of the math, JSON-like and corpus grammars, a token root among
+    them; the corpus has lazy constructors, which a commit builds."""
+    yield ParseSession(parse_grammar(MATH), b"(1+2)*3-4/(5+6)").parse().root
+    json_like = parse_grammar(benchmark_grammars().JSON_LIKE)
+    data = b'{"a": [1, -2.5e3, true], "b": "x\\"y", "c": null}'
+    yield ParseSession(json_like, data).parse().root
+    yield ParseSession(parse_grammar("S = 'a'+"), b"aaa").parse().root
+    yield from corpus_trees()
+
+
+def test_engine_built_nodes_keep_the_node_contract(monkeypatch):
+    commits = []
+    commit = Machine.commit
+    monkeypatch.setattr(
+        Machine, "commit", lambda self, *args: commits.append(1) or commit(self, *args)
+    )
+    roots = nodes = 0
+    for root in engine_trees():
+        roots += 1
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            assert type(node) is Node  # no unsealed slot record escapes
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.tag = "X"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del node.children
+            assert weakref.ref(node)() is node
+            twin = pickle.loads(pickle.dumps(node))
+            assert twin is not node and equals(twin, node)
+            stack.extend(node.children)
+    assert roots > 100 and nodes > 200 and commits
+
+
+def test_the_slot_record_is_private():
+    assert "_NodeSlots" not in pegfold.__all__ and not hasattr(pegfold, "_NodeSlots")
+    assert "_NodeSlots" not in pegfold.tree.__all__
 
 
 @pytest.mark.parametrize(
