@@ -152,6 +152,7 @@ class _Reader:
         self.text = text
         self.pos = 0
         self.n = len(text)
+        self.brackets: list[int] = []  # where each unclosed ( or { opened
 
     # -- diagnostics -----------------------------------------------------
 
@@ -315,13 +316,16 @@ class _Reader:
             self.pos += 1
             return Tag(self.read_identifier())
         if ch == "(":
+            self.brackets.append(self.pos)
             self.pos += 1
             self.skip_space()
             e = self.read_expression()
             self.skip_space()
             self.eat(")")
+            self.brackets.pop()
             return e
         if ch == "{":
+            self.brackets.append(self.pos)
             # "{@" + whitespace opens a left-fold; "{@Name" is a
             # constructor that starts with the link @Name.
             if self.text.startswith("{@", self.pos) and (
@@ -332,12 +336,14 @@ class _Reader:
                 body = self.read_expression()
                 self.skip_space()
                 self.eat("}")
+                self.brackets.pop()
                 return LeftFold(body)
             self.pos += 1
             self.skip_space()
             body = self.read_expression()
             self.skip_space()
             self.eat("}")
+            self.brackets.pop()
             return New(body)
         if ch in _IDENT_START:
             return Nonterminal(self.read_identifier())
@@ -423,4 +429,6 @@ def parse_grammar(text: str) -> Grammar:
     try:
         return reader.read_grammar()
     except RecursionError:
-        raise reader.fail("grammar nests too deeply") from None
+        # Where the recursion ran out depends on the caller's stack depth, so
+        # the diagnostic points at the outermost unclosed bracket instead.
+        raise reader.fail("grammar nests too deeply", (reader.brackets or [reader.pos])[0]) from None

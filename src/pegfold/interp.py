@@ -28,20 +28,18 @@ two paths:
 
 * An eager constructor (``analysis.eager_constructors``) is local: only
   its own level changes its node.  It keeps its record in locals of the
-  function, a tag, its links and whether any link is indexed, and builds
-  its node from them as it closes: one ``object.__new__`` call for a slot
-  record, sealed into a ``Node`` (``tree._NodeSlots``).  The links are a
-  list, or the child itself where the level has one unindexed ``@`` site
-  that no loop there repeats, as a fold step of ``{@ op @Operand }*``
-  has.  A ``#t`` at its level sets the record's tag, and a trailing one
-  beats it; an ``@Name`` there calls the production, puts the child in
-  the record and restores the left register, committing a lazily built
-  child at once and rolling back what the body logged if it fails.  A
-  production that never logs (``analysis.never_logs``) leaves a built
-  node or nothing in the register and nothing in the log, so a link that
-  calls one, here or at a memo point, reads no log length and neither
-  commits nor rolls back.  A *direct* constructor has nothing at its
-  level but a trailing tag, so no record either.  A ``{@ }`` that finds a
+  function, a tag, a list of links and whether any link is indexed, and
+  builds its node from them as it closes: one ``object.__new__`` call for
+  a slot record, sealed into a ``Node`` (``tree._NodeSlots``).  A ``#t``
+  at its level sets the record's tag, and a trailing one beats it; an
+  ``@Name`` there calls the production, puts the child in the record and
+  restores the left register, committing a lazily built child at once and
+  rolling back what the body logged if it fails.  A production that never
+  logs (``analysis.never_logs``) leaves a built node or nothing in the
+  register and nothing in the log, so a link that calls one, here or at a
+  memo point, reads no log length and neither commits nor rolls back.  A
+  *direct* constructor has nothing at its level but a trailing tag, so no
+  record either.  A ``{@ }`` that finds a
   virtual id in the register logs its node instead
   (``Machine.emit_local_fold``).
 * Every other constructor is lazy: its operators append entries to the
@@ -54,9 +52,9 @@ can, or that can change it and succeed empty (an empty step is dropped); a
 predicate body that can change it at all.  Where the attempt never logs,
 the left register is all it can change, and its savepoint is that
 register alone.  At an eager constructor's level the machine does not
-change, so a savepoint there marks the record: its tag, and how many links
-it holds or its lone link.  With tree operators erased, as in recognize
-mode, nothing gets one.
+change, so a savepoint there marks the record: its tag and how many links
+it holds.  With tree operators erased, as in recognize mode, nothing gets
+one.
 
 With memoization enabled, ``@Name`` links at assigned memo points store
 the materialized node as soon as the body succeeds (the node already in
@@ -115,11 +113,10 @@ from .expr import (
     Terminal,
     ZeroOrMore,
     erase_tree_operators,
-    subexpressions,
 )
 from .grammar import Grammar
 from .machine import Machine, TxMark, place_links
-from .memo import DEFAULT_WINDOW, FAILED, MemoEntry, MemoTable
+from .memo import DEFAULT_WINDOW, FAILED, MemoTable
 from .tree import Node, _NodeSlots
 
 __all__ = [
@@ -133,8 +130,8 @@ __all__ = [
 ]
 
 _NO_STEP_LIMIT = sys.maxsize
-# A TxMark or MemoEntry without the named tuple's Python-level constructor,
-# and a slot record to fill and seal into a valid Node (``tree._NodeSlots``).
+# A TxMark without the named tuple's Python-level constructor, and a slot
+# record to fill and seal into a valid Node (``tree._NodeSlots``).
 _new_tuple = tuple.__new__
 _new_node = object.__new__
 
@@ -296,13 +293,7 @@ class ParseSession:
             machine = self.machine
             root = machine.left
             if root is None:  # a token over what the parse consumed
-                root = _new_node(_NodeSlots)
-                root.tag = "token"
-                root.start = 0
-                root.end = end
-                root.source = self.data
-                root.children = ()
-                root.__class__ = Node
+                root = Node("token", 0, end, self.data)
                 machine.created += 1
             elif isinstance(root, Node) and not machine.log:
                 machine.first = []  # as a whole-log commit would
@@ -439,7 +430,6 @@ _GLOBALS: dict[str, object] = {
     "Node": Node,
     "_NodeSlots": _NodeSlots,
     "TxMark": TxMark,
-    "MemoEntry": MemoEntry,
     "FAILED": FAILED,
     "StepLimitExceeded": StepLimitExceeded,
     "place_links": place_links,
@@ -547,17 +537,13 @@ class _Function:
 class _Record:
     """The locals that hold an eager constructor's record: ``t`` its tag,
     ``l`` its links (each a child, or ``(index, child)``), ``x`` whether
-    any link is indexed.  Where the level has one ``@`` site, unindexed
-    and repeated by no loop there (``lone``), ``l`` is that child itself,
-    or None."""
+    any link is indexed."""
 
-    __slots__ = ("owner", "tag", "links", "indexed", "lone", "used")
+    __slots__ = ("owner", "tag", "links", "indexed", "used")
 
-    def __init__(self, owner: _Function, n: int, body: Expression) -> None:
+    def __init__(self, owner: _Function, n: int) -> None:
         self.owner = owner
         self.tag, self.links, self.indexed = f"t{n}", f"l{n}", f"x{n}"
-        sites = _level_links(body)
-        self.lone = len(sites) == 1 and sites[0][0].index is None and not sites[0][1]
         self.used: set[str] = set()
 
     def use(self, var: str, fn: _Function, assigns: bool = False) -> str:
@@ -565,15 +551,6 @@ class _Record:
         if assigns and fn is not self.owner:
             fn.nonlocals.add(var)
         return var
-
-
-def _level_links(e: Expression, looped: bool = False) -> list[tuple[Link, bool]]:
-    """The ``@`` sites in ``e`` at its eager constructor's level, which
-    holds no constructor, each with whether a loop there repeats it."""
-    if isinstance(e, Link):
-        return [(e, looped)]
-    looped = looped or isinstance(e, (ZeroOrMore, OneOrMore))
-    return [site for sub in subexpressions(e) for site in _level_links(sub, looped)]
 
 
 class _Emitter:
@@ -639,7 +616,7 @@ class _Emitter:
                 )
             rv, fails = self.emit(body, "p", _STEP, fn, None)
             if point is not None:
-                entry = f"_new_tuple(MemoEntry, (True, {rv} - p, None))"
+                entry = f"(True, {rv} - p, None)"
                 if fails:
                     entry += f" if {rv} >= 0 else FAILED"
                 fn.lines.append(f"{_STEP}table.memoize({point}, p, {entry})")
@@ -743,13 +720,10 @@ class _Emitter:
         constructor's level, where the machine does not change, the record."""
         if rec is not None:
             tag, count = self.fresh("m"), self.fresh("n")
-            links = rec.use(rec.links, fn, rec.lone)
             fn.lines.append(
-                f"{i}{tag} = {rec.use(rec.tag, fn)}\n"
-                f"{i}{count} = {links if rec.lone else f'len({links})'}"
+                f"{i}{tag} = {rec.use(rec.tag, fn)}\n{i}{count} = len({rec.use(rec.links, fn)})"
             )
-            undo = f"{links} = {count}" if rec.lone else f"del {links}[{count}:]"
-            return f"{{0}}{rec.use(rec.tag, fn, True)} = {tag}\n{{0}}{undo}"
+            return f"{{0}}{rec.use(rec.tag, fn, True)} = {tag}\n{{0}}del {rec.links}[{count}:]"
         if self.quiet(e):
             prior = self.fresh("q")
             fn.lines.append(f"{i}{prior} = machine.left")
@@ -1044,7 +1018,7 @@ class _Emitter:
         rec = None
         if self.builds(body):
             self.count += 1
-            rec = _Record(fn, self.count, body)
+            rec = _Record(fn, self.count)
             at = len(fn.lines)
         rv, fails = self.emit(body, s, i, fn, rec, known)
         given = repr(tag)  # the record's tag, which a trailing one beats
@@ -1057,38 +1031,29 @@ class _Emitter:
                 if tag is None:
                     given = rec.tag
             if rec.links in used:
-                init.append(f"{i}{rec.links} = {'None' if rec.lone else '[]'}")
+                init.append(f"{i}{rec.links} = []")
                 links = rec.links
             if rec.indexed in used:
                 init.append(f"{i}{rec.indexed} = False")
                 indexed = rec.indexed
             fn.lines[at:at] = init
-        lone = links is not None and rec.lone
         if fails:
             add(f"{i}if r >= 0:")
             i += _STEP
         if fold:
-            logged = f"[{links}] if {links} is not None else ()" if lone else links or "()"
             add(
                 f"{i}k = machine.left\n{i}if type(k) is int:\n"
-                f"{i}    machine.emit_local_fold({s}, {rv}, {given}, {logged})\n{i}else:"
+                f"{i}    machine.emit_local_fold({s}, {rv}, {given}, {links or '()'})\n{i}else:"
             )
             i += _STEP
             if links is None:
                 children = "(k,) if k is not None else ()"
-            elif lone:
-                children = (
-                    f"((k, {links}) if {links} is not None else (k,)) if k is not None "
-                    f"else ({links},) if {links} is not None else ()"
-                )
             else:
                 children = f"(k, *{links}) if k is not None else (*{links},)"
                 if indexed:
                     children = f"place_links(k, {links}) if {indexed} else {children}"
         elif links is None:
             children = "()"
-        elif lone:
-            children = f"({links},) if {links} is not None else ()"
         else:
             children = f"(*{links},)"
             if indexed:
@@ -1145,8 +1110,8 @@ class _Emitter:
         if rec is None:  # into the parent, ``{1}``, which is back in the register
             put = f"machine.emit_link({{1}}, k, {index})"
         else:
-            links = rec.use(rec.links, fn, rec.lone)
-            put = f"{links} = k" if rec.lone else f"{links}.append(k)"
+            links = rec.use(rec.links, fn)
+            put = f"{links}.append(k)"
             if index is not None:
                 put = f"{links}.append(({index}, k))\n{{0}}{rec.use(rec.indexed, fn, True)} = True"
         prior = self.fresh("q")
@@ -1179,7 +1144,7 @@ class _Emitter:
                 # The body built nothing and leaves the node it started
                 # with alone, so it logged nothing.
                 f"{e1}if k == {prior}:\n"
-                f"{e2}table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, None)))\n"
+                f"{e2}table.memoize({point}, {s}, (True, r - {s}, None))\n"
                 f"{e1}else:\n"
                 if point is not None
                 else f"{e1}if k != {prior}:\n"
@@ -1187,7 +1152,7 @@ class _Emitter:
             + commit
             + f"{e2}machine.left = {prior}\n"
             + (
-                f"{e2}table.memoize({point}, {s}, _new_tuple(MemoEntry, (True, r - {s}, k)))\n"
+                f"{e2}table.memoize({point}, {s}, (True, r - {s}, k))\n"
                 if point is not None
                 else ""
             )

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
-from .tree import Node, _NodeSlots
+from .tree import Node
 
 __all__ = [
     "Machine",
@@ -77,7 +77,6 @@ class TxMark(NamedTuple):
 
 
 _new_mark = tuple.__new__
-_new_node = object.__new__
 
 
 class Machine:
@@ -241,14 +240,7 @@ class Machine:
                 end = start  # never captured: a fold stole the register first
             if tag is None:
                 tag = "tree" if resolved else "token"
-            # A slot record sealed into a Node, as the generated code builds one.
-            node = built[vid] = _new_node(_NodeSlots)
-            node.tag = tag
-            node.start = start
-            node.end = end
-            node.source = source
-            node.children = tuple(resolved)
-            node.__class__ = Node
+            node = built[vid] = Node(tag, start, end, source, tuple(resolved))
             return node
 
         for vid in recs:

@@ -11,6 +11,10 @@ linear; a smaller one only costs re-parsing, never correctness.
 Stored nodes are materialized and immutable; replaying a hit advances
 the position and, for link points, re-attaches the stored node verbatim.
 Failures are stored too, so repeated doomed attempts stay cheap.
+
+An entry is an ``(ok, consumed, node)`` triple, which :class:`MemoEntry`
+names.  A generated parser stores successes as plain tuples: building one
+makes no call, and the collector stops tracking one that holds no node.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ synthesized spans.  ``to_json_dict`` gives a tree's JSON-ready dict form,
 and ``to_json`` writes the JSON text of that form straight from the tree.
 Nodes compare by identity; use :func:`equals` for structural comparison.
 
-The engine builds each node of a parse with one call: it fills a private
-slot record (``_NodeSlots``) and seals it with ``__class__ = Node``, which
-skips the checks of ``Node.__init__`` but keeps the rest of the contract.
+A generated parser builds each of its nodes with one call: it fills a
+private slot record (``_NodeSlots``) and seals it with
+``__class__ = Node``, which skips the checks of ``Node.__init__`` but
+keeps the rest of the contract.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import pegfold.interp
 from pegfold.analysis import assign_memo_points
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseSession, StepLimitExceeded, generate, program_for
-from pegfold.tree import serialize
 from test_analysis import benchmark_grammars
 
 MATH = """Expr = Sum
@@ -153,21 +152,6 @@ def test_expressions_nested_past_a_function_limit_move_into_helpers(tagged):
             assert result.root.tag == f"T{n - 1}"
 
 
-def test_a_lone_link_in_a_helper_is_its_records_local_and_rolls_back():
-    # The link sits 40 options deep, in a helper nested in S's function,
-    # which assigns S's local; a failed option puts the local back.
-    body = "@B 'z'"
-    for k in reversed(range(40)):
-        body = f"'{chr(97 + k % 26)}' ({body})?"
-    grammar = parse_grammar("S = { " + body + " #S }\nB = { 'q' #B }\n")
-    source = program_for(grammar, memo=True, build_ast=True).source
-    assert "nonlocal l1, t1" in source and ".append(" not in source
-    data = bytes(97 + k % 26 for k in range(40))
-    assert serialize(ParseSession(grammar, data + b"qz").parse().root) == "#S[#B['q']]"
-    rolled_back = ParseSession(grammar, data + b"q").parse()
-    assert rolled_back.consumed == 40 and rolled_back.root.children == ()
-
-
 def test_calls_of_productions_that_never_log_read_no_log():
     # Every production of the math and JSON-like grammars never logs, so no
     # link reads the log length, commits or rolls back, and no attempt saves
@@ -207,11 +191,3 @@ def test_each_generated_node_build_makes_one_call(memo):
     for text, count in ((MATH, 3), (benchmark_grammars().JSON_LIKE, 6)):
         source = program_for(parse_grammar(text), memo=memo, build_ast=True).source
         assert calls_per_node_build(source) == [1] * count, (text, memo)
-
-
-@pytest.mark.parametrize("memo", [True, False])
-def test_a_fold_step_keeps_its_lone_link_in_a_local(memo):
-    # Sum's and Product's fold steps link one child each: no list per step.
-    source = program_for(parse_grammar(MATH), memo=memo, build_ast=True).source
-    assert "= []" not in source and ".append(" not in source
-    assert source.count("l3 = None") == 2 and source.count("l3 = k") == 2 * (1 + memo)

@@ -193,7 +193,7 @@ def test_nesting_past_the_recursion_limit_is_a_syntax_error(open_, close, wrap):
         parse_grammar("A = 'a'\nB = " + open_ * 400 + "'b'" + close * 400)
     d = info.value.diagnostics[0]
     assert (d.severity, d.code, d.message) == ("error", "syntax", "grammar nests too deeply")
-    assert d.line == 2 and d.column > 4  # inside the brackets
+    assert (d.line, d.column) == (2, 5)  # the outermost unclosed bracket
     expected = Terminal(b"b")
     for _ in range(150):
         expected = wrap(expected)

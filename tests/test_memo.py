@@ -110,7 +110,9 @@ def test_second_alternative_hits_and_reuses_node():
     assert result.stats.memo_lookups == 2
     assert result.stats.memo_hits == 1
     stored = [
-        row[1][0] for row in session.table.rows if row is not None and row[1][0] is not None
+        MemoEntry(*row[1][0])
+        for row in session.table.rows
+        if row is not None and row[1][0] is not None
     ]
     assert len(stored) == 1
     assert stored[0].node is result.root.children[0]  # the very same object
@@ -207,7 +209,12 @@ def test_a_link_point_at_a_lazy_level_replays_the_stored_node(text, data, expect
     result, session = run(text, data)
     assert serialize(result.root) == expect
     assert result.stats.memo_hits == hits
-    entries = [entry for row in session.table.rows if row is not None for entry in row[1]]
+    entries = [
+        MemoEntry(*entry) if entry is not None else None
+        for row in session.table.rows
+        if row is not None
+        for entry in row[1]
+    ]
     stored = [entry.node for entry in entries if entry is not None and entry.node is not None]
     assert len(stored) == hits
     assert all(any(node is child for child in result.root.children) for node in stored)
