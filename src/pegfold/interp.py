@@ -16,6 +16,15 @@ counter and leaves the position where it started; predicates restore it
 even on success.  Each function opens with a prologue that counts its call
 against the step limit.
 
+A loop whose body is ``!X .``, or a choice whose first alternative is, with
+``X`` a class or a literal, is a scan loop: before each iteration it skips
+the run of bytes where ``X`` fails in one C call (``data.find`` for a
+literal or a single byte, the ``match`` of a ``[^...]*`` pattern compiled
+with the module for a class), and the iteration then runs where ``X``
+matches or the input ends.  Every counter keeps its value: a skipped
+iteration counts no backtrack, and the farthest failure it would have
+recorded lies before the one that iteration records.
+
 Only an attempt that can start at the next byte runs: a choice dispatches
 on that byte to the alternatives its lead mask (``analysis.lead_masks``)
 admits, and an option or loop tests it first.  A skipped attempt would
@@ -78,6 +87,7 @@ from __future__ import annotations
 import builtins
 import functools
 import keyword
+import re
 import sys
 import threading
 from dataclasses import asdict, dataclass
@@ -435,6 +445,7 @@ _GLOBALS: dict[str, object] = {
     "place_links": place_links,
     "_new": _new_node,
     "_new_tuple": _new_tuple,
+    "_compile": re.compile,
 }
 
 _RESERVED = frozenset(dir(builtins)) | frozenset(keyword.kwlist) | frozenset(_GLOBALS)
@@ -496,6 +507,19 @@ def _ranges(mask: int) -> tuple[tuple[int, int], ...]:
         out.append((lo, lo + width - 1))
         mask ^= ((1 << width) - 1) << lo
     return tuple(out)
+
+
+def _scan_stop(body: Expression) -> CharClass | Terminal | None:
+    """``X`` where a loop body is ``!X .``, or a choice whose first
+    alternative is, and ``X`` a class or a literal: the loop can skip a
+    run of bytes where ``X`` fails in one C call (``_Emitter.scan``)."""
+    if isinstance(body, Choice):
+        body = body.alternatives[0]
+    if isinstance(body, Sequence) and len(body.items) == 2:
+        head, dot = body.items
+        if isinstance(head, Not) and isinstance(dot, AnyChar) and isinstance(head.body, (CharClass, Terminal)):
+            return head.body
+    return None
 
 
 # How deep a function's body may nest before an expression moves into a
@@ -577,7 +601,7 @@ class _Emitter:
         self.quiet = quiet
         self.lead = lead
         self.names = {name: _mangle(name) for name in self.bodies}
-        self.tables: dict[bytes, str] = {}
+        self.constants: dict[str, str] = {}
         self.count = 0
         self.kinds = {
             Sequence: self.sequence,
@@ -622,8 +646,13 @@ class _Emitter:
                 fn.lines.append(f"{_STEP}table.memoize({point}, p, {entry})")
             fn.lines.append(f"{_STEP}return {rv}")
             fn.render(out)
-        tables = [f"{var} = {table!r}" for table, var in self.tables.items()]
-        return "\n".join(tables + out) + "\n"
+        constants = [f"{var} = {value}" for value, var in self.constants.items()]
+        return "\n".join(constants + out) + "\n"
+
+    def constant(self, value: str, prefix: str) -> str:
+        """A module global, named with ``prefix``, that holds the value of the
+        expression ``value``; equal expressions share one."""
+        return self.constants.setdefault(value, f"{prefix}{len(self.constants)}")
 
     def fresh(self, letter: str) -> str:
         self.count += 1
@@ -685,8 +714,7 @@ class _Emitter:
             table = bytearray(257)
             for lo, hi in ranges:
                 table[lo : hi + 1] = b"\1" * (hi + 1 - lo)
-            name = self.tables.setdefault(bytes(table), f"_t{len(self.tables)}")
-            return f"{name}[{first}]", var
+            return f"{self.constant(repr(bytes(table)), '_t')}[{first}]", var
         tests = []
         for lo, hi in ranges:
             if lo == hi:
@@ -920,6 +948,12 @@ class _Emitter:
         mask = self.lead(body)
         test, fits = (None, None) if mask is None else self.guard(mask, s, None)
         add(f"{i}{s} = {pv}\n{i}while True:" if test is None else f"{i}{s} = {pv}\n{i}while {test}:")
+        # A scan loop: its body starts with a predicate, so it has no lead
+        # mask and no guard, and each iteration first skips the run of
+        # ``!stop .`` iterations in one call.  The counters do not change.
+        stop = _scan_stop(body)
+        if stop is not None:
+            self.scan(stop, s, j, fn)
         # A savepoint for a failed iteration, or for an empty one, whose
         # entries are dropped too.
         local = rec is not None
@@ -941,6 +975,23 @@ class _Emitter:
         if test is not None:
             add(f"{i}else:\n{self.reach(s, j, fn)}")  # as the body would have failed here
         return s, False
+
+    def scan(self, stop: CharClass | Terminal, s: str, i: str, fn: _Function) -> None:
+        """Moves ``s`` past the longest run of bytes where ``stop`` does not
+        match, in one C call, to where the loop's next iteration finds
+        ``stop`` or the end of input.  The iterations it skips count no
+        backtrack, since ``stop`` fails where it starts, and each moves the
+        farthest failure to its start; the next one moves it past them all,
+        since ``!stop`` or ``.`` fails where that one starts."""
+        mask = self.lead(stop)
+        if isinstance(stop, Terminal) or not mask & (mask - 1):  # a literal or one byte
+            text = stop.text if isinstance(stop, Terminal) else bytes([mask.bit_length() - 1])
+            fn.lines.append(f"{i}{s} = data.find({text!r}, {s})\n{i}if {s} < 0:\n{i}    {s} = size")
+            return
+        runs = (f"\\x{lo:02x}" if lo == hi else f"\\x{lo:02x}-\\x{hi:02x}" for lo, hi in _ranges(mask))
+        pattern = ("[^" + "".join(runs) + "]*").encode()
+        match = self.constant(f"_compile({pattern!r}).match", "_m")
+        fn.lines.append(f"{i}{s} = {match}(data, {s}).end()")
 
     def plus(self, e: OneOrMore, pv, i, fn, rec, known):
         return self.items((e.body, ZeroOrMore(e.body)), pv, i, fn, rec, known)

@@ -21,8 +21,10 @@ Product = Value {@ ( '*' #mul / '/' #div ) @Value }*
 Value = { [0-9]+ #Integer } / '(' Expr ')'
 """
 
-# The math grammar's module with tree building and memoization on.
+# The math and JSON-like grammars' modules with tree building and
+# memoization on.
 MATH_MODULE = (Path(__file__).parent / "math_module.txt").read_text()
+JSON_MODULE = (Path(__file__).parent / "json_module.txt").read_text()
 
 SETTINGS = [(ast, memo) for ast in (True, False) for memo in (True, False)]
 
@@ -39,6 +41,12 @@ def test_equal_text_gives_equal_source():
 def test_math_module_is_pinned():
     program = program_for(parse_grammar(MATH), memo=True, build_ast=True)
     assert program.source == MATH_MODULE
+
+
+def test_json_module_is_pinned():
+    grammar = parse_grammar(benchmark_grammars().JSON_LIKE)
+    program = program_for(grammar, memo=True, build_ast=True)
+    assert program.source == JSON_MODULE
 
 
 def test_equal_grammars_share_one_compiled_module(monkeypatch):

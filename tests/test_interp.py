@@ -11,6 +11,7 @@ from pegfold.interp import (
     ParseError,
     ParseSession,
     StepLimitExceeded,
+    program_for,
 )
 from pegfold.machine import Machine
 from pegfold.tree import serialize
@@ -548,6 +549,78 @@ def test_skipped_attempts_fail_where_they_start(text, data, expected, memo):
     else:
         got = ("ok", result.consumed, result.stats.backtrack_total, session.farthest)
     assert got == expected
+
+
+STRING = r"""S = '"' (!["\\] . / '\\' .)* '"'"""
+QUOTED = """S = '"' (!'"' .)* '"'"""
+COMMENT = "S = '/*' (!'*/' .)* '*/'"
+ESCAPES = """S = { '"' (!["\\\\] . / @E)* '"' #S }\nE = { '\\\\' . #E }"""
+
+# Loops whose body is ``!X .``, or starts a choice with it, skip a run of
+# bytes in one call.  The counters are those of one iteration per byte:
+# (result, consumed, backtrack, farthest).
+SCAN_CASES = [
+    # X a class
+    (STRING, b'"ab"', ("ok", 4, 1, 3)),  # the stop byte is the last byte
+    (STRING, b'""', ("ok", 2, 1, 1)),  # an empty run
+    (STRING, b'"a\\"b"', ("ok", 6, 2, 5)),
+    (STRING, b'"a"b"', ("ok", 3, 1, 2)),
+    (STRING, b'"ab', ("fail", None, 0, 3)),  # a run to the end of input
+    (STRING, b'"ab\\', ("fail", None, 2, 4)),  # the escape's . hits the end
+    # X a single byte
+    (QUOTED, b'"ab"', ("ok", 4, 1, 3)),
+    (QUOTED, b'""', ("ok", 2, 1, 1)),
+    (QUOTED, b'"ab', ("fail", None, 0, 3)),
+    (QUOTED, b'"', ("fail", None, 0, 1)),
+    ("S = (!'\"' .)*", b"abc", ("ok", 3, 0, 3)),
+    ("S = (!'\"' .)*", b"", ("ok", 0, 0, 0)),
+    # X a literal of two bytes, also cut off by the end of input
+    (COMMENT, b"/* a */", ("ok", 7, 2, 5)),
+    (COMMENT, b"/**/", ("ok", 4, 2, 2)),
+    (COMMENT, b"/* * / */", ("ok", 9, 2, 7)),
+    (COMMENT, b"/* a *", ("fail", None, 0, 6)),
+    # (!X .)+
+    ("S = (![a-c] .)+ 'b'", b"xyb", ("ok", 3, 1, 2)),
+    ("S = (![a-c] .)+ 'b'", b"b", ("fail", None, 1, 0)),
+    ("S = (![a-c] .)+ 'b'", b"xy", ("fail", None, 0, 2)),
+    ("S = (!'*/' .)+", b"ab*", ("ok", 3, 0, 3)),
+    # a run that ends before the farthest failure leaves it
+    ("S = 'a' 'b' 'c' 'd' / 'a' (!'c' .)* 'c'", b"abce", ("ok", 3, 4, 3)),
+    # inside a capture, and in a loop whose other alternative builds
+    ("""S = '"' { (!["\\\\] . / '\\\\' .)* #Str } '"'""", b'"a\\"b"', ("ok", 6, 2, 5)),
+    ("""S = '"' { (!["\\\\] . / '\\\\' .)* #Str } '"'""", b'"ab', ("fail", None, 0, 3)),
+    ("S = { '/*' (!'*/' .)* '*/' #C }", b"/* x */", ("ok", 7, 2, 5)),
+    (ESCAPES, b'"a\\"b\\\\"', ("ok", 8, 3, 7)),
+    (ESCAPES, b'"a\\', ("fail", None, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("build_ast", [True, False])
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("text, data, expected", SCAN_CASES)
+def test_scan_loops_keep_the_counters_of_a_byte_per_iteration(text, data, expected, memo, build_ast):
+    grammar = parse_grammar(text)
+    session = ParseSession(grammar, data, memo=memo, build_ast=build_ast)
+    reference = oracle_outcome(grammar, data)
+    try:
+        result = session.parse()
+    except ParseError as error:
+        assert error.position == session.farthest
+        assert reference == ("fail",)
+        got = ("fail", None, session.backtrack, session.farthest)
+    else:
+        assert reference[:2] == ("ok", result.consumed)
+        if build_ast:
+            assert serialize(result.root) == reference[2]
+        got = ("ok", result.consumed, session.backtrack, session.farthest)
+    assert got == expected
+
+
+@pytest.mark.parametrize("text, call", [(STRING, "_compile("), (QUOTED, "data.find(b'\"'"), (COMMENT, "data.find(b'*/'")])
+def test_scan_loops_skip_a_run_in_one_call(text, call):
+    for build_ast in (True, False):
+        source = program_for(parse_grammar(text), memo=True, build_ast=build_ast).source
+        assert call in source
 
 
 def test_and_predicate_consumption_counts_as_backtrack():
