@@ -937,13 +937,17 @@ class _Emitter:
         s = self.fresh("s")
         j = i + _STEP
         # Byte loops: an iteration of these bodies tests one byte or one
-        # literal, and a failed one moves nothing.
+        # literal, and the one that fails moves the farthest failure to
+        # where the loop stops.
         if isinstance(body, CharClass) or isinstance(body, Terminal) and len(body.text) == 1:
             test = self.test(self.lead(body), f"data[{s}]", False)[0]
-            add(f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1")
+            add(f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1\n{self.reach(s, i, fn)}")
             return s, False
         if isinstance(body, Terminal):
-            add(f"{i}{s} = {pv}\n{i}while data.startswith({body.text!r}, {s}):\n{j}{s} += {len(body.text)}")
+            add(
+                f"{i}{s} = {pv}\n{i}while data.startswith({body.text!r}, {s}):\n{j}{s} += {len(body.text)}\n"
+                f"{self.reach(s, i, fn)}"
+            )
             return s, False
         mask = self.lead(body)
         test, fits = (None, None) if mask is None else self.guard(mask, s, None)

@@ -595,11 +595,9 @@ SCAN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("build_ast", [True, False])
-@pytest.mark.parametrize("memo", [False, True])
-@pytest.mark.parametrize("text, data, expected", SCAN_CASES)
-def test_scan_loops_keep_the_counters_of_a_byte_per_iteration(text, data, expected, memo, build_ast):
-    grammar = parse_grammar(text)
+def counters(grammar, data, memo, build_ast):
+    """(result, consumed, backtrack, farthest) of a parse, which must agree
+    with the oracle's outcome."""
     session = ParseSession(grammar, data, memo=memo, build_ast=build_ast)
     reference = oracle_outcome(grammar, data)
     try:
@@ -607,13 +605,18 @@ def test_scan_loops_keep_the_counters_of_a_byte_per_iteration(text, data, expect
     except ParseError as error:
         assert error.position == session.farthest
         assert reference == ("fail",)
-        got = ("fail", None, session.backtrack, session.farthest)
-    else:
-        assert reference[:2] == ("ok", result.consumed)
-        if build_ast:
-            assert serialize(result.root) == reference[2]
-        got = ("ok", result.consumed, session.backtrack, session.farthest)
-    assert got == expected
+        return ("fail", None, session.backtrack, session.farthest)
+    assert reference[:2] == ("ok", result.consumed)
+    if build_ast:
+        assert serialize(result.root) == reference[2]
+    return ("ok", result.consumed, session.backtrack, session.farthest)
+
+
+@pytest.mark.parametrize("build_ast", [True, False])
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("text, data, expected", SCAN_CASES)
+def test_scan_loops_keep_the_counters_of_a_byte_per_iteration(text, data, expected, memo, build_ast):
+    assert counters(parse_grammar(text), data, memo, build_ast) == expected
 
 
 @pytest.mark.parametrize("text, call", [(STRING, "_compile("), (QUOTED, "data.find(b'\"'"), (COMMENT, "data.find(b'*/'")])
@@ -621,6 +624,24 @@ def test_scan_loops_skip_a_run_in_one_call(text, call):
     for build_ast in (True, False):
         source = program_for(parse_grammar(text), memo=True, build_ast=build_ast).source
         assert call in source
+
+
+# A class, one-byte or literal loop, and a general loop that matches the
+# same: each moves the farthest failure to where it stops.
+BYTE_LOOP_PAIRS = [
+    ("S = &([ab]*) 'q'", "S = &(('a' / 'b')*) 'q'", b"abq", ("fail", None, 2, 2)),
+    ("S = [ab]*", "S = ('a' / 'b')*", b"ab", ("ok", 2, 0, 2)),
+    ("S = &('a'*) 'q'", "S = &(('a' / 'a')*) 'q'", b"aaq", ("fail", None, 2, 2)),
+    ("S = &('ab'*) 'q'", "S = &(('ab' / 'ab')*) 'q'", b"abq", ("fail", None, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("build_ast", [True, False])
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("byte_loop, general, data, expected", BYTE_LOOP_PAIRS)
+def test_byte_loops_record_where_they_stop(byte_loop, general, data, expected, memo, build_ast):
+    assert counters(parse_grammar(byte_loop), data, memo, build_ast) == expected
+    assert counters(parse_grammar(general), data, memo, build_ast) == expected
 
 
 def test_and_predicate_consumption_counts_as_backtrack():
