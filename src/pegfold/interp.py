@@ -517,8 +517,9 @@ def _scan_stop(body: Expression) -> CharClass | Terminal | None:
         body = body.alternatives[0]
     if isinstance(body, Sequence) and len(body.items) == 2:
         head, dot = body.items
-        if isinstance(head, Not) and isinstance(dot, AnyChar) and isinstance(head.body, (CharClass, Terminal)):
-            return head.body
+        if isinstance(head, Not) and isinstance(dot, AnyChar):
+            if isinstance(head.body, (CharClass, Terminal)):
+                return head.body
     return None
 
 

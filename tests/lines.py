@@ -44,13 +44,14 @@ def count_lines(grammar_text: str, data: bytes, *, build_ast: bool, memo: bool):
     def calls(frame, event, arg):
         return local if frame.f_code.co_filename == MODULE else None
 
+    previous = sys.gettrace()
     sys.settrace(calls)
     try:
         session.parse()
     except ParseError:
         pass
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return {name: counts[name] for name in grammar.productions}, session
 
 

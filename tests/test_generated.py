@@ -4,6 +4,7 @@ production, and the step limit it enforces."""
 import cProfile
 import dis
 import pstats
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pegfold.interp
 from pegfold.analysis import assign_memo_points
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseSession, StepLimitExceeded, generate, program_for
+from lines import count_lines
 from test_analysis import benchmark_grammars
 
 MATH = """Expr = Sum
@@ -91,6 +93,23 @@ def test_each_production_checks_the_limit_and_looks_itself_up_once():
     assert len(points) == len(grammar.productions)  # recognition memoizes every production
     for point in points.values():
         assert program.source.count(f"table.lookup({point}, ") == 1
+
+
+@pytest.mark.parametrize("build_ast, memo", SETTINGS)
+def test_the_line_counter_counts_each_production(build_ast, memo):
+    data = b"(1+2)*3"
+    tracer = sys.gettrace()
+    counts, session = count_lines(MATH, data, build_ast=build_ast, memo=memo)
+    assert list(counts) == ["Expr", "Sum", "Product", "Value"]
+    assert all(counts.values())
+    again = ParseSession(parse_grammar(MATH), data, build_ast=build_ast, memo=memo)
+    assert again.parse().consumed == len(data)
+    assert (session.farthest, session.backtrack, session.calls) == (
+        again.farthest,
+        again.backtrack,
+        again.calls,
+    )
+    assert sys.gettrace() is tracer
 
 
 def test_a_negative_step_limit_is_refused():
