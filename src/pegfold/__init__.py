@@ -32,7 +32,6 @@ from .expr import (
     Tag,
     Terminal,
     ZeroOrMore,
-    desugar,
     erase_tree_operators,
     format_expression,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "TxMark",
     "ZeroOrMore",
     "assign_memo_points",
-    "desugar",
     "equals",
     "erase_tree_operators",
     "format_expression",

@@ -30,7 +30,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .analysis import assign_memo_points, validate
 from .grammar import Grammar, GrammarSyntaxError, parse_grammar
@@ -39,25 +38,10 @@ from .memo import DEFAULT_WINDOW
 from .tree import serialize, to_json
 from .tree import to_json_dict  # unused here; bench/tracing.py wraps it by this name
 
-__all__ = ["main", "CliConfig", "cmd_check", "cmd_parse", "cmd_bench"]
+__all__ = ["main", "cmd_check", "cmd_parse", "cmd_bench"]
 
 OK, FAILURE, IO_ERROR = 0, 1, 2
 RECURSION_LIMIT = 20000  # Python frames a parse or bench command may nest
-
-
-@dataclass
-class CliConfig:
-    command: str
-    grammar_path: str
-    input_path: str | None = None
-    start: str | None = None
-    format: str = "sexpr"
-    memo: bool = True
-    window: int = DEFAULT_WINDOW
-    strict: bool = False
-    stats: bool = False
-    iterations: int = 5
-    mode: str = "both"
 
 
 def _read_grammar(path: str) -> Grammar | int:
@@ -89,16 +73,16 @@ def _read_input(path: str) -> bytes | int:
         return IO_ERROR
 
 
-def _checked_grammar(config: CliConfig) -> Grammar | int:
+def _checked_grammar(args: argparse.Namespace, build_ast: bool) -> Grammar | int:
     """Reads and compiles the grammar; errors print before any input is read."""
-    grammar = _read_grammar(config.grammar_path)
+    grammar = _read_grammar(args.grammar)
     if isinstance(grammar, int):
         return grammar
-    if config.start is not None and config.start not in grammar.productions:
-        print(f"error: unknown start production {config.start!r}", file=sys.stderr)
+    if args.start is not None and args.start not in grammar.productions:
+        print(f"error: unknown start production {args.start!r}", file=sys.stderr)
         return FAILURE
     try:
-        program_for(grammar, memo=config.memo, build_ast=config.mode != "recognize")
+        program_for(grammar, memo=args.memo, build_ast=build_ast)
     except InvalidGrammarError as exc:
         for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)
@@ -106,8 +90,8 @@ def _checked_grammar(config: CliConfig) -> Grammar | int:
     return grammar
 
 
-def cmd_check(config: CliConfig) -> int:
-    grammar = _read_grammar(config.grammar_path)
+def cmd_check(args: argparse.Namespace) -> int:
+    grammar = _read_grammar(args.grammar)
     if isinstance(grammar, int):
         return grammar
     diagnostics = validate(grammar)
@@ -130,49 +114,49 @@ def _format_stats(stats: Stats) -> str:
     return "\n".join(lines)
 
 
-def cmd_parse(config: CliConfig) -> int:
-    grammar = _checked_grammar(config)
+def cmd_parse(args: argparse.Namespace) -> int:
+    grammar = _checked_grammar(args, build_ast=True)
     if isinstance(grammar, int):
         return grammar
-    data = _read_input(config.input_path or "-")
+    data = _read_input(args.input)
     if isinstance(data, int):
         return data
-    session = ParseSession(grammar, data, memo=config.memo, window=config.window)
+    session = ParseSession(grammar, data, memo=args.memo, window=args.window)
     try:
-        result = session.parse(config.start)
+        result = session.parse(args.start)
     except ParseError as exc:
         print(f"error: {exc.reason} at byte offset {exc.position}", file=sys.stderr)
         return FAILURE
-    if config.strict and result.consumed < len(data):
+    if args.strict and result.consumed < len(data):
         print(
             f"error: {len(data) - result.consumed} trailing bytes left "
             f"unconsumed at offset {result.consumed}",
             file=sys.stderr,
         )
         return FAILURE
-    if config.format == "json":
+    if args.format == "json":
         # json.dumps of {"ast": …, "consumed": …, "stats": …}, the tree
         # written straight from its nodes.
-        stats = f', "stats": {json.dumps(result.stats.as_dict())}' if config.stats else ""
+        stats = f', "stats": {json.dumps(result.stats.as_dict())}' if args.stats else ""
         print(f'{{"ast": {to_json(result.root)}, "consumed": {result.consumed}{stats}}}')
     else:
         print(serialize(result.root))
-        if config.stats:
+        if args.stats:
             print(_format_stats(result.stats))
     return OK
 
 
-def cmd_bench(config: CliConfig) -> int:
-    grammar = _checked_grammar(config)
+def cmd_bench(args: argparse.Namespace) -> int:
+    grammar = _checked_grammar(args, build_ast=args.mode != "recognize")
     if isinstance(grammar, int):
         return grammar
-    data = _read_input(config.input_path or "-")
+    data = _read_input(args.input)
     if isinstance(data, int):
         return data
-    modes = ("recognize", "ast") if config.mode == "both" else (config.mode,)
+    modes = ("recognize", "ast") if args.mode == "both" else (args.mode,)
     sessions = {
         mode: ParseSession(
-            grammar, data, memo=config.memo, window=config.window, build_ast=(mode == "ast")
+            grammar, data, memo=args.memo, window=args.window, build_ast=(mode == "ast")
         )
         for mode in modes
     }
@@ -180,10 +164,10 @@ def cmd_bench(config: CliConfig) -> int:
     # falls on both; each keeps its best time.
     times = dict.fromkeys(modes, float("inf"))
     try:
-        for _ in range(config.iterations):
+        for _ in range(args.iterations):
             for mode, session in sessions.items():
                 began = time.perf_counter()
-                session.parse(config.start)
+                session.parse(args.start)
                 times[mode] = min(times[mode], time.perf_counter() - began)
     except ParseError as exc:
         print(f"error: {exc.reason} at byte offset {exc.position}", file=sys.stderr)
@@ -237,41 +221,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv: list[str]) -> CliConfig:
-    args = _build_parser().parse_args(argv)
-    config = CliConfig(command=args.command, grammar_path=args.grammar)
-    if args.command != "check":
-        config.input_path = args.input
-        config.start = args.start
-        config.memo = args.memo
-        config.window = args.window
-        if config.window < 1:
-            raise SystemExit("error: --window must be at least 1")
-    if args.command == "parse":
-        config.format = args.format
-        config.stats = args.stats
-        config.strict = args.strict
-    if args.command == "bench":
-        config.iterations = args.iterations
-        config.mode = args.mode
-        if config.iterations < 1:
-            raise SystemExit("error: --iterations must be at least 1")
-    return config
-
-
 def run(argv: list[str]) -> int:
-    config = config_from_args(argv)
-    if config.command == "check":
-        return cmd_check(config)
+    args = _build_parser().parse_args(argv)
+    if args.command == "check":
+        return cmd_check(args)
+    if args.window < 1:
+        raise SystemExit("error: --window must be at least 1")
+    if args.command == "bench" and args.iterations < 1:
+        raise SystemExit("error: --iterations must be at least 1")
     # A parse recurses per nesting level of its input.  The library leaves
     # the recursion limit to its caller; a command lets its parse go deeper
     # for as long as it runs.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
-        if config.command == "parse":
-            return cmd_parse(config)
-        return cmd_bench(config)
+        if args.command == "parse":
+            return cmd_parse(args)
+        return cmd_bench(args)
     finally:
         sys.setrecursionlimit(limit)
 

@@ -42,7 +42,6 @@ __all__ = [
     "sequence",
     "choice",
     "subexpressions",
-    "desugar",
     "erase_tree_operators",
     "format_expression",
 ]
@@ -223,46 +222,6 @@ def subexpressions(e: Expression) -> tuple[Expression, ...]:
     if isinstance(e, Choice):
         return e.alternatives
     return ()
-
-
-def desugar(e: Expression, *, expand_char_classes: bool = False) -> Expression:
-    """Rewrites ``e`` into a smaller core of operators.
-
-    ``e?`` becomes a choice with the empty expression, ``e+`` becomes
-    ``e e*``, and ``&e`` becomes ``!!e``.  ``e*`` stays a native loop.
-    The engine compiles the sugared forms directly; this rewrite is the
-    reference form that tests compare it against.
-    Character classes stay native too unless ``expand_char_classes`` is
-    set, in which case each class becomes a choice over its member
-    bytes (useful only as a slow reference form for equivalence tests).
-    """
-    match e:
-        case Option(body):
-            return Choice((desugar(body, expand_char_classes=expand_char_classes), EMPTY))
-        case OneOrMore(body):
-            b = desugar(body, expand_char_classes=expand_char_classes)
-            return Sequence((b, ZeroOrMore(b)))
-        case And(body):
-            return Not(Not(desugar(body, expand_char_classes=expand_char_classes)))
-        case CharClass(ranges) if expand_char_classes:
-            members = [Terminal(bytes([b])) for lo, hi in ranges for b in range(lo, hi + 1)]
-            return choice(members)
-        case ZeroOrMore(body):
-            return ZeroOrMore(desugar(body, expand_char_classes=expand_char_classes))
-        case Not(body):
-            return Not(desugar(body, expand_char_classes=expand_char_classes))
-        case Sequence(items):
-            return Sequence(tuple(desugar(i, expand_char_classes=expand_char_classes) for i in items))
-        case Choice(alternatives):
-            return Choice(tuple(desugar(a, expand_char_classes=expand_char_classes) for a in alternatives))
-        case New(body):
-            return New(desugar(body, expand_char_classes=expand_char_classes))
-        case LeftFold(body):
-            return LeftFold(desugar(body, expand_char_classes=expand_char_classes))
-        case Link(body, index):
-            return Link(desugar(body, expand_char_classes=expand_char_classes), index)
-        case _:
-            return e
 
 
 def erase_tree_operators(e: Expression) -> Expression:

@@ -37,20 +37,20 @@ two paths:
 
 * An eager constructor (``analysis.eager_constructors``) is local: only
   its own level changes its node.  It keeps its record in locals of the
-  function, a tag, a list of links and whether any link is indexed, and
-  builds its node from them as it closes: one ``object.__new__`` call for
-  a slot record, sealed into a ``Node`` (``tree._NodeSlots``).  A ``#t``
-  at its level sets the record's tag, and a trailing one beats it; an
-  ``@Name`` there calls the production, puts the child in the record and
-  restores the left register, committing a lazily built child at once and
-  rolling back what the body logged if it fails.  A production that never
-  logs (``analysis.never_logs``) leaves a built node or nothing in the
-  register and nothing in the log, so a link that calls one, here or at a
-  memo point, reads no log length and neither commits nor rolls back.  A
+  function, a tag and a list of links, and builds its node from them as it
+  closes: one ``object.__new__`` call for a slot record, sealed into a
+  ``Node`` (``tree._NodeSlots``); a level with an ``@[n]`` site places its
+  links with ``place_links``.  A ``#t`` at its level sets the record's
+  tag, and a trailing one beats it; an ``@Name`` there calls the
+  production, puts the child in the record and restores the left register,
+  committing a lazily built child at once and rolling back what the body
+  logged if it fails.  A production that never logs
+  (``analysis.never_logs``) leaves a built node or nothing in the register
+  and nothing in the log, so a link that calls one, here or at a memo
+  point, reads no log length and neither commits nor rolls back.  A
   *direct* constructor has nothing at its level but a trailing tag, so no
-  record either.  A ``{@ }`` that finds a
-  virtual id in the register logs its node instead
-  (``Machine.emit_local_fold``).
+  record either.  A ``{@ }`` that finds a virtual id in the register logs
+  its node instead (``Machine.emit_local_fold``).
 * Every other constructor is lazy: its operators append entries to the
   machine's log, and a commit builds its node.
 
@@ -140,9 +140,7 @@ __all__ = [
 ]
 
 _NO_STEP_LIMIT = sys.maxsize
-# A TxMark without the named tuple's Python-level constructor, and a slot
-# record to fill and seal into a valid Node (``tree._NodeSlots``).
-_new_tuple = tuple.__new__
+# A slot record to fill and seal into a valid Node (``tree._NodeSlots``).
 _new_node = object.__new__
 
 
@@ -265,7 +263,6 @@ class ParseSession:
         self.plan = self._program.plan
         self.grammar = grammar
         self.data = data.encode("utf-8") if isinstance(data, str) else bytes(data)
-        self.memo_enabled = memo
         self.window = window
         self.build_ast = build_ast
         self.max_steps = max_steps
@@ -444,7 +441,6 @@ _GLOBALS: dict[str, object] = {
     "StepLimitExceeded": StepLimitExceeded,
     "place_links": place_links,
     "_new": _new_node,
-    "_new_tuple": _new_tuple,
     "_compile": re.compile,
 }
 
@@ -561,14 +557,15 @@ class _Function:
 
 class _Record:
     """The locals that hold an eager constructor's record: ``t`` its tag,
-    ``l`` its links (each a child, or ``(index, child)``), ``x`` whether
-    any link is indexed."""
+    ``l`` its links (each a child, or ``(index, child)``).  ``indexed`` is
+    whether its level has an ``@[n]`` site."""
 
     __slots__ = ("owner", "tag", "links", "indexed", "used")
 
     def __init__(self, owner: _Function, n: int) -> None:
         self.owner = owner
-        self.tag, self.links, self.indexed = f"t{n}", f"l{n}", f"x{n}"
+        self.tag, self.links = f"t{n}", f"l{n}"
+        self.indexed = False
         self.used: set[str] = set()
 
     def use(self, var: str, fn: _Function, assigns: bool = False) -> str:
@@ -1078,7 +1075,7 @@ class _Emitter:
             at = len(fn.lines)
         rv, fails = self.emit(body, s, i, fn, rec, known)
         given = repr(tag)  # the record's tag, which a trailing one beats
-        links = indexed = None
+        links = None
         if rec is not None:  # its variables, as far as the body uses them
             used = rec.used
             init = []
@@ -1089,9 +1086,6 @@ class _Emitter:
             if rec.links in used:
                 init.append(f"{i}{rec.links} = []")
                 links = rec.links
-            if rec.indexed in used:
-                init.append(f"{i}{rec.indexed} = False")
-                indexed = rec.indexed
             fn.lines[at:at] = init
         if fails:
             add(f"{i}if r >= 0:")
@@ -1104,16 +1098,16 @@ class _Emitter:
             i += _STEP
             if links is None:
                 children = "(k,) if k is not None else ()"
+            elif rec.indexed:
+                children = f"place_links(k, {links})"
             else:
                 children = f"(k, *{links}) if k is not None else (*{links},)"
-                if indexed:
-                    children = f"place_links(k, {links}) if {indexed} else {children}"
         elif links is None:
             children = "()"
+        elif rec.indexed:
+            children = f"place_links(None, {links})"
         else:
             children = f"(*{links},)"
-            if indexed:
-                children = f"place_links(None, {links}) if {indexed} else {children}"
         default = "'token'" if children == "()" else "('tree' if k else 'token')"
         node_tag = default if given == "None" else f"{given} or {default}" if tag is None else given
         # A slot record sealed into a Node, skipping ``Node.__init__``: the
@@ -1163,13 +1157,15 @@ class _Emitter:
             return self.call(Nonterminal(name), pv, i, fn)  # builds nothing
         quiet = self.quiet(Nonterminal(name))
         s = self.stable(pv, i, fn)
-        if rec is None:  # into the parent, ``{1}``, which is back in the register
-            put = f"machine.emit_link({{1}}, k, {index})"
+        if rec is None:  # into the parent, ``{0}``, which is back in the register
+            put = f"machine.emit_link({{0}}, k, {index})"
         else:
             links = rec.use(rec.links, fn)
-            put = f"{links}.append(k)"
-            if index is not None:
-                put = f"{links}.append(({index}, k))\n{{0}}{rec.use(rec.indexed, fn, True)} = True"
+            if index is None:
+                put = f"{links}.append(k)"
+            else:
+                put = f"{links}.append(({index}, k))"
+                rec.indexed = True
         prior = self.fresh("q")
         base = None if quiet else self.fresh("b")
         d = i
@@ -1182,7 +1178,7 @@ class _Emitter:
         abort = commit = ""
         if base is not None:
             add(f"{d}{base} = len(machine.log)")
-            mark = f"_new_tuple(TxMark, ({base}, {prior}))"
+            mark = f"TxMark({base}, {prior})"
             abort = f"{e1}if len(machine.log) != {base}:\n{e2}machine.abort({mark})\n"
             commit = (
                 f"{e2}if type(k) is not Node or len(machine.log) != {base}:\n"
@@ -1212,7 +1208,7 @@ class _Emitter:
                 if point is not None
                 else ""
             )
-            + f"{e2}{put.format(e2, prior)}"
+            + f"{e2}{put.format(prior)}"
         )
         if point is not None:
             j = i + _STEP
@@ -1221,7 +1217,7 @@ class _Emitter:
                 f"{j}r = {s} + {entry}[1]\n"
                 f"{j}k = {entry}[2]\n"
                 f"{j}if k is not None:\n"
-                f"{j}    {put.format(j + _STEP, 'machine.left')}\n"
+                f"{j}    {put.format('machine.left')}\n"
                 f"{i}else:\n"
                 f"{j}r = ~{s}"
             )

@@ -16,9 +16,11 @@ back in the register when its body is done.
 
 Five entry kinds exist.  ``NEW``/``FOLD`` introduce a virtual node id,
 ``CAPTURE`` sets its end offset, ``TAG`` overrides its tag, ``LINK``
-attaches a child (at the append position or a given index; later writes
-to the same index win).  A fold entry additionally records the node that
-becomes the new node's first child.
+attaches a child, appended or at a given index.  A fold entry additionally
+records the node that becomes the new node's first child.  A commit keeps
+each node's links in link order and places them with ``place_links``, as
+an eager constructor does with its record: by index, a later link to an
+index winning, at a cost that follows the number of links.
 
 A link whose body folded the parent away would make the parent a
 descendant of itself; such a link is refused.  The engine can only build
@@ -62,7 +64,6 @@ __all__ = [
 NodeRef = Union[None, int, Node]
 
 _NEW, _CAPTURE, _TAG, _LINK, _FOLD = range(5)
-_OPNAMES = ("NEW", "CAPTURE", "TAG", "LINK", "FOLD")
 
 
 class InternalParserError(Exception):
@@ -74,9 +75,6 @@ class TxMark(NamedTuple):
 
     log_index: int
     left: NodeRef
-
-
-_new_mark = tuple.__new__
 
 
 class Machine:
@@ -97,8 +95,7 @@ class Machine:
     # -- transactions ------------------------------------------------------
 
     def save(self) -> TxMark:
-        # tuple.__new__ skips the named tuple's Python-level constructor.
-        return _new_mark(TxMark, (len(self.log), self.left))
+        return TxMark(len(self.log), self.left)
 
     def abort(self, mark: TxMark) -> None:
         """Discards entries and register changes made since ``mark``."""
@@ -182,17 +179,17 @@ class Machine:
     def commit(self, mark: TxMark, source: bytes) -> Node:
         """Replays entries made since ``mark`` and materializes the left node.
 
-        Entry order is replay order: later tags override earlier ones,
-        indexed links overwrite the same slot, unfilled index gaps are
-        dropped.  Virtual ids referenced but not introduced in the range
-        (and not materialized already) are engine bugs.
+        Entry order is replay order: later tags override earlier ones, and
+        each node's links are placed by ``place_links``.  Virtual ids
+        referenced but not introduced in the range (and not materialized
+        already) are engine bugs.
         """
         base = mark.log_index
-        recs: dict[int, list] = {}  # vid -> [tag, start, end, children]
+        recs: dict[int, list] = {}  # vid -> [tag, start, end, first, links]
         for entry in self.log[base:]:
             op = entry[0]
             if op == _NEW:
-                recs[entry[1]] = [None, entry[2], None, []]
+                recs[entry[1]] = [None, entry[2], None, None, []]
             elif op == _CAPTURE:
                 rec = recs.get(entry[1])
                 if rec is None:
@@ -207,13 +204,9 @@ class Machine:
                 rec = recs.get(entry[1])
                 if rec is None:
                     raise InternalParserError("link into a node outside the transaction")
-                if entry[3] is None:
-                    rec[3].append(entry[2])
-                else:
-                    _put(rec[3], entry[2], entry[3])
+                rec[4].append(entry[2] if entry[3] is None else (entry[3], entry[2]))
             else:  # _FOLD: the span opens at the fold point, after the first child
-                first = entry[2]
-                recs[entry[1]] = [None, entry[3], None, [] if first is None else [first]]
+                recs[entry[1]] = [None, entry[3], None, entry[2], []]
         del self.log[base:]
 
         built: dict[int, object] = {}  # vid -> its node, or _BUILDING while in progress
@@ -225,11 +218,9 @@ class Machine:
                     raise InternalParserError("cyclic link structure")
                 return node
             built[vid] = _BUILDING
-            tag, start, end, children = recs[vid]
+            tag, start, end, first, links = recs[vid]
             resolved = []
-            for child in children:
-                if child is _GAP:
-                    continue
+            for child in place_links(first, links):
                 if isinstance(child, Node):
                     resolved.append(child)
                 elif child in recs:
@@ -293,35 +284,26 @@ class Machine:
         return lines
 
 
-def _put(children: list, child: object, index: int) -> None:
-    """An indexed link: ``child`` at ``index``, with ``_GAP`` in any slot skipped."""
-    if len(children) <= index:
-        children.extend([_GAP] * (index + 1 - len(children)))
-    children[index] = child
-
-
-def place_links(first: Node | None, links: list) -> tuple[Node, ...]:
-    """The children of a local record: ``first``, a fold's first child, then
-    ``links`` in link order, each a node appended or an ``(index, node)``
-    put at its index, as a commit replays ``LINK`` entries."""
-    children: list = [] if first is None else [first]
+def place_links(first: NodeRef, links: list) -> tuple:
+    """A node's children in index order: ``first``, a fold's first child, at
+    index 0, and ``links`` in link order, each a child appended or an
+    ``(index, child)`` put at its index.  A later link to an index wins; an
+    append goes one past the highest index placed so far, so an index that
+    nothing filled leaves no child."""
+    if first is None:
+        slots, end = {}, 0
+    else:
+        slots, end = {0: first}, 1
     for link in links:
         if type(link) is tuple:
-            _put(children, link[1], link[0])
+            index, child = link
+            slots[index] = child
+            if index >= end:
+                end = index + 1
         else:
-            children.append(link)
-    return tuple(child for child in children if child is not _GAP)
+            slots[end] = link
+            end += 1
+    return tuple([slots[index] for index in sorted(slots)])
 
 
-class _Sentinel:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"<{self.name}>"
-
-
-_GAP = _Sentinel("gap")  # an index a link skipped over
-_BUILDING = _Sentinel("building")  # a node whose children commit is building
+_BUILDING = object()  # a node whose children commit is building

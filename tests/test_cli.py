@@ -125,6 +125,25 @@ def test_runs_as_a_module(module, math_peg, tmp_path):
     assert done.stdout == "#add[#Integer['1'] #mul[#Integer['2'] #Integer['3']]]\n"
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("parse", "--window"), ("bench", "--window"), ("bench", "--iterations")],
+)
+def test_a_count_option_below_one_exits_with_one_line(command, option, math_peg, tmp_path):
+    source_root = str(Path(pegfold.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pegfold", command, math_peg, write_input(tmp_path, b"1"), option, "0"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"error: {option} must be at least 1\n"
+    assert done.stdout == ""
+
+
 def test_parse_stats_block(math_peg, tmp_path, capsys):
     assert run(["parse", math_peg, write_input(tmp_path, b"7"), "--stats"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,6 +1,7 @@
 """Engine semantics: recognition, tree construction, statistics."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from corpus import engine_outcome, oracle_outcome
@@ -275,6 +276,28 @@ def test_a_local_fold_adopts_a_built_node_and_links_into_it():
 def test_local_indexed_links_fill_their_slots_and_drop_gaps():
     g = "S = { @[3]D @[1]D @[3]D }\nD = { [0-9] #d }"
     assert tree_of(g, b"123") == "#tree[#d['2'] #d['3']]"
+
+
+@pytest.mark.parametrize(
+    "text, placement",
+    [
+        ("A = { @[3000000] B }\nB = { 'a' }", "place_links("),  # an eager level
+        ("A = { @[3000000] { 'a' } }", "machine.emit_link("),  # a commit
+    ],
+)
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_large_link_index_costs_no_more_than_a_small_one(text, placement, memo):
+    grammar = parse_grammar(text)
+    assert placement in program_for(grammar, memo=memo, build_ast=True).source
+    session = ParseSession(grammar, b"a", memo=memo)
+    tracemalloc.start()
+    try:
+        root = session.parse().root
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert serialize(root) == "#tree[#token['a']]"
+    assert peak < 1_000_000
 
 
 def test_math_parse_aborts_nothing(monkeypatch):

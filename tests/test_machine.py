@@ -1,5 +1,7 @@
 """Transactional machine: save/abort/commit, replay, audit."""
 
+import random
+
 import pytest
 
 from pegfold import machine
@@ -424,6 +426,43 @@ def test_place_links_puts_indexed_links_and_drops_gaps():
     assert machine.place_links(first, [a, b]) == (first, a, b)
     assert machine.place_links(None, [(3, a), (1, b), (3, c)]) == (b, c)
     assert machine.place_links(first, [a, (0, b)]) == (b, a)
+
+
+def gap_list_placement(first, links):
+    """The reference rule: a list grown with gaps up to each index, an
+    indexed link written into its slot, an append at the end, and the gaps
+    left out."""
+    gap = object()
+    children = [] if first is None else [first]
+    for link in links:
+        if type(link) is tuple:
+            index, child = link
+            if len(children) <= index:
+                children.extend([gap] * (index + 1 - len(children)))
+            children[index] = child
+        else:
+            children.append(link)
+    return tuple(child for child in children if child is not gap)
+
+
+def test_place_links_follows_the_gap_list_rule():
+    rng = random.Random(16)
+    nodes = [Node("d", i, i + 1, SRC) for i in range(5)]
+    seen = {"first overwritten": 0, "append after an index": 0, "overwrite": 0}
+    for _ in range(3000):
+        first = rng.choice((None, nodes[0]))
+        links = [
+            rng.choice(nodes) if rng.random() < 0.4 else (rng.randint(0, 5), rng.choice(nodes))
+            for _ in range(rng.randint(0, 7))
+        ]
+        assert machine.place_links(first, links) == gap_list_placement(first, links)
+        indexes = [link[0] for link in links if type(link) is tuple]
+        seen["first overwritten"] += first is not None and 0 in indexes
+        seen["overwrite"] += len(set(indexes)) < len(indexes)
+        seen["append after an index"] += any(
+            type(a) is tuple and type(b) is not tuple for a, b in zip(links, links[1:])
+        )
+    assert min(seen.values()) > 100, seen
 
 
 def test_dump_log_format():

@@ -5,7 +5,22 @@ import random
 from corpus import ENGINE_STEPS, _Generator, digest, engine_outcome, make_corpus, oracle_outcome
 
 from pegfold.analysis import assign_memo_points
-from pegfold.expr import desugar
+from pegfold.expr import (
+    EMPTY,
+    And,
+    CharClass,
+    Choice,
+    LeftFold,
+    Link,
+    New,
+    Not,
+    OneOrMore,
+    Option,
+    Sequence,
+    Terminal,
+    ZeroOrMore,
+    choice,
+)
 from pegfold.grammar import Grammar, format_grammar, parse_grammar
 from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
 from pegfold.tree import equals, parse_notation, serialize
@@ -21,6 +36,47 @@ def consumed_or_fail(grammar, data, *, build_ast=True):
         return "fail"
     except StepLimitExceeded:
         return None
+
+
+def desugar(e, *, expand_char_classes=False):
+    """A reference form of ``e`` over a smaller core of operators, which the
+    engine's native compile of the sugared forms must agree with.
+
+    ``e?`` becomes a choice with the empty expression, ``e+`` becomes
+    ``e e*``, and ``&e`` becomes ``!!e``.  ``e*`` stays a native loop.
+    Character classes stay native too unless ``expand_char_classes`` is
+    set, in which case each class becomes a choice over its member bytes.
+    """
+
+    def again(body):
+        return desugar(body, expand_char_classes=expand_char_classes)
+
+    match e:
+        case Option(body):
+            return Choice((again(body), EMPTY))
+        case OneOrMore(body):
+            b = again(body)
+            return Sequence((b, ZeroOrMore(b)))
+        case And(body):
+            return Not(Not(again(body)))
+        case CharClass(ranges) if expand_char_classes:
+            return choice([Terminal(bytes([b])) for lo, hi in ranges for b in range(lo, hi + 1)])
+        case ZeroOrMore(body):
+            return ZeroOrMore(again(body))
+        case Not(body):
+            return Not(again(body))
+        case Sequence(items):
+            return Sequence(tuple(again(i) for i in items))
+        case Choice(alternatives):
+            return Choice(tuple(again(a) for a in alternatives))
+        case New(body):
+            return New(again(body))
+        case LeftFold(body):
+            return LeftFold(again(body))
+        case Link(body, index):
+            return Link(again(body), index)
+        case _:
+            return e
 
 
 def test_desugar_preserves_recognition():
