@@ -10,11 +10,20 @@ expression is inlined: terminals, classes, byte loops, sequences, choices,
 options, loops, predicates and tree operators.  A call of another
 production is the only Python call the generated code makes, besides the
 machine's methods for lazy constructors, ``place_links`` and the memo
-table.  A failed choice alternative, option body or repetition step, and
-every predicate body, adds its re-readable distance to the backtrack
-counter and leaves the position where it started; predicates restore it
-even on success.  Each function opens with a prologue that counts its call
-against the step limit.
+table.  A failed choice alternative, option body or repetition step leaves
+the position where it started, and predicates restore it even on success.
+
+Each setting compiles to two modules from one emitter.  The bare module,
+which a parse runs by default, counts nothing.  The counting module adds
+the instrumentation: each function opens with a prologue that counts its
+call against the step limit, every failure moves the farthest failure
+(``farthest``), each failed attempt and every predicate body adds its
+re-readable distance to ``backtrack``, and each node an eager constructor
+builds counts in ``machine.created``.  It runs when a session has a step
+limit, and otherwise only when something needs what it counts: a failed
+parse re-runs with it to find the position of its farthest failure, and
+reading a session's counters or a result's statistics re-runs the parse
+with it once (:class:`ParseSession`).
 
 A loop whose body is ``!X .``, or a choice whose first alternative is, with
 ``X`` a class or a literal, is a scan loop: before each iteration it skips
@@ -75,8 +84,9 @@ advance before it returns; the start of a parse is no different, and
 counts as no call.  Only an ``@Name`` site may make a stored node final,
 so link points keep their lookups at the call site.
 
-A grammar is compiled once per ``(memo, build_ast)`` setting; the grammar
-keeps that program for every session.  Grammars with equal productions
+A grammar is compiled once per ``(memo, build_ast, counting)`` setting, the
+counting module only when a parse first needs it; the grammar keeps that
+program for every session.  Grammars with equal productions
 share one memo plan and compiled module (``_compiled``), analysed, written
 and compiled once, and each program ``exec``s it into globals of its own,
 which a parse binds on entry and clears on exit.
@@ -187,7 +197,9 @@ class Stats:
     failed.  ``nodes_unused`` is the created surplus not reachable from
     the root.  Attempts that cannot start at
     the next byte are skipped, so neither ``nodes_created`` nor
-    ``memo_lookups`` counts the work they would have done.
+    ``memo_lookups`` counts the work they would have done.  After a bare
+    parse, ``backtrack_total`` and ``nodes_created`` come from a counting
+    re-run (see :class:`ParseSession`).
     """
 
     consumed: int = 0
@@ -206,23 +218,38 @@ class Stats:
 class ParseResult:
     """A successful parse: the root node and how far it got.
 
-    ``stats`` counts the nodes reachable from the root when it is first
-    read, so a parse whose statistics nobody reads never walks the tree.
+    ``stats`` is made when first read, so a parse whose statistics nobody
+    reads never walks the tree, nor, unless it counted from the start, runs
+    a second time for its counters (see :class:`ParseSession`).
     """
 
-    __slots__ = ("root", "consumed", "_stats")
+    __slots__ = ("root", "consumed", "_run", "_stats")
 
-    def __init__(self, root: Node, consumed: int, stats: Stats) -> None:
+    def __init__(self, root: Node, consumed: int, run: _Run) -> None:
         self.root = root
         self.consumed = consumed
-        self._stats = stats
+        self._run = run
+        self._stats: Stats | None = None
 
     @property
     def stats(self) -> Stats:
         stats = self._stats
-        if not stats.nodes_in_result:  # 0 until counted: the root is reachable
-            stats.nodes_in_result = _count_reachable(self.root)
-            stats.nodes_unused = stats.nodes_created - stats.nodes_in_result
+        if stats is None:
+            run = self._run.counted()
+            size = len(run.data)
+            table = run.table
+            created = run.machine.created + run.built
+            reachable = _count_reachable(self.root)
+            stats = self._stats = Stats(
+                consumed=self.consumed,
+                backtrack_total=run.backtrack,
+                backtrack_ratio=run.backtrack / size if size else 0.0,
+                memo_lookups=table.lookups if table is not None else 0,
+                memo_hits=table.hits if table is not None else 0,
+                nodes_created=created,
+                nodes_in_result=reachable,
+                nodes_unused=created - reachable,
+            )
         return stats
 
     def __repr__(self) -> str:
@@ -243,6 +270,13 @@ class ParseSession:
     guard (:class:`StepLimitExceeded`); the start counts as none.  A
     negative bound, or a window below 1, raises ``ValueError``, with
     memoization on or off.
+
+    ``machine``, ``table`` and the counters ``farthest``, ``backtrack`` and
+    ``calls`` describe the last parse.  Without ``max_steps`` a parse runs
+    the bare program, which counts nothing; reading a counter, or the
+    result's ``stats``, first re-runs the parse once with the counting
+    program, as a failed parse does to find its position.  With
+    ``max_steps`` every parse counts from the start.
     """
 
     def __init__(
@@ -259,22 +293,39 @@ class ParseSession:
             raise ValueError("max_steps must be non-negative")
         if window < 1:
             raise ValueError("window must be at least 1")
-        self._program = program_for(grammar, memo=memo, build_ast=build_ast)
+        counting = max_steps is not None
+        self._program = program_for(grammar, memo=memo, build_ast=build_ast, counting=counting)
+        # The session's one copy of its setting, which finds the counting
+        # program when a parse of the bare one first needs it.
+        self._setting = (memo, build_ast)
         self.plan = self._program.plan
         self.grammar = grammar
         self.data = data.encode("utf-8") if isinstance(data, str) else bytes(data)
         self.window = window
-        self.build_ast = build_ast
         self.max_steps = max_steps
-
-        # Filled in by each parse.
-        self.machine: Machine | None = None
-        self.table: MemoTable | None = None
-        self.backtrack = 0
-        self.farthest = 0
-        self.calls = 0
+        self._run = _NO_RUN
 
     # -- public API --------------------------------------------------------
+
+    @property
+    def machine(self) -> Machine | None:
+        return self._run.machine
+
+    @property
+    def table(self) -> MemoTable | None:
+        return self._run.table
+
+    @property
+    def farthest(self) -> int:
+        return self._run.counted().farthest
+
+    @property
+    def backtrack(self) -> int:
+        return self._run.counted().backtrack
+
+    @property
+    def calls(self) -> int:
+        return self._run.counted().calls
 
     def parse(self, start: str | None = None) -> ParseResult:
         """Parses from offset 0; raises :class:`ParseError` if the start fails
@@ -288,35 +339,40 @@ class ParseSession:
         name = start if start is not None else self.grammar.start
         if name not in self.grammar.productions:
             raise KeyError(f"unknown start production {name!r}")
+        counting = self.max_steps is not None
+        setting = None if counting else self._setting  # a bare run counts when asked
+        run = self._run = _Run(self.data, self.window, self.max_steps, name, self.grammar, setting)
 
         # The forward pass and commit recurse per nesting level, as deep as
         # the caller's recursion limit lets them.  A RecursionError unwinds
         # through the program's ``finally``, which releases its lock and
         # clears its globals.
         try:
-            end = self._program.run(self, name)
-            if end < 0:
-                raise ParseError(self.farthest)
-            machine = self.machine
-            root = machine.left
-            if root is None:  # a token over what the parse consumed
-                root = Node("token", 0, end, self.data)
-                machine.created += 1
-            elif isinstance(root, Node) and not machine.log:
-                machine.first = []  # as a whole-log commit would
-            else:
-                root = machine.commit(TxMark(0, None), self.data)
+            end = self._program.run(run, name)
+            if end >= 0:
+                machine = run.machine
+                root = machine.left
+                if root is None:  # a token over what the parse consumed
+                    root = Node("token", 0, end, self.data)
+                    machine.created += 1
+                elif isinstance(root, Node) and not machine.log:
+                    machine.first = []  # as a whole-log commit would
+                else:
+                    root = machine.commit(TxMark(0, None), self.data)
+                return ParseResult(root, end, run)
+            failure = ParseError
         except RecursionError:
-            raise NestingLimitExceeded(self.farthest) from None
-        stats = Stats()
-        stats.backtrack_total = self.backtrack
-        stats.backtrack_ratio = self.backtrack / len(self.data) if self.data else 0.0
-        if self.table is not None:
-            stats.memo_lookups = self.table.lookups
-            stats.memo_hits = self.table.hits
-        stats.consumed = end
-        stats.nodes_created = machine.created
-        return ParseResult(root, end, stats)
+            failure = NestingLimitExceeded
+        if not counting:
+            # The position takes a counting run.  It starts from this frame,
+            # as the bare one did, so it meets the recursion limit where
+            # that one did.
+            run.setting = None
+            try:
+                _counting(self.grammar, self._setting).run(run, name)
+            except RecursionError:
+                pass
+        raise failure(run.farthest)
 
 
 def _count_reachable(root: Node) -> int:
@@ -331,28 +387,88 @@ def _count_reachable(root: Node) -> int:
     return len(seen)
 
 
+class _Run:
+    """One parse's run of a program: what ``Program.run`` reads (``data``,
+    ``window`` and the step ``limit``) and leaves (the ``machine``, the
+    memo ``table`` and ``created``, the nodes the machine had created when
+    the run ended) and, from a counting module, the counters ``farthest``,
+    ``backtrack`` and ``calls``.
+
+    After a bare run, ``setting`` is the ``(memo, build_ast)`` of its
+    program, and ``counted`` re-runs the parse of ``name`` with the
+    counting program of ``grammar`` in that setting once, the first time a
+    counter is read.  The re-run fills the counters and ``built``, the
+    nodes the bare module built without counting them, and keeps nothing
+    else: the machine and table stay the first run's.
+    """
+
+    __slots__ = (
+        "data", "window", "limit", "name", "grammar", "setting",
+        "machine", "table", "created", "built", "farthest", "backtrack", "calls",
+    )
+
+    def __init__(self, data: bytes, window: int, limit: int | None, name, grammar, setting) -> None:
+        self.data, self.window, self.limit, self.name = data, window, limit, name
+        self.grammar: Grammar | None = grammar
+        self.setting: tuple[bool, bool] | None = setting
+        self.machine: Machine | None = None
+        self.table: MemoTable | None = None
+        self.created = self.built = self.farthest = self.backtrack = self.calls = 0
+
+    def counted(self) -> _Run:
+        if self.setting is not None:
+            program = _counting(self.grammar, self.setting)
+            again = _Run(self.data, self.window, None, self.name, self.grammar, None)
+            try:
+                program.run(again, self.name)
+            except RecursionError:
+                # Read from deeper in the stack than the parse ran: re-run
+                # on a thread of its own, whose stack starts empty.
+                worker = threading.Thread(target=program.run, args=(again, self.name))
+                worker.start()
+                worker.join()
+            self.farthest, self.backtrack, self.calls = again.farthest, again.backtrack, again.calls
+            self.built = again.created - self.created
+            self.setting = None
+        return self
+
+
+_NO_RUN = _Run(b"", DEFAULT_WINDOW, None, None, None, None)  # a session's before it parses
+
+
+def _counting(grammar: Grammar, setting: tuple[bool, bool]) -> Program:
+    memo, build_ast = setting
+    return program_for(grammar, memo=memo, build_ast=build_ast, counting=True)
+
+
 class Program(NamedTuple):
-    """A grammar compiled for one setting.  ``run(session, name)`` parses
-    ``session.data``, one parse at a time, and leaves the machine, memo
-    table and counters on the session.  ``source`` is the generated module
-    and ``code`` its compiled form, shared by every program of a grammar
-    with equal productions."""
+    """A grammar compiled for one setting.  ``run(record, name)`` parses
+    ``record.data`` (a :class:`_Run`), one parse at a time, and leaves the
+    machine, memo table and, in a counting program, the counters on the
+    record.  ``source`` is the generated module and ``code`` its compiled
+    form, shared by every program of a grammar with equal productions."""
 
     plan: MemoPlan | None
-    run: Callable[[ParseSession, str], int]
+    run: Callable[[_Run, str], int]
     source: str
     code: CodeType
 
 
-def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
-    """The grammar's program for this setting, compiled on first use.
+def program_for(
+    grammar: Grammar, *, memo: bool, build_ast: bool, counting: bool = False
+) -> Program:
+    """The grammar's program for this setting, compiled on first use.  The
+    bare program counts nothing; the ``counting`` one counts production
+    calls against the step limit, the farthest failure, backtracked bytes
+    and the nodes its constructors build.
 
     The first compile of a grammar validates it and raises
     :class:`InvalidGrammarError` on errors; a grammar that already has a
     program has passed.  Two threads racing here may both compile; either
     program is correct.
     """
-    program = grammar._programs.get((memo, build_ast))
+    key = (memo, build_ast, counting)
+    program = grammar._programs.get(key)
     if program is not None:
         return program
     if not grammar._programs:
@@ -360,57 +476,58 @@ def program_for(grammar: Grammar, *, memo: bool, build_ast: bool) -> Program:
         if problems:
             raise InvalidGrammarError(problems)
 
-    plan, source, code = _compiled(tuple(grammar.productions.items()), memo, build_ast)
+    plan, source, code = _compiled(tuple(grammar.productions.items()), memo, build_ast, counting)
     namespace = dict(_GLOBALS)
     exec(code, namespace)
     functions = {name: namespace[_mangle(name)] for name in grammar.productions}
     lock = threading.Lock()
 
-    def run(session: ParseSession, name: str) -> int:
+    def run(record: _Run, name: str) -> int:
         with lock:
             start = functions[name]
             state = namespace
+            machine = Machine()
             try:
-                state["data"] = data = session.data
+                state["data"] = data = record.data
                 state["size"] = len(data)
-                state["machine"] = session.machine = Machine()
-                state["table"] = table = session.table = (
-                    MemoTable(plan.count, session.window) if plan is not None else None
+                state["machine"] = record.machine = machine
+                state["table"] = record.table = (
+                    MemoTable(plan.count, record.window) if plan is not None else None
                 )
-                state["limit"] = _NO_STEP_LIMIT if session.max_steps is None else session.max_steps
-                state["farthest"] = state["backtrack"] = 0
-                state["calls"] = -1  # the start counts its own call as none
+                if counting:
+                    state["limit"] = _NO_STEP_LIMIT if record.limit is None else record.limit
+                    state["farthest"] = state["backtrack"] = 0
+                    state["calls"] = -1  # the start counts its own call as none
                 enter = _on_fresh_stack if len(data) >= _FRESH_STACK_INPUT else _call
                 return enter(start, 0)
             finally:
-                session.farthest = state["farthest"]
-                session.backtrack = state["backtrack"]
-                session.calls = state["calls"]
+                record.created = machine.created
+                if counting:
+                    record.farthest = state["farthest"]
+                    record.backtrack = state["backtrack"]
+                    record.calls = state["calls"]
                 # Drop the input and the trees: the program outlives this parse.
                 state["data"] = state["machine"] = state["table"] = None
 
-    program = grammar._programs[(memo, build_ast)] = Program(plan, run, source, code)
+    program = grammar._programs[key] = Program(plan, run, source, code)
     return program
 
 
-def generate(grammar: Grammar, plan: MemoPlan | None) -> str:
+def generate(grammar: Grammar, plan: MemoPlan | None, counting: bool = False) -> str:
     """The module of ``grammar``'s functions, with the memo points of ``plan``
-    (None: no memoization).  Expects a grammar that validates without
-    errors; the source depends on nothing else."""
+    (None: no memoization), bare or ``counting``.  Expects a grammar that
+    validates without errors; the source depends on nothing else."""
     eager = eager_constructors(grammar)
     rollback = transactions(grammar, eager, plan.link_points if plan is not None else ())
     quiet = never_logs(grammar, eager)
-    return _Emitter(grammar, plan, eager, rollback, quiet, lead_masks(grammar)).module()
+    return _Emitter(grammar, plan, eager, rollback, quiet, lead_masks(grammar), counting).module()
 
 
 @functools.lru_cache(maxsize=64)
-def _compiled(
+def _planned(
     productions: tuple[tuple[str, Expression], ...], memo: bool, build_ast: bool
-) -> tuple[MemoPlan | None, str, CodeType]:
-    """The memo plan, module source and code for a grammar's productions in
-    one setting.  Equal productions give equal source, so grammars read from
-    the same text share them, analysed, written and compiled once; their
-    sessions read one ``MemoPlan``, which nothing changes."""
+) -> tuple[Grammar, MemoPlan | None]:
+    """The grammar that runs in one setting, and its memo plan."""
     # The analyses see what actually runs: with tree building off, links
     # are gone, every production is a plain-advance candidate memo point
     # and nothing needs a savepoint.
@@ -418,8 +535,20 @@ def _compiled(
     if not build_ast:
         bodies = {name: erase_tree_operators(body) for name, body in bodies.items()}
     running = Grammar(bodies)
-    plan = assign_memo_points(running) if memo else None
-    source = generate(running, plan)
+    return running, assign_memo_points(running) if memo else None
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(
+    productions: tuple[tuple[str, Expression], ...], memo: bool, build_ast: bool, counting: bool
+) -> tuple[MemoPlan | None, str, CodeType]:
+    """The memo plan, module source and code for a grammar's productions in
+    one setting.  Equal productions give equal source, so grammars read from
+    the same text share them, analysed, written and compiled once; their
+    sessions read one ``MemoPlan``, which nothing changes, and the bare and
+    counting modules of a setting share it too."""
+    running, plan = _planned(productions, memo, build_ast)
+    source = generate(running, plan, counting)
     return plan, source, compile(source, "<pegfold grammar>", "exec")
 
 
@@ -503,6 +632,12 @@ def _ranges(mask: int) -> tuple[tuple[int, int], ...]:
         out.append((lo, lo + width - 1))
         mask ^= ((1 << width) - 1) << lo
     return tuple(out)
+
+
+def _lines(*lines: str | None) -> str:
+    """The given lines of code, one per line, leaving out empty ones: the
+    counters a bare module omits."""
+    return "\n".join(line for line in lines if line)
 
 
 def _scan_stop(body: Expression) -> CharClass | Terminal | None:
@@ -590,7 +725,7 @@ class _Emitter:
     byte test it decides is left out.
     """
 
-    def __init__(self, grammar: Grammar, plan, eager, rollback, quiet, lead) -> None:
+    def __init__(self, grammar: Grammar, plan, eager, rollback, quiet, lead, counting) -> None:
         self.bodies = grammar.productions
         self.link_points = plan.link_points if plan is not None else {}
         self.nonterminal_points = plan.nonterminal_points if plan is not None else {}
@@ -598,6 +733,7 @@ class _Emitter:
         self.builds, self.dirty, self.nullable = rollback
         self.quiet = quiet
         self.lead = lead
+        self.counting = counting
         self.names = {name: _mangle(name) for name in self.bodies}
         self.constants: dict[str, str] = {}
         self.count = 0
@@ -625,11 +761,12 @@ class _Emitter:
         for name, body in self.bodies.items():
             self.count = 0
             fn = _Function(self.names[name], _STEP)
-            fn.globals.add("calls")
-            fn.lines.append(
-                f"{_STEP}calls += 1\n{_STEP}if calls > limit:\n"
-                f'{_STEP}    raise StepLimitExceeded(f"more than {{limit}} production calls")'
-            )
+            if self.counting:
+                fn.globals.add("calls")
+                fn.lines.append(
+                    f"{_STEP}calls += 1\n{_STEP}if calls > limit:\n"
+                    f'{_STEP}    raise StepLimitExceeded(f"more than {{limit}} production calls")'
+                )
             point = self.nonterminal_points.get(name)
             if point is not None:  # builds nothing: a hit is a plain advance
                 fn.lines.append(
@@ -685,19 +822,24 @@ class _Emitter:
         return s
 
     def reach(self, pv: str, i: str, fn: _Function) -> str:
-        """Text that moves the farthest failure to ``pv``."""
+        """Text that moves the farthest failure to ``pv``; none in a bare
+        module."""
+        if not self.counting:
+            return ""
         fn.globals.add("farthest")
         return f"{i}if {pv} > farthest:\n{i}    farthest = {pv}"
 
     def die(self, pv: str, i: str, fn: _Function) -> str:
         """Text for an attempt that fails where it starts."""
-        return f"{self.reach(pv, i, fn)}\n{i}r = ~{pv}"
+        return _lines(self.reach(pv, i, fn), f"{i}r = ~{pv}")
 
-    def backtrack(self, s: str, i: str, fn: _Function) -> str:
-        """Text that counts the re-readable distance of an attempt at ``s``
-        that failed as ``r``."""
+    def backtrack(self, distance: str, i: str, fn: _Function) -> str:
+        """Text that counts ``distance`` re-readable bytes; none in a bare
+        module."""
+        if not self.counting:
+            return ""
         fn.globals.add("backtrack")
-        return f"{i}backtrack += ~r - {s}"
+        return f"{i}backtrack += {distance}"
 
     def test(self, mask: int, value: str, bind: bool = True) -> tuple[str, str]:
         """A condition that the byte ``value`` is in ``mask``, and, with
@@ -887,10 +1029,9 @@ class _Emitter:
             rv, fails = self.emit(alternative, s, inner, fn, rec, fits)
             if rv != "r":
                 add(f"{inner}r = {rv}")
-            if k < last and fails:
-                add(f"{inner}if r < 0:\n{self.backtrack(s, inner + _STEP, fn)}")
-                if undo:
-                    add(undo.format(inner + _STEP))
+            if k < last and fails and (undo or self.counting):
+                count = self.backtrack(f"~r - {s}", inner + _STEP, fn)
+                add(_lines(f"{inner}if r < 0:", count, undo and undo.format(inner + _STEP)))
             if test is not None:
                 if k == 0:
                     add(f"{i}else:\n{self.die(s, j, fn)}")
@@ -907,7 +1048,8 @@ class _Emitter:
         if mask is not None:
             test, fits = self.guard(mask, s, known)
             if not fits[1]:  # the body cannot start here
-                add(self.reach(s, i, fn))
+                if self.counting:
+                    add(self.reach(s, i, fn))
                 return s, False
         inner = i
         if test is not None:
@@ -920,13 +1062,12 @@ class _Emitter:
         if rv != "r":
             add(f"{inner}r = {rv}")
         if fails:
-            add(f"{inner}if r < 0:\n{self.backtrack(s, inner + _STEP, fn)}")
-            if undo:
-                add(undo.format(inner + _STEP))
-            add(f"{inner}    r = {s}")
+            count = self.backtrack(f"~r - {s}", inner + _STEP, fn)
+            undo = undo and undo.format(inner + _STEP)
+            add(_lines(f"{inner}if r < 0:", count, undo, f"{inner}    r = {s}"))
         if test is not None:
             # As the body would have failed here.
-            add(f"{i}else:\n{self.reach(s, inner, fn)}\n{inner}r = {s}")
+            add(_lines(f"{i}else:", self.reach(s, inner, fn), f"{inner}r = {s}"))
         return "r", False
 
     def star(self, e: ZeroOrMore, pv, i, fn, rec, known):
@@ -939,13 +1080,12 @@ class _Emitter:
         # where the loop stops.
         if isinstance(body, CharClass) or isinstance(body, Terminal) and len(body.text) == 1:
             test = self.test(self.lead(body), f"data[{s}]", False)[0]
-            add(f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1\n{self.reach(s, i, fn)}")
+            loop = f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1"
+            add(_lines(loop, self.reach(s, i, fn)))
             return s, False
         if isinstance(body, Terminal):
-            add(
-                f"{i}{s} = {pv}\n{i}while data.startswith({body.text!r}, {s}):\n{j}{s} += {len(body.text)}\n"
-                f"{self.reach(s, i, fn)}"
-            )
+            loop = f"{i}{s} = {pv}\n{i}while data.startswith({body.text!r}, {s}):\n{j}{s} += {len(body.text)}"
+            add(_lines(loop, self.reach(s, i, fn)))
             return s, False
         mask = self.lead(body)
         test, fits = (None, None) if mask is None else self.guard(mask, s, None)
@@ -966,15 +1106,13 @@ class _Emitter:
         fn.loops -= 1
         k = j + _STEP
         if fails:
-            add(f"{j}if r < 0:\n{self.backtrack(s, k, fn)}")
-            if undo:
-                add(undo.format(k))
-            add(f"{k}break")
+            count = self.backtrack(f"~r - {s}", k, fn)
+            add(_lines(f"{j}if r < 0:", count, undo and undo.format(k), f"{k}break"))
         add(f"{j}if {rv} == {s}:")  # an empty iteration: drop its entries, stop
         if undo:
             add(undo.format(k))
         add(f"{k}break\n{j}{s} = {rv}")
-        if test is not None:
+        if test is not None and self.counting:
             add(f"{i}else:\n{self.reach(s, j, fn)}")  # as the body would have failed here
         return s, False
 
@@ -1009,15 +1147,12 @@ class _Emitter:
         rv, fails = self.emit(e.body, s, i, fn, rec, known)
         if undo:
             add(undo.format(i))
-        fn.globals.add("backtrack")
         if not fails:
-            add(f"{i}backtrack += {rv} - {s}\n{self.die(s, i, fn)}")
+            add(_lines(self.backtrack(f"{rv} - {s}", i, fn), self.die(s, i, fn)))
             return "r", True
         j = i + _STEP
-        add(
-            f"{i}if r >= 0:\n{j}backtrack += r - {s}\n{self.die(s, j, fn)}\n"
-            f"{i}else:\n{j}backtrack += ~r - {s}\n{j}r = {s}"
-        )
+        passed, failed = self.backtrack(f"r - {s}", j, fn), self.backtrack(f"~r - {s}", j, fn)
+        add(_lines(f"{i}if r >= 0:", passed, self.die(s, j, fn), f"{i}else:", failed, f"{j}r = {s}"))
         return "r", True
 
     def and_(self, e: And, pv, i, fn, rec, known):
@@ -1027,15 +1162,13 @@ class _Emitter:
         rv, fails = self.emit(e.body, s, i, fn, rec, known)
         if undo:
             add(undo.format(i))
-        fn.globals.add("backtrack")
         if not fails:
-            add(f"{i}backtrack += {rv} - {s}")
+            if self.counting:
+                add(self.backtrack(f"{rv} - {s}", i, fn))
             return s, False
         j = i + _STEP
-        add(
-            f"{i}if r >= 0:\n{j}backtrack += r - {s}\n{j}r = {s}\n"
-            f"{i}else:\n{j}backtrack += ~r - {s}\n{j}r = ~{s}"
-        )
+        passed, failed = self.backtrack(f"r - {s}", j, fn), self.backtrack(f"~r - {s}", j, fn)
+        add(_lines(f"{i}if r >= 0:", passed, f"{j}r = {s}", f"{i}else:", failed, f"{j}r = ~{s}"))
         return "r", True
 
     # -- tree building -------------------------------------------------------
@@ -1121,8 +1254,8 @@ class _Emitter:
             f"{i}n.source = data\n"
             f"{i}n.children = k\n"
             f"{i}n.__class__ = Node\n"
-            f"{i}machine.left = n\n"
-            f"{i}machine.created += 1"
+            f"{i}machine.left = n"
+            + (f"\n{i}machine.created += 1" if self.counting else "")
         )
         return rv, fails
 

@@ -6,10 +6,13 @@ parses the bytes of the file INPUT with the grammar in the file GRAMMAR,
 with tree building unless ``--recognize`` and with memoization unless
 ``--no-memo``, under ``sys.settrace``.  It prints one line per production,
 ``name count``, in grammar order, where ``count`` is the line events of the
-generated module raised in the production's function and in the helpers
-nested in it; then the total, and the parse's ``farthest``, ``backtrack``
-and ``calls`` counters.  The counts depend on the generated code alone, so
-a change that must cut the work per byte can quote them before and after.
+module the parse runs, the bare one, raised in the production's function and
+in the helpers nested in it; then the total, and the parse's ``farthest``,
+``backtrack`` and ``calls`` counters.  The counters are read once the trace
+is off, so the counting module's run that fills them is not counted, nor is
+the one a failed parse makes to find its position.  The counts depend on the
+generated code alone, so a change that must cut the work per byte can quote
+them before and after.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ if __name__ == "__main__":  # run as a script: read the package from this checko
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pegfold.grammar import parse_grammar
-from pegfold.interp import ParseError, ParseSession, _mangle
-
-MODULE = "<pegfold grammar>"  # the file name the generated module compiles under
+from pegfold.interp import ParseError, ParseSession, _mangle, program_for
 
 
 def count_lines(grammar_text: str, data: bytes, *, build_ast: bool, memo: bool):
@@ -34,6 +35,14 @@ def count_lines(grammar_text: str, data: bytes, *, build_ast: bool, memo: bool):
     names = {_mangle(name): name for name in grammar.productions}
     session = ParseSession(grammar, data, build_ast=build_ast, memo=memo)
     counts: Counter[str] = Counter()
+    # The code objects of the module the parse runs: its functions and the
+    # helpers nested in them.
+    codes = set()
+    todo = [program_for(grammar, memo=memo, build_ast=build_ast).code]
+    while todo:
+        code = todo.pop()
+        codes.add(code)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
 
     def local(frame, event, arg):
         if event == "line":
@@ -42,7 +51,7 @@ def count_lines(grammar_text: str, data: bytes, *, build_ast: bool, memo: bool):
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code.co_filename == MODULE else None
+        return local if frame.f_code in codes else None
 
     previous = sys.gettrace()
     sys.settrace(calls)

@@ -1,5 +1,5 @@
 """The generated module: deterministic source, shared code, one function per
-production, and the step limit it enforces."""
+production, counters and the step limit only in the counting module."""
 
 import cProfile
 import dis
@@ -24,9 +24,13 @@ Value = { [0-9]+ #Integer } / '(' Expr ')'
 """
 
 # The math and JSON-like grammars' modules with tree building and
-# memoization on.
-MATH_MODULE = (Path(__file__).parent / "math_module.txt").read_text()
-JSON_MODULE = (Path(__file__).parent / "json_module.txt").read_text()
+# memoization on: the bare ones a parse runs by default, and the counting
+# ones that a step limit or a read counter runs.
+HERE = Path(__file__).parent
+MATH_MODULE = (HERE / "math_module.txt").read_text()
+JSON_MODULE = (HERE / "json_module.txt").read_text()
+MATH_COUNTING_MODULE = (HERE / "math_counting_module.txt").read_text()
+JSON_COUNTING_MODULE = (HERE / "json_counting_module.txt").read_text()
 
 SETTINGS = [(ast, memo) for ast in (True, False) for memo in (True, False)]
 
@@ -41,14 +45,33 @@ def test_equal_text_gives_equal_source():
 
 
 def test_math_module_is_pinned():
-    program = program_for(parse_grammar(MATH), memo=True, build_ast=True)
-    assert program.source == MATH_MODULE
+    grammar = parse_grammar(MATH)
+    assert program_for(grammar, memo=True, build_ast=True).source == MATH_MODULE
+    counting = program_for(grammar, memo=True, build_ast=True, counting=True)
+    assert counting.source == MATH_COUNTING_MODULE
 
 
 def test_json_module_is_pinned():
     grammar = parse_grammar(benchmark_grammars().JSON_LIKE)
-    program = program_for(grammar, memo=True, build_ast=True)
-    assert program.source == JSON_MODULE
+    assert program_for(grammar, memo=True, build_ast=True).source == JSON_MODULE
+    counting = program_for(grammar, memo=True, build_ast=True, counting=True)
+    assert counting.source == JSON_COUNTING_MODULE
+
+
+@pytest.mark.parametrize("build_ast, memo", SETTINGS)
+def test_bare_modules_count_nothing(build_ast, memo):
+    # Instrumentation is free when off: the module a parse runs by default
+    # names no counter and no step limit, and its counting twin names them
+    # all but the limit where it builds no node.
+    workloads = benchmark_grammars()
+    counters = ("calls", "limit", "farthest", "backtrack", "created")
+    for text in (MATH, workloads.JSON_LIKE, workloads.PATHOLOGICAL):
+        grammar = parse_grammar(text)
+        bare = program_for(grammar, memo=memo, build_ast=build_ast).source
+        assert [name for name in counters if name in bare] == [], text
+        counting = program_for(grammar, memo=memo, build_ast=build_ast, counting=True).source
+        builds = "machine.left = n" in counting
+        assert [name for name in counters if name in counting] == list(counters[: 4 + builds])
 
 
 def test_equal_grammars_share_one_compiled_module(monkeypatch):
@@ -87,7 +110,7 @@ def test_step_limit_stops_the_call_past_it(build_ast, memo):
 
 def test_each_production_checks_the_limit_and_looks_itself_up_once():
     grammar = parse_grammar(benchmark_grammars().JSON_LIKE)
-    program = program_for(grammar, memo=True, build_ast=False)
+    program = program_for(grammar, memo=True, build_ast=False, counting=True)
     assert program.source.count("if calls > limit:") == len(grammar.productions)
     points = program.plan.nonterminal_points
     assert len(points) == len(grammar.productions)  # recognition memoizes every production
@@ -193,11 +216,11 @@ def test_calls_of_productions_that_never_log_read_no_log():
 def calls_per_node_build(source):
     """The CALL instructions on the lines of each node build in a generated
     module: from the line that computes its children, ``k = …``, to the one
-    that counts the node."""
+    that puts the node in the left register."""
     lines = source.splitlines()
     builds = []
     for last, line in enumerate(lines, 1):
-        if line.strip() == "machine.created += 1":
+        if line.strip() == "machine.left = n":
             first = last
             while not lines[first - 1].strip().startswith("k = "):
                 first -= 1

@@ -44,12 +44,14 @@ def outcome(grammar, data, **options):
     return ("ok", serialize(result.root), result.consumed, result.stats)
 
 
-def run_state(grammar, memo=True, build_ast=True):
-    """What the grammar's program holds between parses: the globals of its
-    generated functions."""
-    program = grammar._programs[(memo, build_ast)]
-    state = inspect.getclosurevars(program.run).nonlocals["namespace"]
-    return state["data"], state["machine"], state["table"]
+def run_states(grammar):
+    """What the grammar's programs hold between parses: the globals of their
+    generated functions, per compiled ``(memo, build_ast, counting)``."""
+    states = {}
+    for key, program in grammar._programs.items():
+        state = inspect.getclosurevars(program.run).nonlocals["namespace"]
+        states[key] = (state["data"], state["machine"], state["table"])
+    return states
 
 
 @pytest.fixture
@@ -106,24 +108,29 @@ def test_grammar_is_validated_and_planned_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text, data, raises",
+    "text, data, raises, max_steps",
     [
-        (MEMO_NODE, b"ay", None),
-        (MATH, b"*1", ParseError),
-        ("S = T '!' / 'a' S / 'a'\nT = 'a' T / 'a'", b"a" * 400, StepLimitExceeded),
+        (MEMO_NODE, b"ay", None, 100),
+        (MEMO_NODE, b"ay", None, None),
+        (MATH, b"*1", ParseError, 100),
+        (MATH, b"*1", ParseError, None),
+        ("S = T '!' / 'a' S / 'a'\nT = 'a' T / 'a'", b"a" * 400, StepLimitExceeded, 100),
     ],
-    ids=["returned", "parse-error", "step-limit"],
+    ids=["returned", "returned-bare", "parse-error", "parse-error-bare", "step-limit"],
 )
-def test_program_keeps_no_input_or_tree_after_a_parse(text, data, raises):
+def test_program_keeps_no_input_or_tree_after_a_parse(text, data, raises, max_steps):
     grammar = parse_grammar(text)
-    session = ParseSession(grammar, data, max_steps=100)
+    session = ParseSession(grammar, data, max_steps=max_steps)
     if raises is None:
         result = session.parse()
         assert session.table.hits == 1
+        assert result.stats.memo_hits == 1  # a bare parse runs again, counting
     else:
         with pytest.raises(raises):
             session.parse()
-    assert run_state(grammar) == (None, None, None)
+    states = run_states(grammar)
+    assert (True, True, True) in states
+    assert set(states.values()) == {(None, None, None)}
 
 
 def test_deep_nesting_raises_a_clean_error_and_frees_the_program(deep_stack):
@@ -132,9 +139,11 @@ def test_deep_nesting_raises_a_clean_error_and_frees_the_program(deep_stack):
         ParseSession(grammar, b"(" * 5000 + b"1" + b")" * 5000).parse()
     assert isinstance(caught.value, ParseError)
     assert 0 < caught.value.position < 5000
-    assert run_state(grammar) == (None, None, None)
-    lock = inspect.getclosurevars(grammar._programs[(True, True)].run).nonlocals["lock"]
-    assert not lock.locked()
+    # The bare program raised, and the counting one found the position.
+    assert set(run_states(grammar)) == {(True, True, False), (True, True, True)}
+    assert set(run_states(grammar).values()) == {(None, None, None)}
+    for program in grammar._programs.values():
+        assert not inspect.getclosurevars(program.run).nonlocals["lock"].locked()
     result = ParseSession(grammar, b"1+2").parse()
     assert serialize(result.root) == "#add[#Integer['1'] #Integer['2']]"
 
@@ -288,3 +297,113 @@ def test_session_keeps_its_run_state_after_a_parse():
     assert session.calls > 0
     assert session.plan.count == 2
     assert session.table.lookups == result.stats.memo_lookups > 0
+
+
+def counting_runs(grammar, memo=True, build_ast=True):
+    """The start names of every run of the grammar's counting program from
+    now on, which this wraps."""
+    key = (memo, build_ast, True)
+    program = pegfold.interp.program_for(grammar, memo=memo, build_ast=build_ast, counting=True)
+    runs = []
+
+    def run(record, name):
+        runs.append(name)
+        return program.run(record, name)
+
+    grammar._programs[key] = program._replace(run=run)
+    return runs
+
+
+def read_counters(session, result=None):
+    stats = result.stats.as_dict() if result is not None else None
+    return session.farthest, session.backtrack, session.calls, stats
+
+
+@pytest.mark.parametrize("options", SETTINGS)
+@pytest.mark.parametrize("data", [b"(1+2)*3-4/(5+6)", b"(1+2)*+3", b"1+"], ids=["ok", "fail", "prefix"])
+def test_counters_read_after_a_bare_parse_equal_counting_ones(options, data):
+    # Read after the parse, from one counting re-run: the same counters and
+    # statistics, and the same failure position, as a session that counted
+    # from the start.
+    grammar, other = parse_grammar(MATH), parse_grammar(MATH)
+    runs = counting_runs(grammar, options["memo"], options["build_ast"])
+    bare = ParseSession(grammar, data, **options)
+    counting = ParseSession(other, data, max_steps=10**9, **options)
+    try:
+        expected = read_counters(counting, counting.parse())
+    except ParseError as error:
+        with pytest.raises(ParseError) as caught:
+            bare.parse()
+        assert caught.value.position == error.position
+        assert runs == ["Expr"]  # the failure found its position
+        assert read_counters(bare) == read_counters(counting)
+    else:
+        result = bare.parse()
+        assert runs == []  # nothing read yet
+        assert read_counters(bare, result) == expected
+        assert runs == ["Expr"]
+        assert read_counters(bare, result) == expected
+        assert runs == ["Expr"]  # read twice, counted once
+
+
+def test_counters_of_a_step_limited_parse_need_no_second_run():
+    grammar = parse_grammar(MATH)
+    runs = counting_runs(grammar)
+    limited = ParseSession(grammar, b"(1+2)*3-4/(5+6)", max_steps=10)
+    with pytest.raises(StepLimitExceeded):
+        limited.parse()
+    assert runs == ["Expr"]
+    assert limited.calls == 11
+    assert runs == ["Expr"]  # the limited run counted as it went
+
+
+def test_a_result_keeps_the_counters_of_its_own_parse():
+    grammar = parse_grammar("S = 'a' 'b' / 'a'\nT = 'a'*")
+    session = ParseSession(grammar, b"ac")
+    first = session.parse()
+    second = session.parse("T")
+    assert (first.stats.backtrack_total, second.stats.backtrack_total) == (1, 0)
+    assert session.backtrack == 0 and session.calls == 0
+
+
+def test_counters_of_a_parse_too_deep_are_found_at_its_depth():
+    # The counting re-run starts from the frame the bare run started from,
+    # so it meets the recursion limit at the same place.
+    data = b"(" * 400 + b"1" + b")" * 400  # deeper than the default limit
+    bare = ParseSession(parse_grammar(MATH), data)
+    counting = ParseSession(parse_grammar(MATH), data, max_steps=10**9)
+    with pytest.raises(NestingLimitExceeded) as expected:
+        counting.parse()
+    with pytest.raises(NestingLimitExceeded) as caught:
+        bare.parse()
+    assert 0 < caught.value.position == expected.value.position
+    assert read_counters(bare) == read_counters(counting)
+
+
+def parse_deepest(grammar, depth, **options):
+    session = ParseSession(grammar, b"(" * depth + b"1" + b")" * depth, **options)
+    return session, session.parse()
+
+
+def read_deeper(frames, read):
+    return read_deeper(frames - 1, read) if frames else read()
+
+
+def test_counters_read_deeper_than_the_parse_ran_are_counted_on_a_thread(monkeypatch):
+    # The deepest nesting a parse from here follows leaves no frames to
+    # spare: reading its counters from deeper in the stack re-runs it on a
+    # fresh thread, with the counts of a parse that counted from the start.
+    grammar = parse_grammar(MATH)
+    depth = deepest_nesting(grammar)
+    counting = read_counters(*parse_deepest(grammar, depth, max_steps=10**9))
+    threads = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(pegfold.interp.threading, "Thread", Thread)
+    session, result = parse_deepest(grammar, depth)
+    assert read_deeper(20, lambda: read_counters(session, result)) == counting
+    assert len(threads) == 1

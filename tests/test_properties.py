@@ -2,7 +2,15 @@
 
 import random
 
-from corpus import ENGINE_STEPS, _Generator, digest, engine_outcome, make_corpus, oracle_outcome
+from corpus import (
+    DIGEST_SETTINGS,
+    ENGINE_STEPS,
+    _Generator,
+    digest,
+    engine_outcome,
+    make_corpus,
+    oracle_outcome,
+)
 
 from pegfold.analysis import assign_memo_points
 from pegfold.expr import (
@@ -23,7 +31,7 @@ from pegfold.expr import (
 )
 from pegfold.grammar import Grammar, format_grammar, parse_grammar
 from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
-from pegfold.tree import equals, parse_notation, serialize
+from pegfold.tree import equals, parse_notation, serialize, to_json
 
 
 def consumed_or_fail(grammar, data, *, build_ast=True):
@@ -197,3 +205,37 @@ def test_the_corpus_digest_is_pinned():
         "be5413195f6ca66101e066b00405655ab0e5dc4d2b8eb2b8b2fe96cbcf556022",
         6000,
     )
+
+
+def parse_outcome(session):
+    """A session's parse: the consumed length and the tree as JSON, with
+    every node's span, or the failure and its position; then the counters
+    and the statistics, read after the parse."""
+    try:
+        result = session.parse()
+    except ParseError as error:
+        outcome: tuple = (type(error).__name__, error.position, None)
+    else:
+        outcome = ("ok", result.consumed, to_json(result.root), result.stats)
+    return outcome + (session.farthest, session.backtrack, session.calls)
+
+
+def test_bare_and_counting_modules_agree_over_the_corpus():
+    # A parse runs the bare module and leaves its failure position and its
+    # counters to the counting one, which a step limit runs from the start:
+    # both give the same outcome on every pair the limit lets finish.
+    compared = 0
+    for seed in range(100, 105):
+        for _, grammar, data in make_corpus(seed, 200):
+            for memo, window in DIGEST_SETTINGS:
+                for build_ast in (True, False):
+                    options = {"memo": memo, "window": window, "build_ast": build_ast}
+                    limited = ParseSession(grammar, data, max_steps=ENGINE_STEPS, **options)
+                    try:
+                        counting = parse_outcome(limited)
+                    except StepLimitExceeded:
+                        continue
+                    bare = parse_outcome(ParseSession(grammar, data, **options))
+                    assert bare == counting, (format_grammar(grammar), data, options)
+                    compared += 1
+    assert compared > 5900
