@@ -226,14 +226,17 @@ def _builds(x: Expression, reach: _Facts) -> bool:
     )
 
 
-def _reaches(e: Expression, reach: _Facts) -> bool:
-    """Does ``e`` or a subexpression pass ``_builds``?  Stops at the first that does."""
+def _reaches(e: Expression, reach: _Facts, predicates: bool = True) -> bool:
+    """Does ``e`` or a subexpression pass ``_builds``?  Stops at the first that
+    does.  Without ``predicates`` it does not look inside a ``&``/``!``,
+    which drops what its body did."""
     todo = [e]
     while todo:
         x = todo.pop()
         if _builds(x, reach):
             return True
-        todo.extend(subexpressions(x))
+        if predicates or not isinstance(x, (And, Not)):
+            todo.extend(subexpressions(x))
     return False
 
 
@@ -712,14 +715,7 @@ def transactions(
     _, nullable, reach, _, _, _ = _facts(grammar)
 
     def builds(e: Expression) -> bool:
-        if isinstance(e, (And, Not)):
-            return False  # a predicate drops what its body did
-        if _builds(e, reach):
-            return True
-        for c in subexpressions(e):
-            if builds(c):
-                return True
-        return False
+        return _reaches(e, reach, predicates=False)
 
     def can_be_empty(e: Expression) -> bool:
         return _expr_nullable(e, nullable)

@@ -19,10 +19,13 @@ Syntax summary:
   ``( e )``, ``{ e }``, ``{@ e }``).
 * ``{@`` opens a left-fold only when followed by whitespace; ``{@Name``
   is a constructor whose first element is the link ``@Name``.
+* The index of ``@[n]`` is ASCII digits; after ``@`` any other ``[``
+  opens a character class, so ``@[0-9]`` links a digit.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -142,7 +145,10 @@ def format_grammar(grammar: Grammar) -> str:
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFINITION = re.compile(_IDENT.pattern + r"[ \t\r\n]*=")  # ``Name =``: the next production
+_INDEX = re.compile(r"\[([0-9]+)\]")
+_PLAIN = re.compile(r"[^'\\]+")  # literal text up to a quote or an escape
 _HEX = set("0123456789abcdefABCDEF")
 _ESCAPES = {"n": 0x0A, "r": 0x0D, "t": 0x09, "\\": 0x5C}
 
@@ -161,12 +167,11 @@ class _Reader:
         col = pos - self.text.rfind("\n", 0, pos)
         return line, col
 
-    def fail(self, message: str, pos: int | None = None) -> GrammarSyntaxError:
-        where = self.pos if pos is None else pos
-        line, col = self.line_col(where)
-        return GrammarSyntaxError(
-            [Diagnostic("error", "syntax", message, None, line, col)]
-        )
+    def fail(
+        self, message: str, pos: int | None = None, code: str = "syntax", name: str | None = None
+    ) -> GrammarSyntaxError:
+        line, col = self.line_col(self.pos if pos is None else pos)
+        return GrammarSyntaxError([Diagnostic("error", code, message, name, line, col)])
 
     # -- lexical helpers -------------------------------------------------
 
@@ -190,23 +195,11 @@ class _Reader:
         self.pos += 1
 
     def read_identifier(self) -> str:
-        if self.peek() not in _IDENT_START:
+        name = _IDENT.match(self.text, self.pos)
+        if name is None:
             raise self.fail("expected an identifier")
-        start = self.pos
-        while self.pos < self.n and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def at_production_start(self) -> bool:
-        """True when the cursor sits on ``Name =`` (the next definition)."""
-        if self.peek() not in _IDENT_START:
-            return False
-        probe = self.pos
-        while probe < self.n and self.text[probe] in _IDENT_CONT:
-            probe += 1
-        while probe < self.n and self.text[probe] in " \t\r\n":
-            probe += 1
-        return probe < self.n and self.text[probe] == "="
+        self.pos = name.end()
+        return name[0]
 
     # -- grammar structure -----------------------------------------------
 
@@ -220,19 +213,8 @@ class _Reader:
             at = self.pos
             name = self.read_identifier()
             if name in productions:
-                line, col = self.line_col(at)
-                raise GrammarSyntaxError(
-                    [
-                        Diagnostic(
-                            "error",
-                            "duplicate-production",
-                            f"production {name!r} is defined twice",
-                            name,
-                            line,
-                            col,
-                        )
-                    ]
-                )
+                message = f"production {name!r} is defined twice"
+                raise self.fail(message, at, "duplicate-production", name)
             self.skip_space()
             self.eat("=")
             self.skip_space()
@@ -258,7 +240,7 @@ class _Reader:
             ch = self.peek()
             if ch == "" or ch in "/)}":
                 break
-            if ch in _IDENT_START and self.at_production_start():
+            if ch in _IDENT_START and _DEFINITION.match(self.text, self.pos):
                 break
             items.append(self.read_prefixed())
         return sequence(items)
@@ -274,19 +256,15 @@ class _Reader:
             self.skip_space()
             return Not(self.read_suffixed())
         if ch == "@":
-            self.pos += 1
-            index = None
             # "@[digits]" is an indexed link; any other "[..." after "@"
-            # is a character-class body.  Probe before committing.
-            if self.peek() == "[":
-                probe = self.pos + 1
-                while probe < self.n and self.text[probe].isdigit():
-                    probe += 1
-                if probe > self.pos + 1 and probe < self.n and self.text[probe] == "]":
-                    index = int(self.text[self.pos + 1 : probe])
-                    self.pos = probe + 1
-                    self.skip_space()
-            return Link(self.read_suffixed(), index)
+            # is a character-class body.
+            index = _INDEX.match(self.text, self.pos + 1)
+            if index is None:
+                self.pos += 1
+            else:
+                self.pos = index.end()
+                self.skip_space()
+            return Link(self.read_suffixed(), index and int(index[1]))
         return self.read_suffixed()
 
     def read_suffixed(self) -> Expression:
@@ -328,23 +306,16 @@ class _Reader:
             self.brackets.append(self.pos)
             # "{@" + whitespace opens a left-fold; "{@Name" is a
             # constructor that starts with the link @Name.
-            if self.text.startswith("{@", self.pos) and (
-                self.pos + 2 >= self.n or self.text[self.pos + 2] in " \t\r\n}"
-            ):
-                self.pos += 2
-                self.skip_space()
-                body = self.read_expression()
-                self.skip_space()
-                self.eat("}")
-                self.brackets.pop()
-                return LeftFold(body)
-            self.pos += 1
+            fold = self.text.startswith("@", self.pos + 1) and (
+                self.text[self.pos + 2 : self.pos + 3] in " \t\r\n}"
+            )
+            self.pos += 2 if fold else 1
             self.skip_space()
             body = self.read_expression()
             self.skip_space()
             self.eat("}")
             self.brackets.pop()
-            return New(body)
+            return LeftFold(body) if fold else New(body)
         if ch in _IDENT_START:
             return Nonterminal(self.read_identifier())
         raise self.fail("expected an expression")
@@ -353,17 +324,16 @@ class _Reader:
         self.eat("'")
         out = bytearray()
         while True:
+            plain = _PLAIN.match(self.text, self.pos)
+            if plain is not None:
+                out += plain[0].encode("utf-8")
+                self.pos = plain.end()
             if self.pos >= self.n:
                 raise self.fail("unterminated literal")
-            ch = self.text[self.pos]
-            if ch == "'":
+            if self.text[self.pos] == "'":
                 self.pos += 1
                 return Terminal(bytes(out)) if out else EMPTY
-            if ch == "\\":
-                out.append(self.read_escape("'"))
-            else:
-                out.extend(ch.encode("utf-8"))
-                self.pos += 1
+            out.append(self.read_escape("'"))
 
     def read_escape(self, *extra: str) -> int:
         at = self.pos

@@ -38,8 +38,11 @@ Only an attempt that can start at the next byte runs: a choice dispatches
 on that byte to the alternatives its lead mask (``analysis.lead_masks``)
 admits, and an option or loop tests it first.  A skipped attempt would
 have failed where it starts, so skipping it only moves the farthest
-failure there.  A byte test that such a guard has already decided is left
-out of the code under it.
+failure there.  What a guard learns of the byte reaches only attempts that
+start where the guarded one does, behind items that can succeed empty,
+and their lead masks lie inside the guarded one's: a byte test under a
+guard is left out where the guard decided it, and narrowed to what the
+guard let through otherwise, which is never nothing.
 
 Tree operators never influence recognition, and build nodes on one of
 two paths:
@@ -871,13 +874,20 @@ class _Emitter:
         holds whatever the byte), and what the code under it knows of that
         byte: ``(var, bytes)``, a variable holding it and a mask of the
         values it can have.  ``known`` is the same for the byte at ``s``,
-        or None.  A mask of 0 says the condition never holds."""
+        or None.
+
+        ``known`` reaches an attempt only where the attempt starts together
+        with the one a guard before it tested, behind items that can succeed
+        empty.  So ``_first`` put the attempt's lead mask, ``mask``, inside
+        that one's, all of which ``known`` holds: for a validated grammar
+        ``mask & can`` is never empty."""
         if known is None:
             cond, var = self.test(mask, f"data[{s}]")
             return f"{s} < size and {cond}", (var, mask)
         var, can = known
         mask &= can
-        if mask == can or not mask:
+        assert mask, "a guard that no byte passes"
+        if mask == can:
             return None, (var, mask)
         return self.test(mask, var)[0], (var, mask)
 
@@ -912,9 +922,6 @@ class _Emitter:
             first = f"{pv} < size and {self.test(mask, f'data[{pv}]', False)[0]}"
         else:
             var, can = known
-            if not can & mask:
-                fn.lines.append(self.die(pv, i, fn))
-                return "r", True
             first = None if can & ~mask == 0 else self.test(mask & can, var)[0]
         test = " and ".join(c for c in (first, rest) if c)
         if not test:
@@ -1006,12 +1013,6 @@ class _Emitter:
             test, fits = None, known
             if masks[k] is not None:
                 test, fits = self.guard(masks[k], s, known)
-                if not fits[1]:  # never fits: fails where it starts
-                    if k == 0:
-                        add(self.die(s, i, fn))
-                    elif k == last:
-                        add(f"{i}if r < 0:\n{j}r = ~{s}")
-                    continue
             if k == 0:
                 if test is None:
                     inner = i
@@ -1047,10 +1048,6 @@ class _Emitter:
         test, fits = None, known
         if mask is not None:
             test, fits = self.guard(mask, s, known)
-            if not fits[1]:  # the body cannot start here
-                if self.counting:
-                    add(self.reach(s, i, fn))
-                return s, False
         inner = i
         if test is not None:
             add(f"{i}if {test}:")
@@ -1286,8 +1283,6 @@ class _Emitter:
         roll back but the register."""
         add = fn.lines.append
         point = self.link_points.get(name)
-        if point is None and name in self.nonterminal_points:
-            return self.call(Nonterminal(name), pv, i, fn)  # builds nothing
         quiet = self.quiet(Nonterminal(name))
         s = self.stable(pv, i, fn)
         if rec is None:  # into the parent, ``{0}``, which is back in the register

@@ -9,12 +9,17 @@ plain noise, capped at 64 bytes.
 
 ``python tests/corpus.py`` prints ``digest()``, one SHA-256 over the
 engine's outcomes on a fixed corpus, which a change that must keep the
-engine's behaviour can compare before and after.
+engine's behaviour can compare before and after.  ``python tests/corpus.py
+--modules`` prints ``module_digest()``, two SHA-256s over the generated
+modules and the ``validate`` diagnostics of the same grammars and the
+benchmark's, which a change that must keep the generated code can compare.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import importlib.util
 import random
 import sys
 from pathlib import Path
@@ -44,7 +49,7 @@ from pegfold.expr import (
     ZeroOrMore,
 )
 from pegfold.grammar import Grammar, format_grammar, parse_grammar
-from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
+from pegfold.interp import ParseError, ParseSession, StepLimitExceeded, program_for
 from pegfold.tree import serialize, to_json
 
 from oracle import OracleInterpreter, OracleStepLimit
@@ -57,6 +62,7 @@ CLASSES = [
 ]
 TAGS = ["A", "B", "Val", "Item", "Pair"]
 NOISE = b"abcx,()"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 ENGINE_STEPS = 400_000
 ORACLE_STEPS = 120_000
@@ -290,6 +296,58 @@ def digest(seeds=DIGEST_SEEDS, pairs: int = DIGEST_PAIRS) -> tuple[str, int]:
     return sha.hexdigest(), count
 
 
+def benchmark_grammars():
+    """The benchmark's ``workloads`` module, read from ``bench/`` (``MATH``,
+    ``JSON_LIKE`` and ``PATHOLOGICAL`` are its grammar texts)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def digest_texts(seeds=DIGEST_SEEDS, pairs: int = DIGEST_PAIRS) -> list[str]:
+    """The grammar texts of ``make_corpus(seed, pairs)`` for each seed, then
+    the benchmark's three, each once, in that order."""
+    workloads = benchmark_grammars()
+    texts = [text for seed in seeds for text, _, _ in make_corpus(seed, pairs)]
+    texts += [workloads.MATH, workloads.JSON_LIKE, workloads.PATHOLOGICAL]
+    return list(dict.fromkeys(texts))
+
+
+def module_digest(seeds=DIGEST_SEEDS, pairs: int = DIGEST_PAIRS) -> tuple[str, str, int]:
+    """The SHA-256 of the source of every generated module of each
+    ``digest_texts`` grammar, bare and counting, with memo on and off and
+    trees on and off; the SHA-256 of their ``validate`` diagnostics; and how
+    many modules the first covers."""
+    modules, diagnostics = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for text in digest_texts(seeds, pairs):
+        grammar = parse_grammar(text)
+        diagnostics.update(repr(validate(grammar)).encode() + b"\n")
+        for memo in (False, True):
+            for build_ast in (True, False):
+                for counting in (False, True):
+                    program = program_for(grammar, memo=memo, build_ast=build_ast, counting=counting)
+                    modules.update(program.source.encode() + b"\0")
+                    count += 1
+    return modules.hexdigest(), diagnostics.hexdigest(), count
+
+
 if __name__ == "__main__":
-    hexdigest, outcomes = digest()
-    print(f"{hexdigest}  {outcomes} outcomes")
+    parser = argparse.ArgumentParser(description="Digests over the seeded corpus.")
+    parser.add_argument(
+        "--modules",
+        action="store_true",
+        help="hash the generated modules and validate diagnostics instead of the outcomes",
+    )
+    if parser.parse_args().modules:
+        module_hash, diagnostic_hash, modules = module_digest()
+        print(f"{module_hash}  {modules} modules")
+        print(f"{diagnostic_hash}  diagnostics")
+    else:
+        hexdigest, outcomes = digest()
+        print(f"{hexdigest}  {outcomes} outcomes")

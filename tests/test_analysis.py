@@ -1,10 +1,7 @@
 """Grammar validation and memo-point assignment."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
+from corpus import benchmark_grammars
 
 from pegfold.analysis import (
     assign_memo_points,
@@ -17,7 +14,6 @@ from pegfold.analysis import (
 from pegfold.expr import LeftFold, Link, New, Nonterminal, Sequence, Tag, Terminal, subexpressions
 from pegfold.grammar import Grammar, parse_grammar
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 MATH = """Expr = Sum
 Sum = Product {@ ( '+' #add / '-' #sub ) @Product }*
@@ -301,17 +297,6 @@ def eager_marks(text):
                 marks.append(id(x) in eager)
             stack.extend(reversed(subexpressions(x)))
     return marks
-
-
-def benchmark_grammars():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def test_benchmark_grammars_build_every_node_eagerly():

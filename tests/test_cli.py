@@ -69,6 +69,15 @@ def test_check_syntax_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error syntax <grammar>:1:6: expected an expression\n"
 
 
+def test_check_an_index_of_non_ascii_digits_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "index.peg"
+    path.write_text("A = @[²] 'b'\n", encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error syntax <grammar>:1:7: character class entries must be single bytes, got '²'\n"
+    assert captured.out == ""
+
+
 def test_check_a_grammar_nested_too_deeply_prints_one_line(tmp_path, capsys):
     path = tmp_path / "deep.peg"
     path.write_text("S = " + "(" * 400 + "'a'" + ")" * 400 + "\n")

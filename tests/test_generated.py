@@ -9,13 +9,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from corpus import benchmark_grammars
 
 import pegfold.interp
 from pegfold.analysis import assign_memo_points
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseSession, StepLimitExceeded, generate, program_for
 from lines import count_lines
-from test_analysis import benchmark_grammars
 
 MATH = """Expr = Sum
 Sum = Product {@ ( '+' #add / '-' #sub ) @Product }*

@@ -1,6 +1,10 @@
 """Grammar file reader and writer."""
 
+import random
+import re
+
 import pytest
+from corpus import digest_texts
 
 from pegfold.expr import (
     ANY,
@@ -65,6 +69,16 @@ def test_indexed_link_and_class_after_at():
     assert body("A = @[12]'b'") == Link(Terminal(b"b"), 12)
     # "@[" followed by a non-index is a character-class link body
     assert body("A = @[0-9]") == Link(CharClass(((0x30, 0x39),)), None)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_an_index_takes_ascii_digits_only(digit):
+    # Anything but ASCII digits after "@[" is a class body, and a class
+    # entry must be one byte.
+    with pytest.raises(GrammarSyntaxError) as info:
+        parse_grammar(f"A = @[{digit}] 'b'")
+    (d,) = info.value.diagnostics
+    assert str(d) == f"error syntax <grammar>:1:7: character class entries must be single bytes, got {digit!r}"
 
 
 def test_constructor_fold_and_link_disambiguation():
@@ -236,6 +250,46 @@ FIXES = [
     "L = { @T (',' @T)+ #List }\nT = { [A-z] #Term }",
     "Q = @[2]( [0-9] ) &'x' @( 'y' )",
 ]
+
+
+# What a mutation inserts: the reader's lexical corners, and non-ASCII
+# digits and letters beside the ASCII ones it accepts.
+PIECES = (
+    "²", "³", "٣", "é", "Ж", "\0", "\\x", "\\", "@[", "{@", "//", "'", "[", "]",
+    "{", "}", "(", ")", "=", "/", "@", "#", "-", " ", "\n", "7", "A",
+)  # fmt: skip
+CORNERS = re.compile(r"@\[|\{@|\\|//")  # where the reader looks past one character
+
+
+def mutate(text, rng):
+    """``text`` after one to three edits: one or two ``PIECES`` inserted, one
+    to three characters deleted, or one replaced by a piece.  Half of them
+    land just after one of the ``CORNERS``."""
+    for _ in range(rng.randint(1, 3)):
+        sites = [m.end() for m in CORNERS.finditer(text)]
+        at = rng.choice(sites) if sites and rng.random() < 0.5 else rng.randint(0, len(text))
+        roll = rng.random()
+        if roll < 0.5:
+            text = text[:at] + "".join(rng.choices(PIECES, k=rng.randint(1, 2))) + text[at:]
+        elif roll < 0.75:
+            text = text[:at] + text[at + rng.randint(1, 3) :]
+        else:
+            text = text[:at] + rng.choice(PIECES) + text[at + 1 :]
+    return text
+
+
+def test_mutated_grammars_read_or_fail_with_a_diagnostic():
+    rng = random.Random(18)
+    texts = FIXES + digest_texts(range(100, 103))  # corpus grammars, then the benchmark's
+    for _ in range(2000):
+        text = mutate(rng.choice(texts), rng)
+        try:
+            grammar = parse_grammar(text)
+        except GrammarSyntaxError as error:
+            (d,) = error.diagnostics
+            assert d.severity == "error" and d.line >= 1 and d.column >= 1, text
+            continue
+        assert parse_grammar(format_grammar(grammar)) == grammar, text
 
 
 @pytest.mark.parametrize("text", FIXES)

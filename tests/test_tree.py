@@ -9,8 +9,7 @@ import random
 import weakref
 
 import pytest
-from corpus import ENGINE_STEPS, make_corpus
-from test_analysis import benchmark_grammars
+from corpus import ENGINE_STEPS, benchmark_grammars, make_corpus
 
 import pegfold
 import pegfold.tree
