@@ -326,7 +326,10 @@ class _Reader:
         while True:
             plain = _PLAIN.match(self.text, self.pos)
             if plain is not None:
-                out += plain[0].encode("utf-8")
+                try:
+                    out += plain[0].encode("utf-8")
+                except UnicodeEncodeError as error:  # a lone surrogate has no UTF-8 form
+                    raise self.fail("lone surrogate in literal", self.pos + error.start) from None
                 self.pos = plain.end()
             if self.pos >= self.n:
                 raise self.fail("unterminated literal")
@@ -381,7 +384,7 @@ class _Reader:
         ch = self.peek()
         if ch == "\\":
             return self.read_escape("]", "-", "'")
-        b = ch.encode("utf-8")
+        b = ch.encode("utf-8", "surrogatepass")  # a lone surrogate is three bytes
         if len(b) != 1:
             raise self.fail(f"character class entries must be single bytes, got {ch!r}")
         self.pos += 1

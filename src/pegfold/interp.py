@@ -23,7 +23,10 @@ builds counts in ``machine.created``.  It runs when a session has a step
 limit, and otherwise only when something needs what it counts: a failed
 parse re-runs with it to find the position of its farthest failure, and
 reading a session's counters or a result's statistics re-runs the parse
-with it once (:class:`ParseSession`).
+with it once (:class:`ParseSession`).  A run of either module builds its
+own root, a token over what it consumed, the node left in the register or
+the commit of the whole log, so that one re-run counts every node the
+parse built.
 
 A loop whose body is ``!X .``, or a choice whose first alternative is, with
 ``X`` a class or a literal, is a scan loop: before each iteration it skips
@@ -241,7 +244,7 @@ class ParseResult:
             run = self._run.counted()
             size = len(run.data)
             table = run.table
-            created = run.machine.created + run.built
+            created = run.created
             reachable = _count_reachable(self.root)
             stats = self._stats = Stats(
                 consumed=self.consumed,
@@ -298,9 +301,11 @@ class ParseSession:
             raise ValueError("window must be at least 1")
         counting = max_steps is not None
         self._program = program_for(grammar, memo=memo, build_ast=build_ast, counting=counting)
-        # The session's one copy of its setting, which finds the counting
-        # program when a parse of the bare one first needs it.
-        self._setting = (memo, build_ast)
+        # What finds the counting program when a parse of the bare one first
+        # needs it; a counting session needs none.
+        self._recount = None if counting else functools.partial(
+            program_for, grammar, memo=memo, build_ast=build_ast, counting=True
+        )
         self.plan = self._program.plan
         self.grammar = grammar
         self.data = data.encode("utf-8") if isinstance(data, str) else bytes(data)
@@ -342,10 +347,7 @@ class ParseSession:
         name = start if start is not None else self.grammar.start
         if name not in self.grammar.productions:
             raise KeyError(f"unknown start production {name!r}")
-        counting = self.max_steps is not None
-        setting = None if counting else self._setting  # a bare run counts when asked
-        run = self._run = _Run(self.data, self.window, self.max_steps, name, self.grammar, setting)
-
+        run = self._run = _Run(self.data, self.window, self.max_steps, name, self._recount)
         # The forward pass and commit recurse per nesting level, as deep as
         # the caller's recursion limit lets them.  A RecursionError unwinds
         # through the program's ``finally``, which releases its lock and
@@ -353,26 +355,17 @@ class ParseSession:
         try:
             end = self._program.run(run, name)
             if end >= 0:
-                machine = run.machine
-                root = machine.left
-                if root is None:  # a token over what the parse consumed
-                    root = Node("token", 0, end, self.data)
-                    machine.created += 1
-                elif isinstance(root, Node) and not machine.log:
-                    machine.first = []  # as a whole-log commit would
-                else:
-                    root = machine.commit(TxMark(0, None), self.data)
-                return ParseResult(root, end, run)
+                return ParseResult(run.root, end, run)
             failure = ParseError
         except RecursionError:
             failure = NestingLimitExceeded
-        if not counting:
+        if run.recount is not None:
             # The position takes a counting run.  It starts from this frame,
             # as the bare one did, so it meets the recursion limit where
             # that one did.
-            run.setting = None
+            program, run.recount = run.recount(), None
             try:
-                _counting(self.grammar, self._setting).run(run, name)
+                program.run(run, name)
             except RecursionError:
                 pass
         raise failure(run.farthest)
@@ -393,35 +386,36 @@ def _count_reachable(root: Node) -> int:
 class _Run:
     """One parse's run of a program: what ``Program.run`` reads (``data``,
     ``window`` and the step ``limit``) and leaves (the ``machine``, the
-    memo ``table`` and ``created``, the nodes the machine had created when
-    the run ended) and, from a counting module, the counters ``farthest``,
+    memo ``table``, the ``root`` of a parse that succeeded and ``created``,
+    the nodes the machine had created when the run ended, the root's
+    included) and, from a counting module, the counters ``farthest``,
     ``backtrack`` and ``calls``.
 
-    After a bare run, ``setting`` is the ``(memo, build_ast)`` of its
-    program, and ``counted`` re-runs the parse of ``name`` with the
-    counting program of ``grammar`` in that setting once, the first time a
-    counter is read.  The re-run fills the counters and ``built``, the
-    nodes the bare module built without counting them, and keeps nothing
-    else: the machine and table stay the first run's.
+    After a bare run, ``recount`` returns the counting program of its
+    setting, and ``counted`` re-runs the parse of ``name`` with it once, the
+    first time a counter is read.  A run builds its own root, so the re-run
+    counts every node the parse built.  It fills the counters and
+    ``created`` and keeps nothing else: the machine, table and root stay the
+    first run's.
     """
 
     __slots__ = (
-        "data", "window", "limit", "name", "grammar", "setting",
-        "machine", "table", "created", "built", "farthest", "backtrack", "calls",
+        "data", "window", "limit", "name", "recount",
+        "machine", "table", "root", "created", "farthest", "backtrack", "calls",
     )
 
-    def __init__(self, data: bytes, window: int, limit: int | None, name, grammar, setting) -> None:
+    def __init__(self, data: bytes, window: int, limit: int | None, name, recount) -> None:
         self.data, self.window, self.limit, self.name = data, window, limit, name
-        self.grammar: Grammar | None = grammar
-        self.setting: tuple[bool, bool] | None = setting
+        self.recount: Callable[[], Program] | None = recount
         self.machine: Machine | None = None
         self.table: MemoTable | None = None
-        self.created = self.built = self.farthest = self.backtrack = self.calls = 0
+        self.root: Node | None = None
+        self.created = self.farthest = self.backtrack = self.calls = 0
 
     def counted(self) -> _Run:
-        if self.setting is not None:
-            program = _counting(self.grammar, self.setting)
-            again = _Run(self.data, self.window, None, self.name, self.grammar, None)
+        if self.recount is not None:
+            program = self.recount()
+            again = _Run(self.data, self.window, None, self.name, None)
             try:
                 program.run(again, self.name)
             except RecursionError:
@@ -431,24 +425,19 @@ class _Run:
                 worker.start()
                 worker.join()
             self.farthest, self.backtrack, self.calls = again.farthest, again.backtrack, again.calls
-            self.built = again.created - self.created
-            self.setting = None
+            self.created = again.created
+            self.recount = None
         return self
 
 
-_NO_RUN = _Run(b"", DEFAULT_WINDOW, None, None, None, None)  # a session's before it parses
-
-
-def _counting(grammar: Grammar, setting: tuple[bool, bool]) -> Program:
-    memo, build_ast = setting
-    return program_for(grammar, memo=memo, build_ast=build_ast, counting=True)
+_NO_RUN = _Run(b"", DEFAULT_WINDOW, None, None, None)  # a session's before it parses
 
 
 class Program(NamedTuple):
     """A grammar compiled for one setting.  ``run(record, name)`` parses
     ``record.data`` (a :class:`_Run`), one parse at a time, and leaves the
-    machine, memo table and, in a counting program, the counters on the
-    record.  ``source`` is the generated module and ``code`` its compiled
+    machine, memo table, root and, in a counting program, the counters on
+    the record.  ``source`` is the generated module and ``code`` its compiled
     form, shared by every program of a grammar with equal productions."""
 
     plan: MemoPlan | None
@@ -502,7 +491,18 @@ def program_for(
                     state["farthest"] = state["backtrack"] = 0
                     state["calls"] = -1  # the start counts its own call as none
                 enter = _on_fresh_stack if len(data) >= _FRESH_STACK_INPUT else _call
-                return enter(start, 0)
+                end = enter(start, 0)
+                if end >= 0:
+                    root = machine.left
+                    if root is None:  # a token over what the parse consumed
+                        root = Node("token", 0, end, data)
+                        machine.created += 1
+                    elif isinstance(root, Node) and not machine.log:
+                        machine.first = []  # as a whole-log commit would
+                    else:
+                        root = machine.commit(TxMark(0, None), data)
+                    record.root = root
+                return end
             finally:
                 record.created = machine.created
                 if counting:
@@ -753,8 +753,8 @@ class _Emitter:
             Link: self.link,
             New: self.constructor,
             LeftFold: self.constructor,
-            Not: self.not_,
-            And: self.and_,
+            Not: self.predicate,
+            And: self.predicate,
             AnyChar: self.any_char,
             Empty: self.empty,
         }
@@ -910,6 +910,22 @@ class _Emitter:
         fn.lines.append(f"{i}{mark} = machine.save()")
         return f"{{0}}machine.abort({mark})"
 
+    def attempt(self, e: Expression, s: str, i: str, fn: _Function, rec, known, save: bool, tail: str = ""):
+        """``e`` from ``s`` as an attempt the code goes on from when it
+        fails: a choice alternative but the last, an option body or a loop
+        step.  It runs under a savepoint if ``save``.  Where it fails, an
+        ``if r < 0:`` block counts the backtrack, rolls back and ends with
+        the line ``tail``, written where it has any of them to do.  Returns
+        ``emit``'s result and the text that rolls back (see ``save``), or
+        None."""
+        undo = self.save(e, i, fn, rec) if save else None
+        rv, fails = self.emit(e, s, i, fn, rec, known)
+        if fails and (undo or tail or self.counting):
+            j = i + _STEP
+            count = self.backtrack(f"~r - {s}", j, fn)
+            fn.lines.append(_lines(f"{i}if r < 0:", count, undo and undo.format(j), tail and j + tail))
+        return rv, fails, undo
+
     # -- recognition ---------------------------------------------------------
 
     def empty(self, e, pv, i, fn, rec, known):
@@ -1025,14 +1041,13 @@ class _Emitter:
             else:
                 add(f"{i}if r < 0:\n{j}if {test}:")
                 inner = j + _STEP
-            save = k < last and self.dirty(alternative, rec is not None)
-            undo = self.save(alternative, inner, fn, rec) if save else None
-            rv, fails = self.emit(alternative, s, inner, fn, rec, fits)
+            if k < last:
+                save = self.dirty(alternative, rec is not None)
+                rv, fails, _ = self.attempt(alternative, s, inner, fn, rec, fits, save)
+            else:
+                rv, fails = self.emit(alternative, s, inner, fn, rec, fits)
             if rv != "r":
                 add(f"{inner}r = {rv}")
-            if k < last and fails and (undo or self.counting):
-                count = self.backtrack(f"~r - {s}", inner + _STEP, fn)
-                add(_lines(f"{inner}if r < 0:", count, undo and undo.format(inner + _STEP)))
             if test is not None:
                 if k == 0:
                     add(f"{i}else:\n{self.die(s, j, fn)}")
@@ -1052,16 +1067,12 @@ class _Emitter:
         if test is not None:
             add(f"{i}if {test}:")
             inner = i + _STEP
-        undo = self.save(body, inner, fn, rec) if self.dirty(body, rec is not None) else None
-        rv, fails = self.emit(body, s, inner, fn, rec, fits)
+        save = self.dirty(body, rec is not None)
+        rv, fails, _ = self.attempt(body, s, inner, fn, rec, fits, save, f"r = {s}")
         if not fails and test is None:
             return rv, False
         if rv != "r":
             add(f"{inner}r = {rv}")
-        if fails:
-            count = self.backtrack(f"~r - {s}", inner + _STEP, fn)
-            undo = undo and undo.format(inner + _STEP)
-            add(_lines(f"{inner}if r < 0:", count, undo, f"{inner}    r = {s}"))
         if test is not None:
             # As the body would have failed here.
             add(_lines(f"{i}else:", self.reach(s, inner, fn), f"{inner}r = {s}"))
@@ -1095,16 +1106,11 @@ class _Emitter:
             self.scan(stop, s, j, fn)
         # A savepoint for a failed iteration, or for an empty one, whose
         # entries are dropped too.
-        local = rec is not None
-        save = self.builds(body) and (self.dirty(body, local) or self.nullable(body))
-        undo = self.save(body, j, fn, rec) if save else None
+        save = self.builds(body) and (self.dirty(body, rec is not None) or self.nullable(body))
         fn.loops += 1
-        rv, fails = self.emit(body, s, j, fn, rec, fits)
+        rv, fails, undo = self.attempt(body, s, j, fn, rec, fits, save, "break")
         fn.loops -= 1
         k = j + _STEP
-        if fails:
-            count = self.backtrack(f"~r - {s}", k, fn)
-            add(_lines(f"{j}if r < 0:", count, undo and undo.format(k), f"{k}break"))
         add(f"{j}if {rv} == {s}:")  # an empty iteration: drop its entries, stop
         if undo:
             add(undo.format(k))
@@ -1133,39 +1139,28 @@ class _Emitter:
     def plus(self, e: OneOrMore, pv, i, fn, rec, known):
         return self.items((e.body, ZeroOrMore(e.body)), pv, i, fn, rec, known)
 
-    # A predicate discards what its body did, so it needs a savepoint only
-    # when the body can change the machine.  At an eager constructor's
-    # level no body can.
-
-    def not_(self, e: Not, pv, i, fn, rec, known):
+    def predicate(self, e: Not | And, pv, i, fn, rec, known):
+        """``!e`` or ``&e``, which differ only in the results they write when
+        the body passes and when it fails.  A predicate discards what its
+        body did, so it needs a savepoint only when the body can change the
+        machine.  At an eager constructor's level no body can."""
         add = fn.lines.append
         s = self.stable(pv, i, fn)
         undo = self.save(e.body, i, fn, None) if self.builds(e.body) else None
         rv, fails = self.emit(e.body, s, i, fn, rec, known)
         if undo:
             add(undo.format(i))
+        negated = isinstance(e, Not)
         if not fails:
-            add(_lines(self.backtrack(f"{rv} - {s}", i, fn), self.die(s, i, fn)))
-            return "r", True
+            text = _lines(self.backtrack(f"{rv} - {s}", i, fn), self.die(s, i, fn) if negated else None)
+            if text:
+                add(text)
+            return ("r", True) if negated else (s, False)
         j = i + _STEP
-        passed, failed = self.backtrack(f"r - {s}", j, fn), self.backtrack(f"~r - {s}", j, fn)
-        add(_lines(f"{i}if r >= 0:", passed, self.die(s, j, fn), f"{i}else:", failed, f"{j}r = {s}"))
-        return "r", True
-
-    def and_(self, e: And, pv, i, fn, rec, known):
-        add = fn.lines.append
-        s = self.stable(pv, i, fn)
-        undo = self.save(e.body, i, fn, None) if self.builds(e.body) else None
-        rv, fails = self.emit(e.body, s, i, fn, rec, known)
-        if undo:
-            add(undo.format(i))
-        if not fails:
-            if self.counting:
-                add(self.backtrack(f"{rv} - {s}", i, fn))
-            return s, False
-        j = i + _STEP
-        passed, failed = self.backtrack(f"r - {s}", j, fn), self.backtrack(f"~r - {s}", j, fn)
-        add(_lines(f"{i}if r >= 0:", passed, f"{j}r = {s}", f"{i}else:", failed, f"{j}r = ~{s}"))
+        passed = self.die(s, j, fn) if negated else f"{j}r = {s}"
+        failed = f"{j}r = {s}" if negated else f"{j}r = ~{s}"
+        passed_count, failed_count = self.backtrack(f"r - {s}", j, fn), self.backtrack(f"~r - {s}", j, fn)
+        add(_lines(f"{i}if r >= 0:", passed_count, passed, f"{i}else:", failed_count, failed))
         return "r", True
 
     # -- tree building -------------------------------------------------------

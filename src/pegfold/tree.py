@@ -8,9 +8,14 @@ nodes with their children only::
 
 ``serialize`` produces that notation bit-exactly (quotes and backslashes
 escaped, non-printable bytes as ``\\xHH``), rendering each distinct leaf
-once per call; ``parse_notation`` is its structural inverse with
-synthesized spans.  ``to_json_dict`` gives a tree's JSON-ready dict form,
-and ``to_json`` writes the JSON text of that form straight from the tree.
+once per call.  ``parse_notation`` is its structural inverse with
+synthesized spans.  It reads the text with one compiled token pattern:
+blanks, then ``#tag[`` (a tag is letters, digits and ``_``, as ``\\w``
+matches them), a quoted leaf, ``]`` or the end.  In quoted text ``\\'``,
+``\\\\`` and ``\\xHH`` stand for a quote, a backslash and the byte HH, and
+any other character for its UTF-8 bytes; a lone surrogate, which has none,
+is an error.  ``to_json_dict`` gives a tree's JSON-ready dict form, and
+``to_json`` writes the JSON text of that form straight from the tree.
 Nodes compare by identity; use :func:`equals` for structural comparison.
 
 A generated parser builds each of its nodes with one call: it fills a
@@ -132,13 +137,11 @@ def _quote(data: bytes) -> str:
     return "'" + "".join(out) + "'"
 
 
-def serialize(node: Node, include_inner_text: bool = False) -> str:
+def serialize(node: Node) -> str:
     """Renders ``node`` in textual notation.
 
-    Leaves always carry their matched substring; substrings of inner
-    nodes are omitted unless ``include_inner_text`` is set (a debug view
-    that is not meant to be re-parsed).  An explicit stack replaces
-    recursion, so a tree of any depth prints.
+    Leaves carry their matched substring, inner nodes their children only.
+    An explicit stack replaces recursion, so a tree of any depth prints.
     """
     parts: list[str] = []
     append = parts.append
@@ -155,8 +158,6 @@ def serialize(node: Node, include_inner_text: bool = False) -> str:
             children = node.children
             if children:
                 append(known[0])
-                if include_inner_text:
-                    append(_quote(node.text) + " ")
                 stack.append(iter(children))
                 break
             text = node.source[node.start : node.end]
@@ -253,97 +254,26 @@ def to_json(node: Node) -> str:
     return "".join(parts)
 
 
-class _NotationReader:
-    """Recursive-descent reader for the textual notation."""
+# One token of the notation after any blanks: ``#tag[``, a quoted leaf
+# (``text`` as written; without its closing quote, it stops where an escape
+# goes wrong or the text ends), ``]`` or the end of the text.  The empty
+# alternative matches where none of them follows the blanks, which is where
+# the text goes wrong.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<open>#(?P<tag>\w+)\[)"
+    r"|(?P<leaf>'(?P<text>[^'\\]*(?:\\(?:['\\]|x[0-9A-Fa-f]{2})[^'\\]*)*)'?)"
+    r"|(?P<close>\])"
+    r"|(?P<end>\Z)"
+    r"|)"
+)
+_ESCAPE = re.compile(rb"\\x(..)|\\(.)", re.S)  # in a leaf's text, encoded
+# What may follow each kind of token, for the message of a text that breaks off.
+_EXPECTED = {"": "'#tag['", "open": "a quoted leaf or '#tag['", "leaf": "']'", "close": "'#tag[' or ']'"}
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def error(self, message: str) -> NotationError:
-        return NotationError(message, self.pos)
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def expect(self, ch: str) -> None:
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def read_tag(self) -> str:
-        self.expect("#")
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        tag = self.text[start : self.pos]
-        if not tag:
-            raise self.error("expected tag name after '#'")
-        self.expect("[")
-        self.skip_space()
-        return tag
-
-    def read_node(self) -> Node:
-        """One node and its subtree.  An explicit stack of the inner nodes
-        still open replaces recursion, so any depth reads."""
-        open_: list[tuple[str, list[Node]]] = []  # (tag, children read so far)
-        while True:
-            tag = self.read_tag()
-            if self.pos < len(self.text) and self.text[self.pos] == "'":
-                text = self.read_quoted()
-                self.skip_space()
-                self.expect("]")
-                node = Node(tag, 0, len(text), text, ())
-            elif self.pos < len(self.text) and self.text[self.pos] == "#":
-                open_.append((tag, []))
-                continue
-            else:
-                raise self.error("node needs a quoted substring or at least one child")
-            # Close every inner node that ends here; go on with the next sibling.
-            while True:
-                if not open_:
-                    return node
-                tag, children = open_[-1]
-                children.append(node)
-                self.skip_space()
-                if self.pos < len(self.text) and self.text[self.pos] == "#":
-                    break
-                self.expect("]")
-                open_.pop()
-                node = Node(tag, 0, 0, b"", tuple(children))
-
-    def read_quoted(self) -> bytes:
-        self.expect("'")
-        out = bytearray()
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated quoted text")
-            ch = self.text[self.pos]
-            if ch == "'":
-                self.pos += 1
-                return bytes(out)
-            if ch == "\\":
-                self.pos += 1
-                if self.pos >= len(self.text):
-                    raise self.error("dangling escape")
-                esc = self.text[self.pos]
-                if esc == "'":
-                    out.append(0x27)
-                elif esc == "\\":
-                    out.append(0x5C)
-                elif esc == "x":
-                    hexpart = self.text[self.pos + 1 : self.pos + 3]
-                    if len(hexpart) != 2 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
-                        raise self.error("bad \\xHH escape")
-                    out.append(int(hexpart, 16))
-                    self.pos += 2
-                else:
-                    raise self.error(f"unknown escape \\{esc}")
-                self.pos += 1
-            else:
-                out.extend(ch.encode("utf-8"))
-                self.pos += 1
+def _unescape(escape: re.Match) -> bytes:
+    return bytes([int(escape[1], 16)]) if escape[1] else escape[2]
 
 
 def parse_notation(text: str) -> Node:
@@ -351,12 +281,41 @@ def parse_notation(text: str) -> Node:
 
     Tags, leaf substrings and structure are recovered exactly; spans are
     synthesized (leaves span their own substring, inner nodes are empty),
-    so compare results with :func:`equals`, not by span.
+    so compare results with :func:`equals`, not by span.  Any other text
+    raises :class:`NotationError` at the offset where it goes wrong.
+
+    The text is read one ``_TOKEN`` at a time, with an explicit stack of the
+    inner nodes still open in place of recursion, so any depth reads.
     """
-    reader = _NotationReader(text)
-    reader.skip_space()
-    node = reader.read_node()
-    reader.skip_space()
-    if reader.pos != len(text):
-        raise reader.error("trailing text after node")
-    return node
+    open_: list[tuple[str, list[Node]]] = []  # (tag, children read so far)
+    node = None  # the last node read whole, or a leaf before its ``]``
+    last = ""  # the kind of the token before
+    pos = 0
+    while True:
+        token = _TOKEN.match(text, pos)
+        kind = token.lastgroup
+        if kind == "open" and last != "leaf" and (open_ or not last):
+            open_.append((token["tag"], []))
+        elif kind == "leaf" and last == "open":
+            if token.end() == token.end("text"):
+                raise NotationError("bad escape or unterminated quoted text", token.end())
+            try:
+                data = token["text"].encode("utf-8")
+            except UnicodeEncodeError as error:  # a lone surrogate has no UTF-8 form
+                at = token.start("text") + error.start
+                raise NotationError("lone surrogate in quoted text", at) from None
+            if b"\\" in data:
+                data = _ESCAPE.sub(_unescape, data)
+            node = Node(open_.pop()[0], 0, len(data), data)
+        elif kind == "close" and (last == "leaf" or last == "close" and open_):
+            if last == "close":  # a node with children ends here
+                tag, children = open_.pop()
+                node = Node(tag, 0, 0, b"", tuple(children))
+            if open_:
+                open_[-1][1].append(node)
+        elif kind == "end" and last == "close" and not open_:
+            return node
+        else:
+            expected = "the end of the text" if last == "close" and not open_ else _EXPECTED[last]
+            raise NotationError(f"expected {expected}", token.start(kind) if kind else token.end())
+        last, pos = kind, token.end()

@@ -214,6 +214,22 @@ def test_nesting_past_the_recursion_limit_is_a_syntax_error(open_, close, wrap):
     assert body("B = " + open_ * 150 + "'b'" + close * 150) == expected
 
 
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("A = '\ud800'", 6, "lone surrogate in literal"),
+        ("A = 'ab\udfffc'", 8, "lone surrogate in literal"),
+        ("A = [\ud800]", 6, "character class entries must be single bytes, got '\\ud800'"),
+    ],
+)
+def test_a_lone_surrogate_is_a_syntax_error_at_its_position(text, column, message):
+    with pytest.raises(GrammarSyntaxError) as info:
+        parse_grammar(text)
+    (d,) = info.value.diagnostics
+    assert (d.severity, d.code, d.message) == ("error", "syntax", message)
+    assert (d.line, d.column) == (1, column)
+
+
 def test_duplicate_production_rejected():
     with pytest.raises(GrammarSyntaxError) as info:
         parse_grammar("A = 'a'\nA = 'b'")
@@ -252,11 +268,12 @@ FIXES = [
 ]
 
 
-# What a mutation inserts: the reader's lexical corners, and non-ASCII
-# digits and letters beside the ASCII ones it accepts.
+# What a mutation inserts: the reader's lexical corners, non-ASCII digits and
+# letters beside the ASCII ones it accepts, and a lone surrogate, which has
+# no UTF-8 form.
 PIECES = (
     "²", "³", "٣", "é", "Ж", "\0", "\\x", "\\", "@[", "{@", "//", "'", "[", "]",
-    "{", "}", "(", ")", "=", "/", "@", "#", "-", " ", "\n", "7", "A",
+    "{", "}", "(", ")", "=", "/", "@", "#", "-", " ", "\n", "7", "A", "\ud800",
 )  # fmt: skip
 CORNERS = re.compile(r"@\[|\{@|\\|//")  # where the reader looks past one character
 

@@ -320,12 +320,26 @@ def read_counters(session, result=None):
 
 
 @pytest.mark.parametrize("options", SETTINGS)
-@pytest.mark.parametrize("data", [b"(1+2)*3-4/(5+6)", b"(1+2)*+3", b"1+"], ids=["ok", "fail", "prefix"])
-def test_counters_read_after_a_bare_parse_equal_counting_ones(options, data):
+@pytest.mark.parametrize(
+    "text, data",
+    [
+        (MATH, b"(1+2)*3-4/(5+6)"),
+        (MATH, b"(1+2)*+3"),
+        (MATH, b"1+"),
+        # The start leaves a node under construction: the run commits the
+        # whole log to build the root.
+        ("S = { @A 'x' } #S / { @A 'y' } #T\nA = { 'a' } #A", b"ay"),
+        # The start leaves no node: the root is a token.
+        ("S = 'a'*", b"aaa"),
+    ],
+    ids=["ok", "fail", "prefix", "whole-log-commit", "token"],
+)
+def test_counters_read_after_a_bare_parse_equal_counting_ones(options, text, data):
     # Read after the parse, from one counting re-run: the same counters and
     # statistics, and the same failure position, as a session that counted
-    # from the start.
-    grammar, other = parse_grammar(MATH), parse_grammar(MATH)
+    # from the start.  A run builds its own root, so the re-run counts the
+    # nodes built for it too.
+    grammar, other = parse_grammar(text), parse_grammar(text)
     runs = counting_runs(grammar, options["memo"], options["build_ast"])
     bare = ParseSession(grammar, data, **options)
     counting = ParseSession(other, data, max_steps=10**9, **options)
@@ -335,15 +349,15 @@ def test_counters_read_after_a_bare_parse_equal_counting_ones(options, data):
         with pytest.raises(ParseError) as caught:
             bare.parse()
         assert caught.value.position == error.position
-        assert runs == ["Expr"]  # the failure found its position
+        assert runs == [grammar.start]  # the failure found its position
         assert read_counters(bare) == read_counters(counting)
     else:
         result = bare.parse()
         assert runs == []  # nothing read yet
         assert read_counters(bare, result) == expected
-        assert runs == ["Expr"]
+        assert runs == [grammar.start]
         assert read_counters(bare, result) == expected
-        assert runs == ["Expr"]  # read twice, counted once
+        assert runs == [grammar.start]  # read twice, counted once
 
 
 def test_counters_of_a_step_limited_parse_need_no_second_run():

@@ -50,11 +50,12 @@ def test_tree_serialization_children_space_separated():
     assert serialize(add) == "#Add[#Int['1'] #Int['2']]"
 
 
-def test_inner_text_omitted_by_default_but_printable():
+def test_inner_text_omitted():
     src = b"1+2"
     add = Node("Add", 0, 3, src, (Node("Int", 0, 1, src), Node("Int", 2, 3, src)))
     assert "1+2" not in serialize(add)
-    assert serialize(add, include_inner_text=True) == "#Add['1+2' #Int['1'] #Int['2']]"
+    with pytest.raises(TypeError):  # the inner-text view is gone
+        serialize(add, include_inner_text=True)
 
 
 def test_empty_leaf():
@@ -139,6 +140,80 @@ def test_notation_error_carries_position():
     with pytest.raises(NotationError) as info:
         parse_notation("#t['a' junk]")
     assert info.value.position == 7
+
+
+# What a notation mutation inserts: the notation's punctuation, escapes whole
+# and broken, blanks, non-ASCII letters and a lone surrogate.
+NOTATION_PIECES = (
+    "#", "[", "]", "'", "\\", "\\x", "\\x4F", "\\xg", " ", "\t", "\n", "é", "Ж", "λ", "\ud800",
+)  # fmt: skip
+
+
+def notation_texts():
+    """Serialized trees: of small inputs of the math and JSON-like benchmark
+    grammars, and of corpus seeds 100-102."""
+    workloads = benchmark_grammars()
+    small = workloads.many_small(workloads.DEFAULT_SEEDS["many-small"])
+    math = parse_grammar(small.grammar)
+    texts = {serialize(ParseSession(math, data).parse().root) for data in small.inputs[:20]}
+    doc = workloads.json_doc(workloads.DEFAULT_SEEDS["json-doc"])
+    values = ParseSession(parse_grammar(doc.grammar), doc.inputs[0]).parse().root.children
+    texts.update(text for text in map(serialize, values[:60]) if len(text) <= 400)
+    for seed in range(100, 103):
+        for _, grammar, data in make_corpus(seed, 60):
+            try:
+                texts.add(serialize(ParseSession(grammar, data, max_steps=ENGINE_STEPS).parse().root))
+            except (ParseError, StepLimitExceeded):
+                pass
+    return sorted(texts)
+
+
+def mutate_notation(text, rng):
+    """``text`` after one to three edits: one or two ``NOTATION_PIECES``
+    inserted, one to three characters deleted, or one replaced by a piece.
+    Half of them land just after a quote, a bracket or a backslash."""
+    for _ in range(rng.randint(1, 3)):
+        sites = [at + 1 for at, ch in enumerate(text) if ch in "'[\\"]
+        at = rng.choice(sites) if sites and rng.random() < 0.5 else rng.randint(0, len(text))
+        roll = rng.random()
+        if roll < 0.5:
+            text = text[:at] + "".join(rng.choices(NOTATION_PIECES, k=rng.randint(1, 2))) + text[at:]
+        elif roll < 0.75:
+            text = text[:at] + text[at + rng.randint(1, 3) :]
+        else:
+            text = text[:at] + rng.choice(NOTATION_PIECES) + text[at + 1 :]
+    return text
+
+
+def test_mutated_notation_reads_back_or_fails_with_a_notation_error():
+    rng = random.Random(19)
+    texts = notation_texts()
+    read = 0
+    for _ in range(2000):
+        text = mutate_notation(rng.choice(texts), rng)
+        try:
+            node = parse_notation(text)
+        except NotationError as error:
+            assert 0 <= error.position <= len(text), text
+            continue
+        assert equals(parse_notation(serialize(node)), node), text
+        read += 1
+    assert 100 < read < 1900  # both outcomes are exercised
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("#t['\ud800']", 4), ("#t[#u['ab\udfffc']]", 9), ("#t['\\x41\ud800']", 8)],
+)
+def test_a_lone_surrogate_in_quoted_text_is_a_notation_error(text, position):
+    with pytest.raises(NotationError) as info:
+        parse_notation(text)
+    assert info.value.position == position
+
+
+def test_notation_escapes_read_as_bytes():
+    assert parse_notation("#t['\\'\\\\\\x00\\xfFé\\x41']").text == b"'\\\x00\xff\xc3\xa9A"
+    assert parse_notation(" \t#_٣[\n#b['']\r]\n").tag == "_٣"
 
 
 def test_equals_identity_and_order():
@@ -272,13 +347,6 @@ def under(*children, tag="P"):
 )
 def test_serialize_repeated_and_distinct_leaves(tree, text):
     assert serialize(tree) == text
-
-
-def test_serialize_inner_text_with_repeated_leaves():
-    src = b"x+x"
-    add = Node("Add", 0, 3, src, (Node("Int", 0, 1, src), Node("Int", 2, 3, src)))
-    assert serialize(add, include_inner_text=True) == "#Add['x+x' #Int['x'] #Int['x']]"
-    assert serialize(add.children[0], include_inner_text=True) == "#Int['x']"
 
 
 def test_serialize_quotes_each_distinct_leaf_once(monkeypatch):
