@@ -63,14 +63,22 @@ before that byte.  Where the next byte is not in the mask, or the input
 has ended, the expression fails where it starts, backtracking nothing.
 Tree operators leave masks alone, so erasing them keeps a body's mask.
 
-Per-production facts are least fixpoints (``_least_fixpoint``) or
-closures over call edges (``_spread``); those the analyses share are
-computed once per grammar and kept with it (``_facts``).
+Every analysis reads one fact table, computed once per grammar and kept
+with it (``_facts``).  It gives each expression a word of flags: can it
+succeed empty, fail, succeed, succeed keeping the outer node, reach a tree
+operator, build outside predicates, hold a ``#tag``.  One rule per
+expression kind (``_fill``) fills it in one bottom-up pass over each
+production body, the productions taken callees first; the pass repeats
+for the productions whose callees' words changed, to one least fixpoint
+for every flag, as Ford's well-formedness analysis of PEGs (POPL 2004)
+computes its outcome facts.  The facts that depend on the eager
+constructors or the memoized links are least fixpoints of their own
+(``_least_fixpoint``) or closures over call edges (``_spread``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple, TypeVar
 
@@ -109,12 +117,11 @@ __all__ = [
     "lead_masks",
 ]
 
-_Facts = dict[str, bool]
 _T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
-# Walks and the fixpoint they feed.
+# Walks and the fixpoints they feed.
 
 
 def _walk(e: Expression) -> list[Expression]:
@@ -128,28 +135,29 @@ def _walk(e: Expression) -> list[Expression]:
     return out
 
 
-def _runs(
-    grammar: Grammar, passes: Callable[[Expression], bool], live: bool = False
-) -> dict[str, list[Expression]]:
+def _runs(grammar: Grammar, flags: dict[int, int], passes: int, live=False) -> dict[str, list]:
     """Per production, the subexpressions of its body that can run, not entering calls.
 
-    A sequence item runs only if every earlier item ``passes``.  With
-    ``live``, constructor bodies are skipped as well (see ``_live``).
+    A sequence item runs only if every earlier item has the flag ``passes``
+    (with ``passes`` 0, every item runs).  With ``live``, constructor bodies
+    are skipped as well (see ``_facts``).
     """
-
-    def visit(x: Expression, out: list[Expression]) -> list[Expression]:
-        out.append(x)
-        if isinstance(x, Sequence):
-            for item in x.items:
-                visit(item, out)
-                if not passes(item):
-                    break
-        elif not (live and isinstance(x, (New, LeftFold))):
-            for child in subexpressions(x):
-                visit(child, out)
-        return out
-
-    return {name: visit(body, []) for name, body in grammar.productions.items()}
+    runs = {}
+    for name, body in grammar.productions.items():
+        out = []
+        todo = [body]
+        while todo:
+            x = todo.pop()
+            out.append(x)
+            if isinstance(x, Sequence):
+                for item in x.items:
+                    todo.append(item)
+                    if passes and not flags[id(item)] & passes:
+                        break
+            elif not (live and isinstance(x, (New, LeftFold))):
+                todo.extend(subexpressions(x))
+        runs[name] = out
+    return runs
 
 
 def _call_edges(runs: dict[str, list[Expression]]) -> dict[str, set[str]]:
@@ -173,8 +181,8 @@ def _spread(seeds: set[str], edges: Mapping[str, set[str]]) -> set[str]:
 
 
 def _least_fixpoint(
-    per_production: Mapping[str, _T], holds: Callable[[_T, _Facts], bool]
-) -> _Facts:
+    per_production: Mapping[str, _T], holds: Callable[[_T, dict[str, bool]], bool]
+) -> dict[str, bool]:
     """Least fixpoint of ``holds(per_production[name], facts)`` per production.
 
     ``holds`` must be monotone in ``facts`` and read a name without a
@@ -191,53 +199,118 @@ def _least_fixpoint(
     return facts
 
 
-# The analyses below run at every compile.  They use plain isinstance tests
-# and loops, not match statements or any()/all() over generators, whose
-# set-up costs time there.
-
-
-def _expr_nullable(e: Expression, nullable: _Facts) -> bool:
-    """Can ``e`` succeed consuming nothing?"""
-    while isinstance(e, (OneOrMore, New, LeftFold, Link)):
-        e = e.body
-    if isinstance(e, Sequence):
-        for item in e.items:
-            if not _expr_nullable(item, nullable):
-                return False
-        return True
-    if isinstance(e, Nonterminal):
-        return nullable.get(e.name, False)
-    if isinstance(e, Choice):
-        for a in e.alternatives:
-            if _expr_nullable(a, nullable):
-                return True
-        return False
-    if isinstance(e, (Empty, Tag, Option, ZeroOrMore, And, Not)):
-        return True
-    if isinstance(e, (Terminal, CharClass, AnyChar)):
-        return False
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def _builds(x: Expression, reach: _Facts) -> bool:
-    """Is ``x`` a tree operator, or a call of a production in ``reach``?"""
-    return isinstance(x, (New, LeftFold, Link, Tag)) or (
-        isinstance(x, Nonterminal) and reach.get(x.name, False)
-    )
-
-
-def _reaches(e: Expression, reach: _Facts, predicates: bool = True) -> bool:
-    """Does ``e`` or a subexpression pass ``_builds``?  Stops at the first that
-    does.  Without ``predicates`` it does not look inside a ``&``/``!``,
-    which drops what its body did."""
-    todo = [e]
+def _callees_first(calls: Mapping[str, set[str]]) -> list[str]:
+    """The productions in an order where each comes after the ones it calls,
+    but where a cycle of calls forces otherwise: a depth-first postorder."""
+    order: list[str] = []
+    seen: set[str] = set()
+    todo = [(name, False) for name in reversed(calls)]  # each with: are its callees done?
     while todo:
-        x = todo.pop()
-        if _builds(x, reach):
-            return True
-        if predicates or not isinstance(x, (And, Not)):
-            todo.extend(subexpressions(x))
-    return False
+        name, done = todo.pop()
+        if done:
+            order.append(name)
+        elif name not in seen:
+            seen.add(name)
+            todo.append((name, True))
+            todo += [(callee, False) for callee in calls[name] if callee not in seen]
+    return order
+
+
+# ---------------------------------------------------------------------------
+# The fact table.
+#
+# Every expression of a grammar has one flag word: what its evaluation can
+# do, as far as the analyses ask.  A production's word is its body's, read
+# by each call of it.  ``_fill`` holds the one rule per expression kind; the
+# analyses run at every compile, so it uses plain isinstance tests, not a
+# match statement, whose class patterns cost set-up time there.
+
+_EMPTY = 1  # it can succeed consuming nothing
+_FAILS = 2  # it can fail
+_SUCCEEDS = 4  # it can succeed; constructors, links and predicates always count
+_KEEPS = 8  # it can succeed leaving the outer node in the register
+_REACHES = 16  # it is or holds a tree operator, or calls a production that reaches one
+_BUILDS = 32  # the same outside ``&``/``!``, which drop what their bodies did
+_TAGGED = 64  # it is or holds a ``#tag``, not entering calls
+
+_PASSES = _EMPTY | _SUCCEEDS | _KEEPS  # an option's; a sequence's when every item's
+_TREE = _REACHES | _BUILDS | _TAGGED
+_CONSUMES = _FAILS | _SUCCEEDS | _KEEPS  # a byte test's
+
+
+def _fill(xs: Iterable[Expression], flags: dict[int, int], words: Mapping[str, int]) -> None:
+    """Enters in ``flags`` the flags of each of ``xs``, which come after their
+    subexpressions, from the subexpressions' entries and, for a call, the
+    callee's word in ``words`` (none: a name without a production)."""
+    for x in xs:
+        if isinstance(x, (Sequence, Choice)):
+            # A sequence has the flags of ``_PASSES`` that every item has, a
+            # choice ``_FAILS`` if every alternative has it; each has every
+            # other flag that some item or alternative has.
+            joint = _PASSES if isinstance(x, Sequence) else _FAILS
+            every, some = joint, 0
+            for c in subexpressions(x):
+                f = flags[id(c)]
+                every &= f
+                some |= f
+            f = every | some & ~joint
+        elif isinstance(x, (Terminal, CharClass, AnyChar)):
+            f = _CONSUMES
+        elif isinstance(x, Nonterminal):
+            # It builds where the callee reaches a tree operator, even inside
+            # a predicate, and holds none of the callee's tags.
+            f = words.get(x.name, 0) & ~_TAGGED
+            if f & _REACHES:
+                f |= _BUILDS
+        elif isinstance(x, (Option, ZeroOrMore)):
+            f = _PASSES | flags[id(x.body)] & _TREE
+        elif isinstance(x, OneOrMore):
+            f = flags[id(x.body)]
+        elif isinstance(x, (New, LeftFold, Link)):
+            # It succeeds whatever its body does; a constructor leaves a
+            # fresh node in the register, a link the outer one.
+            f = flags[id(x.body)] & (_EMPTY | _FAILS | _TAGGED) | _SUCCEEDS | _REACHES | _BUILDS
+            if isinstance(x, Link):
+                f |= _KEEPS
+        elif isinstance(x, Tag):
+            f = _PASSES | _TREE
+        elif isinstance(x, (And, Not)):
+            body = flags[id(x.body)]
+            f = _PASSES | body & (_REACHES | _TAGGED)
+            f |= body & _FAILS if isinstance(x, And) else _FAILS  # ``!e`` may always fail
+        elif isinstance(x, Empty):
+            f = _PASSES
+        else:
+            raise TypeError(f"unknown expression {x!r}")
+        flags[id(x)] = f
+
+
+class _Facts(NamedTuple):
+    """What the analyses share, computed once per grammar (``_facts``).
+
+    ``walks``: each production body's ``_walk``.  ``flags``: the flag word
+    of every expression in them, by ``id``.  ``words``: each production's
+    word, its body's.  ``live``: per production, the subexpressions that
+    run while the outer node is in the register.  ``mutates``: can the
+    production mutate the outer node?
+    """
+
+    walks: dict[str, list[Expression]]
+    flags: dict[int, int]
+    words: dict[str, int]
+    live: dict[str, list[Expression]]
+    mutates: dict[str, bool]
+
+    def of(self, e: Expression) -> int:
+        """``e``'s flags: its entry, or, for an expression not in the table
+        (one made after the analysis, whose ``id`` a later one may reuse),
+        the rule over its subexpressions' entries, kept nowhere."""
+        f = self.flags.get(id(e))
+        if f is None:
+            own = {id(x): self.flags[id(x)] for x in subexpressions(e)}
+            _fill((e,), own, self.words)
+            f = own[id(e)]
+        return f
 
 
 # ---------------------------------------------------------------------------
@@ -253,79 +326,48 @@ def _reaches(e: Expression, reach: _Facts, predicates: bool = True) -> bool:
 # there -- can mutate it.
 
 
-def _may_succeed(e: Expression, facts: _Facts, keep_outer: bool = False) -> bool:
-    """Can ``e`` succeed (with ``keep_outer``: leaving the outer node in the register)?
-
-    ``facts`` holds the same property per production.  Constructors, links
-    and predicates count as succeeding whatever their bodies do.
-    """
-    while isinstance(e, OneOrMore):
-        e = e.body
-    if isinstance(e, Sequence):
-        for item in e.items:
-            if not _may_succeed(item, facts, keep_outer):
-                return False
-        return True
-    if isinstance(e, Nonterminal):
-        return facts.get(e.name, False)
-    if isinstance(e, Choice):
-        for a in e.alternatives:
-            if _may_succeed(a, facts, keep_outer):
-                return True
-        return False
-    if isinstance(e, (New, LeftFold)):
-        return not keep_outer
-    return True
-
-
-def _keeps_outer(e: Expression, keeps: _Facts) -> bool:
-    return _may_succeed(e, keeps, keep_outer=True)
-
-
-def _live(grammar: Grammar) -> dict[str, list[Expression]]:
-    """Per production, the subexpressions that run while the outer node is in the register."""
-    keeps = _least_fixpoint(grammar.productions, _keeps_outer)
-    return _runs(grammar, lambda item: _keeps_outer(item, keeps), live=True)
-
-
-def _mutates_outer(x: Expression, mutates: _Facts, reach: _Facts) -> bool:
+def _mutates_outer(x: Expression, mutates: dict[str, bool], flags: dict[int, int]) -> bool:
     """Does the live subexpression ``x`` tag, fold away or link into the outer node?"""
     if isinstance(x, Nonterminal):
         return mutates.get(x.name, False)
     if isinstance(x, Link):
-        return _reaches(x.body, reach)
+        return bool(flags[id(x.body)] & _REACHES)
     return isinstance(x, (Tag, LeftFold))
 
 
-def _facts(grammar: Grammar) -> tuple:
-    """``(walks, nullable, reach, live, empty_loops, mutates)``, computed once per grammar.
+def _facts(grammar: Grammar) -> _Facts:
+    """The grammar's ``_Facts``, computed on first use and kept with it.
 
-    Each production body's ``_walk``, the ``nullable`` and ``reach``
-    fixpoints, ``_live``, the ``id`` of each repetition whose body can
-    succeed empty, and the ``mutates`` fixpoint (can the production mutate
-    the outer node?): what ``validate``, ``assign_memo_points``,
-    ``eager_constructors`` and ``transactions`` share.
+    The flags come from one bottom-up pass over each body's reversed
+    ``_walk``, the productions taken callees first.  A production whose
+    word changes puts its callers back in the pass, which only a cycle of
+    calls can bring round again: one least fixpoint for every flag.
     """
     if grammar._facts is None:
-        walks = {name: _walk(body) for name, body in grammar.productions.items()}
-        nullable = _least_fixpoint(grammar.productions, _expr_nullable)
-        reach = _least_fixpoint(walks, lambda xs, facts: any(_builds(x, facts) for x in xs))
-        live = _live(grammar)
-        grammar._facts = (
-            walks,
-            nullable,
-            reach,
-            live,
-            {
-                id(x)
-                for xs in walks.values()
-                for x in xs
-                if isinstance(x, (ZeroOrMore, OneOrMore)) and _expr_nullable(x.body, nullable)
-            },
-            _least_fixpoint(
-                live, lambda xs, facts: any(_mutates_outer(x, facts, reach) for x in xs)
-            ),
+        productions = grammar.productions
+        walks = {name: _walk(body) for name, body in productions.items()}
+        calls = _call_edges(walks)
+        callers: dict[str, list[str]] = {name: [] for name in productions}
+        for name, callees in calls.items():
+            for callee in callees:
+                callers[callee].append(name)
+        order = _callees_first(calls)
+        flags: dict[int, int] = {}
+        words = dict.fromkeys(productions, 0)
+        pending = set(order)
+        while pending:
+            for name in [name for name in order if name in pending]:
+                pending.discard(name)
+                _fill(reversed(walks[name]), flags, words)
+                f = flags[id(productions[name])]
+                if f != words[name]:
+                    words[name] = f
+                    pending.update(callers[name])
+        live = _runs(grammar, flags, _KEEPS, live=True)
+        mutates = _least_fixpoint(
+            live, lambda xs, known: any(_mutates_outer(x, known, flags) for x in xs)
         )
+        grammar._facts = _Facts(walks, flags, words, live, mutates)
     return grammar._facts
 
 
@@ -342,14 +384,24 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
         diagnostics.append(Diagnostic(severity, code, message, name, line, col))
 
     productions = grammar.productions
-    nodes, nullable, _, live, empty_loops, _ = _facts(grammar)
+    facts = _facts(grammar)
+    nodes, flags, live = facts.walks, facts.flags, facts.live
     for name, xs in nodes.items():
         refs = {x.name for x in xs if isinstance(x, Nonterminal)}
         for ref in sorted(refs - set(productions)):
             message = f"reference to undefined production {ref!r}"
             report("error", "undefined-nonterminal", message, name)
+        for x in xs:
+            if isinstance(x, (ZeroOrMore, OneOrMore)) and flags[id(x.body)] & _EMPTY:
+                report(
+                    "warning",
+                    "nullable-repetition",
+                    "repetition body can succeed without consuming; "
+                    "the loop stops after one empty iteration",
+                    name,
+                )
 
-    left_calls = _call_edges(_runs(grammar, lambda item: _expr_nullable(item, nullable)))
+    left_calls = _call_edges(_runs(grammar, flags, _EMPTY))
     for name in productions:
         if name in _spread(left_calls[name], left_calls):
             report(
@@ -359,32 +411,20 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
                 name,
             )
 
-    for name, xs in nodes.items():
-        for x in xs:
-            if id(x) in empty_loops:
-                report(
-                    "warning",
-                    "nullable-repetition",
-                    "repetition body can succeed without consuming; "
-                    "the loop stops after one empty iteration",
-                    name,
-                )
-
     # Tags that may run with no node under construction: live tags, taken
     # from the start symbol.  A production that does not run from it, nor
     # from an earlier such root, is checked on its own as a root.
-    succeeds = _least_fixpoint(productions, _may_succeed)
-    calls = _call_edges(_runs(grammar, lambda item: _may_succeed(item, succeeds)))
-    live_calls = _call_edges(live)
-    reached: set[str] = set()
     warned: set[str] = set()
-    for root in (grammar.start, *productions):
-        if root in reached:
-            continue
-        reached |= _spread({root}, calls)
-        for name in _spread({root}, live_calls):
-            if any(isinstance(x, Tag) for x in live[name]):
-                warned.add(name)
+    tagging = {name for name, xs in live.items() if any(isinstance(x, Tag) for x in xs)}
+    if tagging:  # only a live tag can run with no node under construction
+        calls = _call_edges(_runs(grammar, flags, _SUCCEEDS))
+        live_calls = _call_edges(live)
+        reached: set[str] = set()
+        for root in (grammar.start, *productions):
+            if root in reached:
+                continue
+            reached |= _spread({root}, calls)
+            warned |= tagging & _spread({root}, live_calls)
     for name in productions:
         if name in warned:
             report(
@@ -422,8 +462,9 @@ class MemoPlan:
 
 def assign_memo_points(grammar: Grammar) -> MemoPlan:
     """Chooses memo points; expects a grammar that validates without errors."""
-    walks, _, reach, _, _, mutates = _facts(grammar)
-    nodes = [x for xs in walks.values() for x in xs]
+    facts = _facts(grammar)
+    flags = facts.flags
+    nodes = [x for xs in facts.walks.values() for x in xs]
 
     # Candidate link points: @Name occurrences, in grammar order.
     link_names = dict.fromkeys(
@@ -436,35 +477,29 @@ def assign_memo_points(grammar: Grammar) -> MemoPlan:
 
     # Selectivity rule (see the module docstring): a later #tag in the same
     # sequence drops every point used in an earlier element.
-    tagged: dict[int, bool] = {}
-    for x in reversed(nodes):  # subexpressions before the expressions holding them
-        tagged[id(x)] = isinstance(x, Tag) or any(tagged[id(c)] for c in subexpressions(x))
     disabled_links: set[str] = set()
     disabled_nts: set[str] = set()
-
-    def scan_tag_after(e: Sequence) -> None:
-        for i, item in enumerate(e.items):
-            if any(tagged[id(later)] for later in e.items[i + 1 :]):
-                for x in _walk(item):
-                    if isinstance(x, Link) and isinstance(x.body, Nonterminal):
-                        disabled_links.add(x.body.name)
-                    if isinstance(x, Nonterminal):
-                        disabled_nts.add(x.name)
-
-    for x in nodes:
-        if isinstance(x, Sequence):
-            scan_tag_after(x)
+    for e in nodes:
+        if not isinstance(e, Sequence):
+            continue
+        tagged = [k for k, item in enumerate(e.items) if flags[id(item)] & _TAGGED]
+        for item in e.items[: tagged[-1]] if tagged else ():
+            for x in _walk(item):
+                if isinstance(x, Link) and isinstance(x.body, Nonterminal):
+                    disabled_links.add(x.body.name)
+                if isinstance(x, Nonterminal):
+                    disabled_nts.add(x.name)
 
     link_points: dict[str, int] = {}
     next_id = 0
     for name in link_names:
-        if name not in disabled_links and not mutates[name]:
+        if name not in disabled_links and not facts.mutates[name]:
             link_points[name] = next_id
             next_id += 1
 
     nonterminal_points: dict[str, int] = {}
     for name in grammar.productions:
-        if not reach[name] and name not in disabled_nts:
+        if not facts.words[name] & _REACHES and name not in disabled_nts:
             nonterminal_points[name] = next_id
             next_id += 1
 
@@ -500,23 +535,19 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
     the grammar's size.  An expression used in several places is eager
     only if every use is.
     """
-    _, _, reach, _, empty_loops, mutates = _facts(grammar)
-    if not any(reach.values()):
+    facts = _facts(grammar)
+    flags, words, mutates = facts.flags, facts.words, facts.mutates
+    if not any(f & _REACHES for f in words.values()):
         return frozenset()  # no tree operator at all
-
-    def builds(x: Expression) -> bool:
-        # Stops at the first tree operator, so it never enters a nested
-        # link's body: each expression is searched for its nearest link only.
-        return _reaches(x, reach)
 
     # Productions that touch the node in the register: the reverse closure,
     # over calls made outside constructor bodies, of those that tag or link
     # there themselves.  A link whose body builds nothing touches nothing.
     direct: set[str] = set()
     callers: dict[str, set[str]] = {}
-    for name, xs in _runs(grammar, lambda item: True, live=True).items():
+    for name, xs in _runs(grammar, flags, 0, live=True).items():
         for x in xs:
-            if isinstance(x, Tag) or isinstance(x, Link) and builds(x.body):
+            if isinstance(x, Tag) or isinstance(x, Link) and flags[id(x.body)] & _REACHES:
                 direct.add(name)
             elif isinstance(x, Nonterminal):
                 callers.setdefault(x.name, set()).add(name)
@@ -531,7 +562,7 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
             if isinstance(x, Tag):
                 known = True
             elif isinstance(x, Link):
-                known = builds(x.body)
+                known = bool(flags[id(x.body)] & _REACHES)
             elif isinstance(x, Nonterminal):
                 known = x.name in touching
             elif isinstance(x, (New, LeftFold)):
@@ -563,7 +594,7 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
                 constructors.append((id(x), below, open_, name))
                 todo.append((x.body, True, open_, id(x)))
             elif isinstance(x, Nonterminal):
-                if owner is not None and reach.get(x.name, False):
+                if owner is not None and words.get(x.name, 0) & _REACHES:
                     not_local.add(owner)
                 sites.append((x.name, below, open_, name))
             elif isinstance(x, Link):
@@ -573,10 +604,10 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
                     not_local.add(owner)
                 todo.append((x.body, False, False, None))
             elif isinstance(x, (ZeroOrMore, OneOrMore)):
-                again = below or touches(x.body) or id(x) in empty_loops
+                again = below or touches(x.body) or bool(flags[id(x.body)] & _EMPTY)
                 todo.append((x.body, again, open_, owner))
             elif isinstance(x, (And, Not)):
-                if owner is not None and builds(x.body):
+                if owner is not None and flags[id(x.body)] & _REACHES:
                     not_local.add(owner)
                 todo.append((x.body, True, open_, None))
             else:
@@ -622,7 +653,7 @@ def never_logs(grammar: Grammar, eager: frozenset[int]) -> Callable[[Expression]
 
     Expects a grammar that validates without errors.
     """
-    _, _, _, _, _, mutates = _facts(grammar)
+    mutates = _facts(grammar).mutates
 
     def logs_itself(e: Expression, folds: bool) -> tuple[bool, set[str]]:
         """Does ``e`` log at its own levels (an eager ``{@ }`` only if not
@@ -671,25 +702,6 @@ def never_logs(grammar: Grammar, eager: frozenset[int]) -> Callable[[Expression]
 # Transactions
 
 
-def _may_fail(e: Expression, fails: _Facts) -> bool:
-    """Can ``e`` fail?  ``fails`` holds the same property per production."""
-    while isinstance(e, (OneOrMore, New, LeftFold, Link, And)):
-        e = e.body
-    if isinstance(e, Sequence):
-        for item in e.items:
-            if _may_fail(item, fails):
-                return True
-        return False
-    if isinstance(e, Nonterminal):
-        return fails.get(e.name, False)
-    if isinstance(e, Choice):
-        for a in e.alternatives:
-            if not _may_fail(a, fails):
-                return False
-        return True
-    return not isinstance(e, (Empty, Tag, Option, ZeroOrMore))  # else a byte test or a ``!``
-
-
 class Transactions(NamedTuple):
     """Which attempts need a savepoint (see the module docstring).
 
@@ -712,40 +724,41 @@ def transactions(
 
     Expects a grammar that validates without errors.
     """
-    _, nullable, reach, _, _, _ = _facts(grammar)
+    facts = _facts(grammar)
+    flags, of = facts.flags, facts.of
 
     def builds(e: Expression) -> bool:
-        return _reaches(e, reach, predicates=False)
+        return bool(of(e) & _BUILDS)
 
     def can_be_empty(e: Expression) -> bool:
-        return _expr_nullable(e, nullable)
+        return bool(of(e) & _EMPTY)
 
-    if not any(reach.values()):  # no tree operator: nothing changes the machine
+    if not any(f & _REACHES for f in facts.words.values()):
+        # no tree operator: nothing changes the machine
         return Transactions(builds, lambda e, local=False: False, can_be_empty)
 
-    fails = _least_fixpoint(grammar.productions, _may_fail)
-
-    def dirty_in(e: Expression, facts: _Facts, local: bool = False) -> bool:
+    def dirty_in(e: Expression, dirty: dict[str, bool], local: bool = False) -> bool:
         if isinstance(e, Sequence):
             built = False
             for item in e.items:
-                if dirty_in(item, facts, local) or built and _may_fail(item, fails):
+                f = flags[id(item)]
+                if dirty_in(item, dirty, local) or built and f & _FAILS:
                     return True
-                built = built or builds(item)
+                built = built or f & _BUILDS
             return False
         if isinstance(e, Nonterminal):
-            return facts.get(e.name, False)
+            return dirty.get(e.name, False)
         if isinstance(e, Choice):
-            return dirty_in(e.alternatives[-1], facts, local)
+            return dirty_in(e.alternatives[-1], dirty, local)
         if isinstance(e, (New, LeftFold)):
-            return id(e) not in eager and _may_fail(e.body, fails)
+            return id(e) not in eager and bool(flags[id(e.body)] & _FAILS)
         if isinstance(e, Link):
             # At an eager constructor's level a link restores the machine
             # itself; a memoized one takes its own savepoint.
             memoized = isinstance(e.body, Nonterminal) and e.body.name in memo_links
-            return not (local or memoized) and dirty_in(e.body, facts)
+            return not (local or memoized) and dirty_in(e.body, dirty)
         if isinstance(e, OneOrMore):
-            return dirty_in(e.body, facts, local)
+            return dirty_in(e.body, dirty, local)
         return False  # cannot fail, cannot build, or rolls back itself
 
     dirty = _least_fixpoint(grammar.productions, dirty_in)
@@ -756,21 +769,21 @@ def transactions(
 # Lead masks
 
 _ANY_BYTE = (1 << 256) - 1
-_EMPTY = 1 << 256  # can succeed consuming nothing
-_BLIND = 1 << 257  # a predicate can run before the first byte
+_BLIND = 1 << 256  # a predicate can run before the first byte
 
 
-def _first(e: Expression, production: Callable[[str], int]) -> int:
-    """The bytes ``e``'s first consumed byte can be, with ``_EMPTY`` and ``_BLIND``."""
+def _first(e: Expression, production: Callable[[str], int], flags: dict[int, int]) -> int:
+    """The bytes ``e``'s first consumed byte can be, with ``_BLIND``.  Whether
+    it can consume none is the table's ``_EMPTY``, which ``flags`` holds for
+    every subexpression ``e`` has."""
     # Plain isinstance tests, the commonest kinds first: this runs at every
     # compile, where a match statement's class patterns cost set-up time.
     if isinstance(e, Sequence):
         mask = 0
         for item in e.items:
-            step = _first(item, production)
-            mask |= step
-            if not step & _EMPTY:
-                return mask & ~_EMPTY
+            mask |= _first(item, production, flags)
+            if not flags[id(item)] & _EMPTY:
+                break
         return mask
     if isinstance(e, Terminal):
         return 1 << e.text[0]
@@ -779,21 +792,19 @@ def _first(e: Expression, production: Callable[[str], int]) -> int:
     if isinstance(e, Choice):
         mask = 0
         for a in e.alternatives:
-            mask |= _first(a, production)
+            mask |= _first(a, production, flags)
         return mask
-    if isinstance(e, (OneOrMore, New, LeftFold, Link)):
-        return _first(e.body, production)
-    if isinstance(e, (Option, ZeroOrMore)):
-        return _first(e.body, production) | _EMPTY
+    if isinstance(e, (OneOrMore, New, LeftFold, Link, Option, ZeroOrMore)):
+        return _first(e.body, production, flags)
     if isinstance(e, CharClass):
         mask = 0
         for lo, hi in e.ranges:
             mask |= (1 << hi + 1) - (1 << lo)
         return mask
     if isinstance(e, (Empty, Tag)):
-        return _EMPTY
+        return 0
     if isinstance(e, (And, Not)):
-        return _EMPTY | _BLIND
+        return _BLIND
     if isinstance(e, AnyChar):
         return _ANY_BYTE
     raise TypeError(f"unknown expression {e!r}")
@@ -806,18 +817,20 @@ def lead_masks(grammar: Grammar) -> Callable[[Expression], int | None]:
     mask is computed on first use and kept: left recursion is refused, so
     the calls a mask depends on form no cycle.
     """
-    productions = grammar.productions
+    facts = _facts(grammar)
     masks: dict[str, int] = {}
 
     def production(name: str) -> int:
         mask = masks.get(name)
         if mask is None:
             masks[name] = 0  # read back only through left recursion
-            mask = masks[name] = _first(productions[name], production)
+            mask = masks[name] = _first(grammar.productions[name], production, facts.flags)
         return mask
 
     def lead(e: Expression) -> int | None:
-        mask = _first(e, production)
-        return None if mask > _ANY_BYTE else mask
+        if facts.of(e) & _EMPTY:
+            return None
+        mask = _first(e, production, facts.flags)
+        return None if mask & _BLIND else mask
 
     return lead

@@ -286,53 +286,62 @@ def format_char_class(ranges: tuple[tuple[int, int], ...]) -> str:
 
 
 def format_expression(e: Expression) -> str:
-    """Renders ``e`` in grammar-file syntax; ``parse`` of the result round-trips."""
-    return _format(e, 1)
+    """Renders ``e`` in grammar-file syntax; ``parse`` of the result round-trips.
+
+    It writes with an explicit stack, so any depth the reader accepts prints."""
+    out: list[str] = []
+    todo: list = [(e, 1)]  # text, or an expression to write at least at a precedence
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        x, min_prec = x
+        prec, parts = _format(x)
+        if prec < min_prec:
+            parts = ["( ", *parts, " )"]
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
-def _format(e: Expression, min_prec: int) -> str:
-    text, prec = _format_prec(e)
-    if prec < min_prec:
-        return "( " + text + " )"
-    return text
-
-
-def _format_prec(e: Expression) -> tuple[str, int]:
+def _format(e: Expression) -> tuple[int, list]:
+    """``e``'s precedence, and its text as pieces: text, or a subexpression
+    with the least precedence it needs there."""
     match e:
         case Empty():
-            return "''", 5
+            return 5, ["''"]
         case Terminal(text):
-            return quote_literal(text), 5
+            return 5, [quote_literal(text)]
         case CharClass(ranges):
-            return format_char_class(ranges), 5
+            return 5, [format_char_class(ranges)]
         case AnyChar():
-            return ".", 5
+            return 5, ["."]
         case Nonterminal(name):
-            return name, 5
+            return 5, [name]
         case Tag(name):
-            return "#" + name, 5
+            return 5, ["#" + name]
         case New(body):
-            return "{ " + _format(body, 1) + " }", 5
+            return 5, ["{ ", (body, 1), " }"]
         case LeftFold(body):
-            return "{@ " + _format(body, 1) + " }", 5
-        case Sequence(items):
-            return " ".join(_format(i, 3) for i in items), 2
+            return 5, ["{@ ", (body, 1), " }"]
+        case Sequence(items):  # each item, a space before all but the first
+            return 2, [part for i in items for part in (" ", (i, 3))][1:]
         case Choice(alternatives):
-            return " / ".join(_format(a, 2) for a in alternatives), 1
+            return 1, [part for a in alternatives for part in (" / ", (a, 2))][1:]
         case Option(body):
-            return _format(body, 4) + "?", 4
+            return 4, [(body, 4), "?"]
         case ZeroOrMore(body):
-            return _format(body, 4) + "*", 4
+            return 4, [(body, 4), "*"]
         case OneOrMore(body):
-            return _format(body, 4) + "+", 4
+            return 4, [(body, 4), "+"]
         case And(body):
-            return "&" + _format(body, 4), 3
+            return 3, ["&", (body, 4)]
         case Not(body):
-            return "!" + _format(body, 4), 3
+            return 3, ["!", (body, 4)]
         case Link(body, index):
             prefix = "@" if index is None else f"@[{index}]"
             if index is None and isinstance(body, CharClass):
                 # "@[...]" would read back as an indexed link
-                return prefix + "( " + _format(body, 1) + " )", 3
-            return prefix + _format(body, 4), 3
+                return 3, [prefix + "( ", (body, 1), " )"]
+            return 3, [prefix, (body, 4)]
     raise TypeError(f"unknown expression {e!r}")

@@ -102,7 +102,7 @@ class Grammar:
         if self.start not in self.productions:
             raise ValueError(f"start symbol {self.start!r} is not a production")
         self.locations = locations or {}
-        # (memo, build_ast) -> compiled program; see pegfold.interp.program_for.
+        # (memo, build_ast, counting) -> compiled program; see pegfold.interp.program_for.
         self._programs: dict = {}
         # Facts every analysis reads, computed once; see pegfold.analysis.
         self._facts = None

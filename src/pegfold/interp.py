@@ -140,7 +140,7 @@ from .expr import (
     ZeroOrMore,
     erase_tree_operators,
 )
-from .grammar import Grammar
+from .grammar import Diagnostic, Grammar
 from .machine import Machine, TxMark, place_links
 from .memo import DEFAULT_WINDOW, FAILED, MemoTable
 from .tree import Node, _NodeSlots
@@ -456,19 +456,24 @@ def program_for(
 
     The first compile of a grammar validates it and raises
     :class:`InvalidGrammarError` on errors; a grammar that already has a
-    program has passed.  Two threads racing here may both compile; either
-    program is correct.
+    program has passed.  The analyses and the emitter recurse per nesting
+    level of an expression, so a grammar nested deeper than the caller's
+    recursion limit lets them follow raises it too, and keeps nothing.
+    Two threads racing here may both compile; either program is correct.
     """
     key = (memo, build_ast, counting)
     program = grammar._programs.get(key)
     if program is not None:
         return program
-    if not grammar._programs:
-        problems = [d for d in validate(grammar) if d.severity == "error"]
-        if problems:
-            raise InvalidGrammarError(problems)
-
-    plan, source, code = _compiled(tuple(grammar.productions.items()), memo, build_ast, counting)
+    try:
+        if not grammar._programs:
+            problems = [d for d in validate(grammar) if d.severity == "error"]
+            if problems:
+                raise InvalidGrammarError(problems)
+        plan, source, code = _compiled(tuple(grammar.productions.items()), memo, build_ast, counting)
+    except RecursionError:
+        message = "grammar nests too deeply for the recursion limit"
+        raise InvalidGrammarError([Diagnostic("error", "nesting-limit", message)]) from None
     namespace = dict(_GLOBALS)
     exec(code, namespace)
     functions = {name: namespace[_mangle(name)] for name in grammar.productions}
@@ -878,9 +883,10 @@ class _Emitter:
 
         ``known`` reaches an attempt only where the attempt starts together
         with the one a guard before it tested, behind items that can succeed
-        empty.  So ``_first`` put the attempt's lead mask, ``mask``, inside
-        that one's, all of which ``known`` holds: for a validated grammar
-        ``mask & can`` is never empty."""
+        empty.  A lead mask joins the masks of a sequence's items up to the
+        first that cannot (``analysis.lead_masks``), so the attempt's,
+        ``mask``, lies inside that one's, all of which ``known`` holds: for
+        a validated grammar ``mask & can`` is never empty."""
         if known is None:
             cond, var = self.test(mask, f"data[{s}]")
             return f"{s} < size and {cond}", (var, mask)

@@ -257,32 +257,6 @@ class Machine:
         self.left = root
         return root
 
-    # -- diagnostics ---------------------------------------------------------
-
-    def dump_log(self) -> list[str]:
-        """The pending entries as text lines, for debugging."""
-
-        def ref(r: NodeRef) -> str:
-            if isinstance(r, Node):
-                return f"<{r.tag}>"
-            return "-" if r is None else f"v{r}"
-
-        lines = []
-        for entry in self.log:
-            op = entry[0]
-            if op == _NEW:
-                lines.append(f"NEW v{entry[1]} @{entry[2]}")
-            elif op == _CAPTURE:
-                lines.append(f"CAPTURE v{entry[1]} @{entry[2]}")
-            elif op == _TAG:
-                lines.append(f"TAG v{entry[1]} #{entry[2]}")
-            elif op == _LINK:
-                at = "" if entry[3] is None else f" [{entry[3]}]"
-                lines.append(f"LINK v{entry[1]} <- {ref(entry[2])}{at}")
-            else:
-                lines.append(f"FOLD v{entry[1]} <- {ref(entry[2])} @{entry[3]}")
-        return lines
-
 
 def place_links(first: NodeRef, links: list) -> tuple:
     """A node's children in index order: ``first``, a fold's first child, at

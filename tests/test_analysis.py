@@ -4,6 +4,14 @@ import pytest
 from corpus import benchmark_grammars
 
 from pegfold.analysis import (
+    _BUILDS,
+    _EMPTY,
+    _FAILS,
+    _KEEPS,
+    _REACHES,
+    _SUCCEEDS,
+    _TAGGED,
+    _facts,
     assign_memo_points,
     eager_constructors,
     never_logs,
@@ -11,7 +19,17 @@ from pegfold.analysis import (
     untagged,
     validate,
 )
-from pegfold.expr import LeftFold, Link, New, Nonterminal, Sequence, Tag, Terminal, subexpressions
+from pegfold.expr import (
+    LeftFold,
+    Link,
+    New,
+    Nonterminal,
+    Sequence,
+    Tag,
+    Terminal,
+    ZeroOrMore,
+    subexpressions,
+)
 from pegfold.grammar import Grammar, parse_grammar
 
 
@@ -94,6 +112,110 @@ def test_diagnostics_carry_location():
     diags = validate(parse_grammar("A = 'a'\nB = B 'x'"))
     assert diags[0].production == "B"
     assert diags[0].line == 2
+
+
+# -- the fact table ------------------------------------------------------------
+
+FLAGS = {
+    "empty": _EMPTY,
+    "fails": _FAILS,
+    "succeeds": _SUCCEEDS,
+    "keeps": _KEEPS,
+    "reaches": _REACHES,
+    "builds": _BUILDS,
+    "tagged": _TAGGED,
+}
+BYTE = {"fails", "succeeds", "keeps"}  # a byte test's flags
+PASSES = {"empty", "succeeds", "keeps"}  # what always succeeds and keeps the node
+TREE = {"reaches", "builds"}
+
+
+def named(word):
+    return {name for name, bit in FLAGS.items() if word & bit}
+
+
+def flags_of(text):
+    """The flags of production ``S``'s body."""
+    grammar = parse_grammar(text)
+    return named(_facts(grammar).of(grammar.productions["S"]))
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("S = 'a'", BYTE),
+        ("S = [a-z]", BYTE),
+        ("S = .", BYTE),
+        ("S = ''", PASSES),
+        ("S = 'a'?", PASSES),
+        ("S = 'a'*", PASSES),
+        ("S = 'a'+", BYTE),
+        ("S = ''+", PASSES),
+        ("S = 'a' 'b'?", BYTE),  # a sequence: empty and succeeding when every item is
+        ("S = 'a'? ''", PASSES),
+        ("S = 'a' / 'b'", BYTE),  # a choice: failing when every alternative does
+        ("S = 'a' / ''", PASSES),
+        ("S = #T", PASSES | TREE | {"tagged"}),
+        ("S = { 'a' }", {"fails", "succeeds"} | TREE),  # a fresh node: the outer one is gone
+        ("S = {@ '' }", {"empty", "succeeds"} | TREE),
+        ("S = @'a'", BYTE | TREE),
+        ("S = ( 'a' #T )?", PASSES | TREE | {"tagged"}),
+        # constructors, links and predicates succeed whatever their bodies do
+        ("S = { N }\nN = 'a' N", {"fails", "succeeds"} | TREE),
+        ("S = @N\nN = 'a' N", BYTE | TREE),
+        ("S = N\nN = 'a' N", {"fails"}),
+        ("S = &N\nN = 'a' N", PASSES | {"fails"}),  # ``&e`` fails as ``e`` does
+        ("S = &''", PASSES),
+        ("S = !''", PASSES | {"fails"}),  # ``!e`` may always fail
+        # a predicate's body reaches a tree operator but builds nothing
+        ("S = !{ 'a' #T }", PASSES | {"fails", "reaches", "tagged"}),
+        # a call reads the callee's flags: it builds where the callee reaches,
+        # even inside a predicate, and holds no ``#tag`` of the callee's
+        ("S = N\nN = &{ 'a' } 'a' #T", BYTE | TREE),
+        ("S = N 'b'\nN = 'a' #T", BYTE | TREE),
+        ("S = N 'b'\nN = 'a'", BYTE),
+        ("S = M\nM = N\nN = 'a'?", PASSES),
+        ("S = 'a' S / ''", PASSES),  # a least fixpoint over recursion
+        ("S = 'a' S", {"fails"}),
+    ],
+)
+def test_flags(text, flags):
+    assert flags_of(text) == flags
+
+
+def test_an_expression_not_in_the_table_takes_its_flags_from_its_children():
+    grammar = parse_grammar("S = { 'a' &'b' #T } ( 'c' #U )+")
+    facts = _facts(grammar)
+    constructor, loop = grammar.productions["S"].items
+    body, tag = untagged(constructor.body)
+    assert tag == "T" and id(body) not in facts.flags
+    assert named(facts.of(body)) == BYTE
+    assert id(loop) in facts.flags
+    assert named(facts.of(loop)) == BYTE | TREE | {"tagged"}
+    star = ZeroOrMore(loop.body)  # as the emitter writes ``e+``
+    assert named(facts.of(star)) == PASSES | TREE | {"tagged"}
+
+
+@pytest.mark.parametrize(
+    "productions, words",
+    [
+        (
+            ["S = A 'x' / B", "A = { 'a' } / ''", "B = 'b' B / 'c' #T"],
+            {"S": BYTE | TREE, "A": PASSES | TREE, "B": BYTE | TREE | {"tagged"}},
+        ),
+        # mutual recursion: which call reads its callee before the callee's
+        # turn depends on the order
+        (
+            ["S = 'a' T / @'b'", "T = S 'c' / #T"],
+            {"S": BYTE | TREE, "T": PASSES | TREE | {"tagged"}},
+        ),
+    ],
+)
+def test_facts_settle_the_same_whatever_order_productions_come_in(productions, words):
+    callee_last = _facts(parse_grammar("\n".join(productions))).words
+    callee_first = _facts(parse_grammar("\n".join(reversed(productions)))).words
+    assert callee_first == callee_last
+    assert {name: named(word) for name, word in callee_last.items()} == words
 
 
 # -- memo plan --------------------------------------------------------------

@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from corpus import benchmark_grammars
+from corpus import benchmark_grammars, module_digest
 
 import pegfold.interp
 from pegfold.analysis import assign_memo_points
@@ -56,6 +56,16 @@ def test_json_module_is_pinned():
     assert program_for(grammar, memo=True, build_ast=True).source == JSON_MODULE
     counting = program_for(grammar, memo=True, build_ast=True, counting=True)
     assert counting.source == JSON_COUNTING_MODULE
+
+
+def test_benchmark_modules_are_pinned():
+    # Every module of the three benchmark grammars: memo on and off, trees
+    # on and off, bare and counting, and their diagnostics.
+    assert module_digest(seeds=(), pairs=0) == (
+        "b2d7293b80205e12a39c00c516d272123ca180fad5f9b6cbca2d2a3c00dae1e8",
+        "912b1bc65505eec2f98f02ec199df9a8df5d2cb4fd23321bc392fce13524d684",
+        24,
+    )
 
 
 @pytest.mark.parametrize("build_ast, memo", SETTINGS)

@@ -19,6 +19,31 @@ def close_link(m, parent, index=None):
     m.left = parent
 
 
+def dump_log(m):
+    """The machine's pending entries as text lines."""
+
+    def ref(r):
+        if isinstance(r, Node):
+            return f"<{r.tag}>"
+        return "-" if r is None else f"v{r}"
+
+    lines = []
+    for entry in m.log:
+        op = entry[0]
+        if op == machine._NEW:
+            lines.append(f"NEW v{entry[1]} @{entry[2]}")
+        elif op == machine._CAPTURE:
+            lines.append(f"CAPTURE v{entry[1]} @{entry[2]}")
+        elif op == machine._TAG:
+            lines.append(f"TAG v{entry[1]} #{entry[2]}")
+        elif op == machine._LINK:
+            at = "" if entry[3] is None else f" [{entry[3]}]"
+            lines.append(f"LINK v{entry[1]} <- {ref(entry[2])}{at}")
+        else:
+            lines.append(f"FOLD v{entry[1]} <- {ref(entry[2])} @{entry[3]}")
+    return lines
+
+
 def test_fresh_machine_mark():
     m = Machine()
     assert m.save() == TxMark(0, None)
@@ -65,9 +90,9 @@ def test_nested_abort_keeps_outer_entries():
     m.emit_tag("Drop")
     m.emit_capture(1)
     m.abort(inner)
-    assert m.dump_log() == ["NEW v0 @0", "TAG v0 #Keep"]
+    assert dump_log(m) == ["NEW v0 @0", "TAG v0 #Keep"]
     m.abort(outer)
-    assert m.dump_log() == ["NEW v0 @0"]
+    assert dump_log(m) == ["NEW v0 @0"]
 
 
 def test_abort_restores_left():
@@ -77,7 +102,7 @@ def test_abort_restores_left():
     m.emit_new(1)
     assert m.left == 1
     m.abort(mark)
-    assert m.left == 0 and m.dump_log() == ["NEW v0 @0"]
+    assert m.left == 0 and dump_log(m) == ["NEW v0 @0"]
 
 
 def test_commit_tag_capture():
@@ -188,7 +213,7 @@ def test_link_suppressed_without_parent():
     m.emit_capture(2)
     close_link(m, parent)
     assert m.left is None
-    assert not any(line.startswith("LINK") for line in m.dump_log())
+    assert not any(line.startswith("LINK") for line in dump_log(m))
 
 
 def test_link_suppressed_when_body_built_nothing():
@@ -196,7 +221,7 @@ def test_link_suppressed_when_body_built_nothing():
     m.emit_new(0)
     close_link(m, m.left)  # left unchanged: erroneous self-connection, ignored
     assert m.left == 0
-    assert not any(line.startswith("LINK") for line in m.dump_log())
+    assert not any(line.startswith("LINK") for line in dump_log(m))
 
 
 def test_node_can_gain_two_fold_parents_after_refused_cycle():
@@ -226,7 +251,7 @@ def test_link_refused_when_it_would_close_a_cycle():
     m.emit_capture(2)
     close_link(m, parent, 0)  # v1 into v0 would make v0 its own descendant
     assert m.left == 0
-    assert not any(line.startswith("LINK") for line in m.dump_log())
+    assert not any(line.startswith("LINK") for line in dump_log(m))
     mark = TxMark(0, None)
     m.emit_capture(2)
     root = m.commit(mark, SRC)  # replays cleanly, no cycle
@@ -242,7 +267,7 @@ def test_link_refused_when_parent_is_two_folds_deep():
     m.emit_capture(2)
     close_link(m, parent)  # v0 sits two folds down inside v2
     assert m.left == 0
-    assert not any(line.startswith("LINK") for line in m.dump_log())
+    assert not any(line.startswith("LINK") for line in dump_log(m))
     m.emit_capture(2)
     assert m.commit(TxMark(0, None), SRC).children == ()
 
@@ -258,7 +283,7 @@ def test_link_accepted_when_a_constructor_breaks_the_fold_chain():
     m.emit_fold(2)         # v3 adopts v2: its chain ends at v2, not v0
     m.emit_capture(3)
     close_link(m, parent)
-    assert m.dump_log()[-1] == "LINK v0 <- v3"
+    assert dump_log(m)[-1] == "LINK v0 <- v3"
     root = m.commit(TxMark(0, None), SRC)
     assert serialize(root) == "#tree[#tree[#token['12']]]"
 
@@ -276,7 +301,7 @@ def test_link_accepted_after_aborting_a_refused_cycle():
     m.emit_new(0)          # v2
     m.emit_capture(2)
     close_link(m, parent)
-    assert m.dump_log() == ["NEW v0 @0", "NEW v2 @0", "CAPTURE v2 @2", "LINK v0 <- v2"]
+    assert dump_log(m) == ["NEW v0 @0", "NEW v2 @0", "CAPTURE v2 @2", "LINK v0 <- v2"]
     m.emit_capture(5)
     assert serialize(m.commit(TxMark(0, None), SRC)) == "#tree[#token['12']]"
 
@@ -292,10 +317,10 @@ def test_commit_replays_only_since_mark():
     node = m.commit(mark, SRC)
     assert serialize(node) == "#Inner['2']"
     # the outer NEW is still pending
-    assert m.dump_log() == ["NEW v0 @0"]
+    assert dump_log(m) == ["NEW v0 @0"]
     close_link(m, parent)  # the committed node links as a materialized child
     assert m.left == 0
-    assert m.dump_log() == ["NEW v0 @0", "LINK v0 <- <Inner>"]
+    assert dump_log(m) == ["NEW v0 @0", "LINK v0 <- <Inner>"]
 
 
 def test_commit_is_pure_over_the_entry_range():
@@ -366,7 +391,7 @@ def test_commit_refuses_a_link_cycle():
     ]
     m.first = [None, None]
     m.left = 0
-    assert m.dump_log() == ["NEW v0 @0", "NEW v1 @0", "LINK v0 <- v1", "LINK v1 <- v0"]
+    assert dump_log(m) == ["NEW v0 @0", "NEW v1 @0", "LINK v0 <- v1", "LINK v1 <- v0"]
     with pytest.raises(InternalParserError, match="cyclic link structure"):
         m.commit(TxMark(0, None), SRC)
 
@@ -408,7 +433,7 @@ def test_a_local_fold_over_a_virtual_id_logs_its_links_tag_and_capture():
     m.emit_capture(2)  # v0: a lazily built first child
     one, two = Node("d", 3, 4, SRC), Node("d", 4, 5, SRC)
     m.emit_local_fold(2, 5, "Add", [one, (0, two)])
-    assert m.dump_log()[2:] == [
+    assert dump_log(m)[2:] == [
         "FOLD v1 <- v0 @2",
         "LINK v1 <- <d>",
         "LINK v1 <- <d> [0]",
@@ -473,7 +498,7 @@ def test_dump_log_format():
     m.emit_tag("Int")
     m.emit_capture(2)
     close_link(m, parent, 3)
-    assert m.dump_log() == [
+    assert dump_log(m) == [
         "NEW v0 @0",
         "NEW v1 @1",
         "TAG v1 #Int",

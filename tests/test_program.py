@@ -13,7 +13,13 @@ from corpus import ENGINE_STEPS, make_corpus
 import pegfold.interp
 from pegfold.expr import Terminal
 from pegfold.grammar import parse_grammar
-from pegfold.interp import NestingLimitExceeded, ParseError, ParseSession, StepLimitExceeded
+from pegfold.interp import (
+    InvalidGrammarError,
+    NestingLimitExceeded,
+    ParseError,
+    ParseSession,
+    StepLimitExceeded,
+)
 from pegfold.tree import serialize
 
 MATH = """Expr = Sum
@@ -146,6 +152,35 @@ def test_deep_nesting_raises_a_clean_error_and_frees_the_program(deep_stack):
         assert not inspect.getclosurevars(program.run).nonlocals["lock"].locked()
     result = ParseSession(grammar, b"1+2").parse()
     assert serialize(result.root) == "#add[#Integer['1'] #Integer['2']]"
+
+
+# A grammar the reader accepts at the default recursion limit, but whose
+# analyses and emitter, recursing per level, need a deeper stack.
+DEEP_GRAMMAR = "S = " + "{ 'a' @" * 150 + "{'b'}" + " }" * 150
+DEEP_INPUT = b"a" * 150 + b"b"
+
+
+def test_a_grammar_nested_past_the_recursion_limit_is_invalid():
+    grammar = parse_grammar(DEEP_GRAMMAR)
+    with pytest.raises(InvalidGrammarError) as caught:
+        ParseSession(grammar, DEEP_INPUT)
+    (d,) = caught.value.diagnostics
+    assert (d.severity, d.code, d.message) == (
+        "error",
+        "nesting-limit",
+        "grammar nests too deeply for the recursion limit",
+    )
+    assert grammar._programs == {}  # nothing half-built is kept
+
+
+def test_a_deep_grammar_compiles_and_parses_on_a_deep_stack(deep_stack):
+    result = ParseSession(parse_grammar(DEEP_GRAMMAR), DEEP_INPUT).parse()
+    assert result.consumed == len(DEEP_INPUT)
+    node, depth = result.root, 1
+    while node.children:
+        (node,) = node.children
+        depth += 1
+    assert depth == 151 and node.text == b"b"
 
 
 def deepest_nesting(grammar, **options):
