@@ -53,11 +53,11 @@ two paths:
 * An eager constructor (``analysis.eager_constructors``) is local: only
   its own level changes its node.  It keeps its record in locals of the
   function, a tag and a list of links, and builds its node from them as it
-  closes: one ``object.__new__`` call for a slot record, sealed into a
-  ``Node`` (``tree._NodeSlots``); a level with an ``@[n]`` site places its
-  links with ``place_links``.  A ``#t`` at its level sets the record's
-  tag, and a trailing one beats it; an ``@Name`` there calls the
-  production, puts the child in the record and restores the left register,
+  closes: one tuple, a node record of :mod:`pegfold.tree`, made with no
+  call; a level with an ``@[n]`` site places its links with
+  ``place_links``.  A ``#t`` at its level sets the record's tag, and a
+  trailing one beats it; an ``@Name`` there calls the production, puts the
+  child in the record and restores the left register,
   committing a lazily built child at once and rolling back what the body
   logged if it fails.  A production that never logs
   (``analysis.never_logs``) leaves a built node or nothing in the register
@@ -143,7 +143,7 @@ from .expr import (
 from .grammar import Diagnostic, Grammar
 from .machine import Machine, TxMark, place_links
 from .memo import DEFAULT_WINDOW, FAILED, MemoTable
-from .tree import Node, _NodeSlots
+from .tree import Node, _first_read
 
 __all__ = [
     "ParseSession",
@@ -156,8 +156,6 @@ __all__ = [
 ]
 
 _NO_STEP_LIMIT = sys.maxsize
-# A slot record to fill and seal into a valid Node (``tree._NodeSlots``).
-_new_node = object.__new__
 
 
 class ParseError(Exception):
@@ -224,18 +222,31 @@ class Stats:
 class ParseResult:
     """A successful parse: the root node and how far it got.
 
-    ``stats`` is made when first read, so a parse whose statistics nobody
-    reads never walks the tree, nor, unless it counted from the start, runs
-    a second time for its counters (see :class:`ParseSession`).
+    The parse leaves the root's record (:mod:`pegfold.tree`); ``root`` is
+    the one view of it, made when first read, whose children make theirs
+    as they are read.  ``stats`` is made when first read, so a parse whose
+    statistics nobody reads never walks the tree, nor, unless it counted
+    from the start, runs a second time for its counters (see
+    :class:`ParseSession`).
     """
 
-    __slots__ = ("root", "consumed", "_run", "_stats")
+    __slots__ = ("_record", "_root", "consumed", "_run", "_stats")
 
-    def __init__(self, root: Node, consumed: int, run: _Run) -> None:
-        self.root = root
+    def __init__(self, record: tuple, consumed: int, run: _Run) -> None:
+        self._record = record
+        self._root: Node | None = None
         self.consumed = consumed
         self._run = run
         self._stats: Stats | None = None
+
+    @property
+    def root(self) -> Node:
+        if self._root is None:
+            made = Node._view(self._record)
+            with _first_read:  # threads reading at once all get the root kept
+                if self._root is None:
+                    self._root = made
+        return self._root
 
     @property
     def stats(self) -> Stats:
@@ -245,7 +256,7 @@ class ParseResult:
             size = len(run.data)
             table = run.table
             created = run.created
-            reachable = _count_reachable(self.root)
+            reachable = _count_reachable(self._record)
             stats = self._stats = Stats(
                 consumed=self.consumed,
                 backtrack_total=run.backtrack,
@@ -371,25 +382,27 @@ class ParseSession:
         raise failure(run.farthest)
 
 
-def _count_reachable(root: Node) -> int:
+def _count_reachable(root: tuple) -> int:
+    """The distinct records in the tree of ``root``: a memo hit can put one
+    record in two places."""
     seen: set[int] = set()
     stack = [root]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
+        record = stack.pop()
+        if id(record) in seen:
             continue
-        seen.add(id(node))
-        stack.extend(node.children)
+        seen.add(id(record))
+        stack.extend(record[4])
     return len(seen)
 
 
 class _Run:
     """One parse's run of a program: what ``Program.run`` reads (``data``,
     ``window`` and the step ``limit``) and leaves (the ``machine``, the
-    memo ``table``, the ``root`` of a parse that succeeded and ``created``,
-    the nodes the machine had created when the run ended, the root's
-    included) and, from a counting module, the counters ``farthest``,
-    ``backtrack`` and ``calls``.
+    memo ``table``, the ``root`` record of a parse that succeeded and
+    ``created``, the nodes the machine had created when the run ended, the
+    root's included) and, from a counting module, the counters
+    ``farthest``, ``backtrack`` and ``calls``.
 
     After a bare run, ``recount`` returns the counting program of its
     setting, and ``counted`` re-runs the parse of ``name`` with it once, the
@@ -409,7 +422,7 @@ class _Run:
         self.recount: Callable[[], Program] | None = recount
         self.machine: Machine | None = None
         self.table: MemoTable | None = None
-        self.root: Node | None = None
+        self.root: tuple | None = None
         self.created = self.farthest = self.backtrack = self.calls = 0
 
     def counted(self) -> _Run:
@@ -500,9 +513,9 @@ def program_for(
                 if end >= 0:
                     root = machine.left
                     if root is None:  # a token over what the parse consumed
-                        root = Node("token", 0, end, data)
+                        root = ("token", 0, end, data, ())
                         machine.created += 1
-                    elif isinstance(root, Node) and not machine.log:
+                    elif type(root) is tuple and not machine.log:
                         machine.first = []  # as a whole-log commit would
                     else:
                         root = machine.commit(TxMark(0, None), data)
@@ -571,13 +584,10 @@ _GLOBALS: dict[str, object] = {
     "farthest": 0,
     "backtrack": 0,
     "calls": 0,
-    "Node": Node,
-    "_NodeSlots": _NodeSlots,
     "TxMark": TxMark,
     "FAILED": FAILED,
     "StepLimitExceeded": StepLimitExceeded,
     "place_links": place_links,
-    "_new": _new_node,
     "_compile": re.compile,
 }
 
@@ -700,8 +710,8 @@ class _Function:
 
 class _Record:
     """The locals that hold an eager constructor's record: ``t`` its tag,
-    ``l`` its links (each a child, or ``(index, child)``).  ``indexed`` is
-    whether its level has an ``@[n]`` site."""
+    ``l`` its links (each a child, or an ``[index, child]`` list).
+    ``indexed`` is whether its level has an ``@[n]`` site."""
 
     __slots__ = ("owner", "tag", "links", "indexed", "used")
 
@@ -1241,18 +1251,13 @@ class _Emitter:
             children = f"(*{links},)"
         default = "'token'" if children == "()" else "('tree' if k else 'token')"
         node_tag = default if given == "None" else f"{given} or {default}" if tag is None else given
-        # A slot record sealed into a Node, skipping ``Node.__init__``: the
-        # tag is not empty and the span lies in the input.
+        if tag is None and children != "()":  # the default tag reads the children
+            add(f"{i}k = {children}")
+            children = "k"
+        # The node's record (``tree``): a tag that is not empty and a span
+        # in the input, as ``Node`` checks.
         add(
-            f"{i}k = {children}\n"
-            f"{i}n = _new(_NodeSlots)\n"
-            f"{i}n.tag = {node_tag}\n"
-            f"{i}n.start = {s}\n"
-            f"{i}n.end = {rv}\n"
-            f"{i}n.source = data\n"
-            f"{i}n.children = k\n"
-            f"{i}n.__class__ = Node\n"
-            f"{i}machine.left = n"
+            f"{i}machine.left = ({node_tag}, {s}, {rv}, data, {children})"
             + (f"\n{i}machine.created += 1" if self.counting else "")
         )
         return rv, fails
@@ -1293,7 +1298,7 @@ class _Emitter:
             if index is None:
                 put = f"{links}.append(k)"
             else:
-                put = f"{links}.append(({index}, k))"
+                put = f"{links}.append([{index}, k])"
                 rec.indexed = True
         prior = self.fresh("q")
         base = None if quiet else self.fresh("b")
@@ -1310,7 +1315,7 @@ class _Emitter:
             mark = f"TxMark({base}, {prior})"
             abort = f"{e1}if len(machine.log) != {base}:\n{e2}machine.abort({mark})\n"
             commit = (
-                f"{e2}if type(k) is not Node or len(machine.log) != {base}:\n"
+                f"{e2}if type(k) is not tuple or len(machine.log) != {base}:\n"
                 f"{e3}k = machine.commit({mark}, data)\n"
             )
         self.call(Nonterminal(name), s, d, fn)
@@ -1324,11 +1329,11 @@ class _Emitter:
             + (
                 # The body built nothing and leaves the node it started
                 # with alone, so it logged nothing.
-                f"{e1}if k == {prior}:\n"
+                f"{e1}if k is {prior}:\n"
                 f"{e2}table.memoize({point}, {s}, (True, r - {s}, None))\n"
                 f"{e1}else:\n"
                 if point is not None
-                else f"{e1}if k != {prior}:\n"
+                else f"{e1}if k is not {prior}:\n"
             )
             + commit
             + f"{e2}machine.left = {prior}\n"

@@ -5,8 +5,8 @@ their own level can still change (see :mod:`pegfold.interp`; eager ones
 build their nodes from records of their own and only put them in the left
 register).  Their node mutations are never applied while parsing.  They
 are appended to a log; backtracking truncates the log (``abort``) and a
-``commit`` replays the surviving entries into real
-:class:`~pegfold.tree.Node` objects.
+``commit`` replays the surviving entries into node records, the plain
+tuples of :mod:`pegfold.tree`.
 The one register effect that the parser must observe immediately, the
 left node reference, is applied eagerly and restored from transaction
 marks.  An abort is therefore a plain truncation: the log and the left
@@ -20,7 +20,9 @@ attaches a child, appended or at a given index.  A fold entry additionally
 records the node that becomes the new node's first child.  A commit keeps
 each node's links in link order and places them with ``place_links``, as
 an eager constructor does with its record: by index, a later link to an
-index winning, at a cost that follows the number of links.
+index winning, at a cost that follows the number of links.  Node
+references compare by identity, here and in the generated code: two
+records can be equal and still be two nodes.
 
 A link whose body folded the parent away would make the parent a
 descendant of itself; such a link is refused.  The engine can only build
@@ -52,16 +54,15 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
-from .tree import Node
-
 __all__ = [
     "Machine",
     "TxMark",
     "InternalParserError",
 ]
 
-# NodeRef: None (no node), int (virtual id, not yet materialized), Node.
-NodeRef = Union[None, int, Node]
+# NodeRef: None (no node), int (virtual id, not yet materialized), or a
+# node record (``tree``'s ``(tag, start, end, source, children)`` tuple).
+NodeRef = Union[None, int, tuple]
 
 _NEW, _CAPTURE, _TAG, _LINK, _FOLD = range(5)
 
@@ -123,7 +124,7 @@ class Machine:
         left = self.left
         if left is None:
             raise InternalParserError("capture with no node under construction")
-        if isinstance(left, Node):
+        if type(left) is tuple:
             raise InternalParserError("capture targets a materialized node")
         self.log.append((_CAPTURE, left, pos))
 
@@ -138,7 +139,7 @@ class Machine:
         vid = self.left
         log = self.log
         for link in links:
-            if type(link) is tuple:
+            if type(link) is list:
                 log.append((_LINK, vid, link[1], link[0]))
             else:
                 log.append((_LINK, vid, link, None))
@@ -150,7 +151,7 @@ class Machine:
         left = self.left
         if left is None:
             return  # no node under construction; tagging does nothing
-        if isinstance(left, Node):
+        if type(left) is tuple:
             raise InternalParserError("tag targets a materialized node")
         self.log.append((_TAG, left, name))
 
@@ -164,20 +165,21 @@ class Machine:
         (the body folded the parent away: it lies on the child's
         first-child chain).
         """
-        if child != parent and parent is not None:
-            if isinstance(parent, Node):
+        if child is not parent and parent is not None:
+            if type(parent) is tuple:
                 raise InternalParserError("link targets a materialized parent")
             first = self.first
             cursor = child
-            while isinstance(cursor, int) and cursor != parent:
+            while type(cursor) is int and cursor is not parent:
                 cursor = first[cursor]
-            if cursor != parent:
+            if cursor is not parent:
                 self.log.append((_LINK, parent, child, index))
 
     # -- commit ------------------------------------------------------------
 
-    def commit(self, mark: TxMark, source: bytes) -> Node:
-        """Replays entries made since ``mark`` and materializes the left node.
+    def commit(self, mark: TxMark, source: bytes) -> tuple:
+        """Replays entries made since ``mark`` and materializes the left node
+        as a record.
 
         Entry order is replay order: later tags override earlier ones, and
         each node's links are placed by ``place_links``.  Virtual ids
@@ -204,14 +206,14 @@ class Machine:
                 rec = recs.get(entry[1])
                 if rec is None:
                     raise InternalParserError("link into a node outside the transaction")
-                rec[4].append(entry[2] if entry[3] is None else (entry[3], entry[2]))
+                rec[4].append(entry[2] if entry[3] is None else [entry[3], entry[2]])
             else:  # _FOLD: the span opens at the fold point, after the first child
                 recs[entry[1]] = [None, entry[3], None, entry[2], []]
         del self.log[base:]
 
-        built: dict[int, object] = {}  # vid -> its node, or _BUILDING while in progress
+        built: dict[int, object] = {}  # vid -> its record, or _BUILDING while in progress
 
-        def build(vid: int) -> Node:
+        def build(vid: int) -> tuple:
             node = built.get(vid)
             if node is not None:
                 if node is _BUILDING:
@@ -221,7 +223,7 @@ class Machine:
             tag, start, end, first, links = recs[vid]
             resolved = []
             for child in place_links(first, links):
-                if isinstance(child, Node):
+                if type(child) is tuple:
                     resolved.append(child)
                 elif child in recs:
                     resolved.append(build(child))
@@ -231,7 +233,7 @@ class Machine:
                 end = start  # never captured: a fold stole the register first
             if tag is None:
                 tag = "tree" if resolved else "token"
-            node = built[vid] = Node(tag, start, end, source, tuple(resolved))
+            node = built[vid] = (tag, start, end, source, tuple(resolved))
             return node
 
         for vid in recs:
@@ -242,9 +244,9 @@ class Machine:
         self.created += len(recs)
 
         left = self.left
-        if isinstance(left, Node):
+        if type(left) is tuple:
             root = left
-        elif isinstance(left, int):
+        elif type(left) is int:
             root = built.get(left)
             if root is None:
                 raise InternalParserError("left register does not resolve inside the transaction")
@@ -261,15 +263,16 @@ class Machine:
 def place_links(first: NodeRef, links: list) -> tuple:
     """A node's children in index order: ``first``, a fold's first child, at
     index 0, and ``links`` in link order, each a child appended or an
-    ``(index, child)`` put at its index.  A later link to an index wins; an
-    append goes one past the highest index placed so far, so an index that
-    nothing filled leaves no child."""
+    ``[index, child]`` list, not a tuple as a child record is, put at its
+    index.  A later link to an index wins; an append goes one past the
+    highest index placed so far, so an index that nothing filled leaves no
+    child."""
     if first is None:
         slots, end = {}, 0
     else:
         slots, end = {0: first}, 1
     for link in links:
-        if type(link) is tuple:
+        if type(link) is list:
             index, child = link
             slots[index] = child
             if index >= end:

@@ -8,8 +8,9 @@ are treated as expired even if their row was never reclaimed.  A window
 at least as long as the longest backtrack makes parsing effectively
 linear; a smaller one only costs re-parsing, never correctness.
 
-Stored nodes are materialized and immutable; replaying a hit advances
-the position and, for link points, re-attaches the stored node verbatim.
+Stored nodes are materialized and immutable node records (the plain
+tuples of :mod:`pegfold.tree`); replaying a hit advances the position and,
+for link points, re-attaches the stored record verbatim, the same object.
 Failures are stored too, so repeated doomed attempts stay cheap.
 
 An entry is an ``(ok, consumed, node)`` triple, which :class:`MemoEntry`
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .tree import Node
-
 __all__ = ["MemoEntry", "MemoTable", "FAILED"]
 
 DEFAULT_WINDOW = 256
@@ -33,7 +32,7 @@ class MemoEntry(NamedTuple):
 
     ok: bool
     consumed: int
-    node: Node | None
+    node: tuple | None  # a node record
 
 
 FAILED = MemoEntry(False, 0, None)

@@ -18,15 +18,23 @@ is an error.  ``to_json_dict`` gives a tree's JSON-ready dict form, and
 ``to_json`` writes the JSON text of that form straight from the tree.
 Nodes compare by identity; use :func:`equals` for structural comparison.
 
-A generated parser builds each of its nodes with one call: it fills a
-private slot record (``_NodeSlots``) and seals it with
-``__class__ = Node``, which skips the checks of ``Node.__init__`` but
-keeps the rest of the contract.
+Inside the engine a node is a record, a plain tuple ``(tag, start, end,
+source, children)`` whose ``children`` is a tuple of records: a generated
+parser builds one with no call.  A :class:`Node` is an immutable view over
+one record, which makes the views of its children when they are first read
+and keeps them; a parse result makes the view of its root when that is
+first read.  The writers and :func:`equals` walk the records, so printing
+a parsed tree makes no node but its root, while a walk through the nodes
+makes one view per node it reaches.  A record that a memo hit put at two
+places in a tree is read through a view at each, two distinct nodes.  A
+node built with ``Node(…)`` makes its record from its children's, so built
+and parsed nodes mix.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import FrozenInstanceError
 from json.encoder import encode_basestring_ascii as _json_str  # a str as json.dumps writes it
 from typing import Any
@@ -42,29 +50,16 @@ __all__ = [
 ]
 
 
-class _NodeSlots:
-    """A node's fields without ``Node``'s refusing ``__setattr__``, for the
-    engine to fill and seal (see the module docstring); ``Node`` adds no
-    slot to them."""
-
-    __slots__ = ("tag", "start", "end", "source", "children", "__weakref__")
-
-    tag: str
-    start: int
-    end: int
-    source: bytes
-    children: tuple[Node, ...]
-
-
-class Node(_NodeSlots):
+class Node:
     """Immutable tree node: tag, byte span over ``source``, children.
 
-    A slotted class with no per-node ``__dict__``; assigning or deleting a
-    field raises :class:`dataclasses.FrozenInstanceError`.  Nodes compare
-    and hash by identity.
+    A slotted view over one record (see the module docstring) with no
+    per-node ``__dict__``; assigning or deleting a field raises
+    :class:`dataclasses.FrozenInstanceError`.  Nodes compare and hash by
+    identity.
     """
 
-    __slots__ = ()
+    __slots__ = ("_record", "_children", "__weakref__")
 
     def __init__(
         self, tag: str, start: int, end: int, source: bytes, children: tuple[Node, ...] = ()
@@ -73,11 +68,18 @@ class Node(_NodeSlots):
             raise ValueError("node tag must be non-empty")
         if not (0 <= start <= end <= len(source)):
             raise ValueError(f"bad span {start}..{end} for {len(source)}-byte source")
-        _set_tag(self, tag)
-        _set_start(self, start)
-        _set_end(self, end)
-        _set_source(self, source)
+        children = tuple(children)
+        _set_record(self, (tag, start, end, source, tuple([kid._record for kid in children])))
         _set_children(self, children)
+
+    @staticmethod
+    def _view(record: tuple) -> Node:
+        """The view over an engine-built ``record``; its children's views
+        wait for the first read of ``children``."""
+        node = _new(Node)
+        _set_record(node, record)
+        _set_children(node, None)
+        return node
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -88,25 +90,41 @@ class Node(_NodeSlots):
     def __reduce__(self):
         return Node, (self.tag, self.start, self.end, self.source, self.children)
 
+    tag = property(lambda self: self._record[0])
+    start = property(lambda self: self._record[1])
+    end = property(lambda self: self._record[2])
+    source = property(lambda self: self._record[3])
+
+    @property
+    def children(self) -> tuple[Node, ...]:
+        if self._children is None:
+            made = tuple(map(Node._view, self._record[4]))
+            with _first_read:  # threads reading at once all get the tuple kept
+                if self._children is None:
+                    _set_children(self, made)
+        return self._children
+
     @property
     def text(self) -> bytes:
         """The matched substring, byte-exact."""
-        return self.source[self.start : self.end]
+        _, start, end, source, _ = self._record
+        return source[start:end]
 
     def is_leaf(self) -> bool:
-        return not self.children
+        return not self._record[4]
 
     def __repr__(self) -> str:
         return f"<Node {serialize(self)}>"
 
 
-# __setattr__ refuses every write, so __init__ stores through the slot
-# descriptors.
-_set_tag = _NodeSlots.tag.__set__
-_set_start = _NodeSlots.start.__set__
-_set_end = _NodeSlots.end.__set__
-_set_source = _NodeSlots.source.__set__
-_set_children = _NodeSlots.children.__set__
+# __setattr__ refuses every write, so the constructors store through the
+# slot descriptors.  A lazy field (a view's children, a result's root) is
+# checked again and stored under ``_first_read``, so that threads reading it
+# at once all get the one value it keeps.
+_first_read = threading.Lock()
+_new = object.__new__
+_set_record = Node._record.__set__
+_set_children = Node._children.__set__
 
 
 class NotationError(ValueError):
@@ -148,19 +166,17 @@ def serialize(node: Node) -> str:
     # Per tag, built once per call: its ``#tag[`` string, and each distinct
     # leaf text under it rendered whole.
     rendered: dict[str, tuple[str, dict[bytes, str]]] = {}
-    stack = [iter((node,))]  # per open level, its children not yet written
+    stack = [iter((node._record,))]  # per open level, its children not yet written
     while stack:
-        for node in stack[-1]:
-            tag = node.tag
+        for tag, start, end, source, children in stack[-1]:
             known = rendered.get(tag)
             if known is None:
                 known = rendered[tag] = (f"#{tag}[", {})
-            children = node.children
             if children:
                 append(known[0])
                 stack.append(iter(children))
                 break
-            text = node.source[node.start : node.end]
+            text = source[start:end]
             leaves = known[1]
             leaf = leaves.get(text)
             if leaf is None:
@@ -180,16 +196,16 @@ def equals(a: Node, b: Node) -> bool:
 
     An explicit stack replaces recursion, so trees of any depth compare.
     """
-    stack = [(a, b)]
+    stack = [(a._record, b._record)]
     while stack:
         a, b = stack.pop()
-        if a.tag != b.tag or len(a.children) != len(b.children):
+        if a[0] != b[0] or len(a[4]) != len(b[4]):
             return False
-        if not a.children:
-            if a.text != b.text:
+        if not a[4]:
+            if a[3][a[1] : a[2]] != b[3][b[1] : b[2]]:
                 return False
         else:
-            stack.extend(zip(a.children, b.children))
+            stack.extend(zip(a[4], b[4]))
     return True
 
 
@@ -199,21 +215,17 @@ def to_json_dict(node: Node) -> dict[str, Any]:
     An explicit stack replaces recursion, so a tree of any depth converts.
     """
     out: list[dict[str, Any]] = []
-    stack = [(iter((node,)), out)]  # per open level, its children not yet converted
+    stack = [(iter((node._record,)), out)]  # per open level, its children not yet converted
     while stack:
-        nodes, into = stack[-1]
-        for node in nodes:
-            children = node.children
+        records, into = stack[-1]
+        for tag, start, end, source, children in records:
             if children:
                 dicts: list[dict[str, Any]] = []
-                into.append(
-                    {"tag": node.tag, "start": node.start, "end": node.end, "children": dicts}
-                )
+                into.append({"tag": tag, "start": start, "end": end, "children": dicts})
                 stack.append((iter(children), dicts))
                 break
-            start, end = node.start, node.end
-            text = node.source[start:end].decode("utf-8", errors="backslashreplace")
-            into.append({"tag": node.tag, "start": start, "end": end, "text": text})
+            text = source[start:end].decode("utf-8", errors="backslashreplace")
+            into.append({"tag": tag, "start": start, "end": end, "text": text})
         else:
             stack.pop()
     return out[0]
@@ -230,20 +242,17 @@ def to_json(node: Node) -> str:
     parts: list[str] = []
     append = parts.append
     heads: dict[str, str] = {}
-    stack = [iter((node,))]  # per open level, its children not yet written
+    stack = [iter((node._record,))]  # per open level, its children not yet written
     while stack:
-        for node in stack[-1]:
-            tag = node.tag
+        for tag, start, end, source, children in stack[-1]:
             head = heads.get(tag)
             if head is None:
                 head = heads[tag] = f'{{"tag": {_json_str(tag)}, "start": '
-            children = node.children
-            start, end = node.start, node.end
             if children:
                 append(f'{head}{start}, "end": {end}, "children": [')
                 stack.append(iter(children))
                 break
-            text = node.source[start:end].decode("utf-8", "backslashreplace")
+            text = source[start:end].decode("utf-8", "backslashreplace")
             append(f'{head}{start}, "end": {end}, "text": {_json_str(text)}}}')
             append(", ")
         else:
@@ -285,10 +294,11 @@ def parse_notation(text: str) -> Node:
     raises :class:`NotationError` at the offset where it goes wrong.
 
     The text is read one ``_TOKEN`` at a time, with an explicit stack of the
-    inner nodes still open in place of recursion, so any depth reads.
+    inner nodes still open in place of recursion, so any depth reads.  It
+    builds records, and the one view of the root.
     """
-    open_: list[tuple[str, list[Node]]] = []  # (tag, children read so far)
-    node = None  # the last node read whole, or a leaf before its ``]``
+    open_: list[tuple[str, list[tuple]]] = []  # (tag, child records read so far)
+    node = None  # the record of the last node read whole, or a leaf before its ``]``
     last = ""  # the kind of the token before
     pos = 0
     while True:
@@ -306,15 +316,15 @@ def parse_notation(text: str) -> Node:
                 raise NotationError("lone surrogate in quoted text", at) from None
             if b"\\" in data:
                 data = _ESCAPE.sub(_unescape, data)
-            node = Node(open_.pop()[0], 0, len(data), data)
+            node = (open_.pop()[0], 0, len(data), data, ())
         elif kind == "close" and (last == "leaf" or last == "close" and open_):
             if last == "close":  # a node with children ends here
                 tag, children = open_.pop()
-                node = Node(tag, 0, 0, b"", tuple(children))
+                node = (tag, 0, 0, b"", tuple(children))
             if open_:
                 open_[-1][1].append(node)
         elif kind == "end" and last == "close" and not open_:
-            return node
+            return Node._view(node)
         else:
             expected = "the end of the text" if last == "close" and not open_ else _EXPECTED[last]
             raise NotationError(f"expected {expected}", token.start(kind) if kind else token.end())

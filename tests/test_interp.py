@@ -736,6 +736,17 @@ def test_a_local_link_commits_a_lazily_built_child_at_once():
     assert result.stats.nodes_unused == 1
 
 
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+def test_a_link_holds_when_its_child_equals_the_node_before_it(memo):
+    # Both E nodes are empty and tagged alike, so their records are equal
+    # tuples.  A link that compared them by value would take the second for
+    # "the body built nothing" and drop it.
+    grammar = parse_grammar("S = E { @E #S }\nE = { #E }")
+    result = ParseSession(grammar, b"", memo=memo).parse()
+    assert serialize(result.root) == "#S[#E['']]"
+    assert engine_outcome(grammar, b"", memo=memo) == oracle_outcome(grammar, b"")
+
+
 def test_speculative_memo_nodes_can_end_up_unused():
     g = "S = { #S @A 'x' } / { 'a' 'y' #T }\nA = { #A 'a' }"
     result = run(g, b"ay", memo=True)

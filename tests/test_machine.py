@@ -1,4 +1,7 @@
-"""Transactional machine: save/abort/commit, replay, audit."""
+"""Transactional machine: save/abort/commit, replay, audit.
+
+A commit materializes node records, the plain ``(tag, start, end, source,
+children)`` tuples of ``pegfold.tree``; ``view`` shows one as a ``Node``."""
 
 import random
 
@@ -9,6 +12,13 @@ from pegfold.machine import InternalParserError, Machine, TxMark
 from pegfold.tree import Node, serialize
 
 SRC = b"12+34"
+TAG, START, END, CHILDREN = 0, 1, 2, 4  # a record's fields
+view = Node._view
+
+
+def record(tag, start, end, children=()):
+    """A materialized node's record over ``SRC``."""
+    return (tag, start, end, SRC, children)
 
 
 def close_link(m, parent, index=None):
@@ -23,8 +33,8 @@ def dump_log(m):
     """The machine's pending entries as text lines."""
 
     def ref(r):
-        if isinstance(r, Node):
-            return f"<{r.tag}>"
+        if type(r) is tuple:
+            return f"<{r[TAG]}>"
         return "-" if r is None else f"v{r}"
 
     lines = []
@@ -112,8 +122,8 @@ def test_commit_tag_capture():
     m.emit_tag("Int")
     m.emit_capture(2)
     node = m.commit(mark, SRC)
-    assert serialize(node) == "#Int['12']"
-    assert node.start == 0 and node.end == 2
+    assert serialize(view(node)) == "#Int['12']"
+    assert node[START] == 0 and node[END] == 2
     assert m.left is node
     assert m.log == []
 
@@ -123,7 +133,7 @@ def test_commit_default_tags():
     mark = m.save()
     m.emit_new(0)
     m.emit_capture(2)
-    assert m.commit(mark, SRC).tag == "token"
+    assert m.commit(mark, SRC)[TAG] == "token"
 
     m2 = Machine()
     mark2 = m2.save()
@@ -133,7 +143,7 @@ def test_commit_default_tags():
     m2.emit_capture(2)
     close_link(m2, parent)
     m2.emit_capture(5)
-    assert m2.commit(mark2, SRC).tag == "tree"
+    assert m2.commit(mark2, SRC)[TAG] == "tree"
 
 
 def test_duplicate_tagging_overrides():
@@ -143,7 +153,7 @@ def test_duplicate_tagging_overrides():
     m.emit_tag("Int")
     m.emit_tag("Long")
     m.emit_capture(2)
-    assert m.commit(mark, SRC).tag == "Long"
+    assert m.commit(mark, SRC)[TAG] == "Long"
 
 
 def test_indexed_links_override_and_reorder():
@@ -161,7 +171,7 @@ def test_indexed_links_override_and_reorder():
     child(3, 5, 0)   # "34" at index 0
     m.emit_capture(5)
     node = m.commit(mark, SRC)
-    assert serialize(node) == "#tree[#token['34'] #token['12']]"
+    assert serialize(view(node)) == "#tree[#token['34'] #token['12']]"
 
 
 def test_index_gap_dropped_when_unfilled():
@@ -174,7 +184,7 @@ def test_index_gap_dropped_when_unfilled():
     close_link(m, parent, 2)  # children 0 and 1 never filled
     m.emit_capture(2)
     node = m.commit(mark, SRC)
-    assert [c.text for c in node.children] == [b"12"]
+    assert [c.text for c in view(node).children] == [b"12"]
 
 
 def test_fold_adopts_prior_left_as_first_child():
@@ -192,9 +202,9 @@ def test_fold_adopts_prior_left_as_first_child():
     close_link(m, parent)
     m.emit_capture(5)
     node = m.commit(mark, SRC)
-    assert serialize(node) == "#Add[#Int['12'] #Int['34']]"
+    assert serialize(view(node)) == "#Add[#Int['12'] #Int['34']]"
     # span of the fold node opens at the fold point by default
-    assert node.start == 2 and node.end == 5
+    assert node[START] == 2 and node[END] == 5
 
 
 def test_fold_without_prior_left_has_no_first_child():
@@ -203,7 +213,7 @@ def test_fold_without_prior_left_has_no_first_child():
     m.emit_fold(0)
     m.emit_capture(2)
     node = m.commit(mark, SRC)
-    assert node.children == () and node.tag == "token"
+    assert node[CHILDREN] == () and node[TAG] == "token"
 
 
 def test_link_suppressed_without_parent():
@@ -239,7 +249,7 @@ def test_node_can_gain_two_fold_parents_after_refused_cycle():
     m.emit_fold(2)       # N2 = v2 adopts x again
     m.emit_capture(3)
     root = m.commit(TxMark(0, None), SRC)
-    assert serialize(root) == "#tree[#token['1']]"
+    assert serialize(view(root)) == "#tree[#token['1']]"
     assert m.created == 3  # x, the orphaned N, and N2
 
 
@@ -255,7 +265,7 @@ def test_link_refused_when_it_would_close_a_cycle():
     mark = TxMark(0, None)
     m.emit_capture(2)
     root = m.commit(mark, SRC)  # replays cleanly, no cycle
-    assert root.children == ()
+    assert root[CHILDREN] == ()
 
 
 def test_link_refused_when_parent_is_two_folds_deep():
@@ -269,7 +279,7 @@ def test_link_refused_when_parent_is_two_folds_deep():
     assert m.left == 0
     assert not any(line.startswith("LINK") for line in dump_log(m))
     m.emit_capture(2)
-    assert m.commit(TxMark(0, None), SRC).children == ()
+    assert m.commit(TxMark(0, None), SRC)[CHILDREN] == ()
 
 
 def test_link_accepted_when_a_constructor_breaks_the_fold_chain():
@@ -285,7 +295,7 @@ def test_link_accepted_when_a_constructor_breaks_the_fold_chain():
     close_link(m, parent)
     assert dump_log(m)[-1] == "LINK v0 <- v3"
     root = m.commit(TxMark(0, None), SRC)
-    assert serialize(root) == "#tree[#tree[#token['12']]]"
+    assert serialize(view(root)) == "#tree[#tree[#token['12']]]"
 
 
 def test_link_accepted_after_aborting_a_refused_cycle():
@@ -303,7 +313,7 @@ def test_link_accepted_after_aborting_a_refused_cycle():
     close_link(m, parent)
     assert dump_log(m) == ["NEW v0 @0", "NEW v2 @0", "CAPTURE v2 @2", "LINK v0 <- v2"]
     m.emit_capture(5)
-    assert serialize(m.commit(TxMark(0, None), SRC)) == "#tree[#token['12']]"
+    assert serialize(view(m.commit(TxMark(0, None), SRC))) == "#tree[#token['12']]"
 
 
 def test_commit_replays_only_since_mark():
@@ -315,7 +325,7 @@ def test_commit_replays_only_since_mark():
     m.emit_tag("Inner")
     m.emit_capture(2)
     node = m.commit(mark, SRC)
-    assert serialize(node) == "#Inner['2']"
+    assert serialize(view(node)) == "#Inner['2']"
     # the outer NEW is still pending
     assert dump_log(m) == ["NEW v0 @0"]
     close_link(m, parent)  # the committed node links as a materialized child
@@ -335,38 +345,38 @@ def test_commit_is_pure_over_the_entry_range():
         close_link(m, parent)
         m.emit_tag("B")
         m.emit_capture(5)
-        return serialize(m.commit(mark, SRC))
+        return serialize(view(m.commit(mark, SRC)))
 
     assert run() == run() == "#B[#A['12']]"
 
 
 def test_materialized_node_is_never_a_mutation_target():
     m = Machine()
-    m.left = Node("done", 0, 1, SRC)
+    m.left = record("done", 0, 1)
     with pytest.raises(InternalParserError):
         m.emit_tag("X")
     with pytest.raises(InternalParserError):
         m.emit_capture(1)
     m2 = Machine()
-    parent = m2.left = Node("done", 0, 1, SRC)
+    parent = m2.left = record("done", 0, 1)
     m2.emit_new(1)
     m2.emit_capture(2)
     with pytest.raises(InternalParserError):
         m2.emit_link(parent, m2.left, None)
     with pytest.raises(InternalParserError):  # a materialized child too
-        m2.emit_link(parent, Node("memo", 1, 2, SRC), 0)
+        m2.emit_link(parent, record("memo", 1, 2), 0)
 
 
 def test_materialized_children_allowed_in_links():
     m = Machine()
-    done = Node("memo", 0, 2, SRC)
+    done = record("memo", 0, 2)
     mark = m.save()
     m.emit_new(0)
     m.emit_link(m.left, done, None)
     assert m.left == 0  # a link leaves the register to its caller
     m.emit_capture(5)
     node = m.commit(mark, SRC)
-    assert node.children == (done,)
+    assert node[CHILDREN][0] is done and len(node[CHILDREN]) == 1
 
 
 def test_dangling_vid_is_an_internal_error():
@@ -431,8 +441,8 @@ def test_a_local_fold_over_a_virtual_id_logs_its_links_tag_and_capture():
     m = Machine()
     m.emit_new(0)
     m.emit_capture(2)  # v0: a lazily built first child
-    one, two = Node("d", 3, 4, SRC), Node("d", 4, 5, SRC)
-    m.emit_local_fold(2, 5, "Add", [one, (0, two)])
+    one, two = record("d", 3, 4), record("d", 4, 5)
+    m.emit_local_fold(2, 5, "Add", [one, [0, two]])
     assert dump_log(m)[2:] == [
         "FOLD v1 <- v0 @2",
         "LINK v1 <- <d>",
@@ -442,15 +452,15 @@ def test_a_local_fold_over_a_virtual_id_logs_its_links_tag_and_capture():
     ]
     root = m.commit(TxMark(0, None), SRC)
     # the indexed link replaced the first child, as a commit replays it
-    assert serialize(root) == "#Add[#d['4'] #d['3']]"
-    assert (root.start, root.end) == (2, 5)
+    assert serialize(view(root)) == "#Add[#d['4'] #d['3']]"
+    assert (root[START], root[END]) == (2, 5)
 
 
 def test_place_links_puts_indexed_links_and_drops_gaps():
-    first, a, b, c = (Node("d", i, i + 1, SRC) for i in range(4))
+    first, a, b, c = (record("d", i, i + 1) for i in range(4))
     assert machine.place_links(first, [a, b]) == (first, a, b)
-    assert machine.place_links(None, [(3, a), (1, b), (3, c)]) == (b, c)
-    assert machine.place_links(first, [a, (0, b)]) == (b, a)
+    assert machine.place_links(None, [[3, a], [1, b], [3, c]]) == (b, c)
+    assert machine.place_links(first, [a, [0, b]]) == (b, a)
 
 
 def gap_list_placement(first, links):
@@ -460,7 +470,7 @@ def gap_list_placement(first, links):
     gap = object()
     children = [] if first is None else [first]
     for link in links:
-        if type(link) is tuple:
+        if type(link) is list:
             index, child = link
             if len(children) <= index:
                 children.extend([gap] * (index + 1 - len(children)))
@@ -472,20 +482,20 @@ def gap_list_placement(first, links):
 
 def test_place_links_follows_the_gap_list_rule():
     rng = random.Random(16)
-    nodes = [Node("d", i, i + 1, SRC) for i in range(5)]
+    nodes = [record("d", i, i + 1) for i in range(5)]
     seen = {"first overwritten": 0, "append after an index": 0, "overwrite": 0}
     for _ in range(3000):
         first = rng.choice((None, nodes[0]))
         links = [
-            rng.choice(nodes) if rng.random() < 0.4 else (rng.randint(0, 5), rng.choice(nodes))
+            rng.choice(nodes) if rng.random() < 0.4 else [rng.randint(0, 5), rng.choice(nodes)]
             for _ in range(rng.randint(0, 7))
         ]
         assert machine.place_links(first, links) == gap_list_placement(first, links)
-        indexes = [link[0] for link in links if type(link) is tuple]
+        indexes = [link[0] for link in links if type(link) is list]
         seen["first overwritten"] += first is not None and 0 in indexes
         seen["overwrite"] += len(set(indexes)) < len(indexes)
         seen["append after an index"] += any(
-            type(a) is tuple and type(b) is not tuple for a, b in zip(links, links[1:])
+            type(a) is list and type(b) is not list for a, b in zip(links, links[1:])
         )
     assert min(seen.values()) > 100, seen
 

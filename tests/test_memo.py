@@ -5,7 +5,7 @@ import pytest
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseSession, StepLimitExceeded
 from pegfold.memo import FAILED, MemoEntry, MemoTable
-from pegfold.tree import serialize
+from pegfold.tree import equals, serialize
 
 from corpus import engine_outcome, oracle_outcome
 
@@ -115,7 +115,18 @@ def test_second_alternative_hits_and_reuses_node():
         if row is not None and row[1][0] is not None
     ]
     assert len(stored) == 1
-    assert stored[0].node is result.root.children[0]  # the very same object
+    assert stored[0].node is result.root._record[4][0]  # the very same record
+
+
+def test_a_hit_at_a_second_place_shows_as_a_second_node():
+    # The hit re-attaches the first E's record, so one record sits at both
+    # places; each place reads it through a view of its own.
+    result, _ = run("S = { #S @E @E }\nE = { #E }", b"")
+    first, second = result.root.children
+    assert result.stats.memo_hits == 1 and result.stats.nodes_in_result == 2
+    assert first._record is second._record
+    assert first is not second and first != second and equals(first, second)
+    assert serialize(result.root) == "#S[#E[''] #E['']]"
 
 
 def test_hit_failure_fails_immediately():
@@ -217,6 +228,6 @@ def test_a_link_point_at_a_lazy_level_replays_the_stored_node(text, data, expect
     ]
     stored = [entry.node for entry in entries if entry is not None and entry.node is not None]
     assert len(stored) == hits
-    assert all(any(node is child for child in result.root.children) for node in stored)
+    assert all(any(node is child for child in result.root._record[4]) for node in stored)
     assert engine_outcome(grammar, data, memo=True) == oracle_outcome(grammar, data)
     assert engine_outcome(grammar, data, memo=False) == oracle_outcome(grammar, data)

@@ -249,8 +249,8 @@ def test_stats_count_reachable_nodes_on_first_read(monkeypatch):
     serialize(result.root)
     assert calls == []
     stats = result.stats
-    assert result.stats is stats and calls == [result.root]
-    assert stats.nodes_in_result == count_reachable(result.root) == 11
+    assert result.stats is stats and calls == [result.root._record]
+    assert stats.nodes_in_result == count_reachable(result.root._record) == 11
 
 
 def test_stats_read_late_equal_a_direct_count():
@@ -261,7 +261,7 @@ def test_stats_read_late_equal_a_direct_count():
                 result = session.parse()
             except (ParseError, StepLimitExceeded):
                 continue
-            reachable = pegfold.interp._count_reachable(result.root)
+            reachable = pegfold.interp._count_reachable(result.root._record)
             assert result.stats.nodes_in_result == reachable
             assert result.stats.nodes_unused == result.stats.nodes_created - reachable
 

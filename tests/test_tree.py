@@ -6,15 +6,18 @@ import gc
 import json
 import pickle
 import random
+import sys
+import threading
 import weakref
 
 import pytest
 from corpus import ENGINE_STEPS, benchmark_grammars, make_corpus
 
 import pegfold
+import pegfold.cli
 import pegfold.tree
 from pegfold.grammar import parse_grammar
-from pegfold.interp import ParseError, ParseSession, StepLimitExceeded
+from pegfold.interp import ParseError, ParseResult, ParseSession, StepLimitExceeded
 from pegfold.machine import Machine
 from pegfold.tree import (
     Node,
@@ -453,11 +456,6 @@ def test_engine_built_nodes_keep_the_node_contract(monkeypatch):
     assert roots > 100 and nodes > 200 and commits
 
 
-def test_the_slot_record_is_private():
-    assert "_NodeSlots" not in pegfold.__all__ and not hasattr(pegfold, "_NodeSlots")
-    assert "_NodeSlots" not in pegfold.tree.__all__
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -490,3 +488,103 @@ def test_to_json_writes_a_tree_deeper_than_the_recursion_limit():
     text = to_json(tree)
     assert text == reference_dumps(to_json_dict(tree))
     assert text.count('"tag": "add"') == 29_999
+
+
+# -- views over engine records ------------------------------------------------
+
+
+def test_printing_a_parse_makes_one_node(monkeypatch, tmp_path, capsys):
+    # The writers walk the records, so only the root's view is made.
+    views = []
+
+    def counting(record):
+        views.append(record)
+        return view(record)
+
+    view = Node._view
+    monkeypatch.setattr(Node, "_view", staticmethod(counting))
+    grammar_path = tmp_path / "math.peg"
+    grammar_path.write_text(MATH)
+    input_path = tmp_path / "input.txt"
+    input_path.write_bytes(b"(1+2)*3-4/(5+6)")
+    for form in ("sexpr", "json"):
+        views.clear()
+        argv = ["parse", str(grammar_path), str(input_path), "--format", form]
+        assert pegfold.cli.run(argv) == 0
+        assert len(views) == 1, form
+    assert capsys.readouterr().out.count("#Integer") == 6
+    views.clear()
+    text = serialize(ParseSession(parse_grammar(MATH), b"(1+2)*3-4/(5+6)").parse().root)
+    assert len(views) == 1 and text.count("#Integer") == 6
+    views.clear()
+    parse_notation(text)
+    assert len(views) == 1
+
+
+def test_views_mix_with_built_nodes():
+    result = ParseSession(parse_grammar(MATH), b"1+2*3").parse()
+    root = result.root
+    assert result.root is root and root.children[0] is root.children[0]
+    assert root.children[1].children[1].text == b"3" and not root.is_leaf()
+    # Each record carries its own source: the built node's is empty.
+    mixed = Node("X", 0, 0, b"", (root,))
+    assert mixed.children[0] is root
+    text = "#X[#add[#Integer['1'] #mul[#Integer['2'] #Integer['3']]]]"
+    assert serialize(mixed) == text
+    assert to_json(mixed) == json.dumps(to_json_dict(mixed))
+    assert to_json_dict(mixed)["children"][0] == to_json_dict(root)
+    assert equals(mixed, parse_notation(text)) and not equals(mixed, root)
+    twin = pickle.loads(pickle.dumps(mixed))
+    assert serialize(twin) == text and twin.children[0].source == b"1+2*3"
+
+
+def test_views_of_a_deep_fold_chain_walk_with_an_explicit_stack():
+    root = flat_sum()
+    nodes = leaves = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        leaves += node.is_leaf()
+        stack.extend(node.children)
+    assert (nodes, leaves) == (59_999, 30_000)
+    spine = root
+    while spine.children:
+        spine = spine.children[0]
+    assert spine.text == b"1" and spine.start == 0
+
+
+def test_threads_reading_fresh_views_share_one_value():
+    # A view makes its children, and a result its root, on first read;
+    # threads that read one at once must all get the value it keeps.
+    result = ParseSession(parse_grammar(MATH), b"+".join([b"(1+2)*3"] * 400)).parse()
+    views = []
+    stack = [result.root]
+    while stack:  # each inner view, its children not yet read
+        node = stack.pop()
+        if not node.is_leaf():
+            views.append(node)
+            stack.extend(Node._view(child) for child in node._record[4])
+    results = [ParseResult(result._record, result.consumed, result._run) for _ in range(10_000)]
+    seen = [[] for _ in range(4)]
+    barrier = threading.Barrier(len(seen))
+
+    def read(into):
+        barrier.wait(timeout=10)
+        into.extend(view.children for view in views)
+        into.extend(fresh.root for fresh in results)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=(into,)) for into in seen]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(len(into) == len(views) + len(results) > 11_000 for into in seen)
+    for got in zip(*seen):
+        assert all(value is got[0] for value in got)
