@@ -68,6 +68,16 @@ def test_benchmark_modules_are_pinned():
     )
 
 
+def test_a_corpus_slice_of_modules_is_pinned():
+    # One seed of the corpus's grammars, in every setting: a drift in any
+    # analysis that feeds the emitter changes this digest.
+    assert module_digest(seeds=range(100, 101), pairs=200) == (
+        "eb1aea0e0f04c0baaf483c18d7e1e2729b253008beb03e3156ce46ffe56ae6f5",
+        "ff1142e16ce03bf4dd0b60926b637e441cbc6d2a838fc13f5a8cdd4711d08df0",
+        560,
+    )
+
+
 @pytest.mark.parametrize("build_ast, memo", SETTINGS)
 def test_bare_modules_count_nothing(build_ast, memo):
     # Instrumentation is free when off: the module a parse runs by default
