@@ -1,5 +1,5 @@
 """Static analyses over grammars: validation, memo points, eager constructors,
-transactions, lead masks.
+and the facts the emitter reads (savepoints, logging, lead masks).
 
 ``validate`` reports:
 
@@ -37,50 +37,71 @@ change once they close and nothing but their own level changes before:
 the engine keeps such a node's tag and children in a record of its own
 and builds the node as it closes.
 
-``never_logs`` says which expressions, run outside an eager constructor's
-level, can change nothing of the machine but its left register: they
-append no log entry.
+Every analysis reads one fact table.  It gives each expression of a
+grammar a word of bits, and each production the word of its body, which
+every call of it reads.  A rule per expression kind fills an expression's
+word from its subexpressions' words and, for a call, the callee's; one
+loop (``_settle``) runs a rule bottom-up over each production body, the
+productions taken callees first, and again over the callers of each
+production whose word changed, which only a cycle of calls can bring
+round: one least fixpoint for every bit, as Ford's well-formedness
+analysis of PEGs (POPL 2004) computes its outcome facts.  Two rules fill
+the words, one per group of bits:
 
-``transactions`` says which attempts a rollback can find work after, so
-the engine opens a savepoint only around those.  An expression *builds*
-when it can leave the machine, or the record of the eager constructor it
-runs in, changed: it reaches a tree operator outside a predicate, which
-drops what its body did.  It is *dirty* when it can fail after having
-changed them, a per-production least fixpoint: a sequence is dirty when
-an item is, or when an earlier item builds and a later one can fail; a
-choice when its last alternative is (the others run under savepoints when
-dirty); a lazy constructor when its body can fail after it opened the
-node; a link when its body is, unless it is a memoized ``@Name``, which
-takes its own savepoint, or runs at an eager constructor's level, where
-it restores the machine itself.  Options, loops, predicates and eager
-constructors never fail with work left behind.
+* ``_fill``, at ``validate``, once per grammar (``_facts``), needs no
+  setting.  Can the expression succeed empty, fail, succeed, succeed
+  keeping the outer node?  Does it reach a tree operator, build outside
+  predicates, hold a ``#tag``?  Can it *touch* the node in the register,
+  tagging it or linking a child into it outside any ``{ }``/``{@ }``?  Can
+  it *mutate* the outer node, touching it or folding it away while that
+  node is still in the register?  Does it hold a ``{@ }``?
+* ``_fill_setting``, once per compile (``compiled_facts``), reads the
+  grammar that runs in one setting, its eager constructors and its
+  memoized links.  It adds the expression's lead mask, and whether it is
+  dirty and whether it logs, each run outside an eager constructor's level
+  and at one.
 
-``lead_masks`` gives each expression a *lead mask*, an int with bit ``b``
-set when its first consumed byte can be ``b`` (a FIRST set, as in
-Redziejowski, "Applying Classical Concepts to Parsing Expression Grammar",
-2009), or ``None`` when it can succeed empty or a ``&``/``!`` can run
-before that byte.  Where the next byte is not in the mask, or the input
-has ended, the expression fails where it starts, backtracking nothing.
-Tree operators leave masks alone, so erasing them keeps a body's mask.
+The emitter reads the compiled table, and only of expressions it holds.
 
-Every analysis reads one fact table, computed once per grammar and kept
-with it (``_facts``).  It gives each expression a word of flags: can it
-succeed empty, fail, succeed, succeed keeping the outer node, reach a tree
-operator, build outside predicates, hold a ``#tag``.  One rule per
-expression kind (``_fill``) fills it in one bottom-up pass over each
-production body, the productions taken callees first; the pass repeats
-for the productions whose callees' words changed, to one least fixpoint
-for every flag, as Ford's well-formedness analysis of PEGs (POPL 2004)
-computes its outcome facts.  The facts that depend on the eager
-constructors or the memoized links are least fixpoints of their own
-(``_least_fixpoint``) or closures over call edges (``_spread``).
+An expression *builds* when it can leave the machine, or the record of the
+eager constructor it runs in, changed: it reaches a tree operator outside
+a predicate, which drops what its body did.  It is *dirty* when it can
+fail after having changed them: a sequence is dirty when an item is, or
+when an earlier item builds and a later one can fail; a choice when its
+last alternative is (the others run under savepoints when dirty); a lazy
+constructor when its body can fail after it opened the node; a link when
+its body is, unless it is a memoized ``@Name``, which takes its own
+savepoint, or runs at an eager constructor's level, where it restores the
+machine itself.  Options, loops, predicates and eager constructors never
+fail with work left behind.  So only the attempts a rollback can find work
+after need a savepoint.
+
+An expression *logs* when it can append a log entry: it reaches a lazy
+tree operator, a ``#t`` or ``@e`` that runs outside an eager constructor's
+level, or a call of a *loud* production.  A production is loud when its
+body logs or can mutate the node it starts with, since an eager ``{@ }``
+that finds a virtual id in the register logs its node; one that is not
+*never logs*, and every fold in it finds a node that an eager constructor
+built.  Run outside an eager constructor's level, an expression changes
+nothing of the machine but its left register, and is *quiet*, when it
+neither logs nor holds a ``{@ }`` of its own, which might find a node
+still being logged.
+
+The *lead mask* of an expression is an int with bit ``b`` set when its
+first consumed byte can be ``b`` (a FIRST set, as in Redziejowski,
+"Applying Classical Concepts to Parsing Expression Grammar", 2009), or
+``None`` when it can succeed empty or a ``&``/``!`` can run before that
+byte.  Where the next byte is not in the mask, or the input has ended, the
+expression fails where it starts, backtracking nothing.  Tree operators
+leave masks alone, so erasing them keeps a body's mask.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .expr import (
     And,
@@ -100,7 +121,6 @@ from .expr import (
     Tag,
     Terminal,
     ZeroOrMore,
-    sequence,
     subexpressions,
 )
 from .grammar import Diagnostic, Grammar
@@ -111,17 +131,12 @@ __all__ = [
     "assign_memo_points",
     "eager_constructors",
     "untagged",
-    "never_logs",
-    "Transactions",
-    "transactions",
-    "lead_masks",
+    "compiled_facts",
 ]
-
-_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
-# Walks and the fixpoints they feed.
+# Walks and call edges.
 
 
 def _walk(e: Expression) -> list[Expression]:
@@ -138,9 +153,9 @@ def _walk(e: Expression) -> list[Expression]:
 def _runs(grammar: Grammar, flags: dict[int, int], passes: int, live=False) -> dict[str, list]:
     """Per production, the subexpressions of its body that can run, not entering calls.
 
-    A sequence item runs only if every earlier item has the flag ``passes``
-    (with ``passes`` 0, every item runs).  With ``live``, constructor bodies
-    are skipped as well (see ``_facts``).
+    A sequence item runs only if every earlier item has the flag ``passes``.
+    With ``live``, constructor bodies are skipped as well: what is left runs
+    while the outer node is in the register.
     """
     runs = {}
     for name, body in grammar.productions.items():
@@ -152,7 +167,7 @@ def _runs(grammar: Grammar, flags: dict[int, int], passes: int, live=False) -> d
             if isinstance(x, Sequence):
                 for item in x.items:
                     todo.append(item)
-                    if passes and not flags[id(item)] & passes:
+                    if not flags[id(item)] & passes:
                         break
             elif not (live and isinstance(x, (New, LeftFold))):
                 todo.extend(subexpressions(x))
@@ -180,25 +195,6 @@ def _spread(seeds: set[str], edges: Mapping[str, set[str]]) -> set[str]:
     return seen
 
 
-def _least_fixpoint(
-    per_production: Mapping[str, _T], holds: Callable[[_T, dict[str, bool]], bool]
-) -> dict[str, bool]:
-    """Least fixpoint of ``holds(per_production[name], facts)`` per production.
-
-    ``holds`` must be monotone in ``facts`` and read a name without a
-    production as false.
-    """
-    facts = {name: False for name in per_production}
-    changed = True
-    while changed:
-        changed = False
-        for name, value in per_production.items():
-            if not facts[name] and holds(value, facts):
-                facts[name] = True
-                changed = True
-    return facts
-
-
 def _callees_first(calls: Mapping[str, set[str]]) -> list[str]:
     """The productions in an order where each comes after the ones it calls,
     but where a cycle of calls forces otherwise: a depth-first postorder."""
@@ -219,12 +215,14 @@ def _callees_first(calls: Mapping[str, set[str]]) -> list[str]:
 # ---------------------------------------------------------------------------
 # The fact table.
 #
-# Every expression of a grammar has one flag word: what its evaluation can
-# do, as far as the analyses ask.  A production's word is its body's, read
-# by each call of it.  ``_fill`` holds the one rule per expression kind; the
-# analyses run at every compile, so it uses plain isinstance tests, not a
-# match statement, whose class patterns cost set-up time there.
+# Every expression of a grammar has one word of bits: what its evaluation
+# can do, as far as the analyses ask.  A production's word is its body's,
+# read by each call of it.  ``_fill`` and ``_fill_setting`` hold the rules,
+# one per expression kind; they run at every validate and compile, so they
+# use plain isinstance tests, not a match statement, whose class patterns
+# cost set-up time there.
 
+# The bits of ``_fill``, which need no setting.
 _EMPTY = 1  # it can succeed consuming nothing
 _FAILS = 2  # it can fail
 _SUCCEEDS = 4  # it can succeed; constructors, links and predicates always count
@@ -232,25 +230,47 @@ _KEEPS = 8  # it can succeed leaving the outer node in the register
 _REACHES = 16  # it is or holds a tree operator, or calls a production that reaches one
 _BUILDS = 32  # the same outside ``&``/``!``, which drop what their bodies did
 _TAGGED = 64  # it is or holds a ``#tag``, not entering calls
+_TOUCHES = 128  # it can tag or link into the node in the register, outside ``{ }``/``{@ }``
+_MUTATES = 256  # it can touch or fold away the outer node while that is in the register
+_FOLDS = 512  # it is or holds a ``{@ }``, not entering calls
+
+# The bits of ``_fill_setting``, for one compiled setting.
+_DIRTY = 1024  # it can fail after changing the machine or its eager record
+_DIRTY_LOCAL = 2048  # the same, run at an eager constructor's level
+_LOGS_OUT = 4096  # it can append a log entry, run outside an eager constructor's level
+_LOGS_IN = 8192  # the same, run at an eager constructor's level
+_LEAD = 14  # the lead mask takes the bits from here: byte ``b`` at ``_LEAD + b``
+_ANY_BYTE = ((1 << 256) - 1) << _LEAD
+_BLIND = 1 << _LEAD + 256  # a predicate can run before the first byte
+_FIRST = _ANY_BYTE | _BLIND  # the lead mask's bits
 
 _PASSES = _EMPTY | _SUCCEEDS | _KEEPS  # an option's; a sequence's when every item's
-_TREE = _REACHES | _BUILDS | _TAGGED
+_TREE = _REACHES | _BUILDS | _TAGGED | _TOUCHES | _MUTATES | _FOLDS  # an option's from its body
+_OWN = _TAGGED | _FOLDS  # what a call does not take from its callee
 _CONSUMES = _FAILS | _SUCCEEDS | _KEEPS  # a byte test's
+_DIRTIES = _DIRTY | _DIRTY_LOCAL
+_LOGS = _LOGS_OUT | _LOGS_IN
 
 
 def _fill(xs: Iterable[Expression], flags: dict[int, int], words: Mapping[str, int]) -> None:
-    """Enters in ``flags`` the flags of each of ``xs``, which come after their
-    subexpressions, from the subexpressions' entries and, for a call, the
-    callee's word in ``words`` (none: a name without a production)."""
+    """Enters in ``flags`` the bits of ``_fill`` of each of ``xs``, which
+    come after their subexpressions, from the subexpressions' entries and,
+    for a call, the callee's word in ``words`` (none: a name without a
+    production)."""
     for x in xs:
         if isinstance(x, (Sequence, Choice)):
             # A sequence has the flags of ``_PASSES`` that every item has, a
             # choice ``_FAILS`` if every alternative has it; each has every
-            # other flag that some item or alternative has.
-            joint = _PASSES if isinstance(x, Sequence) else _FAILS
+            # other flag that some item or alternative has, but a sequence
+            # mutates the outer node only from items that start with it in
+            # the register.
+            items = isinstance(x, Sequence)
+            joint = _PASSES if items else _FAILS
             every, some = joint, 0
             for c in subexpressions(x):
                 f = flags[id(c)]
+                if items and not every & _KEEPS:
+                    f &= ~_MUTATES
                 every &= f
                 some |= f
             f = every | some & ~joint
@@ -258,8 +278,8 @@ def _fill(xs: Iterable[Expression], flags: dict[int, int], words: Mapping[str, i
             f = _CONSUMES
         elif isinstance(x, Nonterminal):
             # It builds where the callee reaches a tree operator, even inside
-            # a predicate, and holds none of the callee's tags.
-            f = words.get(x.name, 0) & ~_TAGGED
+            # a predicate, and holds none of the callee's tags and folds.
+            f = words.get(x.name, 0) & ~_OWN
             if f & _REACHES:
                 f |= _BUILDS
         elif isinstance(x, (Option, ZeroOrMore)):
@@ -268,15 +288,21 @@ def _fill(xs: Iterable[Expression], flags: dict[int, int], words: Mapping[str, i
             f = flags[id(x.body)]
         elif isinstance(x, (New, LeftFold, Link)):
             # It succeeds whatever its body does; a constructor leaves a
-            # fresh node in the register, a link the outer one.
-            f = flags[id(x.body)] & (_EMPTY | _FAILS | _TAGGED) | _SUCCEEDS | _REACHES | _BUILDS
+            # fresh node in the register, a link the outer one, into which it
+            # links what its body built.
+            body = flags[id(x.body)]
+            f = body & (_EMPTY | _FAILS | _OWN) | _SUCCEEDS | _REACHES | _BUILDS
             if isinstance(x, Link):
                 f |= _KEEPS
+                if body & _REACHES:
+                    f |= _TOUCHES | _MUTATES
+            elif isinstance(x, LeftFold):
+                f |= _MUTATES | _FOLDS
         elif isinstance(x, Tag):
-            f = _PASSES | _TREE
+            f = _PASSES | _TREE & ~_FOLDS
         elif isinstance(x, (And, Not)):
             body = flags[id(x.body)]
-            f = _PASSES | body & (_REACHES | _TAGGED)
+            f = _PASSES | body & _TREE & ~_BUILDS
             f |= body & _FAILS if isinstance(x, And) else _FAILS  # ``!e`` may always fail
         elif isinstance(x, Empty):
             f = _PASSES
@@ -285,90 +311,181 @@ def _fill(xs: Iterable[Expression], flags: dict[int, int], words: Mapping[str, i
         flags[id(x)] = f
 
 
-class _Facts(NamedTuple):
-    """What the analyses share, computed once per grammar (``_facts``).
+def _fill_setting(
+    xs: Iterable[Expression],
+    flags: dict[int, int],
+    words: Mapping[str, int],
+    base: Mapping[int, int],
+    eager: frozenset[int],
+    memo_links: Collection[str],
+) -> None:
+    """Enters in ``flags`` the word of each of ``xs``, which come after their
+    subexpressions: its word in ``base``, a ``_fill`` table, with the bits
+    of ``_fill_setting`` and the lead mask, from the subexpressions' entries
+    and, for a call, the callee's word in ``words``.  ``eager`` and
+    ``memo_links`` are as for ``compiled_facts``."""
+    for x in xs:
+        f = base[id(x)]
+        if isinstance(x, Sequence):
+            # Its first byte is that of the items up to the first that
+            # cannot succeed empty.
+            built = 0
+            lead = True
+            for item in x.items:
+                c = flags[id(item)]
+                f |= c & (_DIRTIES | _LOGS)
+                if built and c & _FAILS:
+                    f |= _DIRTIES
+                built |= c & _BUILDS
+                if lead:
+                    f |= c & _FIRST
+                    lead = c & _EMPTY
+        elif isinstance(x, Choice):
+            for a in x.alternatives:
+                f |= flags[id(a)] & (_LOGS | _FIRST)
+            f |= flags[id(x.alternatives[-1])] & _DIRTIES
+        elif isinstance(x, Terminal):
+            f |= 1 << _LEAD + x.text[0]
+        elif isinstance(x, Nonterminal):
+            callee = words.get(x.name, 0)
+            f |= callee & _FIRST
+            if callee & _DIRTY:
+                f |= _DIRTIES
+            if callee & (_LOGS_OUT | _MUTATES):  # a loud production
+                f |= _LOGS
+        elif isinstance(x, (Option, ZeroOrMore)):
+            f |= flags[id(x.body)] & (_LOGS | _FIRST)
+        elif isinstance(x, OneOrMore):
+            f |= flags[id(x.body)] & (_DIRTIES | _LOGS | _FIRST)
+        elif isinstance(x, (New, LeftFold)):
+            body = flags[id(x.body)]
+            f |= body & _FIRST
+            if id(x) not in eager:
+                f |= _LOGS
+                if body & _FAILS:
+                    f |= _DIRTIES
+            elif body & _LOGS_IN:
+                f |= _LOGS
+        elif isinstance(x, Link):
+            body = flags[id(x.body)]
+            f |= body & _FIRST | _LOGS_OUT
+            if body & _LOGS_OUT:
+                f |= _LOGS_IN
+            # At an eager constructor's level a link restores the machine
+            # itself; a memoized one takes its own savepoint.
+            memoized = isinstance(x.body, Nonterminal) and x.body.name in memo_links
+            if body & _DIRTY and not memoized:
+                f |= _DIRTY
+        elif isinstance(x, CharClass):
+            for lo, hi in x.ranges:
+                f |= (1 << _LEAD + hi + 1) - (1 << _LEAD + lo)
+        elif isinstance(x, Tag):
+            f |= _LOGS_OUT
+        elif isinstance(x, (And, Not)):
+            f |= _BLIND
+            if flags[id(x.body)] & _LOGS_OUT:
+                f |= _LOGS
+        elif isinstance(x, AnyChar):
+            f |= _ANY_BYTE
+        flags[id(x)] = f
 
-    ``walks``: each production body's ``_walk``.  ``flags``: the flag word
-    of every expression in them, by ``id``.  ``words``: each production's
-    word, its body's.  ``live``: per production, the subexpressions that
-    run while the outer node is in the register.  ``mutates``: can the
-    production mutate the outer node?
+
+class _Facts(NamedTuple):
+    """A grammar's fact table.
+
+    ``walks``: each production body's ``_walk``.  ``order`` and ``callers``:
+    the productions callees first, and each one's callers.  ``flags``: the
+    word of every expression in the walks, by ``id``.  ``words``: each
+    production's word, its body's.  ``_facts`` fills the bits of ``_fill``;
+    ``compiled_facts`` all of them, which ``dirty``, ``quiet`` and ``lead``
+    read.
     """
 
     walks: dict[str, list[Expression]]
+    order: list[str]
+    callers: dict[str, list[str]]
     flags: dict[int, int]
     words: dict[str, int]
-    live: dict[str, list[Expression]]
-    mutates: dict[str, bool]
 
-    def of(self, e: Expression) -> int:
-        """``e``'s flags: its entry, or, for an expression not in the table
-        (one made after the analysis, whose ``id`` a later one may reuse),
-        the rule over its subexpressions' entries, kept nowhere."""
-        f = self.flags.get(id(e))
-        if f is None:
-            own = {id(x): self.flags[id(x)] for x in subexpressions(e)}
-            _fill((e,), own, self.words)
-            f = own[id(e)]
-        return f
+    def builds(self, e: Expression) -> bool:
+        """Can ``e`` change the machine, or the record of the eager
+        constructor it runs in?"""
+        return bool(self.flags[id(e)] & _BUILDS)
 
+    def nullable(self, e: Expression) -> bool:
+        """Can ``e`` succeed consuming nothing?"""
+        return bool(self.flags[id(e)] & _EMPTY)
 
-# ---------------------------------------------------------------------------
-# Left-register facts.
-#
-# The outer node is whatever node (or no node) is in the left register when
-# an expression starts.  A production is memo-safe when no evaluation can
-# mutate it: tagging it, folding it away, or linking a child into it.  Any
-# of those would smuggle a context dependency into a stored result (and,
-# transactionally, a reference that cannot be replayed inside the stored
-# region).  ``{ }`` and ``{@ }`` leave a fresh node in the register, so only
-# the live subexpressions -- those that run while the outer node is still
-# there -- can mutate it.
+    def dirty(self, e: Expression, local: bool = False) -> bool:
+        """Can ``e`` fail after changing what ``builds`` says, run at an eager
+        constructor's level if ``local``?"""
+        return bool(self.flags[id(e)] & (_DIRTY_LOCAL if local else _DIRTY))
+
+    def quiet(self, e: Expression) -> bool:
+        """Run outside an eager constructor's level, does ``e`` change
+        nothing of the machine but its left register?"""
+        return not self.flags[id(e)] & (_LOGS_OUT | _FOLDS)
+
+    def lead(self, e: Expression) -> int | None:
+        """``e``'s lead mask."""
+        f = self.flags[id(e)]
+        return None if f & (_EMPTY | _BLIND) else f >> _LEAD
 
 
-def _mutates_outer(x: Expression, mutates: dict[str, bool], flags: dict[int, int]) -> bool:
-    """Does the live subexpression ``x`` tag, fold away or link into the outer node?"""
-    if isinstance(x, Nonterminal):
-        return mutates.get(x.name, False)
-    if isinstance(x, Link):
-        return bool(flags[id(x.body)] & _REACHES)
-    return isinstance(x, (Tag, LeftFold))
+def _settle(
+    walks: dict[str, list[Expression]],
+    order: list[str],
+    callers: dict[str, list[str]],
+    fill: Callable[[Iterable[Expression], dict[int, int], dict[str, int]], None],
+) -> tuple[dict[int, int], dict[str, int]]:
+    """The flags and words that the rule ``fill`` gives, from one bottom-up
+    pass over each body's reversed walk, the productions taken in ``order``.
+    A production whose word changes puts its callers back in the pass, which
+    only a cycle of calls can bring round again: one least fixpoint for
+    every bit."""
+    flags: dict[int, int] = {}
+    words = dict.fromkeys(walks, 0)
+    pending = set(order)
+    while pending:
+        for name in [name for name in order if name in pending]:
+            pending.discard(name)
+            walk = walks[name]
+            fill(reversed(walk), flags, words)
+            f = flags[id(walk[0])]
+            if f != words[name]:
+                words[name] = f
+                pending.update(callers[name])
+    return flags, words
 
 
 def _facts(grammar: Grammar) -> _Facts:
-    """The grammar's ``_Facts``, computed on first use and kept with it.
-
-    The flags come from one bottom-up pass over each body's reversed
-    ``_walk``, the productions taken callees first.  A production whose
-    word changes puts its callers back in the pass, which only a cycle of
-    calls can bring round again: one least fixpoint for every flag.
-    """
+    """The grammar's table of ``_fill`` bits, computed on first use and kept
+    with it."""
     if grammar._facts is None:
-        productions = grammar.productions
-        walks = {name: _walk(body) for name, body in productions.items()}
+        walks = {name: _walk(body) for name, body in grammar.productions.items()}
         calls = _call_edges(walks)
-        callers: dict[str, list[str]] = {name: [] for name in productions}
+        callers: dict[str, list[str]] = {name: [] for name in walks}
         for name, callees in calls.items():
             for callee in callees:
                 callers[callee].append(name)
         order = _callees_first(calls)
-        flags: dict[int, int] = {}
-        words = dict.fromkeys(productions, 0)
-        pending = set(order)
-        while pending:
-            for name in [name for name in order if name in pending]:
-                pending.discard(name)
-                _fill(reversed(walks[name]), flags, words)
-                f = flags[id(productions[name])]
-                if f != words[name]:
-                    words[name] = f
-                    pending.update(callers[name])
-        live = _runs(grammar, flags, _KEEPS, live=True)
-        mutates = _least_fixpoint(
-            live, lambda xs, known: any(_mutates_outer(x, known, flags) for x in xs)
-        )
-        grammar._facts = _Facts(walks, flags, words, live, mutates)
+        grammar._facts = _Facts(walks, order, callers, *_settle(walks, order, callers, _fill))
     return grammar._facts
+
+
+def compiled_facts(
+    grammar: Grammar, eager: frozenset[int], memo_links: Collection[str]
+) -> _Facts:
+    """The fact table of ``grammar`` as compiled with ``eager`` constructors
+    and the ``@Name`` links memoized for each name in ``memo_links``: every
+    bit, and the lead masks (see the module docstring).
+
+    Expects a grammar that validates without errors.
+    """
+    facts = _facts(grammar)
+    fill = functools.partial(_fill_setting, base=facts.flags, eager=eager, memo_links=memo_links)
+    flags, words = _settle(facts.walks, facts.order, facts.callers, fill)
+    return facts._replace(flags=flags, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +502,7 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
 
     productions = grammar.productions
     facts = _facts(grammar)
-    nodes, flags, live = facts.walks, facts.flags, facts.live
+    nodes, flags = facts.walks, facts.flags
     for name, xs in nodes.items():
         refs = {x.name for x in xs if isinstance(x, Nonterminal)}
         for ref in sorted(refs - set(productions)):
@@ -413,8 +530,12 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
 
     # Tags that may run with no node under construction: live tags, taken
     # from the start symbol.  A production that does not run from it, nor
-    # from an earlier such root, is checked on its own as a root.
+    # from an earlier such root, is checked on its own as a root.  A live
+    # tag mutates the outer node.
     warned: set[str] = set()
+    live = {}
+    if any(word & _MUTATES for word in facts.words.values()):
+        live = _runs(grammar, flags, _KEEPS, live=True)
     tagging = {name for name, xs in live.items() if any(isinstance(x, Tag) for x in xs)}
     if tagging:  # only a live tag can run with no node under construction
         calls = _call_edges(_runs(grammar, flags, _SUCCEEDS))
@@ -493,7 +614,7 @@ def assign_memo_points(grammar: Grammar) -> MemoPlan:
     link_points: dict[str, int] = {}
     next_id = 0
     for name in link_names:
-        if name not in disabled_links and not facts.mutates[name]:
+        if name not in disabled_links and not facts.words[name] & _MUTATES:
             link_points[name] = next_id
             next_id += 1
 
@@ -516,11 +637,11 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
     Such a constructor is *final*: nothing can change its node once it
     closes.  Up to the nearest enclosing ``@``, which restores the parent,
     the closed node stays in the left register.  It is not final if on the
-    way there is a later sequence item that can run a ``#tag`` or a
-    node-building ``@e`` outside a constructor body (``touches``), an
-    enclosing ``{ }``/``{@ }`` (its capture would target the node), an
-    enclosing ``&``/``!`` (its work is thrown away), or an enclosing
-    ``*``/``+`` whose body touches or can succeed empty; past the
+    way there is a later sequence item that can touch the node in the
+    register (run a ``#tag`` or a node-building ``@e`` outside a constructor
+    body), an enclosing ``{ }``/``{@ }`` (its capture would target the
+    node), an enclosing ``&``/``!`` (its work is thrown away), or an
+    enclosing ``*``/``+`` whose body touches or can succeed empty; past the
     production root, if some call site of the production is not final.
 
     It is also *local*: everything that can change its node happens at its
@@ -531,46 +652,14 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
     its level targets the node, a link there receives a finished child,
     and nothing else touches it.
 
-    One pass down each body and two closures over call edges: linear in
-    the grammar's size.  An expression used in several places is eager
-    only if every use is.
+    One pass down each body and a closure over call edges: linear in the
+    grammar's size.  An expression used in several places is eager only if
+    every use is.
     """
     facts = _facts(grammar)
-    flags, words, mutates = facts.flags, facts.words, facts.mutates
+    flags, words = facts.flags, facts.words
     if not any(f & _REACHES for f in words.values()):
         return frozenset()  # no tree operator at all
-
-    # Productions that touch the node in the register: the reverse closure,
-    # over calls made outside constructor bodies, of those that tag or link
-    # there themselves.  A link whose body builds nothing touches nothing.
-    direct: set[str] = set()
-    callers: dict[str, set[str]] = {}
-    for name, xs in _runs(grammar, flags, 0, live=True).items():
-        for x in xs:
-            if isinstance(x, Tag) or isinstance(x, Link) and flags[id(x.body)] & _REACHES:
-                direct.add(name)
-            elif isinstance(x, Nonterminal):
-                callers.setdefault(x.name, set()).add(name)
-    touching = _spread(direct, callers)
-
-    touched: dict[int, bool] = {}
-
-    def touches(x: Expression) -> bool:
-        key = id(x)
-        known = touched.get(key)
-        if known is None:
-            if isinstance(x, Tag):
-                known = True
-            elif isinstance(x, Link):
-                known = bool(flags[id(x.body)] & _REACHES)
-            elif isinstance(x, Nonterminal):
-                known = x.name in touching
-            elif isinstance(x, (New, LeftFold)):
-                known = False
-            else:
-                known = any(touches(c) for c in subexpressions(x))
-            touched[key] = known
-        return known
 
     # One pass down each body.  ``below``: a reason not to be final met
     # below the production root; ``open_``: no enclosing link, so the
@@ -587,7 +676,7 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
                 later = below
                 for item in reversed(x.items):
                     todo.append((item, later, open_, owner))
-                    later = later or touches(item)
+                    later = later or bool(flags[id(item)] & _TOUCHES)
             elif isinstance(x, (New, LeftFold)):
                 if owner is not None:
                     not_local.add(owner)
@@ -598,13 +687,12 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
                     not_local.add(owner)
                 sites.append((x.name, below, open_, name))
             elif isinstance(x, Link):
-                if owner is not None and not (
-                    isinstance(x.body, Nonterminal) and not mutates.get(x.body.name, True)
-                ):
+                callee = x.body.name if isinstance(x.body, Nonterminal) else None
+                if owner is not None and words.get(callee, _MUTATES) & _MUTATES:
                     not_local.add(owner)
                 todo.append((x.body, False, False, None))
             elif isinstance(x, (ZeroOrMore, OneOrMore)):
-                again = below or touches(x.body) or bool(flags[id(x.body)] & _EMPTY)
+                again = below or bool(flags[id(x.body)] & (_TOUCHES | _EMPTY))
                 todo.append((x.body, again, open_, owner))
             elif isinstance(x, (And, Not)):
                 if owner is not None and flags[id(x.body)] & _REACHES:
@@ -628,209 +716,13 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
     return frozenset(key for key, _, _, _ in constructors if key not in lazy)
 
 
-def untagged(body: Expression) -> tuple[Expression, str | None]:
-    """An eager constructor's ``body`` without a trailing ``#t``, and ``t`` or None.
+def untagged(body: Expression) -> tuple[tuple[Expression, ...], str | None]:
+    """The items of an eager constructor's ``body`` but a trailing ``#t``,
+    and ``t`` or None.
 
     The eager node takes that tag as it is built, so the body runs without it.
     """
     items = body.items if isinstance(body, Sequence) else (body,)
     if isinstance(items[-1], Tag):
-        return sequence(items[:-1]), items[-1].name
-    return body, None
-
-
-def never_logs(grammar: Grammar, eager: frozenset[int]) -> Callable[[Expression], bool]:
-    """Whether an expression, run outside an eager constructor's level, never
-    logs (see the module docstring), with ``eager`` constructors.
-
-    Such an expression reaches no lazy tree operator: every ``{ }`` and
-    ``{@ }`` it runs is eager, every ``#t`` and ``@e`` runs at an eager
-    constructor's level, and every production it calls never logs.  An
-    eager ``{@ }`` that finds a virtual id in the register logs its node,
-    so a production must also leave the node it starts with alone: a fold
-    in it then finds a node that an eager constructor built.  An expression
-    must hold no ``{@ }`` of its own.
-
-    Expects a grammar that validates without errors.
-    """
-    mutates = _facts(grammar).mutates
-
-    def logs_itself(e: Expression, folds: bool) -> tuple[bool, set[str]]:
-        """Does ``e`` log at its own levels (an eager ``{@ }`` only if not
-        ``folds``), and else which productions does it call?"""
-        calls: set[str] = set()
-        todo = [(e, False)]  # each with: does it run at an eager constructor's level?
-        while todo:
-            x, level = todo.pop()
-            if isinstance(x, (New, LeftFold)):
-                if id(x) not in eager or not folds and isinstance(x, LeftFold):
-                    return True, calls
-                todo.append((x.body, True))
-            elif isinstance(x, (Tag, Link)):
-                if not level:
-                    return True, calls
-                if isinstance(x, Link):
-                    todo.append((x.body, False))
-            elif isinstance(x, Nonterminal):
-                calls.add(x.name)
-            elif isinstance(x, (And, Not)):
-                todo.append((x.body, False))
-            else:
-                todo.extend((c, level) for c in subexpressions(x))
-        return False, calls
-
-    direct: set[str] = set()
-    callers: dict[str, set[str]] = {}
-    for name, body in grammar.productions.items():
-        logs, calls = logs_itself(body, True)
-        if logs or mutates[name]:
-            direct.add(name)
-        for callee in calls:
-            callers.setdefault(callee, set()).add(name)
-    loud = _spread(direct, callers)
-
-    def quiet(e: Expression) -> bool:
-        if isinstance(e, Nonterminal):
-            return e.name not in loud
-        logs, calls = logs_itself(e, False)
-        return not logs and loud.isdisjoint(calls)
-
-    return quiet
-
-
-# ---------------------------------------------------------------------------
-# Transactions
-
-
-class Transactions(NamedTuple):
-    """Which attempts need a savepoint (see the module docstring).
-
-    ``builds(e)``: can ``e`` change the machine, or the record of the eager
-    constructor it runs in?  ``dirty(e, local)``: can it fail after
-    changing them, running at an eager constructor's level if ``local``?
-    ``nullable(e)``: can it succeed consuming nothing?
-    """
-
-    builds: Callable[[Expression], bool]
-    dirty: Callable[[Expression, bool], bool]
-    nullable: Callable[[Expression], bool]
-
-
-def transactions(
-    grammar: Grammar, eager: frozenset[int], memo_links: Collection[str]
-) -> Transactions:
-    """Savepoint facts for ``grammar`` as compiled with ``eager`` constructors
-    and the ``@Name`` links memoized for each name in ``memo_links``.
-
-    Expects a grammar that validates without errors.
-    """
-    facts = _facts(grammar)
-    flags, of = facts.flags, facts.of
-
-    def builds(e: Expression) -> bool:
-        return bool(of(e) & _BUILDS)
-
-    def can_be_empty(e: Expression) -> bool:
-        return bool(of(e) & _EMPTY)
-
-    if not any(f & _REACHES for f in facts.words.values()):
-        # no tree operator: nothing changes the machine
-        return Transactions(builds, lambda e, local=False: False, can_be_empty)
-
-    def dirty_in(e: Expression, dirty: dict[str, bool], local: bool = False) -> bool:
-        if isinstance(e, Sequence):
-            built = False
-            for item in e.items:
-                f = flags[id(item)]
-                if dirty_in(item, dirty, local) or built and f & _FAILS:
-                    return True
-                built = built or f & _BUILDS
-            return False
-        if isinstance(e, Nonterminal):
-            return dirty.get(e.name, False)
-        if isinstance(e, Choice):
-            return dirty_in(e.alternatives[-1], dirty, local)
-        if isinstance(e, (New, LeftFold)):
-            return id(e) not in eager and bool(flags[id(e.body)] & _FAILS)
-        if isinstance(e, Link):
-            # At an eager constructor's level a link restores the machine
-            # itself; a memoized one takes its own savepoint.
-            memoized = isinstance(e.body, Nonterminal) and e.body.name in memo_links
-            return not (local or memoized) and dirty_in(e.body, dirty)
-        if isinstance(e, OneOrMore):
-            return dirty_in(e.body, dirty, local)
-        return False  # cannot fail, cannot build, or rolls back itself
-
-    dirty = _least_fixpoint(grammar.productions, dirty_in)
-    return Transactions(builds, lambda e, local=False: dirty_in(e, dirty, local), can_be_empty)
-
-
-# ---------------------------------------------------------------------------
-# Lead masks
-
-_ANY_BYTE = (1 << 256) - 1
-_BLIND = 1 << 256  # a predicate can run before the first byte
-
-
-def _first(e: Expression, production: Callable[[str], int], flags: dict[int, int]) -> int:
-    """The bytes ``e``'s first consumed byte can be, with ``_BLIND``.  Whether
-    it can consume none is the table's ``_EMPTY``, which ``flags`` holds for
-    every subexpression ``e`` has."""
-    # Plain isinstance tests, the commonest kinds first: this runs at every
-    # compile, where a match statement's class patterns cost set-up time.
-    if isinstance(e, Sequence):
-        mask = 0
-        for item in e.items:
-            mask |= _first(item, production, flags)
-            if not flags[id(item)] & _EMPTY:
-                break
-        return mask
-    if isinstance(e, Terminal):
-        return 1 << e.text[0]
-    if isinstance(e, Nonterminal):
-        return production(e.name)
-    if isinstance(e, Choice):
-        mask = 0
-        for a in e.alternatives:
-            mask |= _first(a, production, flags)
-        return mask
-    if isinstance(e, (OneOrMore, New, LeftFold, Link, Option, ZeroOrMore)):
-        return _first(e.body, production, flags)
-    if isinstance(e, CharClass):
-        mask = 0
-        for lo, hi in e.ranges:
-            mask |= (1 << hi + 1) - (1 << lo)
-        return mask
-    if isinstance(e, (Empty, Tag)):
-        return 0
-    if isinstance(e, (And, Not)):
-        return _BLIND
-    if isinstance(e, AnyChar):
-        return _ANY_BYTE
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def lead_masks(grammar: Grammar) -> Callable[[Expression], int | None]:
-    """The lead mask of expressions over ``grammar`` (see the module docstring).
-
-    Expects a grammar that validates without errors.  Each production's
-    mask is computed on first use and kept: left recursion is refused, so
-    the calls a mask depends on form no cycle.
-    """
-    facts = _facts(grammar)
-    masks: dict[str, int] = {}
-
-    def production(name: str) -> int:
-        mask = masks.get(name)
-        if mask is None:
-            masks[name] = 0  # read back only through left recursion
-            mask = masks[name] = _first(grammar.productions[name], production, facts.flags)
-        return mask
-
-    def lead(e: Expression) -> int | None:
-        if facts.of(e) & _EMPTY:
-            return None
-        mask = _first(e, production, facts.flags)
-        return None if mask & _BLIND else mask
-
-    return lead
+        return items[:-1], items[-1].name
+    return items, None

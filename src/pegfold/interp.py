@@ -38,14 +38,14 @@ iteration counts no backtrack, and the farthest failure it would have
 recorded lies before the one that iteration records.
 
 Only an attempt that can start at the next byte runs: a choice dispatches
-on that byte to the alternatives its lead mask (``analysis.lead_masks``)
-admits, and an option or loop tests it first.  A skipped attempt would
-have failed where it starts, so skipping it only moves the farthest
-failure there.  What a guard learns of the byte reaches only attempts that
-start where the guarded one does, behind items that can succeed empty,
-and their lead masks lie inside the guarded one's: a byte test under a
-guard is left out where the guard decided it, and narrowed to what the
-guard let through otherwise, which is never nothing.
+on that byte to the alternatives its lead mask admits (a fact of
+``analysis.compiled_facts``), and an option or loop tests it first.  A
+skipped attempt would have failed where it starts, so skipping it only
+moves the farthest failure there.  What a guard learns of the byte
+reaches only attempts that start where the guarded one does, behind items
+that can succeed empty, and their lead masks lie inside the guarded one's:
+a byte test under a guard is left out where the guard decided it, and
+narrowed to what the guard let through otherwise, which is never nothing.
 
 Tree operators never influence recognition, and build nodes on one of
 two paths:
@@ -60,9 +60,9 @@ two paths:
   child in the record and restores the left register,
   committing a lazily built child at once and rolling back what the body
   logged if it fails.  A production that never logs
-  (``analysis.never_logs``) leaves a built node or nothing in the register
-  and nothing in the log, so a link that calls one, here or at a memo
-  point, reads no log length and neither commits nor rolls back.  A
+  (``analysis.compiled_facts``) leaves a built node or nothing in the
+  register and nothing in the log, so a link that calls one, here or at a
+  memo point, reads no log length and neither commits nor rolls back.  A
   *direct* constructor has nothing at its level but a trailing tag, so no
   record either.  A ``{@ }`` that finds a virtual id in the register logs
   its node instead (``Machine.emit_local_fold``).
@@ -70,7 +70,7 @@ two paths:
   machine's log, and a commit builds its node.
 
 Only an attempt a rollback can find work after gets a savepoint
-(``analysis.transactions``): a choice alternative but the last, or an
+(``analysis.compiled_facts``): a choice alternative but the last, or an
 option body, that can fail after changing the machine; a loop body that
 can, or that can change it and succeed empty (an empty step is dropped); a
 predicate body that can change it at all.  Where the attempt never logs,
@@ -113,10 +113,8 @@ from typing import Callable, NamedTuple
 from .analysis import (
     MemoPlan,
     assign_memo_points,
+    compiled_facts,
     eager_constructors,
-    lead_masks,
-    never_logs,
-    transactions,
     untagged,
     validate,
 )
@@ -139,6 +137,7 @@ from .expr import (
     Terminal,
     ZeroOrMore,
     erase_tree_operators,
+    sequence,
 )
 from .grammar import Diagnostic, Grammar
 from .machine import Machine, TxMark, place_links
@@ -469,8 +468,9 @@ def program_for(
 
     The first compile of a grammar validates it and raises
     :class:`InvalidGrammarError` on errors; a grammar that already has a
-    program has passed.  The analyses and the emitter recurse per nesting
-    level of an expression, so a grammar nested deeper than the caller's
+    program has passed.  The emitter recurses per nesting level of an
+    expression, as do erasing tree operators and hashing the productions
+    (the analyses do not), so a grammar nested deeper than the caller's
     recursion limit lets them follow raises it too, and keeps nothing.
     Two threads racing here may both compile; either program is correct.
     """
@@ -539,9 +539,8 @@ def generate(grammar: Grammar, plan: MemoPlan | None, counting: bool = False) ->
     (None: no memoization), bare or ``counting``.  Expects a grammar that
     validates without errors; the source depends on nothing else."""
     eager = eager_constructors(grammar)
-    rollback = transactions(grammar, eager, plan.link_points if plan is not None else ())
-    quiet = never_logs(grammar, eager)
-    return _Emitter(grammar, plan, eager, rollback, quiet, lead_masks(grammar), counting).module()
+    facts = compiled_facts(grammar, eager, plan.link_points if plan is not None else ())
+    return _Emitter(grammar, plan, eager, facts, counting).module()
 
 
 @functools.lru_cache(maxsize=64)
@@ -743,14 +742,12 @@ class _Emitter:
     byte test it decides is left out.
     """
 
-    def __init__(self, grammar: Grammar, plan, eager, rollback, quiet, lead, counting) -> None:
+    def __init__(self, grammar: Grammar, plan, eager, facts, counting) -> None:
         self.bodies = grammar.productions
         self.link_points = plan.link_points if plan is not None else {}
         self.nonterminal_points = plan.nonterminal_points if plan is not None else {}
         self.eager = eager
-        self.builds, self.dirty, self.nullable = rollback
-        self.quiet = quiet
-        self.lead = lead
+        self.facts = facts  # ``analysis.compiled_facts``
         self.counting = counting
         self.names = {name: _mangle(name) for name in self.bodies}
         self.constants: dict[str, str] = {}
@@ -894,7 +891,7 @@ class _Emitter:
         ``known`` reaches an attempt only where the attempt starts together
         with the one a guard before it tested, behind items that can succeed
         empty.  A lead mask joins the masks of a sequence's items up to the
-        first that cannot (``analysis.lead_masks``), so the attempt's,
+        first that cannot (``analysis.compiled_facts``), so the attempt's,
         ``mask``, lies inside that one's, all of which ``known`` holds: for
         a validated grammar ``mask & can`` is never empty."""
         if known is None:
@@ -918,7 +915,7 @@ class _Emitter:
                 f"{i}{tag} = {rec.use(rec.tag, fn)}\n{i}{count} = len({rec.use(rec.links, fn)})"
             )
             return f"{{0}}{rec.use(rec.tag, fn, True)} = {tag}\n{{0}}del {rec.links}[{count}:]"
-        if self.quiet(e):
+        if self.facts.quiet(e):
             prior = self.fresh("q")
             fn.lines.append(f"{i}{prior} = machine.left")
             return f"{{0}}machine.left = {prior}"
@@ -978,11 +975,11 @@ class _Emitter:
         return "r", True
 
     def char_class(self, e: CharClass, pv, i, fn, rec, known):
-        return self.byte(self.lead(e), 1, pv, i, fn, known)
+        return self.byte(self.facts.lead(e), 1, pv, i, fn, known)
 
     def any_char(self, e, pv, i, fn, rec, known):
         if known is not None:
-            return self.byte(self.lead(e), 1, pv, i, fn, known)
+            return self.byte(self.facts.lead(e), 1, pv, i, fn, known)
         fn.lines.append(f"{i}if {pv} < size:\n{i}    r = {pv} + 1\n{i}else:\n{self.die(pv, i + _STEP, fn)}")
         return "r", True
 
@@ -1030,7 +1027,7 @@ class _Emitter:
         add = fn.lines.append
         alternatives = e.alternatives
         s = self.stable(pv, i, fn)
-        masks = [self.lead(a) for a in alternatives]
+        masks = [self.facts.lead(a) for a in alternatives]
         if known is None:
             for mask in masks:
                 if mask is not None:
@@ -1058,7 +1055,7 @@ class _Emitter:
                 add(f"{i}if r < 0:\n{j}if {test}:")
                 inner = j + _STEP
             if k < last:
-                save = self.dirty(alternative, rec is not None)
+                save = self.facts.dirty(alternative, rec is not None)
                 rv, fails, _ = self.attempt(alternative, s, inner, fn, rec, fits, save)
             else:
                 rv, fails = self.emit(alternative, s, inner, fn, rec, fits)
@@ -1075,7 +1072,7 @@ class _Emitter:
         add = fn.lines.append
         body = e.body
         s = self.stable(pv, i, fn)
-        mask = self.lead(body)
+        mask = self.facts.lead(body)
         test, fits = None, known
         if mask is not None:
             test, fits = self.guard(mask, s, known)
@@ -1083,7 +1080,7 @@ class _Emitter:
         if test is not None:
             add(f"{i}if {test}:")
             inner = i + _STEP
-        save = self.dirty(body, rec is not None)
+        save = self.facts.dirty(body, rec is not None)
         rv, fails, _ = self.attempt(body, s, inner, fn, rec, fits, save, f"r = {s}")
         if not fails and test is None:
             return rv, False
@@ -1103,7 +1100,7 @@ class _Emitter:
         # literal, and the one that fails moves the farthest failure to
         # where the loop stops.
         if isinstance(body, CharClass) or isinstance(body, Terminal) and len(body.text) == 1:
-            test = self.test(self.lead(body), f"data[{s}]", False)[0]
+            test = self.test(self.facts.lead(body), f"data[{s}]", False)[0]
             loop = f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1"
             add(_lines(loop, self.reach(s, i, fn)))
             return s, False
@@ -1111,7 +1108,7 @@ class _Emitter:
             loop = f"{i}{s} = {pv}\n{i}while data.startswith({body.text!r}, {s}):\n{j}{s} += {len(body.text)}"
             add(_lines(loop, self.reach(s, i, fn)))
             return s, False
-        mask = self.lead(body)
+        mask = self.facts.lead(body)
         test, fits = (None, None) if mask is None else self.guard(mask, s, None)
         add(f"{i}{s} = {pv}\n{i}while True:" if test is None else f"{i}{s} = {pv}\n{i}while {test}:")
         # A scan loop: its body starts with a predicate, so it has no lead
@@ -1122,7 +1119,8 @@ class _Emitter:
             self.scan(stop, s, j, fn)
         # A savepoint for a failed iteration, or for an empty one, whose
         # entries are dropped too.
-        save = self.builds(body) and (self.dirty(body, rec is not None) or self.nullable(body))
+        facts = self.facts
+        save = facts.builds(body) and (facts.dirty(body, rec is not None) or facts.nullable(body))
         fn.loops += 1
         rv, fails, undo = self.attempt(body, s, j, fn, rec, fits, save, "break")
         fn.loops -= 1
@@ -1142,7 +1140,7 @@ class _Emitter:
         backtrack, since ``stop`` fails where it starts, and each moves the
         farthest failure to its start; the next one moves it past them all,
         since ``!stop`` or ``.`` fails where that one starts."""
-        mask = self.lead(stop)
+        mask = self.facts.lead(stop)
         if isinstance(stop, Terminal) or not mask & (mask - 1):  # a literal or one byte
             text = stop.text if isinstance(stop, Terminal) else bytes([mask.bit_length() - 1])
             fn.lines.append(f"{i}{s} = data.find({text!r}, {s})\n{i}if {s} < 0:\n{i}    {s} = size")
@@ -1162,7 +1160,7 @@ class _Emitter:
         machine.  At an eager constructor's level no body can."""
         add = fn.lines.append
         s = self.stable(pv, i, fn)
-        undo = self.save(e.body, i, fn, None) if self.builds(e.body) else None
+        undo = self.save(e.body, i, fn, None) if self.facts.builds(e.body) else None
         rv, fails = self.emit(e.body, s, i, fn, rec, known)
         if undo:
             add(undo.format(i))
@@ -1207,10 +1205,11 @@ class _Emitter:
         virtual id in the register logs the node instead."""
         add = fn.lines.append
         fold = isinstance(e, LeftFold)
-        body, tag = untagged(e.body)  # the node takes a trailing ``#t`` as it is built
+        items, tag = untagged(e.body)  # the node takes a trailing ``#t`` as it is built
+        body = sequence(items) if tag is not None else e.body
         s = self.stable(pv, i, fn)
         rec = None
-        if self.builds(body):
+        if any(self.facts.builds(item) for item in items):
             self.count += 1
             rec = _Record(fn, self.count)
             at = len(fn.lines)
@@ -1268,7 +1267,7 @@ class _Emitter:
         constructor's level commits its child (``commit_link``)."""
         body = e.body
         if rec is not None or isinstance(body, Nonterminal) and body.name in self.link_points:
-            return self.commit_link(body.name, e.index, pv, i, fn, rec)
+            return self.commit_link(body, e.index, pv, i, fn, rec)
         add = fn.lines.append
         parent = self.fresh("q")
         add(f"{i}{parent} = machine.left")
@@ -1278,7 +1277,7 @@ class _Emitter:
         add(f"{i}machine.left = {parent}")
         return rv, fails
 
-    def commit_link(self, name: str, index, pv, i, fn, rec):
+    def commit_link(self, call: Nonterminal, index, pv, i, fn, rec):
         """``@Name`` that commits its child: at a memo point, or at an eager
         constructor's level.  It restores the register, committing a lazily
         built child at once, and puts the child in the record ``rec``, or
@@ -1288,8 +1287,8 @@ class _Emitter:
         never logs leaves a node or nothing in the register and nothing to
         roll back but the register."""
         add = fn.lines.append
-        point = self.link_points.get(name)
-        quiet = self.quiet(Nonterminal(name))
+        point = self.link_points.get(call.name)
+        quiet = self.facts.quiet(call)
         s = self.stable(pv, i, fn)
         if rec is None:  # into the parent, ``{0}``, which is back in the register
             put = f"machine.emit_link({{0}}, k, {index})"
@@ -1318,7 +1317,7 @@ class _Emitter:
                 f"{e2}if type(k) is not tuple or len(machine.log) != {base}:\n"
                 f"{e3}k = machine.commit({mark}, data)\n"
             )
-        self.call(Nonterminal(name), s, d, fn)
+        self.call(call, s, d, fn)
         add(
             f"{d}if r < 0:\n"
             + (f"{e1}table.memoize({point}, {s}, FAILED)\n" if point is not None else "")

@@ -88,7 +88,18 @@ class Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return Node, (self.tag, self.start, self.end, self.source, self.children)
+        # The tree as a flat preorder list, so that pickling and copying
+        # follow no recursion per tree level.
+        entries = []
+        stack = [self._record]
+        while stack:
+            tag, start, end, source, kids = stack.pop()
+            entries.append((tag, start, end, source, len(kids)))
+            stack.extend(reversed(kids))
+        return _from_preorder, (entries,)
+
+    def __copy__(self) -> Node:
+        return Node._view(self._record)  # a record never changes, so the copy shares it
 
     tag = property(lambda self: self._record[0])
     start = property(lambda self: self._record[1])
@@ -125,6 +136,21 @@ _first_read = threading.Lock()
 _new = object.__new__
 _set_record = Node._record.__set__
 _set_children = Node._children.__set__
+
+
+def _from_preorder(entries: list[tuple[str, int, int, bytes, int]]) -> Node:
+    """The view over the tree whose records ``Node.__reduce__`` listed in
+    preorder, each with its number of children."""
+    # Built in reverse preorder, so a record finds its children on top of
+    # ``done``, its first child topmost.
+    done: list[tuple] = []
+    for tag, start, end, source, count in reversed(entries):
+        kids = ()
+        if count:
+            kids = tuple(reversed(done[-count:]))
+            del done[-count:]
+        done.append((tag, start, end, source, kids))
+    return Node._view(done[0])
 
 
 class NotationError(ValueError):

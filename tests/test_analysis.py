@@ -1,5 +1,7 @@
 """Grammar validation and memo-point assignment."""
 
+import sys
+
 import pytest
 from corpus import benchmark_grammars
 
@@ -7,19 +9,23 @@ from pegfold.analysis import (
     _BUILDS,
     _EMPTY,
     _FAILS,
+    _FOLDS,
     _KEEPS,
+    _LOGS_OUT,
+    _MUTATES,
     _REACHES,
     _SUCCEEDS,
     _TAGGED,
+    _TOUCHES,
     _facts,
     assign_memo_points,
+    compiled_facts,
     eager_constructors,
-    never_logs,
-    transactions,
     untagged,
     validate,
 )
 from pegfold.expr import (
+    Choice,
     LeftFold,
     Link,
     New,
@@ -27,7 +33,6 @@ from pegfold.expr import (
     Sequence,
     Tag,
     Terminal,
-    ZeroOrMore,
     subexpressions,
 )
 from pegfold.grammar import Grammar, parse_grammar
@@ -124,10 +129,14 @@ FLAGS = {
     "reaches": _REACHES,
     "builds": _BUILDS,
     "tagged": _TAGGED,
+    "touches": _TOUCHES,
+    "mutates": _MUTATES,
+    "folds": _FOLDS,
 }
 BYTE = {"fails", "succeeds", "keeps"}  # a byte test's flags
 PASSES = {"empty", "succeeds", "keeps"}  # what always succeeds and keeps the node
 TREE = {"reaches", "builds"}
+TOUCH = {"touches", "mutates"}  # a tag, or a link of what its body built, in the outer node
 
 
 def named(word):
@@ -137,7 +146,7 @@ def named(word):
 def flags_of(text):
     """The flags of production ``S``'s body."""
     grammar = parse_grammar(text)
-    return named(_facts(grammar).of(grammar.productions["S"]))
+    return named(_facts(grammar).flags[id(grammar.productions["S"])])
 
 
 @pytest.mark.parametrize(
@@ -155,11 +164,15 @@ def flags_of(text):
         ("S = 'a'? ''", PASSES),
         ("S = 'a' / 'b'", BYTE),  # a choice: failing when every alternative does
         ("S = 'a' / ''", PASSES),
-        ("S = #T", PASSES | TREE | {"tagged"}),
+        ("S = #T", PASSES | TREE | {"tagged"} | TOUCH),
         ("S = { 'a' }", {"fails", "succeeds"} | TREE),  # a fresh node: the outer one is gone
-        ("S = {@ '' }", {"empty", "succeeds"} | TREE),
-        ("S = @'a'", BYTE | TREE),
-        ("S = ( 'a' #T )?", PASSES | TREE | {"tagged"}),
+        ("S = {@ '' }", {"empty", "succeeds", "mutates", "folds"} | TREE),
+        ("S = @'a'", BYTE | TREE),  # a link of nothing built touches nothing
+        ("S = @{ 'a' }", BYTE | TREE | TOUCH),
+        ("S = ( 'a' #T )?", PASSES | TREE | {"tagged"} | TOUCH),
+        # a tag after a fresh node touches that node, not the outer one
+        ("S = { 'a' } #T", {"fails", "succeeds", "tagged", "touches"} | TREE),
+        ("S = { 'a' {@ 'b' } }", {"fails", "succeeds", "folds"} | TREE),
         # constructors, links and predicates succeed whatever their bodies do
         ("S = { N }\nN = 'a' N", {"fails", "succeeds"} | TREE),
         ("S = @N\nN = 'a' N", BYTE | TREE),
@@ -171,8 +184,9 @@ def flags_of(text):
         ("S = !{ 'a' #T }", PASSES | {"fails", "reaches", "tagged"}),
         # a call reads the callee's flags: it builds where the callee reaches,
         # even inside a predicate, and holds no ``#tag`` of the callee's
-        ("S = N\nN = &{ 'a' } 'a' #T", BYTE | TREE),
-        ("S = N 'b'\nN = 'a' #T", BYTE | TREE),
+        ("S = N\nN = &{ 'a' } 'a' #T", BYTE | TREE | TOUCH),
+        ("S = N 'b'\nN = 'a' #T", BYTE | TREE | TOUCH),
+        ("S = N\nN = {@ 'a' }", {"fails", "succeeds", "mutates"} | TREE),  # and no fold
         ("S = N 'b'\nN = 'a'", BYTE),
         ("S = M\nM = N\nN = 'a'?", PASSES),
         ("S = 'a' S / ''", PASSES),  # a least fixpoint over recursion
@@ -183,31 +197,18 @@ def test_flags(text, flags):
     assert flags_of(text) == flags
 
 
-def test_an_expression_not_in_the_table_takes_its_flags_from_its_children():
-    grammar = parse_grammar("S = { 'a' &'b' #T } ( 'c' #U )+")
-    facts = _facts(grammar)
-    constructor, loop = grammar.productions["S"].items
-    body, tag = untagged(constructor.body)
-    assert tag == "T" and id(body) not in facts.flags
-    assert named(facts.of(body)) == BYTE
-    assert id(loop) in facts.flags
-    assert named(facts.of(loop)) == BYTE | TREE | {"tagged"}
-    star = ZeroOrMore(loop.body)  # as the emitter writes ``e+``
-    assert named(facts.of(star)) == PASSES | TREE | {"tagged"}
-
-
 @pytest.mark.parametrize(
     "productions, words",
     [
         (
             ["S = A 'x' / B", "A = { 'a' } / ''", "B = 'b' B / 'c' #T"],
-            {"S": BYTE | TREE, "A": PASSES | TREE, "B": BYTE | TREE | {"tagged"}},
+            {"S": BYTE | TREE | TOUCH, "A": PASSES | TREE, "B": BYTE | TREE | {"tagged"} | TOUCH},
         ),
         # mutual recursion: which call reads its callee before the callee's
         # turn depends on the order
         (
             ["S = 'a' T / @'b'", "T = S 'c' / #T"],
-            {"S": BYTE | TREE, "T": PASSES | TREE | {"tagged"}},
+            {"S": BYTE | TREE | TOUCH, "T": PASSES | TREE | {"tagged"} | TOUCH},
         ),
     ],
 )
@@ -433,14 +434,14 @@ def direct_marks(text):
     with nothing at its level but a trailing tag?"""
     grammar = parse_grammar(text)
     eager = eager_constructors(grammar)
-    builds = transactions(grammar, eager, ()).builds
+    builds = _facts(grammar).builds
     marks = []
     for body in grammar.productions.values():
         stack = [body]
         while stack:
             x = stack.pop()
             if id(x) in eager:
-                marks.append(not builds(untagged(x.body)[0]))
+                marks.append(not any(builds(item) for item in untagged(x.body)[0]))
             stack.extend(reversed(subexpressions(x)))
     return marks
 
@@ -491,14 +492,20 @@ def test_an_expression_shared_by_an_eager_and_a_lazy_place_is_lazy():
     assert eager_constructors(Grammar({"S": Link(shared)})) == {id(shared)}
 
 
+def table(grammar, memo_links=()):
+    """The grammar's compiled fact table, with its eager constructors."""
+    return compiled_facts(grammar, eager_constructors(grammar), memo_links)
+
+
 # -- never-logging productions -------------------------------------------------
 
 
 def quiet_productions(text):
-    """Per production: does it never log?"""
+    """Per production: does it never log?  That is, is it not loud: neither
+    logs its body nor can it mutate the node it starts with."""
     grammar = parse_grammar(text)
-    quiet = never_logs(grammar, eager_constructors(grammar))
-    return {name: quiet(Nonterminal(name)) for name in grammar.productions}
+    words = table(grammar).words
+    return {name: not word & (_LOGS_OUT | _MUTATES) for name, word in words.items()}
 
 
 def test_benchmark_grammars_never_log():
@@ -532,9 +539,10 @@ def test_never_logs_rules(text, quiet):
 def test_an_expression_with_a_fold_of_its_own_may_log():
     # No fold of S's can find the outer node, but on its own the sequence
     # may run where the register holds a node still being logged.
-    grammar = parse_grammar("S = A {@ 'b' #F }\nA = { 'a' }")
-    quiet = never_logs(grammar, eager_constructors(grammar))
-    assert quiet(Nonterminal("S"))
+    text = "S = A {@ 'b' #F }\nA = { 'a' }"
+    grammar = parse_grammar(text)
+    quiet = table(grammar).quiet
+    assert quiet_productions(text)["S"]
     assert not quiet(grammar.productions["S"])
     assert quiet(grammar.productions["S"].items[0])
 
@@ -545,7 +553,7 @@ def test_an_expression_with_a_fold_of_its_own_may_log():
 def dirty_productions(text, memo_links=()):
     """Per production: can it fail after changing the machine?"""
     grammar = parse_grammar(text)
-    facts = transactions(grammar, eager_constructors(grammar), memo_links)
+    facts = table(grammar, memo_links)
     return {name: facts.dirty(body) for name, body in grammar.productions.items()}
 
 
@@ -598,8 +606,74 @@ def test_a_memoized_link_is_clean():
 
 def test_a_link_at_a_local_level_is_clean():
     grammar = parse_grammar("S = { @A } / @A\nA = { 'a' } #T 'b'")
-    facts = transactions(grammar, eager_constructors(grammar), ())
+    facts = table(grammar)
     local, plain = grammar.productions["S"].alternatives
     # it restores the machine itself when its body fails
     assert facts.dirty(local.body, True) is False
     assert facts.dirty(plain) is True
+
+
+# -- lead masks --------------------------------------------------------------------
+
+
+def lead_bytes(text, name="S"):
+    """The bytes of production ``name``'s lead mask, or None."""
+    grammar = parse_grammar(text)
+    mask = table(grammar).lead(grammar.productions[name])
+    return None if mask is None else bytes(b for b in range(256) if mask >> b & 1)
+
+
+@pytest.mark.parametrize(
+    "text, lead",
+    [
+        ("S = 'ab'", b"a"),
+        ("S = [a-c]", b"abc"),
+        ("S = .", bytes(range(256))),
+        ("S = 'a'? 'b' 'c'", b"ab"),  # the items up to the first that cannot be empty
+        ("S = 'b' / 'a' / 'b'", b"ab"),
+        ("S = 'a'+", b"a"),
+        # tree operators leave masks alone, and a call reads its callee's
+        ("S = #T { @N 'c' }\nN = 'x' N / 'y'", b"xy"),
+        ("S = 'a'?", None),  # it can succeed empty
+        ("S = 'a'* ''", None),
+        ("S = &'a' 'a'", None),  # a predicate runs before the first byte
+        ("S = 'a'? !'b' 'c'", None),
+    ],
+)
+def test_lead_masks(text, lead):
+    assert lead_bytes(text) == lead
+
+
+def test_benchmark_grammars_lead_masks():
+    workloads = benchmark_grammars()
+    assert lead_bytes(MATH, "Value") == b"(0123456789"
+    assert lead_bytes(workloads.JSON_LIKE, "Value") == b'"-0123456789[fnt{'
+    assert lead_bytes(workloads.JSON_LIKE, "S") is None
+
+
+# -- deep grammars -----------------------------------------------------------------
+
+
+def nest(inner, wrap, depth=3000):
+    for _ in range(depth):
+        inner = wrap(inner)
+    return inner
+
+
+def test_the_analyses_follow_a_grammar_deeper_than_the_recursion_limit():
+    # Two nests of choices, one level each, far past the default limit;
+    # the nest after the last alternative sits inside ``{ }``.
+    assert sys.getrecursionlimit() <= 1000
+    inner = Sequence((Terminal(b"a"), Tag("T"), Terminal(b"b")))
+    first = nest(inner, lambda e: Choice((e, Terminal(b"b"))))
+    last = nest(inner, lambda e: Choice((Terminal(b"b"), e)))
+    grammar = Grammar({"S": Sequence((first, New(last)))})
+    assert codes(validate(grammar)) == ["tag-outside-constructor"]  # the first nest's tag
+    constructor = grammar.productions["S"].items[1]
+    eager = eager_constructors(grammar)
+    assert eager == {id(constructor)}  # only its level tags it, and nothing follows it
+    facts = compiled_facts(grammar, eager, ())
+    assert facts.lead(first) == facts.lead(last) == 1 << ord("a") | 1 << ord("b")
+    assert facts.dirty(inner) and facts.dirty(last, True) and not facts.dirty(first)
+    assert not facts.dirty(constructor) and facts.quiet(constructor)
+    assert not facts.quiet(first)  # its tag runs outside any constructor

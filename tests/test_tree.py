@@ -239,6 +239,24 @@ def flat_sum(last=b"1", terms=30_000):
     return ParseSession(parse_grammar(MATH), data).parse().root
 
 
+def spans(root):
+    """Each node's span, in preorder."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.start, node.end))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def test_trees_deeper_than_the_recursion_limit_pickle_and_copy():
+    tree = flat_sum()
+    for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert twin is not tree and equals(twin, tree)
+        assert spans(twin) == spans(tree)
+
+
 def test_equals_compares_trees_deeper_than_the_recursion_limit():
     tree = flat_sum()
     assert equals(tree, flat_sum())
