@@ -6,7 +6,9 @@ Three commands over a grammar file:
 * ``pegfold parse GRAMMAR INPUT`` -- parse and print the tree (textual
   notation or JSON, each written straight from the tree by one iterative
   writer, so a tree of any depth prints), optionally with engine
-  statistics;
+  statistics.  The writer hands its text on in chunks of a few hundred
+  inner nodes, each printed as it comes, so the command holds the tree and
+  one chunk, never the whole text;
 * ``pegfold bench GRAMMAR INPUT`` -- best-of-N wall times for pure
   recognition and full tree construction, the two parsed in turn.
 
@@ -35,8 +37,8 @@ from .analysis import assign_memo_points, validate
 from .grammar import Grammar, GrammarSyntaxError, parse_grammar
 from .interp import InvalidGrammarError, ParseError, ParseSession, Stats, program_for
 from .memo import DEFAULT_WINDOW
-from .tree import serialize, to_json
-from .tree import to_json_dict  # unused here; bench/tracing.py wraps it by this name
+from .tree import _json_chunks, _notation_chunks
+from .tree import serialize, to_json_dict  # unused here; bench/tracing.py wraps them by these names
 
 __all__ = ["main", "cmd_check", "cmd_parse", "cmd_bench"]
 
@@ -134,13 +136,19 @@ def cmd_parse(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return FAILURE
+    # The tree goes out chunk by chunk as it is written, so the command holds
+    # the tree and one chunk, never the whole text.
+    out = sys.stdout
     if args.format == "json":
         # json.dumps of {"ast": …, "consumed": …, "stats": …}, the tree
         # written straight from its nodes.
+        out.write('{"ast": ')
+        out.writelines(_json_chunks(result.root))
         stats = f', "stats": {json.dumps(result.stats.as_dict())}' if args.stats else ""
-        print(f'{{"ast": {to_json(result.root)}, "consumed": {result.consumed}{stats}}}')
+        out.write(f', "consumed": {result.consumed}{stats}}}\n')
     else:
-        print(serialize(result.root))
+        out.writelines(_notation_chunks(result.root))
+        out.write("\n")
         if args.stats:
             print(_format_stats(result.stats))
     return OK

@@ -288,11 +288,13 @@ class ParseSession:
     memoization on or off.
 
     ``machine``, ``table`` and the counters ``farthest``, ``backtrack`` and
-    ``calls`` describe the last parse.  Without ``max_steps`` a parse runs
-    the bare program, which counts nothing; reading a counter, or the
-    result's ``stats``, first re-runs the parse once with the counting
-    program, as a failed parse does to find its position.  With
-    ``max_steps`` every parse counts from the start.
+    ``calls`` describe the last parse.  The table's ring holds
+    ``min(window, len(data) + 1)`` rows, at most one per position, so
+    ``session.table.window`` reads the ring's size, not ``window``.  Without
+    ``max_steps`` a parse runs the bare program, which counts nothing;
+    reading a counter, or the result's ``stats``, first re-runs the parse
+    once with the counting program, as a failed parse does to find its
+    position.  With ``max_steps`` every parse counts from the start.
     """
 
     def __init__(
@@ -501,8 +503,11 @@ def program_for(
                 state["data"] = data = record.data
                 state["size"] = len(data)
                 state["machine"] = record.machine = machine
+                # Positions run from 0 to len(data): a wider ring would hold
+                # rows no position reaches and expire nothing more.
+                window = min(record.window, len(data) + 1)
                 state["table"] = record.table = (
-                    MemoTable(plan.count, record.window) if plan is not None else None
+                    MemoTable(plan.count, window) if plan is not None else None
                 )
                 if counting:
                     state["limit"] = _NO_STEP_LIMIT if record.limit is None else record.limit

@@ -18,6 +18,11 @@ is an error.  ``to_json_dict`` gives a tree's JSON-ready dict form, and
 ``to_json`` writes the JSON text of that form straight from the tree.
 Nodes compare by identity; use :func:`equals` for structural comparison.
 
+Each writer is one generator that hands its text on in chunks, one per
+``_CHUNK_LEVELS`` inner nodes; ``serialize`` and ``to_json`` join the
+chunks, and ``pegfold parse`` prints each as it comes, so the command holds
+the tree and one chunk, never the whole text.
+
 Inside the engine a node is a record, a plain tuple ``(tag, start, end,
 source, children)`` whose ``children`` is a tuple of records: a generated
 parser builds one with no call.  A :class:`Node` is an immutable view over
@@ -37,7 +42,7 @@ import re
 import threading
 from dataclasses import FrozenInstanceError
 from json.encoder import encode_basestring_ascii as _json_str  # a str as json.dumps writes it
-from typing import Any
+from typing import Any, Iterator
 
 __all__ = [
     "Node",
@@ -161,12 +166,22 @@ class NotationError(ValueError):
         self.position = position
 
 
+# The writers hand on their text in chunks, one each time this many inner
+# nodes have opened since the last, so that a caller printing them holds the
+# tree and one chunk.  A chunk ends where a node opens: the separator before
+# it is final there (a level's last one becomes its closing bracket).  A
+# check at every leaf as well would split a long run of leaves in one level
+# too, at about twice the time; such a run goes out in one chunk.
+_CHUNK_LEVELS = 256
+
 # Printable ASCII other than the quote and the backslash stands for itself.
 _PLAIN = re.compile(rb"[\x20-\x26\x28-\x5B\x5D-\x7E]*")
 
 
 def _quote(data: bytes) -> str:
-    if _PLAIN.fullmatch(data):
+    # ``isalnum`` is true of ASCII letters and digits only, the common leaf,
+    # and costs less than the pattern.
+    if data.isalnum() or _PLAIN.fullmatch(data):
         return "'" + data.decode("ascii") + "'"
     out = []
     for b in data:
@@ -187,18 +202,29 @@ def serialize(node: Node) -> str:
     Leaves carry their matched substring, inner nodes their children only.
     An explicit stack replaces recursion, so a tree of any depth prints.
     """
+    return "".join(_notation_chunks(node))
+
+
+def _notation_chunks(node: Node) -> Iterator[str]:
+    """``serialize(node)`` in chunks, one per ``_CHUNK_LEVELS`` inner nodes."""
     parts: list[str] = []
     append = parts.append
     # Per tag, built once per call: its ``#tag[`` string, and each distinct
     # leaf text under it rendered whole.
     rendered: dict[str, tuple[str, dict[bytes, str]]] = {}
     stack = [iter((node._record,))]  # per open level, its children not yet written
+    countdown = _CHUNK_LEVELS
     while stack:
         for tag, start, end, source, children in stack[-1]:
             known = rendered.get(tag)
             if known is None:
                 known = rendered[tag] = (f"#{tag}[", {})
             if children:
+                countdown -= 1
+                if not countdown:  # every part so far is final: hand them on
+                    yield "".join(parts)
+                    parts.clear()
+                    countdown = _CHUNK_LEVELS
                 append(known[0])
                 stack.append(iter(children))
                 break
@@ -214,7 +240,7 @@ def serialize(node: Node) -> str:
             parts[-1] = "]"  # the last separator closes the level
             append(" ")
     del parts[-2:]  # the outermost level is no node
-    return "".join(parts)
+    yield "".join(parts)
 
 
 def equals(a: Node, b: Node) -> bool:
@@ -265,16 +291,27 @@ def to_json(node: Node) -> str:
     bytes, quoted as ``json.dumps`` quotes a string.  An explicit stack
     replaces recursion, so a tree of any depth writes.
     """
+    return "".join(_json_chunks(node))
+
+
+def _json_chunks(node: Node) -> Iterator[str]:
+    """``to_json(node)`` in chunks, one per ``_CHUNK_LEVELS`` inner nodes."""
     parts: list[str] = []
     append = parts.append
     heads: dict[str, str] = {}
     stack = [iter((node._record,))]  # per open level, its children not yet written
+    countdown = _CHUNK_LEVELS
     while stack:
         for tag, start, end, source, children in stack[-1]:
             head = heads.get(tag)
             if head is None:
                 head = heads[tag] = f'{{"tag": {_json_str(tag)}, "start": '
             if children:
+                countdown -= 1
+                if not countdown:  # every part so far is final: hand them on
+                    yield "".join(parts)
+                    parts.clear()
+                    countdown = _CHUNK_LEVELS
                 append(f'{head}{start}, "end": {end}, "children": [')
                 stack.append(iter(children))
                 break
@@ -286,7 +323,7 @@ def to_json(node: Node) -> str:
             parts[-1] = "]}"  # the last separator closes the level
             append(", ")
     del parts[-2:]  # the outermost level is no node
-    return "".join(parts)
+    yield "".join(parts)
 
 
 # One token of the notation after any blanks: ``#tag[``, a quoted leaf

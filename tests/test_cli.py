@@ -2,16 +2,19 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from corpus import ENGINE_STEPS, make_corpus
+from corpus import ENGINE_STEPS, benchmark_grammars, make_corpus
+from peak import writer_peak
 
 import pegfold
 import pegfold.cli
 import pegfold.interp
+import pegfold.tree
 from pegfold.cli import run
 
 MATH = """Expr = Sum
@@ -247,6 +250,77 @@ def test_parse_json_writes_what_json_dumps_writes(stats, tmp_path, capsys):
         assert capsys.readouterr().out == json.dumps(payload) + "\n"
         checked += 1
     assert checked > 50
+
+
+def json_doc(seed, size):
+    """A seeded JSON document of about ``size`` bytes: one array, wide at the
+    top, of objects, arrays, strings, numbers and literals."""
+    rng = random.Random(seed)
+
+    def value(depth):
+        roll = rng.random()
+        if depth and roll < 0.2:
+            return {f"k{i}": value(depth - 1) for i in range(rng.randint(1, 5))}
+        if depth and roll < 0.35:
+            return [value(depth - 1) for _ in range(rng.randint(1, 6))]
+        if roll < 0.6:
+            return "".join(rng.choice('ab z"\\\n\u00e9') for _ in range(rng.randint(0, 12)))
+        if roll < 0.9:
+            return rng.choice([rng.randint(-10**6, 10**6), round(rng.uniform(-1e3, 1e3), 3)])
+        return rng.choice([True, False, None])
+
+    values, size_so_far = [], 0
+    while size_so_far < size:
+        values.append(value(3))
+        size_so_far += len(json.dumps(values[-1])) + 2
+    return json.dumps(values).encode()
+
+
+@pytest.fixture(scope="module")
+def wide_json(tmp_path_factory):
+    """The paths of the JSON-like grammar and of a 120 KB doc."""
+    folder = tmp_path_factory.mktemp("wide_json")
+    (folder / "json.peg").write_text(benchmark_grammars().JSON_LIKE)
+    (folder / "doc.json").write_bytes(json_doc(23, 120_000))
+    return [str(folder / "json.peg"), str(folder / "doc.json")]
+
+
+@pytest.mark.parametrize("stats", [False, True], ids=["plain", "stats"])
+@pytest.mark.parametrize("form", ["sexpr", "json"])
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_parse_prints_what_the_whole_text_printed(
+    shape, form, stats, wide_json, math_peg, tmp_path, capsys
+):
+    # The command writes the tree in chunks; joined, they are the text it
+    # printed whole: the notation, or the JSON envelope around ``to_json``.
+    deep = [math_peg, write_input(tmp_path, b"1+" * 29_999 + b"1")]
+    paths = wide_json if shape == "wide" else deep
+    grammar = pegfold.parse_grammar(Path(paths[0]).read_text())
+    result = pegfold.ParseSession(grammar, Path(paths[1]).read_bytes()).parse()
+    root = result.root
+    writer = pegfold.tree._json_chunks if form == "json" else pegfold.tree._notation_chunks
+    assert len(list(writer(root))) > 10
+    assert run(["parse", *paths, "--format", form] + (["--stats"] if stats else [])) == 0
+    out = capsys.readouterr().out
+    if form == "sexpr":
+        block = pegfold.cli._format_stats(result.stats) + "\n" if stats else ""
+        assert out == pegfold.serialize(root) + "\n" + block
+        return
+    counts = result.stats.as_dict()
+    tail = f', "stats": {json.dumps(counts)}' if stats else ""
+    assert out == f'{{"ast": {pegfold.to_json(root)}, "consumed": {result.consumed}{tail}}}\n'
+    if shape == "wide":  # shallow enough for json.dumps
+        payload = {"ast": pegfold.to_json_dict(root), "consumed": result.consumed}
+        assert out == json.dumps(payload | ({"stats": counts} if stats else {})) + "\n"
+
+
+def test_parse_holds_one_chunk_of_the_json_text_not_all_of_it(wide_json):
+    # Above what it held when its parse returned (grammar, input and tree),
+    # the command's peak is what the writer holds; printing the text whole
+    # took about three times the text.
+    peak, written = writer_peak([*wide_json, "--format", "json"])
+    assert written > 500_000
+    assert peak < written / 2
 
 
 def test_parse_strict_rejects_trailing_input(math_peg, tmp_path, capsys):

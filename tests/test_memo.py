@@ -1,5 +1,7 @@
 """Memoization: windowed table behavior and memoized links."""
 
+import tracemalloc
+
 import pytest
 
 from pegfold.grammar import parse_grammar
@@ -8,6 +10,13 @@ from pegfold.memo import FAILED, MemoEntry, MemoTable
 from pegfold.tree import equals, serialize
 
 from corpus import engine_outcome, oracle_outcome
+
+
+MATH = """Expr = Sum
+Sum = Product {@ ( '+' #add / '-' #sub ) @Product }*
+Product = Value {@ ( '*' #mul / '/' #div) @Value }*
+Value = { [0-9]+ #Integer } / '(' Expr ')'
+"""
 
 
 def entry(consumed):
@@ -190,6 +199,27 @@ def test_window_only_affects_hit_rate():
     tiny, _ = run(g, b"abcy", window=1)
     assert wide.consumed == tiny.consumed == 4
     assert tiny.stats.memo_hits <= wide.stats.memo_hits
+
+
+def test_the_ring_is_no_longer_than_the_input_needs():
+    # Positions run from 0 to len(data), so a ring of len(data) + 1 rows
+    # gives each its own row; a window of 10**7 would ask for 80 MB.
+    data = b"(1+2)*3-4/(5+6)*7890"
+    assert len(data) == 20
+    tight = ParseSession(parse_grammar(MATH), data, window=len(data) + 1)
+    wide = ParseSession(parse_grammar(MATH), data, window=10**7)
+    expected = tight.parse()
+    wide.parse()  # what a first parse sets up once is not counted
+    tracemalloc.start()
+    try:
+        result = wide.parse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+    assert wide.table.window == tight.table.window == len(data) + 1
+    assert serialize(result.root) == serialize(expected.root)
+    assert result.stats == expected.stats
 
 
 # A link point at a lazy constructor's level: B tags L's node after the

@@ -94,7 +94,9 @@ def test_quoting_matches_the_per_byte_rule():
         assert serialize(leaf("s", data)) == f"#s[{reference_quote(data)}]", b
     rng = random.Random(7)
     for _ in range(2000):
-        alphabet = rng.choice([range(256), range(0x20, 0x7F)])
+        # The third alphabet is mostly letters and digits, which quote
+        # without the pattern; b"\xb2" is a digit in Latin-1, not in ASCII.
+        alphabet = rng.choice([range(256), range(0x20, 0x7F), b"09azAZ\xb2"])
         data = bytes(rng.choice(alphabet) for _ in range(rng.randrange(12)))
         assert serialize(leaf("s", data)) == f"#s[{reference_quote(data)}]", data
 
@@ -506,6 +508,57 @@ def test_to_json_writes_a_tree_deeper_than_the_recursion_limit():
     text = to_json(tree)
     assert text == reference_dumps(to_json_dict(tree))
     assert text.count('"tag": "add"') == 29_999
+
+
+# -- the writers hand their text on in chunks ---------------------------------
+
+
+def inner_count(root):
+    """The nodes of the tree of ``root`` that have children."""
+    stack, count = [root], 0
+    while stack:
+        node = stack.pop()
+        count += not node.is_leaf()
+        stack.extend(node.children)
+    return count
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_chunks_of_any_size_join_to_the_whole_text(size, monkeypatch):
+    # With a few levels a chunk, chunks end before a level's first child,
+    # between leaves and before a level's last child.
+    rng = random.Random(size)
+    trees = [_random_node(rng, 4) for _ in range(300)]
+    whole = [(serialize(tree), to_json(tree)) for tree in trees]  # one chunk each
+    monkeypatch.setattr(pegfold.tree, "_CHUNK_LEVELS", size)
+    for tree, texts in zip(trees, whole):
+        for writer, text in zip((pegfold.tree._notation_chunks, pegfold.tree._json_chunks), texts):
+            chunks = list(writer(tree))
+            assert "".join(chunks) == text
+            assert len(chunks) == inner_count(tree) // size + 1
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_a_tree_of_about_one_chunk_of_levels(extra):
+    # A chunk ends before every ``_CHUNK_LEVELS``-th inner node opens.
+    count = pegfold.tree._CHUNK_LEVELS + extra - 1  # inner nodes, beside the root
+    tree = under(*[under(leaf("A", str(i))) for i in range(count)])
+    text = "#P[" + " ".join(f"#P[#A['{i}']]" for i in range(count)) + "]"
+    for writer, whole in (
+        (pegfold.tree._notation_chunks, text),
+        (pegfold.tree._json_chunks, json.dumps(to_json_dict(tree))),
+    ):
+        chunks = list(writer(tree))
+        assert "".join(chunks) == whole
+        assert len(chunks) == (1 if extra < 0 else 2)
+    assert serialize(tree) == text
+
+
+def test_a_one_leaf_tree_is_one_chunk():
+    tree = leaf("A", "x")
+    assert list(pegfold.tree._notation_chunks(tree)) == ["#A['x']"]
+    only = '{"tag": "A", "start": 0, "end": 1, "text": "x"}'
+    assert list(pegfold.tree._json_chunks(tree)) == [only]
 
 
 # -- views over engine records ------------------------------------------------
