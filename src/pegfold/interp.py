@@ -242,9 +242,14 @@ class ParseResult:
     def root(self) -> Node:
         if self._root is None:
             made = Node._view(self._record)
-            with _first_read:  # threads reading at once all get the root kept
+            # Threads reading at once all get the root kept.  The lock is
+            # taken by hand: a ``with`` block costs 0.1 us more a parse.
+            _first_read.acquire()
+            try:
                 if self._root is None:
                     self._root = made
+            finally:
+                _first_read.release()
         return self._root
 
     @property
@@ -312,11 +317,8 @@ class ParseSession:
         if window < 1:
             raise ValueError("window must be at least 1")
         counting = max_steps is not None
-        self._program = program_for(grammar, memo=memo, build_ast=build_ast, counting=counting)
-        # What finds the counting program when a parse of the bare one first
-        # needs it; a counting session needs none.
-        self._recount = None if counting else functools.partial(
-            program_for, grammar, memo=memo, build_ast=build_ast, counting=True
+        self._program = grammar._programs.get((memo, build_ast, counting)) or program_for(
+            grammar, memo=memo, build_ast=build_ast, counting=counting
         )
         self.plan = self._program.plan
         self.grammar = grammar
@@ -357,15 +359,16 @@ class ParseSession:
         how far the parse got (command-line strictness is layered on top).
         """
         name = start if start is not None else self.grammar.start
-        if name not in self.grammar.productions:
+        if name not in self.grammar._productions:
             raise KeyError(f"unknown start production {name!r}")
-        run = self._run = _Run(self.data, self.window, self.max_steps, name, self._recount)
+        program = self._program
+        run = self._run = _Run(self.data, self.window, self.max_steps, name, self.grammar, program.recount)
         # The forward pass and commit recurse per nesting level, as deep as
         # the caller's recursion limit lets them.  A RecursionError unwinds
         # through the program's ``finally``, which releases its lock and
         # clears its globals.
         try:
-            end = self._program.run(run, name)
+            end = program.run(run, name)
             if end >= 0:
                 return ParseResult(run.root, end, run)
             failure = ParseError
@@ -375,7 +378,7 @@ class ParseSession:
             # The position takes a counting run.  It starts from this frame,
             # as the bare one did, so it meets the recursion limit where
             # that one did.
-            program, run.recount = run.recount(), None
+            program, run.recount = run.recount(self.grammar), None
             try:
                 program.run(run, name)
             except RecursionError:
@@ -406,21 +409,22 @@ class _Run:
     ``farthest``, ``backtrack`` and ``calls``.
 
     After a bare run, ``recount`` returns the counting program of its
-    setting, and ``counted`` re-runs the parse of ``name`` with it once, the
-    first time a counter is read.  A run builds its own root, so the re-run
-    counts every node the parse built.  It fills the counters and
-    ``created`` and keeps nothing else: the machine, table and root stay the
-    first run's.
+    setting for ``grammar``, and ``counted`` re-runs the parse of ``name``
+    with it once, the first time a counter is read.  A run builds its own
+    root, so the re-run counts every node the parse built.  It fills the
+    counters and ``created`` and keeps nothing else: the machine, table and
+    root stay the first run's.
     """
 
     __slots__ = (
-        "data", "window", "limit", "name", "recount",
+        "data", "window", "limit", "name", "grammar", "recount",
         "machine", "table", "root", "created", "farthest", "backtrack", "calls",
     )
 
-    def __init__(self, data: bytes, window: int, limit: int | None, name, recount) -> None:
+    def __init__(self, data: bytes, window: int, limit: int | None, name, grammar, recount) -> None:
         self.data, self.window, self.limit, self.name = data, window, limit, name
-        self.recount: Callable[[], Program] | None = recount
+        self.grammar: Grammar | None = grammar
+        self.recount: Callable[[Grammar], Program] | None = recount
         self.machine: Machine | None = None
         self.table: MemoTable | None = None
         self.root: tuple | None = None
@@ -428,8 +432,8 @@ class _Run:
 
     def counted(self) -> _Run:
         if self.recount is not None:
-            program = self.recount()
-            again = _Run(self.data, self.window, None, self.name, None)
+            program = self.recount(self.grammar)
+            again = _Run(self.data, self.window, None, self.name, None, None)
             try:
                 program.run(again, self.name)
             except RecursionError:
@@ -444,7 +448,7 @@ class _Run:
         return self
 
 
-_NO_RUN = _Run(b"", DEFAULT_WINDOW, None, None, None)  # a session's before it parses
+_NO_RUN = _Run(b"", DEFAULT_WINDOW, None, None, None, None)  # a session's before it parses
 
 
 class Program(NamedTuple):
@@ -452,12 +456,18 @@ class Program(NamedTuple):
     ``record.data`` (a :class:`_Run`), one parse at a time, and leaves the
     machine, memo table, root and, in a counting program, the counters on
     the record.  ``source`` is the generated module and ``code`` its compiled
-    form, shared by every program of a grammar with equal productions."""
+    form, shared by every program of a grammar with equal productions.
+    ``recount(grammar)`` returns the grammar's counting program of the
+    setting, compiled on its first call; a counting program has none.  It is
+    made once per program, so a session costs no call to find what its parse
+    may need, and it holds no grammar, so a grammar and its programs make no
+    reference cycle and go with their last reference."""
 
     plan: MemoPlan | None
     run: Callable[[_Run, str], int]
     source: str
     code: CodeType
+    recount: Callable[[Grammar], Program] | None
 
 
 def program_for(
@@ -495,47 +505,52 @@ def program_for(
     lock = threading.Lock()
 
     def run(record: _Run, name: str) -> int:
-        with lock:
-            start = functions[name]
-            state = namespace
-            machine = Machine()
-            try:
-                state["data"] = data = record.data
-                state["size"] = len(data)
-                state["machine"] = record.machine = machine
-                # Positions run from 0 to len(data): a wider ring would hold
-                # rows no position reaches and expire nothing more.
-                window = min(record.window, len(data) + 1)
-                state["table"] = record.table = (
-                    MemoTable(plan.count, window) if plan is not None else None
-                )
-                if counting:
-                    state["limit"] = _NO_STEP_LIMIT if record.limit is None else record.limit
-                    state["farthest"] = state["backtrack"] = 0
-                    state["calls"] = -1  # the start counts its own call as none
-                enter = _on_fresh_stack if len(data) >= _FRESH_STACK_INPUT else _call
-                end = enter(start, 0)
-                if end >= 0:
-                    root = machine.left
-                    if root is None:  # a token over what the parse consumed
-                        root = ("token", 0, end, data, ())
-                        machine.created += 1
-                    elif type(root) is tuple and not machine.log:
-                        machine.first = []  # as a whole-log commit would
-                    else:
-                        root = machine.commit(TxMark(0, None), data)
-                    record.root = root
-                return end
-            finally:
-                record.created = machine.created
-                if counting:
-                    record.farthest = state["farthest"]
-                    record.backtrack = state["backtrack"]
-                    record.calls = state["calls"]
-                # Drop the input and the trees: the program outlives this parse.
-                state["data"] = state["machine"] = state["table"] = None
+        start = functions[name]
+        state = namespace
+        machine = Machine()
+        lock.acquire()  # by hand: a ``with`` block costs 0.1 us more a parse
+        try:
+            state["data"] = data = record.data
+            state["size"] = size = len(data)
+            state["machine"] = record.machine = machine
+            # Positions run from 0 to len(data): a wider ring would hold
+            # rows no position reaches and expire nothing more.
+            window = min(record.window, size + 1)
+            state["table"] = record.table = (
+                MemoTable(plan.count, window) if plan is not None else None
+            )
+            if counting:
+                state["limit"] = _NO_STEP_LIMIT if record.limit is None else record.limit
+                state["farthest"] = state["backtrack"] = 0
+                state["calls"] = -1  # the start counts its own call as none
+            end = (_on_fresh_stack if size >= _FRESH_STACK_INPUT else _call)(start, 0)
+            if end >= 0:
+                root = machine.left
+                if root is None:  # a token over what the parse consumed
+                    root = ("token", 0, end, data, ())
+                    machine.created += 1
+                elif type(root) is tuple and not machine.log:
+                    machine.first = []  # as a whole-log commit would
+                else:
+                    root = machine.commit(TxMark(0, None), data)
+                record.root = root
+            return end
+        finally:
+            record.created = machine.created
+            if counting:
+                record.farthest = state["farthest"]
+                record.backtrack = state["backtrack"]
+                record.calls = state["calls"]
+            # Drop the input and the trees: the program outlives this parse.
+            state["data"] = state["machine"] = state["table"] = None
+            lock.release()
 
-    program = grammar._programs[key] = Program(plan, run, source, code)
+    # What finds the counting program when a parse of the bare one first
+    # needs it.
+    recount = None if counting else functools.partial(
+        program_for, memo=memo, build_ast=build_ast, counting=True
+    )
+    program = grammar._programs[key] = Program(plan, run, source, code, recount)
     return program
 
 

@@ -9,8 +9,10 @@ import weakref
 
 import pytest
 from corpus import ENGINE_STEPS, make_corpus
+from overhead import STEPS, counts
 
 import pegfold.interp
+import pegfold.tree
 from pegfold.expr import Terminal
 from pegfold.grammar import parse_grammar
 from pegfold.interp import (
@@ -236,6 +238,21 @@ def test_parse_leaves_no_reference_cycles(memo):
         gc.enable()
 
 
+def test_a_grammar_and_its_programs_go_with_their_last_reference():
+    # `pegfold parse` reads a grammar for each input: it and its programs,
+    # the counting one included, must not wait for a collection.
+    grammar = parse_grammar(MATH)
+    assert ParseSession(grammar, b"1+2").parse().stats.nodes_created == 3
+    runs = [weakref.ref(program.run) for program in grammar._programs.values()]
+    assert len(runs) == 2
+    gc.disable()
+    try:
+        del grammar
+        assert [run() for run in runs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_stats_count_reachable_nodes_on_first_read(monkeypatch):
     count_reachable = pegfold.interp._count_reachable
     calls = []
@@ -393,6 +410,46 @@ def test_counters_read_after_a_bare_parse_equal_counting_ones(options, text, dat
         assert runs == [grammar.start]
         assert read_counters(bare, result) == expected
         assert runs == [grammar.start]  # read twice, counted once
+
+
+def test_a_program_makes_the_callable_that_finds_its_counting_one_once(monkeypatch):
+    # A session finds its program with one lookup, and the program's own
+    # callable finds the counting program for every session of the setting:
+    # for a failed parse's position and for counters read after a bare parse.
+    grammar = parse_grammar(MATH)
+    program = ParseSession(grammar, b"1")._program
+    calls = []
+    monkeypatch.setattr(pegfold.interp, "program_for", lambda *a, **k: calls.append(k))
+    first, second = ParseSession(grammar, b"(1+2)*3"), ParseSession(grammar, b"4-5")
+    assert first._program is second._program is program and calls == []
+    monkeypatch.undo()
+    counting = program.recount(grammar)
+    assert counting is grammar._programs[(True, True, True)] and counting.recount is None
+    other = parse_grammar(MATH)
+    for session in (first, second):
+        expected = ParseSession(other, session.data, max_steps=10**9)
+        assert read_counters(session, session.parse()) == read_counters(expected, expected.parse())
+    with pytest.raises(ParseError) as caught:
+        ParseSession(grammar, b"(1+2*").parse()
+    assert caught.value.position == 5
+    assert grammar._programs[(True, True, False)] is program  # and its callable with it
+
+
+def test_a_small_parse_pays_for_its_bytes_not_for_its_session_and_writer(monkeypatch):
+    # The calls ``tests/overhead.py`` counts outside the generated module:
+    # the steps' add up to the operation's, a session makes no call but the
+    # one lookup of its program, and the operation makes 96 where it made
+    # 110 when each session made its own counting callable and each
+    # ``serialize`` its own tables.  The writer's tables start empty, as in
+    # a process that writes only these trees; earlier tests may have filled
+    # them with other tags.
+    monkeypatch.setattr(pegfold.tree, "_NOTATION", {})
+    work = counts(parse_grammar(MATH), b"(7+5+6*6+5+8)")
+    calls = {name: figures[2] for name, figures in work.items()}
+    assert calls["operation"] == sum(calls[step] for step in STEPS)
+    assert calls["session"] <= 3
+    assert calls["operation"] <= 96
+    assert sys.getprofile() is None
 
 
 def test_counters_of_a_step_limited_parse_need_no_second_run():

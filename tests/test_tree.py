@@ -110,6 +110,29 @@ def test_span_must_fit_source():
         Node("", 0, 1, b"a")
 
 
+# What the writers cannot carry: a tag that is no word, as the notation reads
+# tags, or that is no string at all (``to_json`` quotes a string), and a
+# source that is not bytes.
+@pytest.mark.parametrize("tag", ["", "a b", 'q"x', "w\\y", "\u2603", "a\n", "#t", "t[", 1, None, b"t"])
+def test_node_refuses_a_tag_its_notation_cannot_read_back(tag):
+    with pytest.raises(ValueError):
+        Node(tag, 0, 1, b"x")
+
+
+@pytest.mark.parametrize("source", ["x", bytearray(b"x"), memoryview(b"x"), None])
+def test_node_refuses_a_source_that_is_not_bytes(source):
+    with pytest.raises(TypeError):
+        Node("t", 0, 1, source)
+
+
+@pytest.mark.parametrize("tag", ["t", "_", "a1_B", "t\u00e9g", "\u65e5\u672c"])
+def test_every_tag_a_node_takes_reads_back(tag):
+    tree = Node(tag, 0, 2, b"xy", (leaf(tag, "x"), Node(tag, 1, 2, b"xy")))
+    text = serialize(tree)
+    assert serialize(parse_notation(text)) == text
+    assert json.loads(to_json(tree))["tag"] == tag
+
+
 def test_text_property_is_byte_exact():
     n = Node("x", 1, 3, b"abcd")
     assert n.text == b"bc"
@@ -346,7 +369,7 @@ def test_json_shape():
     }
 
 
-# -- serialize renders each distinct leaf once --------------------------------
+# -- the writers' tables: a kept leaf is quoted once per process ---------------
 
 
 def under(*children, tag="P"):
@@ -372,7 +395,17 @@ def test_serialize_repeated_and_distinct_leaves(tree, text):
     assert serialize(tree) == text
 
 
-def test_serialize_quotes_each_distinct_leaf_once(monkeypatch):
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty writer tables, so that a test sees them fill from the start."""
+    monkeypatch.setattr(pegfold.tree, "_NOTATION", {})
+    monkeypatch.setattr(pegfold.tree, "_JSON_HEADS", {})
+
+
+def test_serialize_quotes_each_distinct_leaf_once(monkeypatch, fresh_tables):
+    # A short leaf is quoted at most once per process: the table keeps it
+    # from one call to the next.  A leaf it does not keep is quoted once
+    # per call.
     workloads = benchmark_grammars()
     workload = workloads.math_wide(workloads.DEFAULT_SEEDS["math-wide"])
     root = ParseSession(parse_grammar(workload.grammar), workload.inputs[0]).parse().root
@@ -383,12 +416,95 @@ def test_serialize_quotes_each_distinct_leaf_once(monkeypatch):
         return quote(data)
 
     quote = pegfold.tree._quote
-    expected = serialize(root)
     monkeypatch.setattr(pegfold.tree, "_quote", counting)
-    assert serialize(root) == expected
+    expected = serialize(root)
     # every leaf is an #Integer of one digit
     assert sorted(quoted) == [str(d).encode() for d in range(10)]
+    assert serialize(root) == expected
+    assert len(quoted) == 10  # none again
     assert workload.check(0, expected)
+    long = b"x" * (pegfold.tree._LEAF_BYTES + 1)
+    tree = under(leaf("A", long), leaf("B", "y"), leaf("A", long))
+    quoted.clear()
+    assert serialize(tree) == serialize(tree) == f"#P[#A['{long.decode()}'] #B['y'] #A['{long.decode()}']]"
+    assert quoted == [long, b"y", long]
+
+
+def reference_notation(node):
+    """``serialize(node)``, one level at a time by recursion, each leaf
+    quoted by the per-byte rule."""
+    if node.is_leaf():
+        return f"#{node.tag}[{reference_quote(node.text)}]"
+    return f"#{node.tag}[{' '.join(map(reference_notation, node.children))}]"
+
+
+def assert_tables_within_bounds():
+    tree = pegfold.tree
+    assert len(tree._NOTATION) <= tree._TAGS and len(tree._JSON_HEADS) <= tree._TAGS
+    for _, leaves in tree._NOTATION.values():
+        assert len(leaves) <= tree._LEAVES
+        assert all(len(text) <= tree._LEAF_BYTES for text in leaves)
+
+
+@pytest.mark.parametrize("shape", ["leaves", "long", "tags"])
+def test_trees_past_the_table_bounds_write_as_before(shape, fresh_tables):
+    tree = pegfold.tree
+    if shape == "leaves":  # more distinct short leaves of one tag than it keeps
+        kids = [leaf("A", str(i)) for i in range(3 * tree._LEAVES)]
+    elif shape == "long":  # leaves longer than it keeps, the shortest just so
+        kids = [leaf("A", "y" * (tree._LEAF_BYTES + i % 3)) for i in range(40)]
+    else:  # more tags than it keeps
+        kids = [leaf(f"T{i}", str(i % 5)) for i in range(3 * tree._TAGS)]
+    node = under(*kids, *kids)  # each leaf twice
+    for _ in range(2):  # filling the tables, then with them full
+        assert serialize(node) == reference_notation(node)
+        assert to_json(node) == json.dumps(to_json_dict(node))
+        assert_tables_within_bounds()
+    if shape == "leaves":
+        assert len(tree._NOTATION["A"][1]) == tree._LEAVES
+    elif shape == "long":
+        assert tree._NOTATION["A"][1] == {b"y" * tree._LEAF_BYTES: f"#A['{'y' * tree._LEAF_BYTES}']"}
+    else:
+        assert len(tree._NOTATION) == len(tree._JSON_HEADS) == tree._TAGS
+
+
+def test_threads_writing_at_once_get_the_text_each_gets_alone(fresh_tables):
+    # Four threads write different trees at once, starting from empty
+    # tables, with more tags and leaves than the tables keep.
+    tree = pegfold.tree
+    rng = random.Random(11)
+    trees = [
+        under(
+            *[
+                leaf(f"T{rng.randrange(2 * tree._TAGS)}", str(rng.randrange(4 * tree._LEAVES)))
+                for _ in range(400)
+            ]
+        )
+        for _ in range(4)
+    ]
+    alone = [(reference_notation(node), json.dumps(to_json_dict(node))) for node in trees]
+    got = [[] for _ in trees]
+    barrier = threading.Barrier(len(trees))
+
+    def write(node, into):
+        barrier.wait(timeout=10)
+        for _ in range(10):
+            into.append((serialize(node), to_json(node)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=write, args=pair) for pair in zip(trees, got)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [[texts] * 10 for texts in alone]
+    assert_tables_within_bounds()
+    assert len(tree._NOTATION) == len(tree._JSON_HEADS) == tree._TAGS
 
 
 # -- to_json writes what json.dumps writes -----------------------------------
@@ -498,7 +614,7 @@ def test_to_json_leaf_text_as_json_dumps_writes_it(text):
 
 def test_to_json_tags_as_json_dumps_writes_them():
     src = b"ab"
-    for tag in ("t\u00e9g", 'q"x', "w\\y", "\u2603"):
+    for tag in ("t\u00e9g", "\u65e5\u672c", "_\u00b2"):
         tree = Node(tag, 0, 2, src, (Node(tag, 0, 1, src), Node("b", 1, 2, src)))
         assert to_json(tree) == json.dumps(to_json_dict(tree))
 
