@@ -24,18 +24,30 @@ after.  With the math grammar of the README (CPython 3.11.7) both follow
 default limit of 1,000.  The memoized recognition pass of ``bench`` makes
 every production a memo point, which each production looks up in its own
 frame, so it follows as deep as ``parse``.
+
+A process that runs commands one after another (``run`` called again and
+again, as a test suite or ``bench/run.py`` does) pays a command's fixed
+costs once.  It keeps one argument parser, built on the first command, and
+the last grammar text it read with the ``Grammar`` built from it, whose
+compiled programs stay on it.  Every command still reads the grammar file;
+a text equal to the last one, read under the same recursion limit, gets
+that ``Grammar`` back, so it is not parsed, validated or compiled again,
+and any other text is read anew and takes the slot.  A read that fails
+keeps nothing.  A fresh ``pegfold`` process builds the parser and reads
+the grammar once either way and gains nothing from this.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from .analysis import assign_memo_points, validate
 from .grammar import Grammar, GrammarSyntaxError, parse_grammar
-from .interp import InvalidGrammarError, ParseError, ParseSession, Stats, program_for
+from .interp import InvalidGrammarError, ParseError, ParseResult, ParseSession, Stats, program_for
 from .memo import DEFAULT_WINDOW
 from .tree import _json_chunks, _notation_chunks
 # Not called here: the command prints through the chunk writers, so the
@@ -49,7 +61,15 @@ OK, FAILURE, IO_ERROR = 0, 1, 2
 RECURSION_LIMIT = 20000  # Python frames a parse or bench command may nest
 
 
+# The last grammar text read, the recursion limit it was read under, and the
+# Grammar built from it (see the module docstring).  One slot: a process
+# that alternates between grammars reads each anew.  Commands racing in two
+# threads may both read a text; either Grammar is correct.
+_last_grammar: tuple[str, int, Grammar] | None = None
+
+
 def _read_grammar(path: str) -> Grammar | int:
+    global _last_grammar
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -59,12 +79,20 @@ def _read_grammar(path: str) -> Grammar | int:
     except UnicodeDecodeError as exc:
         print(f"error: grammar file is not valid UTF-8: {exc}", file=sys.stderr)
         return IO_ERROR
+    # How deep a text nests before its read fails depends on the recursion
+    # limit, which ``parse`` and ``bench`` raise and ``check`` does not.
+    limit = sys.getrecursionlimit()
+    last = _last_grammar
+    if last is not None and last[0] == text and last[1] == limit:
+        return last[2]
     try:
-        return parse_grammar(text)
+        grammar = parse_grammar(text)
     except GrammarSyntaxError as exc:
         for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)
         return FAILURE
+    _last_grammar = (text, limit, grammar)
+    return grammar
 
 
 def _read_input(path: str) -> bytes | int:
@@ -139,9 +167,14 @@ def cmd_parse(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return FAILURE
-    # The tree goes out chunk by chunk as it is written, so the command holds
-    # the tree and one chunk, never the whole text.
-    out = sys.stdout
+    _write_result(args, result, sys.stdout)
+    return OK
+
+
+def _write_result(args: argparse.Namespace, result: ParseResult, out) -> None:
+    """Writes the tree of ``result``, and its statistics if asked, to ``out``.
+    The tree goes out chunk by chunk as it is written, so the command holds
+    the tree and one chunk, never the whole text."""
     if args.format == "json":
         # json.dumps of {"ast": …, "consumed": …, "stats": …}, the tree
         # written straight from its nodes.
@@ -153,8 +186,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         out.writelines(_notation_chunks(result.root))
         out.write("\n")
         if args.stats:
-            print(_format_stats(result.stats))
-    return OK
+            out.write(_format_stats(result.stats) + "\n")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -190,6 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return OK
 
 
+@functools.cache  # ``parse_args`` leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pegfold",

@@ -106,6 +106,7 @@ import keyword
 import re
 import sys
 import threading
+import weakref
 from dataclasses import asdict, dataclass
 from types import CodeType, FunctionType
 from typing import Callable, NamedTuple
@@ -461,7 +462,8 @@ class Program(NamedTuple):
     setting, compiled on its first call; a counting program has none.  It is
     made once per program, so a session costs no call to find what its parse
     may need, and it holds no grammar, so a grammar and its programs make no
-    reference cycle and go with their last reference."""
+    reference cycle and go with their last reference; the generated
+    module's namespace is emptied as ``run`` goes, so it goes with them."""
 
     plan: MemoPlan | None
     run: Callable[[_Run, str], int]
@@ -545,6 +547,10 @@ def program_for(
             state["data"] = state["machine"] = state["table"] = None
             lock.release()
 
+    # The generated functions hold the namespace as their globals while it
+    # holds them; emptied when ``run`` goes, it and they go by reference
+    # counting, not left to a collection.
+    weakref.finalize(run, namespace.clear).atexit = False
     # What finds the counting program when a parse of the bare one first
     # needs it.
     recount = None if counting else functools.partial(

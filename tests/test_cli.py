@@ -1,5 +1,7 @@
 """Command-line surface: output shapes and exit codes."""
 
+import argparse
+import gc
 import json
 import os
 import random
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from corpus import ENGINE_STEPS, benchmark_grammars, make_corpus
+from overhead import COMMAND_STEPS, Command, command_steps, garbage, measured
 from peak import writer_peak
 
 import pegfold
@@ -106,20 +109,167 @@ def test_parse_reports_grammar_errors_before_reading_input(tmp_path, capsys):
         assert "cannot read input" not in err
 
 
+def counting(monkeypatch, owner, name, calls):
+    """Replaces ``owner.name`` with a function that appends its first
+    argument to ``calls`` and calls the original."""
+    original = getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.mark.parametrize("command", [["parse"], ["bench", "--iterations", "1"]])
-def test_parse_and_bench_validate_the_grammar_once(command, math_peg, tmp_path, monkeypatch):
+def test_parse_and_bench_validate_the_grammar_once(command, tmp_path, monkeypatch, capsys):
+    # A text of its own, which no earlier command of the process has read.
+    path = tmp_path / "math.peg"
+    path.write_text(MATH + f"// {command[0]}\n")
     calls = []
     for module in (pegfold.cli, pegfold.interp):
-        original = module.validate
-
-        def counted(grammar, _original=original):
-            calls.append(grammar)
-            return _original(grammar)
-
-        monkeypatch.setattr(module, "validate", counted)
-    data = write_input(tmp_path, b"1+2")
-    assert run([command[0], math_peg, data, *command[1:]]) == 0
+        counting(monkeypatch, module, "validate", calls)
+    argv = [command[0], str(path), write_input(tmp_path, b"1+2"), *command[1:]]
+    assert run(argv) == 0
     assert len(calls) == 1
+    # The same command again finds the grammar it read, compiled.
+    assert run(argv) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_a_repeated_command_builds_no_parser_and_compiles_nothing(
+    math_peg, tmp_path, monkeypatch, capsys
+):
+    pegfold.cli._build_parser.cache_clear()
+    monkeypatch.setattr(pegfold.cli, "_last_grammar", None)
+    parsers, reads, execs = [], [], []
+    counting(monkeypatch, argparse.ArgumentParser, "__init__", parsers)
+    counting(monkeypatch, pegfold.cli, "parse_grammar", reads)
+
+    def counted_exec(code, namespace):
+        execs.append(code)
+        exec(code, namespace)
+
+    # ``program_for`` finds ``exec`` among its module's globals first.
+    monkeypatch.setattr(pegfold.interp, "exec", counted_exec, raising=False)
+    argv = ["parse", math_peg, write_input(tmp_path, b"1+2*3")]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    built = len(parsers)
+    assert built > 0 and len(reads) == len(execs) == 1
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(parsers) == built and len(reads) == len(execs) == 1
+
+
+def test_overhead_counts_the_steps_of_a_repeated_command(math_peg, tmp_path):
+    # ``tests/overhead.py --command``: after a first command, reading the
+    # unchanged grammar parses nothing and finding its program compiles
+    # nothing, and the command leaves nothing to the collector.  The
+    # counts are deterministic: the command makes 293 calls on this input;
+    # building its argument parser and reading its grammar on every command
+    # made 3,935, and left 184 objects to the collector.
+    argv = ["parse", math_peg, write_input(tmp_path, b"(7+5+6*6+5+8)")]
+    named = command_steps(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, pegfold.cli.RECURSION_LIMIT))
+    try:
+        named["command"](Command())
+        work = measured(named, Command)
+        left = garbage(named["command"], Command)
+    finally:
+        sys.setrecursionlimit(limit)
+    calls = {name: figures[2] for name, figures in work.items()}
+    assert list(calls) == [*COMMAND_STEPS, "command"]
+    assert calls["grammar"] <= 10 and calls["program"] <= 2
+    assert sum(calls[name] for name in COMMAND_STEPS) <= calls["command"] <= 400
+    assert left == 0
+
+
+@pytest.mark.parametrize("stats", [[], ["--stats"]], ids=["plain", "stats"])
+@pytest.mark.parametrize("form", ["sexpr", "json"])
+def test_a_repeated_command_leaves_nothing_to_the_collector(
+    form, stats, math_peg, tmp_path, capsys
+):
+    argv = ["parse", math_peg, write_input(tmp_path, b"(1+2)*3-4"), "--format", form, *stats]
+    assert run(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_a_rewritten_grammar_is_read_anew(tmp_path, capsys):
+    path = tmp_path / "g.peg"
+    data = write_input(tmp_path, b"ab")
+    path.write_text("S = { 'a' #A } 'b'\n")
+    assert run(["parse", str(path), data]) == 0
+    assert capsys.readouterr().out == "#A['a']\n"
+    path.write_text("S = { 'a' 'b' #B }\n")
+    assert run(["parse", str(path), data]) == 0
+    assert capsys.readouterr().out == "#B['ab']\n"
+
+
+@pytest.mark.parametrize("text", ["A = A 'x'\n", "A = ("], ids=["invalid", "syntax"])
+@pytest.mark.parametrize("command", ["check", "parse"])
+def test_an_invalid_grammar_reports_the_same_on_every_command(command, text, tmp_path, capsys):
+    path = tmp_path / "bad.peg"
+    path.write_text(text)
+    argv = [command, str(path)] + (["/nonexistent/input"] if command == "parse" else [])
+    assert run(argv) == 1
+    first = capsys.readouterr()
+    assert "error" in first.out + first.err
+    assert run(argv) == 1
+    assert capsys.readouterr() == first
+
+
+def test_a_failed_read_keeps_the_last_grammar_it_read(math_peg, tmp_path, monkeypatch, capsys):
+    data = write_input(tmp_path, b"1+2")
+    assert run(["parse", math_peg, data]) == 0
+    tree = capsys.readouterr().out
+    reads = []
+    counting(monkeypatch, pegfold.cli, "parse_grammar", reads)
+    broken = tmp_path / "broken.peg"
+    broken.write_text("A = (")
+    assert run(["parse", str(tmp_path / "missing.peg"), data]) == 2
+    assert run(["parse", str(broken), data]) == 1
+    assert run(["parse", math_peg, data]) == 0
+    assert capsys.readouterr().out == tree
+    assert reads == ["A = ("]
+
+
+@pytest.mark.parametrize("command", ["parse", "bench"])
+def test_unknown_start_after_a_kept_grammar_fails_before_reading_input(
+    command, math_peg, tmp_path, capsys
+):
+    options = ["--iterations", "1"] if command == "bench" else []
+    assert run([command, math_peg, write_input(tmp_path, b"1"), *options]) == 0
+    capsys.readouterr()
+    assert run([command, math_peg, "/nonexistent/input", "--start", "Nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown start production 'Nope'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text", [MATH, "S = " + "(" * 400 + "'a'" + ")" * 400 + "\n"], ids=["math", "deep"]
+)
+def test_check_after_parse_prints_what_check_prints_alone(text, tmp_path, capsys):
+    # A grammar too deep for ``check``'s recursion limit reads under the
+    # raised one of ``parse``; ``check`` must not take that read.
+    path = tmp_path / "g.peg"
+    path.write_text(text)
+    assert run(["check", str(path)]) in (0, 1)
+    alone = capsys.readouterr()
+    assert run(["parse", str(path), write_input(tmp_path, b"1" if text == MATH else b"a")]) == 0
+    capsys.readouterr()
+    assert run(["check", str(path)]) in (0, 1)
+    assert capsys.readouterr() == alone
 
 
 @pytest.mark.parametrize("module", ["pegfold", "pegfold.cli"])

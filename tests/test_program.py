@@ -239,16 +239,19 @@ def test_parse_leaves_no_reference_cycles(memo):
 
 
 def test_a_grammar_and_its_programs_go_with_their_last_reference():
-    # `pegfold parse` reads a grammar for each input: it and its programs,
-    # the counting one included, must not wait for a collection.
+    # A caller that reads a grammar per input drops one per input: it and
+    # its programs, the counting one and the generated modules' namespaces
+    # included, must not wait for a collection.
     grammar = parse_grammar(MATH)
     assert ParseSession(grammar, b"1+2").parse().stats.nodes_created == 3
     runs = [weakref.ref(program.run) for program in grammar._programs.values()]
     assert len(runs) == 2
     gc.disable()
     try:
+        gc.collect()
         del grammar
         assert [run() for run in runs] == [None, None]
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
