@@ -37,10 +37,13 @@ change once they close and nothing but their own level changes before:
 the engine keeps such a node's tag and children in a record of its own
 and builds the node as it closes.
 
-Every analysis reads one fact table.  It gives each expression of a
-grammar a word of bits, and each production the word of its body, which
-every call of it reads.  A rule per expression kind fills an expression's
-word from its subexpressions' words and, for a call, the callee's; one
+Every analysis reads one fact table.  It numbers each place an expression
+has in a grammar's bodies once, and gives each number a word of bits, in a
+list, and each production the word of its body, which every call of it
+reads.  Equal expressions at two places have two numbers, which
+``eager_constructors`` tells apart.  A rule per expression kind, chosen by
+the kind's code from a table, fills a number's word from its
+subexpressions' words and, for a call, the callee's; one
 loop (``_settle``) runs a rule bottom-up over each production body, the
 productions taken callees first, and again over the callers of each
 production whose word changed, which only a cycle of calls can bring
@@ -61,7 +64,8 @@ the words, one per group of bits:
   dirty and whether it logs, each run outside an eager constructor's level
   and at one.
 
-The emitter reads the compiled table, and only of expressions it holds.
+The emitter reads the compiled table, and only of expressions it holds,
+which it finds by identity.
 
 An expression *builds* when it can leave the machine, or the record of the
 eager constructor it runs in, changed: it reaches a tree operator outside
@@ -99,11 +103,12 @@ leave masks alone, so erasing them keeps a body's mask.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .expr import (
+    KINDS,
     And,
     AnyChar,
     CharClass,
@@ -121,6 +126,7 @@ from .expr import (
     Tag,
     Terminal,
     ZeroOrMore,
+    _LEAF_FIELD,
     subexpressions,
 )
 from .grammar import Diagnostic, Grammar
@@ -132,7 +138,21 @@ __all__ = [
     "eager_constructors",
     "untagged",
     "compiled_facts",
+    "shape",
 ]
+
+# Kind codes (``expr.KINDS``): the leaves, then the kinds with one body, then
+# ``Sequence`` and ``Choice``.
+_CALL, _TAG, _TERMINAL, _CLASS = Nonterminal.kind, Tag.kind, Terminal.kind, CharClass.kind
+_UNARY, _SEQUENCE, _CHOICE = Option.kind, Sequence.kind, Choice.kind
+_NEW, _FOLD, _LINK, _AND, _NOT = New.kind, LeftFold.kind, Link.kind, And.kind, Not.kind
+_LOOPS = (ZeroOrMore.kind, OneOrMore.kind)
+
+
+def _by_kind(rules: Mapping[type, int]) -> tuple[int, ...]:
+    """A table indexed by kind, from the entries of ``rules`` by class; 0
+    for the others."""
+    return tuple(rules.get(cls, 0) for cls in KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -148,39 +168,6 @@ def _walk(e: Expression) -> list[Expression]:
         out.append(x)
         stack.extend(reversed(subexpressions(x)))
     return out
-
-
-def _runs(grammar: Grammar, flags: dict[int, int], passes: int, live=False) -> dict[str, list]:
-    """Per production, the subexpressions of its body that can run, not entering calls.
-
-    A sequence item runs only if every earlier item has the flag ``passes``.
-    With ``live``, constructor bodies are skipped as well: what is left runs
-    while the outer node is in the register.
-    """
-    runs = {}
-    for name, body in grammar.productions.items():
-        out = []
-        todo = [body]
-        while todo:
-            x = todo.pop()
-            out.append(x)
-            if isinstance(x, Sequence):
-                for item in x.items:
-                    todo.append(item)
-                    if not flags[id(item)] & passes:
-                        break
-            elif not (live and isinstance(x, (New, LeftFold))):
-                todo.extend(subexpressions(x))
-        runs[name] = out
-    return runs
-
-
-def _call_edges(runs: dict[str, list[Expression]]) -> dict[str, set[str]]:
-    """Per production, the productions it calls among its ``runs`` subexpressions."""
-    return {
-        name: {x.name for x in xs if isinstance(x, Nonterminal) and x.name in runs}
-        for name, xs in runs.items()
-    }
 
 
 def _spread(seeds: set[str], edges: Mapping[str, set[str]]) -> set[str]:
@@ -215,12 +202,12 @@ def _callees_first(calls: Mapping[str, set[str]]) -> list[str]:
 # ---------------------------------------------------------------------------
 # The fact table.
 #
-# Every expression of a grammar has one word of bits: what its evaluation
-# can do, as far as the analyses ask.  A production's word is its body's,
-# read by each call of it.  ``_fill`` and ``_fill_setting`` hold the rules,
-# one per expression kind; they run at every validate and compile, so they
-# use plain isinstance tests, not a match statement, whose class patterns
-# cost set-up time there.
+# Every place an expression has in a grammar has a number (``_Facts``) and
+# one word of bits: what its evaluation can do, as far as the analyses ask.
+# A production's word is its body's, read by each call of it.  ``_fill`` and
+# ``_fill_setting`` hold the rules, one per kind; they run at every validate
+# and compile, so they read each number's kind from a list and the rules of
+# the regular kinds from tables indexed by kind, and test no classes.
 
 # The bits of ``_fill``, which need no setting.
 _EMPTY = 1  # it can succeed consuming nothing
@@ -251,88 +238,172 @@ _CONSUMES = _FAILS | _SUCCEEDS | _KEEPS  # a byte test's
 _DIRTIES = _DIRTY | _DIRTY_LOCAL
 _LOGS = _LOGS_OUT | _LOGS_IN
 
+# The rules of ``_fill`` for the leaves but calls, and for the kinds with one
+# body: the bits an expression has, and those it takes from its body.  A
+# constructor or link succeeds whatever its body does; a constructor leaves
+# a fresh node in the register, a link the outer one, into which it links
+# what its body built (and touches it, where the body reaches a tree
+# operator).  A predicate drops what its body built, and ``!e`` may always
+# fail.
+_BUILT = _SUCCEEDS | _REACHES | _BUILDS
+_ADDS = _by_kind({
+    Empty: _PASSES, Terminal: _CONSUMES, CharClass: _CONSUMES, AnyChar: _CONSUMES,
+    Tag: _PASSES | _TREE & ~_FOLDS,
+    Option: _PASSES, ZeroOrMore: _PASSES, And: _PASSES, Not: _PASSES | _FAILS,
+    New: _BUILT, LeftFold: _BUILT | _MUTATES | _FOLDS, Link: _BUILT | _KEEPS,
+})  # fmt: skip
+_TAKES = _by_kind({
+    Option: _TREE, ZeroOrMore: _TREE, OneOrMore: -1,
+    And: _TREE & ~_BUILDS | _FAILS, Not: _TREE & ~_BUILDS,
+    New: _EMPTY | _FAILS | _OWN, LeftFold: _EMPTY | _FAILS | _OWN, Link: _EMPTY | _FAILS | _OWN,
+})  # fmt: skip
 
-def _fill(xs: Iterable[Expression], flags: dict[int, int], words: Mapping[str, int]) -> None:
-    """Enters in ``flags`` the bits of ``_fill`` of each of ``xs``, which
-    come after their subexpressions, from the subexpressions' entries and,
-    for a call, the callee's word in ``words`` (none: a name without a
-    production)."""
-    for x in xs:
-        if isinstance(x, (Sequence, Choice)):
+# The same for ``_fill_setting``, whose other rules read more than the body.
+_SETTING_ADDS = _by_kind(
+    {AnyChar: _ANY_BYTE, Tag: _LOGS_OUT, And: _BLIND, Not: _BLIND, Link: _LOGS_OUT}
+)
+_SETTING_TAKES = _by_kind({
+    Option: _LOGS | _FIRST, ZeroOrMore: _LOGS | _FIRST, OneOrMore: _DIRTIES | _LOGS | _FIRST,
+    New: _FIRST, LeftFold: _FIRST, Link: _FIRST,
+})  # fmt: skip
+
+
+class _Facts(NamedTuple):
+    """A grammar's fact table.
+
+    ``exprs``: every place an expression has in a production body, by
+    number.  Each body is numbered in turn, and the places in it in a
+    breadth-first walk: the body first, then each one's subexpressions
+    together, after those of the places numbered before it.  So a
+    subexpression's number is greater than its parent's.  ``kinds``: each
+    number's kind.  ``own``: each number's fields but its subexpressions: a
+    leaf's text, ranges or name, a link's index, the length of a sequence or
+    a choice, or None.  ``parts``: where each number's subexpressions start; a
+    sequence's or a choice's end where those of the next number start.
+    ``spans``: each production's numbers, ``(first, end)``, its body's
+    first.  ``calls``: each production's calls, by number, and ``inner`` the
+    numbers with subexpressions, in order.  ``order`` and
+    ``callers``: the productions callees first, and each one's callers.
+    ``flags``: every number's word.  ``words``: each production's word, its
+    body's.  ``_facts`` fills the bits of ``_fill``; ``compiled_facts`` all
+    of them, which ``dirty``, ``quiet`` and ``lead`` read.
+
+    The methods take an expression, as the emitter holds them, and find its
+    number in ``number``, by identity, filled on first use.  An expression
+    object at several places has one number there; its words are equal at
+    all of them, since ``eager_constructors`` makes it eager only if every
+    place is.
+    """
+
+    exprs: list[Expression]
+    kinds: list[int]
+    own: list
+    parts: list[int]
+    spans: dict[str, tuple[int, int]]
+    calls: dict[str, list[int]]
+    inner: dict[str, list[int]]
+    order: list[str]
+    callers: dict[str, list[str]]
+    flags: list[int]
+    words: dict[str, int]
+    number: dict[int, int]
+
+    def word(self, e: Expression) -> int:
+        """``e``'s word."""
+        number = self.number
+        if not number:  # one update from a whole dict, as threads compiling at once may
+            number.update({id(x): n for n, x in enumerate(self.exprs)})
+        return self.flags[number[id(e)]]
+
+    def builds(self, e: Expression) -> bool:
+        """Can ``e`` change the machine, or the record of the eager
+        constructor it runs in?"""
+        return bool(self.word(e) & _BUILDS)
+
+    def nullable(self, e: Expression) -> bool:
+        """Can ``e`` succeed consuming nothing?"""
+        return bool(self.word(e) & _EMPTY)
+
+    def dirty(self, e: Expression, local: bool = False) -> bool:
+        """Can ``e`` fail after changing what ``builds`` says, run at an eager
+        constructor's level if ``local``?"""
+        return bool(self.word(e) & (_DIRTY_LOCAL if local else _DIRTY))
+
+    def quiet(self, e: Expression) -> bool:
+        """Run outside an eager constructor's level, does ``e`` change
+        nothing of the machine but its left register?"""
+        return not self.word(e) & (_LOGS_OUT | _FOLDS)
+
+    def lead(self, e: Expression) -> int | None:
+        """``e``'s lead mask."""
+        f = self.word(e)
+        return None if f & (_EMPTY | _BLIND) else f >> _LEAD
+
+
+def _fill(facts: _Facts, name: str, flags: list[int], words: Mapping[str, int]) -> None:
+    """Enters in ``flags`` the bits of ``_fill`` of production ``name``'s
+    calls, from the callee's word in ``words`` (none: a name without a
+    production), then of its numbers with subexpressions, bottom-up, from
+    the subexpressions' entries.  The other leaves' bits are constant, and
+    ``_facts`` enters them first."""
+    kinds, parts, exprs = facts.kinds, facts.parts, facts.exprs
+    for n in facts.calls[name]:
+        # It builds where the callee reaches a tree operator, even inside a
+        # predicate, and holds none of the callee's tags and folds.
+        f = words.get(exprs[n].name, 0) & ~_OWN
+        if f & _REACHES:
+            f |= _BUILDS
+        flags[n] = f
+    for n in reversed(facts.inner[name]):
+        k = kinds[n]
+        if k >= _SEQUENCE:
             # A sequence has the flags of ``_PASSES`` that every item has, a
             # choice ``_FAILS`` if every alternative has it; each has every
             # other flag that some item or alternative has, but a sequence
             # mutates the outer node only from items that start with it in
             # the register.
-            items = isinstance(x, Sequence)
+            items = k == _SEQUENCE
             joint = _PASSES if items else _FAILS
             every, some = joint, 0
-            for c in subexpressions(x):
-                f = flags[id(c)]
+            for f in flags[parts[n] : parts[n + 1]]:
                 if items and not every & _KEEPS:
                     f &= ~_MUTATES
                 every &= f
                 some |= f
             f = every | some & ~joint
-        elif isinstance(x, (Terminal, CharClass, AnyChar)):
-            f = _CONSUMES
-        elif isinstance(x, Nonterminal):
-            # It builds where the callee reaches a tree operator, even inside
-            # a predicate, and holds none of the callee's tags and folds.
-            f = words.get(x.name, 0) & ~_OWN
-            if f & _REACHES:
-                f |= _BUILDS
-        elif isinstance(x, (Option, ZeroOrMore)):
-            f = _PASSES | flags[id(x.body)] & _TREE
-        elif isinstance(x, OneOrMore):
-            f = flags[id(x.body)]
-        elif isinstance(x, (New, LeftFold, Link)):
-            # It succeeds whatever its body does; a constructor leaves a
-            # fresh node in the register, a link the outer one, into which it
-            # links what its body built.
-            body = flags[id(x.body)]
-            f = body & (_EMPTY | _FAILS | _OWN) | _SUCCEEDS | _REACHES | _BUILDS
-            if isinstance(x, Link):
-                f |= _KEEPS
-                if body & _REACHES:
-                    f |= _TOUCHES | _MUTATES
-            elif isinstance(x, LeftFold):
-                f |= _MUTATES | _FOLDS
-        elif isinstance(x, Tag):
-            f = _PASSES | _TREE & ~_FOLDS
-        elif isinstance(x, (And, Not)):
-            body = flags[id(x.body)]
-            f = _PASSES | body & _TREE & ~_BUILDS
-            f |= body & _FAILS if isinstance(x, And) else _FAILS  # ``!e`` may always fail
-        elif isinstance(x, Empty):
-            f = _PASSES
         else:
-            raise TypeError(f"unknown expression {x!r}")
-        flags[id(x)] = f
+            body = flags[parts[n]]
+            f = body & _TAKES[k] | _ADDS[k]
+            if k == _LINK and body & _REACHES:
+                f |= _TOUCHES | _MUTATES
+        flags[n] = f
 
 
 def _fill_setting(
-    xs: Iterable[Expression],
-    flags: dict[int, int],
+    facts: _Facts,
+    name: str,
+    flags: list[int],
     words: Mapping[str, int],
-    base: Mapping[int, int],
+    base: list[int],
     eager: frozenset[int],
     memo_links: Collection[str],
 ) -> None:
-    """Enters in ``flags`` the word of each of ``xs``, which come after their
-    subexpressions: its word in ``base``, a ``_fill`` table, with the bits
-    of ``_fill_setting`` and the lead mask, from the subexpressions' entries
+    """Enters in ``flags`` the word of each number of production ``name``,
+    bottom-up: its word in ``base``, a ``_fill`` table, with the bits of
+    ``_fill_setting`` and the lead mask, from the subexpressions' entries
     and, for a call, the callee's word in ``words``.  ``eager`` and
     ``memo_links`` are as for ``compiled_facts``."""
-    for x in xs:
-        f = base[id(x)]
-        if isinstance(x, Sequence):
+    kinds, parts, exprs = facts.kinds, facts.parts, facts.exprs
+    first, end = facts.spans[name]
+    for n in range(end - 1, first - 1, -1):
+        k = kinds[n]
+        f = base[n] | _SETTING_ADDS[k]
+        if k == _SEQUENCE:
             # Its first byte is that of the items up to the first that
             # cannot succeed empty.
             built = 0
             lead = True
-            for item in x.items:
-                c = flags[id(item)]
+            for c in flags[parts[n] : parts[n + 1]]:
                 f |= c & (_DIRTIES | _LOGS)
                 if built and c & _FAILS:
                     f |= _DIRTIES
@@ -340,137 +411,121 @@ def _fill_setting(
                 if lead:
                     f |= c & _FIRST
                     lead = c & _EMPTY
-        elif isinstance(x, Choice):
-            for a in x.alternatives:
-                f |= flags[id(a)] & (_LOGS | _FIRST)
-            f |= flags[id(x.alternatives[-1])] & _DIRTIES
-        elif isinstance(x, Terminal):
-            f |= 1 << _LEAD + x.text[0]
-        elif isinstance(x, Nonterminal):
-            callee = words.get(x.name, 0)
+        elif k == _CHOICE:
+            alternatives = flags[parts[n] : parts[n + 1]]
+            for c in alternatives:
+                f |= c & (_LOGS | _FIRST)
+            f |= alternatives[-1] & _DIRTIES
+        elif k >= _UNARY:
+            body = flags[parts[n]]
+            f |= body & _SETTING_TAKES[k]
+            if k == _NEW or k == _FOLD:
+                if id(exprs[n]) not in eager:
+                    f |= _LOGS
+                    if body & _FAILS:
+                        f |= _DIRTIES
+                elif body & _LOGS_IN:
+                    f |= _LOGS
+            elif k == _LINK:
+                if body & _LOGS_OUT:
+                    f |= _LOGS_IN
+                # At an eager constructor's level a link restores the machine
+                # itself; a memoized one takes its own savepoint.
+                p = parts[n]
+                memoized = kinds[p] == _CALL and exprs[p].name in memo_links
+                if body & _DIRTY and not memoized:
+                    f |= _DIRTY
+            elif (k == _AND or k == _NOT) and body & _LOGS_OUT:
+                f |= _LOGS
+        elif k == _CALL:
+            callee = words.get(exprs[n].name, 0)
             f |= callee & _FIRST
             if callee & _DIRTY:
                 f |= _DIRTIES
             if callee & (_LOGS_OUT | _MUTATES):  # a loud production
                 f |= _LOGS
-        elif isinstance(x, (Option, ZeroOrMore)):
-            f |= flags[id(x.body)] & (_LOGS | _FIRST)
-        elif isinstance(x, OneOrMore):
-            f |= flags[id(x.body)] & (_DIRTIES | _LOGS | _FIRST)
-        elif isinstance(x, (New, LeftFold)):
-            body = flags[id(x.body)]
-            f |= body & _FIRST
-            if id(x) not in eager:
-                f |= _LOGS
-                if body & _FAILS:
-                    f |= _DIRTIES
-            elif body & _LOGS_IN:
-                f |= _LOGS
-        elif isinstance(x, Link):
-            body = flags[id(x.body)]
-            f |= body & _FIRST | _LOGS_OUT
-            if body & _LOGS_OUT:
-                f |= _LOGS_IN
-            # At an eager constructor's level a link restores the machine
-            # itself; a memoized one takes its own savepoint.
-            memoized = isinstance(x.body, Nonterminal) and x.body.name in memo_links
-            if body & _DIRTY and not memoized:
-                f |= _DIRTY
-        elif isinstance(x, CharClass):
-            for lo, hi in x.ranges:
+        elif k == _TERMINAL:
+            f |= 1 << _LEAD + exprs[n].text[0]
+        elif k == _CLASS:
+            for lo, hi in exprs[n].ranges:
                 f |= (1 << _LEAD + hi + 1) - (1 << _LEAD + lo)
-        elif isinstance(x, Tag):
-            f |= _LOGS_OUT
-        elif isinstance(x, (And, Not)):
-            f |= _BLIND
-            if flags[id(x.body)] & _LOGS_OUT:
-                f |= _LOGS
-        elif isinstance(x, AnyChar):
-            f |= _ANY_BYTE
-        flags[id(x)] = f
-
-
-class _Facts(NamedTuple):
-    """A grammar's fact table.
-
-    ``walks``: each production body's ``_walk``.  ``order`` and ``callers``:
-    the productions callees first, and each one's callers.  ``flags``: the
-    word of every expression in the walks, by ``id``.  ``words``: each
-    production's word, its body's.  ``_facts`` fills the bits of ``_fill``;
-    ``compiled_facts`` all of them, which ``dirty``, ``quiet`` and ``lead``
-    read.
-    """
-
-    walks: dict[str, list[Expression]]
-    order: list[str]
-    callers: dict[str, list[str]]
-    flags: dict[int, int]
-    words: dict[str, int]
-
-    def builds(self, e: Expression) -> bool:
-        """Can ``e`` change the machine, or the record of the eager
-        constructor it runs in?"""
-        return bool(self.flags[id(e)] & _BUILDS)
-
-    def nullable(self, e: Expression) -> bool:
-        """Can ``e`` succeed consuming nothing?"""
-        return bool(self.flags[id(e)] & _EMPTY)
-
-    def dirty(self, e: Expression, local: bool = False) -> bool:
-        """Can ``e`` fail after changing what ``builds`` says, run at an eager
-        constructor's level if ``local``?"""
-        return bool(self.flags[id(e)] & (_DIRTY_LOCAL if local else _DIRTY))
-
-    def quiet(self, e: Expression) -> bool:
-        """Run outside an eager constructor's level, does ``e`` change
-        nothing of the machine but its left register?"""
-        return not self.flags[id(e)] & (_LOGS_OUT | _FOLDS)
-
-    def lead(self, e: Expression) -> int | None:
-        """``e``'s lead mask."""
-        f = self.flags[id(e)]
-        return None if f & (_EMPTY | _BLIND) else f >> _LEAD
+        flags[n] = f
 
 
 def _settle(
-    walks: dict[str, list[Expression]],
-    order: list[str],
-    callers: dict[str, list[str]],
-    fill: Callable[[Iterable[Expression], dict[int, int], dict[str, int]], None],
-) -> tuple[dict[int, int], dict[str, int]]:
-    """The flags and words that the rule ``fill`` gives, from one bottom-up
-    pass over each body's reversed walk, the productions taken in ``order``.
-    A production whose word changes puts its callers back in the pass, which
-    only a cycle of calls can bring round again: one least fixpoint for
-    every bit."""
-    flags: dict[int, int] = {}
-    words = dict.fromkeys(walks, 0)
+    facts: _Facts, fill: Callable[[_Facts, str, list[int], dict[str, int]], None], flags: list[int]
+) -> _Facts:
+    """``facts`` with the flags and words that the rule ``fill`` gives,
+    starting from ``flags``, from one bottom-up pass over each body's
+    numbers, the productions taken in ``order``.  A production whose word
+    changes puts its callers back in the pass, which only a cycle of calls
+    can bring round again: one least fixpoint for every bit."""
+    words = dict.fromkeys(facts.spans, 0)
+    order, spans, callers = facts.order, facts.spans, facts.callers
     pending = set(order)
     while pending:
         for name in [name for name in order if name in pending]:
             pending.discard(name)
-            walk = walks[name]
-            fill(reversed(walk), flags, words)
-            f = flags[id(walk[0])]
+            fill(facts, name, flags, words)
+            f = flags[spans[name][0]]
             if f != words[name]:
                 words[name] = f
                 pending.update(callers[name])
-    return flags, words
+    return _Facts(*facts[:-3], flags, words, facts.number)
 
 
 def _facts(grammar: Grammar) -> _Facts:
     """The grammar's table of ``_fill`` bits, computed on first use and kept
     with it."""
     if grammar._facts is None:
-        walks = {name: _walk(body) for name, body in grammar.productions.items()}
-        calls = _call_edges(walks)
-        callers: dict[str, list[str]] = {name: [] for name in walks}
-        for name, callees in calls.items():
+        productions = grammar.productions
+        exprs: list[Expression] = []
+        kinds: list[int] = []
+        own: list = []
+        parts: list[int] = []
+        spans: dict[str, tuple[int, int]] = {}
+        calls: dict[str, list[int]] = {}
+        inner: dict[str, list[int]] = {}
+        for name, body in productions.items():
+            first = len(exprs)
+            block = [body]
+            sites, nodes = calls[name], inner[name] = [], []
+            for n, x in enumerate(block, first):  # the block grows as it goes
+                k = x.kind
+                kinds.append(k)
+                parts.append(first + len(block))
+                if k >= _SEQUENCE:
+                    xs = x.items if k == _SEQUENCE else x.alternatives
+                    block += xs
+                    own.append(len(xs))
+                    nodes.append(n)
+                elif k >= _UNARY:
+                    block.append(x.body)
+                    own.append(x.index if k == _LINK else None)
+                    nodes.append(n)
+                else:
+                    own.append(_LEAF_FIELD[k] and _LEAF_FIELD[k](x))
+                    if k == _CALL:
+                        sites.append(n)
+            exprs += block
+            spans[name] = (first, len(exprs))
+        edges = {name: {exprs[n].name for n in ns} & productions.keys() for name, ns in calls.items()}
+        callers: dict[str, list[str]] = {name: [] for name in spans}
+        for name, callees in edges.items():
             for callee in callees:
                 callers[callee].append(name)
-        order = _callees_first(calls)
-        grammar._facts = _Facts(walks, order, callers, *_settle(walks, order, callers, _fill))
+        order = _callees_first(edges)
+        facts = _Facts(exprs, kinds, own, parts, spans, calls, inner, order, callers, [], {}, {})
+        grammar._facts = _settle(facts, _fill, [_ADDS[k] for k in kinds])
     return grammar._facts
+
+
+def shape(grammar: Grammar) -> tuple:
+    """The productions of ``grammar`` in a flat form, equal exactly where
+    they are: their names and numbers, and each number's kind and own
+    fields (``_Facts``).  It hashes and compares with no walk of the trees."""
+    facts = _facts(grammar)
+    return tuple(facts.spans.items()), tuple(facts.kinds), tuple(facts.own)
 
 
 def compiled_facts(
@@ -484,8 +539,7 @@ def compiled_facts(
     """
     facts = _facts(grammar)
     fill = functools.partial(_fill_setting, base=facts.flags, eager=eager, memo_links=memo_links)
-    flags, words = _settle(facts.walks, facts.order, facts.callers, fill)
-    return facts._replace(flags=flags, words=words)
+    return _settle(facts, fill, [0] * len(facts.exprs))
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +556,32 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
 
     productions = grammar.productions
     facts = _facts(grammar)
-    nodes, flags = facts.walks, facts.flags
-    for name, xs in nodes.items():
-        refs = {x.name for x in xs if isinstance(x, Nonterminal)}
-        for ref in sorted(refs - set(productions)):
-            message = f"reference to undefined production {ref!r}"
-            report("error", "undefined-nonterminal", message, name)
-        for x in xs:
-            if isinstance(x, (ZeroOrMore, OneOrMore)) and flags[id(x.body)] & _EMPTY:
+    exprs, kinds, parts, flags = facts.exprs, facts.kinds, facts.parts, facts.flags
+
+    if any(exprs[n].name not in productions for ns in facts.calls.values() for n in ns):
+        for name, ns in facts.calls.items():
+            for ref in sorted({exprs[n].name for n in ns} - productions.keys()):
+                message = f"reference to undefined production {ref!r}"
+                report("error", "undefined-nonterminal", message, name)
+
+    # Where each number can run, not entering calls, as three cuts, each a
+    # bit of ``reach``: from the start of its production's body, past every
+    # earlier item of an enclosing sequence that can succeed empty
+    # (``_EMPTY``), that can succeed (``_SUCCEEDS``), or that can succeed
+    # with the outer node in the register, outside constructor bodies
+    # (``_KEEPS``: it runs while the node it started with is in the
+    # register; a tag that does is *live*).  One walk down each body's
+    # numbers with subexpressions.  A live tag mutates the node it finds, so
+    # where no production can mutate its outer node, the empty-pass cut
+    # alone is needed.
+    cuts = _PASSES if any(word & _MUTATES for word in facts.words.values()) else _EMPTY
+    reach = [0] * len(exprs)
+    for name, (first, end) in facts.spans.items():
+        reach[first] = cuts
+        for n in facts.inner[name]:
+            k = kinds[n]
+            p = parts[n]
+            if k in _LOOPS and flags[p] & _EMPTY:
                 report(
                     "warning",
                     "nullable-repetition",
@@ -517,10 +589,28 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
                     "the loop stops after one empty iteration",
                     name,
                 )
+            r = reach[n]
+            if not r:
+                continue
+            if k == _SEQUENCE:
+                for c in range(p, parts[n + 1]):
+                    reach[c] = r
+                    r &= flags[c]
+            elif k == _CHOICE:
+                reach[p : parts[n + 1]] = [r] * (parts[n + 1] - p)
+            else:
+                reach[p] = r & ~_KEEPS if k == _NEW or k == _FOLD else r
 
-    left_calls = _call_edges(_runs(grammar, flags, _EMPTY))
+    def calls(cut: int) -> dict[str, set[str]]:
+        """Per production, the productions it calls where ``reach`` has ``cut``."""
+        return {
+            name: {exprs[n].name for n in ns if reach[n] & cut and exprs[n].name in productions}
+            for name, ns in facts.calls.items()
+        }
+
+    left_calls = calls(_EMPTY)
     for name in productions:
-        if name in _spread(left_calls[name], left_calls):
+        if left_calls[name] and name in _spread(left_calls[name], left_calls):
             report(
                 "error",
                 "left-recursion",
@@ -528,23 +618,24 @@ def validate(grammar: Grammar) -> list[Diagnostic]:
                 name,
             )
 
+    tagging = {  # the productions with a live tag
+        name
+        for name, (first, end) in facts.spans.items()
+        if cuts & _KEEPS and any(kinds[n] == _TAG and reach[n] & _KEEPS for n in range(first, end))
+    }
+
     # Tags that may run with no node under construction: live tags, taken
     # from the start symbol.  A production that does not run from it, nor
     # from an earlier such root, is checked on its own as a root.  A live
     # tag mutates the outer node.
     warned: set[str] = set()
-    live = {}
-    if any(word & _MUTATES for word in facts.words.values()):
-        live = _runs(grammar, flags, _KEEPS, live=True)
-    tagging = {name for name, xs in live.items() if any(isinstance(x, Tag) for x in xs)}
     if tagging:  # only a live tag can run with no node under construction
-        calls = _call_edges(_runs(grammar, flags, _SUCCEEDS))
-        live_calls = _call_edges(live)
+        runs, live_calls = calls(_SUCCEEDS), calls(_KEEPS)
         reached: set[str] = set()
         for root in (grammar.start, *productions):
             if root in reached:
                 continue
-            reached |= _spread({root}, calls)
+            reached |= _spread({root}, runs)
             warned |= tagging & _spread({root}, live_calls)
     for name in productions:
         if name in warned:
@@ -584,31 +675,30 @@ class MemoPlan:
 def assign_memo_points(grammar: Grammar) -> MemoPlan:
     """Chooses memo points; expects a grammar that validates without errors."""
     facts = _facts(grammar)
-    flags = facts.flags
-    nodes = [x for xs in facts.walks.values() for x in xs]
+    exprs, kinds, parts, flags = facts.exprs, facts.kinds, facts.parts, facts.flags
+    productions = grammar.productions
 
     # Candidate link points: @Name occurrences, in grammar order.
     link_names = dict.fromkeys(
         x.body.name
-        for x in nodes
-        if isinstance(x, Link)
-        and isinstance(x.body, Nonterminal)
-        and x.body.name in grammar.productions
+        for body in productions.values()
+        for x in _walk(body)
+        if x.kind == _LINK and x.body.kind == _CALL and x.body.name in productions
     )
 
     # Selectivity rule (see the module docstring): a later #tag in the same
     # sequence drops every point used in an earlier element.
     disabled_links: set[str] = set()
     disabled_nts: set[str] = set()
-    for e in nodes:
-        if not isinstance(e, Sequence):
+    for n, k in enumerate(kinds):
+        if k != _SEQUENCE:
             continue
-        tagged = [k for k, item in enumerate(e.items) if flags[id(item)] & _TAGGED]
-        for item in e.items[: tagged[-1]] if tagged else ():
-            for x in _walk(item):
-                if isinstance(x, Link) and isinstance(x.body, Nonterminal):
+        tagged = [c for c in range(parts[n], parts[n + 1]) if flags[c] & _TAGGED]
+        for c in range(parts[n], tagged[-1]) if tagged else ():
+            for x in _walk(exprs[c]):
+                if x.kind == _LINK and x.body.kind == _CALL:
                     disabled_links.add(x.body.name)
-                if isinstance(x, Nonterminal):
+                if x.kind == _CALL:
                     disabled_nts.add(x.name)
 
     link_points: dict[str, int] = {}
@@ -619,7 +709,7 @@ def assign_memo_points(grammar: Grammar) -> MemoPlan:
             next_id += 1
 
     nonterminal_points: dict[str, int] = {}
-    for name in grammar.productions:
+    for name in productions:
         if not facts.words[name] & _REACHES and name not in disabled_nts:
             nonterminal_points[name] = next_id
             next_id += 1
@@ -653,53 +743,58 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
     and nothing else touches it.
 
     One pass down each body and a closure over call edges: linear in the
-    grammar's size.  An expression used in several places is eager only if
-    every use is.
+    grammar's size.  An expression object used in several places is eager
+    only if every use is.
     """
     facts = _facts(grammar)
-    flags, words = facts.flags, facts.words
+    exprs, kinds, parts, flags, words = facts.exprs, facts.kinds, facts.parts, facts.flags, facts.words
     if not any(f & _REACHES for f in words.values()):
         return frozenset()  # no tree operator at all
 
-    # One pass down each body.  ``below``: a reason not to be final met
-    # below the production root; ``open_``: no enclosing link, so the
-    # root's call sites matter; ``owner``: the constructor at whose level
-    # the expression runs, if any.
+    # One pass down each body, each number's state set by its parent's:
+    # ``below``, a reason not to be final met below the production root;
+    # ``open_``, no enclosing link, so the root's call sites matter;
+    # ``owner``, the constructor at whose level it runs, if any (-1: none).
     constructors: list[tuple[int, bool, bool, str]] = []
     sites: list[tuple[str, bool, bool, str]] = []
     not_local: set[int] = set()  # constructors whose node more than their level changes
-    for name, body in grammar.productions.items():
-        todo: list[tuple[Expression, bool, bool, int | None]] = [(body, False, True, None)]
-        while todo:
-            x, below, open_, owner = todo.pop()
-            if isinstance(x, Sequence):
+    state: list[tuple[bool, bool, int]] = [(False, True, -1)] * len(exprs)
+    for name, (first, end) in facts.spans.items():
+        for n in range(first, end):
+            below, open_, owner = state[n]
+            k = kinds[n]
+            p = parts[n]
+            if k == _SEQUENCE:
                 later = below
-                for item in reversed(x.items):
-                    todo.append((item, later, open_, owner))
-                    later = later or bool(flags[id(item)] & _TOUCHES)
-            elif isinstance(x, (New, LeftFold)):
-                if owner is not None:
+                for c in range(parts[n + 1] - 1, p - 1, -1):
+                    state[c] = (later, open_, owner)
+                    later = later or bool(flags[c] & _TOUCHES)
+            elif k == _NEW or k == _FOLD:
+                if owner >= 0:
                     not_local.add(owner)
-                constructors.append((id(x), below, open_, name))
-                todo.append((x.body, True, open_, id(x)))
-            elif isinstance(x, Nonterminal):
-                if owner is not None and words.get(x.name, 0) & _REACHES:
+                constructors.append((n, below, open_, name))
+                state[p] = (True, open_, n)
+            elif k == _CALL:
+                callee = exprs[n].name
+                if owner >= 0 and words.get(callee, 0) & _REACHES:
                     not_local.add(owner)
-                sites.append((x.name, below, open_, name))
-            elif isinstance(x, Link):
-                callee = x.body.name if isinstance(x.body, Nonterminal) else None
-                if owner is not None and words.get(callee, _MUTATES) & _MUTATES:
+                sites.append((callee, below, open_, name))
+            elif k == _LINK:
+                callee = exprs[p].name if kinds[p] == _CALL else None
+                if owner >= 0 and words.get(callee, _MUTATES) & _MUTATES:
                     not_local.add(owner)
-                todo.append((x.body, False, False, None))
-            elif isinstance(x, (ZeroOrMore, OneOrMore)):
-                again = below or bool(flags[id(x.body)] & (_TOUCHES | _EMPTY))
-                todo.append((x.body, again, open_, owner))
-            elif isinstance(x, (And, Not)):
-                if owner is not None and flags[id(x.body)] & _REACHES:
+                state[p] = (False, False, -1)
+            elif k in _LOOPS:
+                again = below or bool(flags[p] & (_TOUCHES | _EMPTY))
+                state[p] = (again, open_, owner)
+            elif k == _AND or k == _NOT:
+                if owner >= 0 and flags[p] & _REACHES:
                     not_local.add(owner)
-                todo.append((x.body, True, open_, None))
-            else:
-                todo.extend((c, below, open_, owner) for c in subexpressions(x))
+                state[p] = (True, open_, -1)
+            elif k == _CHOICE:
+                state[p : parts[n + 1]] = [state[n]] * (parts[n + 1] - p)
+            elif k >= _UNARY:
+                state[p] = state[n]
 
     # A production is dirty when a call site is, directly or because its
     # own production is dirty and nothing between them stops the walk.
@@ -711,9 +806,9 @@ def eager_constructors(grammar: Grammar) -> frozenset[int]:
     dirty = _spread(seeds, inherits)
 
     lazy = not_local | {
-        key for key, below, open_, name in constructors if below or open_ and name in dirty
+        n for n, below, open_, name in constructors if below or open_ and name in dirty
     }
-    return frozenset(key for key, _, _, _ in constructors if key not in lazy)
+    return frozenset(id(exprs[n]) for n, _, _, _ in constructors) - {id(exprs[n]) for n in lazy}
 
 
 def untagged(body: Expression) -> tuple[tuple[Expression, ...], str | None]:

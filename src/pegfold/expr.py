@@ -13,11 +13,22 @@ predicates) and the tree-building operators:
 
 Matching is byte oriented: literals are UTF-8 byte strings, character
 classes are sets of inclusive byte ranges, and ``.`` matches one byte.
+
+The classes are plain slotted classes; assigning a field raises
+``FrozenInstanceError``.  Each has a ``kind``, a small int that tables are
+indexed by: the leaves first, then the classes with one ``body``, then
+``Sequence`` and ``Choice`` (``KINDS``).  An expression computes its
+structural hash once, as it is built, from its children's hashes, and
+``==`` compares two trees with an explicit stack, stopping at the first
+pair whose hash, class or fields differ, so both work at any depth.  Equal
+expressions are not merged into one object: the analyses tell the places
+of a grammar apart (see :mod:`pegfold.analysis`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 __all__ = [
     "Expression",
@@ -37,6 +48,7 @@ __all__ = [
     "LeftFold",
     "Link",
     "Tag",
+    "KINDS",
     "EMPTY",
     "ANY",
     "sequence",
@@ -50,140 +62,233 @@ __all__ = [
 class Expression:
     """Base class for all expression variants."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+    kind: int  # the class's index in ``KINDS``
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Expression):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or type(a) is not type(b):
+                return False
+            k = a.kind
+            if k >= _SEVERAL:
+                xs, ys = _PARTS[k](a), _PARTS[k](b)
+                if len(xs) != len(ys):
+                    return False
+                todo += zip(xs, ys)
+            elif k >= _UNARY:
+                if k == _LINK and a.index != b.index:
+                    return False
+                todo.append((a.body, b.body))
+            elif _LEAF_FIELD[k] is not None and _LEAF_FIELD[k](a) != _LEAF_FIELD[k](b):
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
 class Empty(Expression):
     """Matches the empty string; always succeeds."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+    def __init__(self) -> None:
+        _set_hash(self, hash((Empty,)))
+
+
 class Terminal(Expression):
     """Matches an exact, non-empty byte sequence."""
 
-    text: bytes
+    __slots__ = ("text",)
+    __match_args__ = ("text",)
 
-    def __post_init__(self) -> None:
-        if not self.text:
+    def __init__(self, text: bytes) -> None:
+        if not text:
             raise ValueError("terminal byte sequence must be non-empty")
+        _set_text(self, text)
+        _set_hash(self, hash((Terminal, text)))
 
 
-@dataclass(frozen=True, slots=True)
 class CharClass(Expression):
     """Matches one byte inside any of the inclusive ``(lo, hi)`` ranges."""
 
-    ranges: tuple[tuple[int, int], ...]
+    __slots__ = ("ranges",)
+    __match_args__ = ("ranges",)
 
-    def __post_init__(self) -> None:
-        if not self.ranges:
+    def __init__(self, ranges: tuple[tuple[int, int], ...]) -> None:
+        if not ranges:
             raise ValueError("character class must contain at least one range")
-        for lo, hi in self.ranges:
+        for lo, hi in ranges:
             if not (0 <= lo <= hi <= 0xFF):
                 raise ValueError(f"invalid byte range {lo}-{hi}")
+        _set_ranges(self, ranges)
+        _set_hash(self, hash((CharClass, ranges)))
 
 
-@dataclass(frozen=True, slots=True)
 class AnyChar(Expression):
     """Matches any single byte."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class Nonterminal(Expression):
+    def __init__(self) -> None:
+        _set_hash(self, hash((AnyChar,)))
+
+
+class _Named(Expression):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_hash(self, hash((type(self), name)))
+
+
+class Nonterminal(_Named):
     """Applies the production named ``name``."""
 
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Tag(_Named):
+    """``#name`` -- sets (or overrides) the tag of the current left node."""
+
+    __slots__ = ()
+
+
+class _Unary(Expression):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __init__(self, body: Expression) -> None:
+        _set_body(self, body)
+        _set_hash(self, hash((type(self), body._hash)))
+
+
+class Option(_Unary):
+    """``e?`` -- matches ``body`` or nothing."""
+
+    __slots__ = ()
+
+
+class ZeroOrMore(_Unary):
+    """``e*`` -- greedily repeats ``body`` until it no longer matches."""
+
+    __slots__ = ()
+
+
+class OneOrMore(_Unary):
+    """``e+`` -- like ``e*`` but requires at least one match."""
+
+    __slots__ = ()
+
+
+class And(_Unary):
+    """``&e`` -- succeeds iff ``body`` matches; consumes nothing."""
+
+    __slots__ = ()
+
+
+class Not(_Unary):
+    """``!e`` -- succeeds iff ``body`` fails; consumes nothing."""
+
+    __slots__ = ()
+
+
+class New(_Unary):
+    """``{ e }`` -- builds a fresh node spanning the substring matched by ``body``."""
+
+    __slots__ = ()
+
+
+class LeftFold(_Unary):
+    """``{@ e }`` -- builds a fresh node whose first child is the current left node."""
+
+    __slots__ = ()
+
+
+class Link(_Unary):
+    """``@e`` / ``@[n]e`` -- attaches the node built by ``body`` to the left node."""
+
+    __slots__ = ("index",)
+    __match_args__ = ("body", "index")
+
+    def __init__(self, body: Expression, index: int | None = None) -> None:
+        if index is not None and index < 0:
+            raise ValueError("link index must be non-negative")
+        _set_body(self, body)
+        _set_index(self, index)
+        _set_hash(self, hash((Link, body._hash, index)))
+
+
 class Sequence(Expression):
     """Matches ``items`` one after another; fails if any part fails."""
 
-    items: tuple[Expression, ...]
+    __slots__ = ("items",)
+    __match_args__ = ("items",)
 
-    def __post_init__(self) -> None:
-        if len(self.items) < 2:
+    def __init__(self, items: tuple[Expression, ...]) -> None:
+        if len(items) < 2:
             raise ValueError("sequence needs at least two items")
+        _set_items(self, items)
+        _set_hash(self, hash((Sequence, items)))  # each item's hash is kept
 
 
-@dataclass(frozen=True, slots=True)
 class Choice(Expression):
     """Prioritized choice: tries ``alternatives`` in order, first hit wins."""
 
-    alternatives: tuple[Expression, ...]
+    __slots__ = ("alternatives",)
+    __match_args__ = ("alternatives",)
 
-    def __post_init__(self) -> None:
-        if len(self.alternatives) < 2:
+    def __init__(self, alternatives: tuple[Expression, ...]) -> None:
+        if len(alternatives) < 2:
             raise ValueError("choice needs at least two alternatives")
+        _set_alternatives(self, alternatives)
+        _set_hash(self, hash((Choice, alternatives)))
 
 
-@dataclass(frozen=True, slots=True)
-class Option(Expression):
-    """``e?`` -- matches ``body`` or nothing."""
+# ``__setattr__`` refuses every assignment, so ``__init__`` writes the slots
+# through their descriptors.
+_set_hash, _set_text, _set_ranges, _set_name = (
+    Expression._hash.__set__, Terminal.text.__set__, CharClass.ranges.__set__, _Named.name.__set__
+)  # fmt: skip
+_set_body, _set_index, _set_items, _set_alternatives = (
+    _Unary.body.__set__, Link.index.__set__, Sequence.items.__set__, Choice.alternatives.__set__
+)  # fmt: skip
 
-    body: Expression
+# The classes in the order of their kinds: leaves, one body, several.
+KINDS = (Empty, Terminal, CharClass, AnyChar, Nonterminal, Tag, Option, ZeroOrMore, OneOrMore,
+         And, Not, New, LeftFold, Link, Sequence, Choice)  # fmt: skip
+for _kind, _class in enumerate(KINDS):
+    _class.kind = _kind
+_UNARY, _LINK, _SEVERAL = Option.kind, Link.kind, Sequence.kind
 
-
-@dataclass(frozen=True, slots=True)
-class ZeroOrMore(Expression):
-    """``e*`` -- greedily repeats ``body`` until it no longer matches."""
-
-    body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class OneOrMore(Expression):
-    """``e+`` -- like ``e*`` but requires at least one match."""
-
-    body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class And(Expression):
-    """``&e`` -- succeeds iff ``body`` matches; consumes nothing."""
-
-    body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class Not(Expression):
-    """``!e`` -- succeeds iff ``body`` fails; consumes nothing."""
-
-    body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class New(Expression):
-    """``{ e }`` -- builds a fresh node spanning the substring matched by ``body``."""
-
-    body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class LeftFold(Expression):
-    """``{@ e }`` -- builds a fresh node whose first child is the current left node."""
-
-    body: Expression
-
-
-@dataclass(frozen=True, slots=True)
-class Link(Expression):
-    """``@e`` / ``@[n]e`` -- attaches the node built by ``body`` to the left node."""
-
-    body: Expression
-    index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.index is not None and self.index < 0:
-            raise ValueError("link index must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class Tag(Expression):
-    """``#name`` -- sets (or overrides) the tag of the current left node."""
-
-    name: str
-
+# Per kind: the subexpressions, and the getter of a leaf's one field (None:
+# it has none), which ``==`` compares and ``analysis.shape`` keeps.
+_PARTS = ((lambda e: (),) * _UNARY + (lambda e: (e.body,),) * (_SEVERAL - _UNARY)
+          + (attrgetter("items"), attrgetter("alternatives")))  # fmt: skip
+_LEAF_FIELD = (
+    None, attrgetter("text"), attrgetter("ranges"), None, attrgetter("name"), attrgetter("name")
+)  # fmt: skip
 
 EMPTY = Empty()
 ANY = AnyChar()
@@ -209,19 +314,9 @@ def choice(alternatives: list[Expression] | tuple[Expression, ...]) -> Expressio
     return Choice(alternatives)
 
 
-_UNARY = (Option, ZeroOrMore, OneOrMore, And, Not, New, LeftFold, Link)
-
-
 def subexpressions(e: Expression) -> tuple[Expression, ...]:
     """Direct children of ``e`` in evaluation order."""
-    # isinstance tests: a ``match`` over these classes costs four times as much.
-    if isinstance(e, _UNARY):
-        return (e.body,)
-    if isinstance(e, Sequence):
-        return e.items
-    if isinstance(e, Choice):
-        return e.alternatives
-    return ()
+    return _PARTS[e.kind](e)
 
 
 def erase_tree_operators(e: Expression) -> Expression:
@@ -231,33 +326,24 @@ def erase_tree_operators(e: Expression) -> Expression:
     empty expression.  Recognition behavior is unchanged: the erased
     grammar consumes exactly the same input.
     """
-    match e:
-        case New(body) | LeftFold(body) | Link(body):
-            return erase_tree_operators(body)
-        case Tag():
-            return EMPTY
-        case Sequence(items):
-            return sequence([x for i in items if not isinstance(x := erase_tree_operators(i), Empty)])
-        case Choice(alternatives):
-            return Choice(tuple(erase_tree_operators(a) for a in alternatives))
-        case Option(body):
-            return Option(erase_tree_operators(body))
-        case ZeroOrMore(body):
-            return ZeroOrMore(erase_tree_operators(body))
-        case OneOrMore(body):
-            return OneOrMore(erase_tree_operators(body))
-        case And(body):
-            return And(erase_tree_operators(body))
-        case Not(body):
-            return Not(erase_tree_operators(body))
-        case _:
-            return e
+    if isinstance(e, (New, LeftFold, Link)):
+        return erase_tree_operators(e.body)
+    if isinstance(e, Tag):
+        return EMPTY
+    if isinstance(e, Sequence):
+        return sequence([x for i in e.items if not isinstance(x := erase_tree_operators(i), Empty)])
+    if isinstance(e, Choice):
+        return Choice(tuple(erase_tree_operators(a) for a in e.alternatives))
+    if isinstance(e, _Unary):  # a repetition or a predicate
+        return type(e)(erase_tree_operators(e.body))
+    return e
 
 
 # Formatting.  Precedence levels mirror the reader: choice 1, sequence 2,
 # prefix 3, suffix 4, primary 5.
 
 _NAMED_ESCAPES = {0x0A: "\\n", 0x0D: "\\r", 0x09: "\\t"}
+_SUFFIXES = {Option: "?", ZeroOrMore: "*", OneOrMore: "+"}
 
 
 def _quote_byte(b: int, specials: str) -> str:
@@ -328,16 +414,10 @@ def _format(e: Expression) -> tuple[int, list]:
             return 2, [part for i in items for part in (" ", (i, 3))][1:]
         case Choice(alternatives):
             return 1, [part for a in alternatives for part in (" / ", (a, 2))][1:]
-        case Option(body):
-            return 4, [(body, 4), "?"]
-        case ZeroOrMore(body):
-            return 4, [(body, 4), "*"]
-        case OneOrMore(body):
-            return 4, [(body, 4), "+"]
-        case And(body):
-            return 3, ["&", (body, 4)]
-        case Not(body):
-            return 3, ["!", (body, 4)]
+        case Option(body) | ZeroOrMore(body) | OneOrMore(body):
+            return 4, [(body, 4), _SUFFIXES[type(e)]]
+        case And(body) | Not(body):
+            return 3, ["&" if isinstance(e, And) else "!", (body, 4)]
         case Link(body, index):
             prefix = "@" if index is None else f"@[{index}]"
             if index is None and isinstance(body, CharClass):

@@ -35,6 +35,7 @@ from .expr import (
     EMPTY,
     And,
     CharClass,
+    Choice,
     Expression,
     LeftFold,
     Link,
@@ -43,12 +44,11 @@ from .expr import (
     Nonterminal,
     OneOrMore,
     Option,
+    Sequence,
     Tag,
     Terminal,
     ZeroOrMore,
-    choice,
     format_expression,
-    sequence,
 )
 
 __all__ = [
@@ -145,10 +145,21 @@ def format_grammar(grammar: Grammar) -> str:
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_PREFIXES = set("&!@")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DEFINITION = re.compile(_IDENT.pattern + r"[ \t\r\n]*=")  # ``Name =``: the next production
+_HEAD = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)[ \t\r\n]*=[ \t\r\n]*")  # ``Name =`` and the space after
 _INDEX = re.compile(r"\[([0-9]+)\]")
 _PLAIN = re.compile(r"[^'\\]+")  # literal text up to a quote or an escape
+# A plain item: a name that does not start the next production, a literal in
+# ASCII with no escape, ``.`` or a tag; then its suffixes and the white space
+# after it.  ``read_sequence`` reads one in one match, and any other item the
+# long way, which reports what is wrong with it.
+_PLAIN_ITEM = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_]|[ \t\r\n]*=)"  # a name, but ``Name =``
+    r"|'[\x00-&(-\[\]-\x7f]*'|\.|#[A-Za-z_][A-Za-z0-9_]*)"
+    r"([?*+]*)[ \t\r\n]*"
+)
+_SUFFIXES = {"?": Option, "*": ZeroOrMore, "+": OneOrMore}
 _HEX = set("0123456789abcdefABCDEF")
 _ESCAPES = {"n": 0x0A, "r": 0x0D, "t": 0x09, "\\": 0x5C}
 
@@ -176,21 +187,23 @@ class _Reader:
     # -- lexical helpers -------------------------------------------------
 
     def skip_space(self) -> None:
-        while self.pos < self.n:
-            ch = self.text[self.pos]
+        text, pos, n = self.text, self.pos, self.n
+        while pos < n:
+            ch = text[pos]
             if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self.text.startswith("//", self.pos):
-                nl = self.text.find("\n", self.pos)
-                self.pos = self.n if nl < 0 else nl + 1
+                pos += 1
+            elif ch == "/" and text.startswith("//", pos):
+                nl = text.find("\n", pos)
+                pos = n if nl < 0 else nl + 1
             else:
-                return
+                break
+        self.pos = pos
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.n else ""
+        return self.text[self.pos : self.pos + 1]  # "" at the end
 
     def eat(self, ch: str) -> None:
-        if self.peek() != ch:
+        if not self.text.startswith(ch, self.pos):
             raise self.fail(f"expected {ch!r}")
         self.pos += 1
 
@@ -211,42 +224,67 @@ class _Reader:
             raise self.fail("empty grammar: expected at least one production")
         while self.pos < self.n:
             at = self.pos
-            name = self.read_identifier()
+            head = _HEAD.match(self.text, at)
+            name = self.read_identifier() if head is None else head[1]
             if name in productions:
                 message = f"production {name!r} is defined twice"
                 raise self.fail(message, at, "duplicate-production", name)
+            if head is None:  # a comment before the ``=``, or no ``=``
+                self.skip_space()
+                self.eat("=")
+            else:
+                self.pos = head.end()
             self.skip_space()
-            self.eat("=")
-            self.skip_space()
-            productions[name] = self.read_expression()
+            productions[name] = self.read_expression()  # which skips the space after it
             locations[name] = self.line_col(at)
-            self.skip_space()
         return Grammar(productions, locations=locations)
+
+    # Each of these reads from a position past white space, and
+    # ``read_expression`` and ``read_sequence`` skip the space after what
+    # they read.
 
     def read_expression(self) -> Expression:
         alternatives = [self.read_sequence()]
-        self.skip_space()
-        while self.peek() == "/":
+        while self.text.startswith("/", self.pos):
             self.pos += 1
             self.skip_space()
             alternatives.append(self.read_sequence())
-            self.skip_space()
-        return choice(alternatives)
+        return alternatives[0] if len(alternatives) == 1 else Choice(tuple(alternatives))
 
     def read_sequence(self) -> Expression:
-        items = [self.read_prefixed()]
+        text = self.text
+        items: list[Expression] = []
         while True:
+            item = _PLAIN_ITEM.match(text, self.pos)
+            if item is not None:
+                plain, suffixes = item.groups()
+                ch = plain[0]
+                if ch == "'":
+                    e = Terminal(plain[1:-1].encode()) if len(plain) > 2 else EMPTY
+                elif ch == ".":
+                    e = ANY
+                elif ch == "#":
+                    e = Tag(plain[1:])
+                else:
+                    e = Nonterminal(plain)
+                for suffix in suffixes:
+                    e = _SUFFIXES[suffix](e)
+                items.append(e)
+                self.pos = item.end()
+                if text.startswith("//", self.pos):
+                    self.skip_space()
+                continue
+            ch = text[self.pos : self.pos + 1]
+            # The sequence ends before a choice, a closing bracket, the end or
+            # ``Name =`` (a name that is no plain item): the next production.
+            if items and (ch == "" or ch in "/)}" or ch in _IDENT_START):
+                break
+            items.append(self.read_prefixed(ch) if ch in _PREFIXES else self.read_suffixed())
             self.skip_space()
-            ch = self.peek()
-            if ch == "" or ch in "/)}":
-                break
-            if ch in _IDENT_START and _DEFINITION.match(self.text, self.pos):
-                break
-            items.append(self.read_prefixed())
-        return sequence(items)
+        return items[0] if len(items) == 1 else Sequence(tuple(items))
 
-    def read_prefixed(self) -> Expression:
-        ch = self.peek()
+    def read_prefixed(self, ch: str) -> Expression:
+        """The expression after the prefix ``ch``, which is at ``pos``."""
         if ch == "&":
             self.pos += 1
             self.skip_space()
@@ -269,20 +307,16 @@ class _Reader:
 
     def read_suffixed(self) -> Expression:
         e = self.read_primary()
+        text = self.text
         while True:
-            ch = self.peek()
-            if ch == "?":
-                e = Option(e)
-            elif ch == "*":
-                e = ZeroOrMore(e)
-            elif ch == "+":
-                e = OneOrMore(e)
-            else:
+            suffix = _SUFFIXES.get(text[self.pos : self.pos + 1])
+            if suffix is None:
                 return e
+            e = suffix(e)
             self.pos += 1
 
     def read_primary(self) -> Expression:
-        ch = self.peek()
+        ch = self.text[self.pos : self.pos + 1]
         if ch == "'":
             return self.read_literal()
         if ch == "[":
@@ -298,7 +332,6 @@ class _Reader:
             self.pos += 1
             self.skip_space()
             e = self.read_expression()
-            self.skip_space()
             self.eat(")")
             self.brackets.pop()
             return e
@@ -312,12 +345,13 @@ class _Reader:
             self.pos += 2 if fold else 1
             self.skip_space()
             body = self.read_expression()
-            self.skip_space()
             self.eat("}")
             self.brackets.pop()
             return LeftFold(body) if fold else New(body)
-        if ch in _IDENT_START:
-            return Nonterminal(self.read_identifier())
+        name = _IDENT.match(self.text, self.pos)
+        if name is not None:
+            self.pos = name.end()
+            return Nonterminal(name[0])
         raise self.fail("expected an expression")
 
     def read_literal(self) -> Expression:
@@ -360,15 +394,16 @@ class _Reader:
     def read_char_class(self) -> Expression:
         at = self.pos
         self.eat("[")
+        text = self.text
         ranges: list[tuple[int, int]] = []
         while True:
             if self.pos >= self.n:
                 raise self.fail("unterminated character class", at)
-            if self.peek() == "]":
+            if text.startswith("]", self.pos):
                 self.pos += 1
                 break
             lo = self.read_class_byte()
-            if self.peek() == "-" and not self.text.startswith("-]", self.pos):
+            if text.startswith("-", self.pos) and not text.startswith("-]", self.pos):
                 self.pos += 1
                 hi = self.read_class_byte()
                 if lo > hi:
@@ -382,6 +417,9 @@ class _Reader:
 
     def read_class_byte(self) -> int:
         ch = self.peek()
+        if "\x00" <= ch < "\x80" and ch != "\\":  # an ASCII byte as it is
+            self.pos += 1
+            return ord(ch)
         if ch == "\\":
             return self.read_escape("]", "-", "'")
         b = ch.encode("utf-8", "surrogatepass")  # a lone surrogate is three bytes

@@ -93,8 +93,9 @@ so link points keep their lookups at the call site.
 A grammar is compiled once per ``(memo, build_ast, counting)`` setting, the
 counting module only when a parse first needs it; the grammar keeps that
 program for every session.  Grammars with equal productions
-share one memo plan and compiled module (``_compiled``), analysed, written
-and compiled once, and each program ``exec``s it into globals of its own,
+share one memo plan and compiled module (``_compiled``, found by the
+productions' flat form, ``analysis.shape``), analysed, written and compiled
+once, and each program ``exec``s it into globals of its own,
 which a parse binds on entry and clears on exit.
 """
 
@@ -116,6 +117,7 @@ from .analysis import (
     assign_memo_points,
     compiled_facts,
     eager_constructors,
+    shape,
     untagged,
     validate,
 )
@@ -124,7 +126,6 @@ from .expr import (
     AnyChar,
     CharClass,
     Choice,
-    Empty,
     Expression,
     LeftFold,
     Link,
@@ -483,9 +484,10 @@ def program_for(
     The first compile of a grammar validates it and raises
     :class:`InvalidGrammarError` on errors; a grammar that already has a
     program has passed.  The emitter recurses per nesting level of an
-    expression, as do erasing tree operators and hashing the productions
-    (the analyses do not), so a grammar nested deeper than the caller's
-    recursion limit lets them follow raises it too, and keeps nothing.
+    expression, as does erasing tree operators (the analyses, and hashing
+    and comparing expressions, do not), so a grammar nested deeper than the
+    caller's recursion limit lets them follow raises it too, and keeps
+    nothing.
     Two threads racing here may both compile; either program is correct.
     """
     key = (memo, build_ast, counting)
@@ -497,7 +499,7 @@ def program_for(
             problems = [d for d in validate(grammar) if d.severity == "error"]
             if problems:
                 raise InvalidGrammarError(problems)
-        plan, source, code = _compiled(tuple(grammar.productions.items()), memo, build_ast, counting)
+        plan, source, code = _compiled(_Productions(grammar), memo, build_ast, counting)
     except RecursionError:
         message = "grammar nests too deeply for the recursion limit"
         raise InvalidGrammarError([Diagnostic("error", "nesting-limit", message)]) from None
@@ -584,16 +586,34 @@ def _planned(
     return running, assign_memo_points(running) if memo else None
 
 
+class _Productions:
+    """A grammar's productions as the key of their compiled modules: hashed
+    and compared by their flat form (``analysis.shape``), so a lookup walks
+    no expression tree."""
+
+    __slots__ = ("productions", "shape")
+
+    def __init__(self, grammar: Grammar) -> None:
+        self.productions = grammar.productions
+        self.shape = shape(grammar)
+
+    def __hash__(self) -> int:
+        return hash(self.shape)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Productions) and self.shape == other.shape
+
+
 @functools.lru_cache(maxsize=64)
 def _compiled(
-    productions: tuple[tuple[str, Expression], ...], memo: bool, build_ast: bool, counting: bool
+    productions: _Productions, memo: bool, build_ast: bool, counting: bool
 ) -> tuple[MemoPlan | None, str, CodeType]:
     """The memo plan, module source and code for a grammar's productions in
     one setting.  Equal productions give equal source, so grammars read from
     the same text share them, analysed, written and compiled once; their
     sessions read one ``MemoPlan``, which nothing changes, and the bare and
     counting modules of a setting share it too."""
-    running, plan = _planned(productions, memo, build_ast)
+    running, plan = _planned(tuple(productions.productions.items()), memo, build_ast)
     source = generate(running, plan, counting)
     return plan, source, compile(source, "<pegfold grammar>", "exec")
 
@@ -619,6 +639,7 @@ _GLOBALS: dict[str, object] = {
 _RESERVED = frozenset(dir(builtins)) | frozenset(keyword.kwlist) | frozenset(_GLOBALS)
 
 
+@functools.lru_cache(maxsize=1024)
 def _mangle(name: str) -> str:
     """A production's function name: the name itself where it is a plain
     identifier, else ``_P_`` and its text with every other character than
@@ -703,7 +724,7 @@ def _scan_stop(body: Expression) -> CharClass | Terminal | None:
 _MAX_INDENT = 24 * 4  # in spaces
 _MAX_LOOPS = 12
 _STEP = "    "
-_NESTING = (Sequence, Choice, Option, ZeroOrMore, OneOrMore, And, Not, New, LeftFold, Link)
+_NESTING = Option.kind  # this kind and the later ones hold subexpressions
 
 
 class _Function:
@@ -778,24 +799,10 @@ class _Emitter:
         self.names = {name: _mangle(name) for name in self.bodies}
         self.constants: dict[str, str] = {}
         self.count = 0
-        self.kinds = {
-            Sequence: self.sequence,
-            Terminal: self.terminal,
-            Nonterminal: self.call,
-            Choice: self.choice,
-            CharClass: self.char_class,
-            ZeroOrMore: self.star,
-            OneOrMore: self.plus,
-            Option: self.option,
-            Tag: self.tag,
-            Link: self.link,
-            New: self.constructor,
-            LeftFold: self.constructor,
-            Not: self.predicate,
-            And: self.predicate,
-            AnyChar: self.any_char,
-            Empty: self.empty,
-        }
+        # The method that writes each kind of expression (``expr.KINDS``).
+        self.kinds = (self.empty, self.terminal, self.char_class, self.any_char, self.call,
+                      self.tag, self.option, self.star, self.plus, self.predicate, self.predicate,
+                      self.constructor, self.constructor, self.link, self.sequence, self.choice)  # fmt: skip
 
     def module(self) -> str:
         out: list[str] = []
@@ -835,17 +842,15 @@ class _Emitter:
         return f"{letter}{self.count}"
 
     def emit(self, e: Expression, pv: str, i: str, fn: _Function, rec, known=None) -> tuple[str, bool]:
-        if (len(i) - len(fn.indent) > _MAX_INDENT or fn.loops > _MAX_LOOPS) and isinstance(
-            e, _NESTING
-        ):
+        if (len(i) - len(fn.indent) > _MAX_INDENT or fn.loops > _MAX_LOOPS) and e.kind >= _NESTING:
             return self.helper(e, pv, i, fn, rec)
-        return self.kinds[type(e)](e, pv, i, fn, rec, known)
+        return self.kinds[e.kind](e, pv, i, fn, rec, known)
 
     def helper(self, e: Expression, pv: str, i: str, fn: _Function, rec) -> tuple[str, bool]:
         """``e`` in a function nested in ``fn``, which reaches a record of
         ``fn`` through its closure."""
         helper = _Function(self.fresh("h"), fn.indent + _STEP)
-        rv, fails = self.kinds[type(e)](e, "p", helper.indent, helper, rec, None)
+        rv, fails = self.kinds[e.kind](e, "p", helper.indent, helper, rec, None)
         helper.lines.append(f"{helper.indent}return {rv}")
         fn.helpers.append(helper)
         result = "r" if fails else self.fresh("s")

@@ -1,8 +1,9 @@
 """Counts what one small parse, or one ``pegfold parse`` command, pays
-besides its bytes.
+besides its bytes, and what a grammar's set-up pays.
 
     python tests/overhead.py GRAMMAR INPUT
     python tests/overhead.py --command GRAMMAR INPUT [OPTION ...]
+    python tests/overhead.py --setup GRAMMAR
 
 The first form parses the bytes of the file INPUT with the grammar in the
 file GRAMMAR the way a library user and the many-small workload of
@@ -25,6 +26,18 @@ six steps, run under the recursion limit the command sets, are what
 (writing the tree, and the statistics if asked).  The whole operation, ``command``,
 also pays for what joins the steps: the dispatch, the recursion limit and
 the redirected output.
+
+With ``--setup`` the operation is a fresh grammar's set-up, as the
+``setup_s`` metric of ``bench/run.py`` times it: ``ParseSession(
+parse_grammar(text), b"")`` for the text of the file GRAMMAR, memo on and
+trees built.  Its three steps are ``read`` (``parse_grammar``),
+``validate`` (``validate`` of the grammar read, which numbers its
+expressions and fills the fact table it keeps) and ``program`` (the
+``ParseSession``, which validates the grammar again over that table before
+its first program, then finds the compiled module by the grammar's flat
+form and runs it), and the whole is ``setup``.  So ``program`` counts a
+second run of what ``validate`` does past the fact table, which ``setup``
+does once.
 
 After a header line it prints one line per step and one for the whole
 operation, as ``name us calls blocks peak``:
@@ -68,6 +81,7 @@ if __name__ == "__main__":  # run as a script: read the package from this checko
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pegfold.cli
+from pegfold.analysis import validate
 from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseSession, program_for
 from pegfold.tree import serialize
@@ -76,6 +90,7 @@ ROUNDS = 15
 PER_ROUND = 400  # steps timed together in one round
 STEPS = ("session", "parse", "root", "serialize")
 COMMAND_STEPS = ("args", "grammar", "program", "input", "parse", "write")
+SETUP_STEPS = ("read", "validate", "program")
 _GENERATED = "<pegfold grammar>"  # the file name of every generated module
 
 
@@ -88,6 +103,23 @@ def steps(grammar, data: bytes):
         "root": lambda result: result.root,
         "serialize": lambda root: serialize(root),
         "operation": lambda _: serialize(ParseSession(grammar, data).parse().root),
+    }
+
+
+def checked(grammar):
+    """``grammar``, validated."""
+    validate(grammar)
+    return grammar
+
+
+def setup_steps(text: str):
+    """The three steps of a set-up of the grammar ``text``, each a function
+    of the previous one's result, and the whole set-up last."""
+    return {
+        "read": lambda _: parse_grammar(text),
+        "validate": checked,
+        "program": lambda grammar: ParseSession(grammar, b""),
+        "setup": lambda _: ParseSession(parse_grammar(text), b""),
     }
 
 
@@ -247,15 +279,22 @@ def garbage(whole, start) -> int:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--command", action="store_true", help="split one in-process pegfold parse")
+    parser.add_argument("--setup", action="store_true", help="split a grammar's set-up")
     parser.add_argument("grammar")
-    parser.add_argument("input")
+    parser.add_argument("input", nargs="?")
     parser.add_argument(
         "options", nargs=argparse.REMAINDER, help="with --command: options of pegfold parse"
     )
     args = parser.parse_args(argv)
     if args.options and not args.command:
         parser.error("options go with --command only")
-    if args.command:
+    if args.setup and (args.input is not None or args.command):
+        parser.error("--setup takes a GRAMMAR alone")
+    if not args.setup and args.input is None:
+        parser.error("INPUT is needed without --setup")
+    if args.setup:
+        named, start = setup_steps(Path(args.grammar).read_text(encoding="utf-8")), lambda: None
+    elif args.command:
         # The steps read the grammar under the recursion limit the command
         # sets, so that they find the grammar the command kept.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), pegfold.cli.RECURSION_LIMIT))

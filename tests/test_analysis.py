@@ -4,6 +4,7 @@ import sys
 
 import pytest
 from corpus import benchmark_grammars
+from overhead import measured, setup_steps
 
 from pegfold.analysis import (
     _BUILDS,
@@ -146,7 +147,7 @@ def named(word):
 def flags_of(text):
     """The flags of production ``S``'s body."""
     grammar = parse_grammar(text)
-    return named(_facts(grammar).flags[id(grammar.productions["S"])])
+    return named(_facts(grammar).words["S"])
 
 
 @pytest.mark.parametrize(
@@ -677,3 +678,27 @@ def test_the_analyses_follow_a_grammar_deeper_than_the_recursion_limit():
     assert facts.dirty(inner) and facts.dirty(last, True) and not facts.dirty(first)
     assert not facts.dirty(constructor) and facts.quiet(constructor)
     assert not facts.quiet(first)  # its tag runs outside any constructor
+
+
+def test_a_set_up_makes_half_the_calls_and_tests_no_class():
+    # ``tests/overhead.py --setup`` on the JSON-like benchmark grammar: the
+    # read, validate and program steps and the whole set-up, which made
+    # 4,158 calls when the analyses tested classes and walked each body
+    # three times and the compiled-module key hashed and compared the
+    # expression trees; ``validate`` made 1,177 ``isinstance`` calls.
+    text = benchmark_grammars().JSON_LIKE
+    work = measured(setup_steps(text), lambda: None)
+    assert work["setup"][2] <= 2100
+    tests = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is isinstance:
+            tests.append(frame.f_code.co_name)
+
+    grammar = parse_grammar(text)
+    sys.setprofile(profile)
+    try:
+        validate(grammar)
+    finally:
+        sys.setprofile(None)
+    assert tests == []

@@ -319,8 +319,7 @@ def test_write_parse_round_trip(text):
     g = parse_grammar(text)
     printed = format_grammar(g)
     if text is DEEP:
-        assert printed == DEEP + "\n"  # comparing grammars recurses per level
-    else:
-        assert parse_grammar(printed) == g
+        assert printed == DEEP + "\n"
+    assert parse_grammar(printed) == g
     # printing is a fixed point after one round
     assert format_grammar(parse_grammar(printed)) == printed
