@@ -126,7 +126,7 @@ from .expr import (
     Tag,
     Terminal,
     ZeroOrMore,
-    _LEAF_FIELD,
+    _FIELDS,
     subexpressions,
 )
 from .grammar import Diagnostic, Grammar
@@ -276,10 +276,10 @@ class _Facts(NamedTuple):
     breadth-first walk: the body first, then each one's subexpressions
     together, after those of the places numbered before it.  So a
     subexpression's number is greater than its parent's.  ``kinds``: each
-    number's kind.  ``own``: each number's fields but its subexpressions: a
-    leaf's text, ranges or name, a link's index, the length of a sequence or
-    a choice, or None.  ``parts``: where each number's subexpressions start; a
-    sequence's or a choice's end where those of the next number start.
+    number's kind.  ``own``: each number's fields but its subexpressions
+    (``expr._FIELDS``), which ``==`` compares too.  ``parts``: where each
+    number's subexpressions start; a sequence's or a choice's end where
+    those of the next number start.
     ``spans``: each production's numbers, ``(first, end)``, its body's
     first.  ``calls``: each production's calls, by number, and ``inner`` the
     numbers with subexpressions, in order.  ``order`` and
@@ -494,19 +494,15 @@ def _facts(grammar: Grammar) -> _Facts:
                 k = x.kind
                 kinds.append(k)
                 parts.append(first + len(block))
+                own.append(_FIELDS[k](x))
                 if k >= _SEQUENCE:
-                    xs = x.items if k == _SEQUENCE else x.alternatives
-                    block += xs
-                    own.append(len(xs))
+                    block += x.items if k == _SEQUENCE else x.alternatives
                     nodes.append(n)
                 elif k >= _UNARY:
                     block.append(x.body)
-                    own.append(x.index if k == _LINK else None)
                     nodes.append(n)
-                else:
-                    own.append(_LEAF_FIELD[k] and _LEAF_FIELD[k](x))
-                    if k == _CALL:
-                        sites.append(n)
+                elif k == _CALL:
+                    sites.append(n)
             exprs += block
             spans[name] = (first, len(exprs))
         edges = {name: {exprs[n].name for n in ns} & productions.keys() for name, ns in calls.items()}

@@ -83,20 +83,10 @@ class Expression:
             a, b = todo.pop()
             if a is b:
                 continue
-            if a._hash != b._hash or type(a) is not type(b):
-                return False
             k = a.kind
-            if k >= _SEVERAL:
-                xs, ys = _PARTS[k](a), _PARTS[k](b)
-                if len(xs) != len(ys):
-                    return False
-                todo += zip(xs, ys)
-            elif k >= _UNARY:
-                if k == _LINK and a.index != b.index:
-                    return False
-                todo.append((a.body, b.body))
-            elif _LEAF_FIELD[k] is not None and _LEAF_FIELD[k](a) != _LEAF_FIELD[k](b):
+            if a._hash != b._hash or type(a) is not type(b) or _FIELDS[k](a) != _FIELDS[k](b):
                 return False
+            todo += zip(_PARTS[k](a), _PARTS[k](b))
         return True
 
     def __repr__(self) -> str:
@@ -282,13 +272,16 @@ for _kind, _class in enumerate(KINDS):
     _class.kind = _kind
 _UNARY, _LINK, _SEVERAL = Option.kind, Link.kind, Sequence.kind
 
-# Per kind: the subexpressions, and the getter of a leaf's one field (None:
-# it has none), which ``==`` compares and ``analysis.shape`` keeps.
+# Per kind: the subexpressions, and the other fields (``None`` where there
+# are none): a leaf's text, ranges or name, a link's index, the number of
+# items or alternatives.  ``==`` compares these and ``analysis.shape``
+# keeps them, so the two agree on what makes expressions equal.
 _PARTS = ((lambda e: (),) * _UNARY + (lambda e: (e.body,),) * (_SEVERAL - _UNARY)
           + (attrgetter("items"), attrgetter("alternatives")))  # fmt: skip
-_LEAF_FIELD = (
-    None, attrgetter("text"), attrgetter("ranges"), None, attrgetter("name"), attrgetter("name")
-)  # fmt: skip
+_NONE = (lambda e: None,)
+_FIELDS = (_NONE + (attrgetter("text"), attrgetter("ranges")) + _NONE + (attrgetter("name"),) * 2
+           + _NONE * (_LINK - _UNARY) + (attrgetter("index"),)
+           + (lambda e: len(e.items), lambda e: len(e.alternatives)))  # fmt: skip
 
 EMPTY = Empty()
 ANY = AnyChar()

@@ -145,20 +145,18 @@ def format_grammar(grammar: Grammar) -> str:
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_PREFIXES = set("&!@")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEAD = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)[ \t\r\n]*=[ \t\r\n]*")  # ``Name =`` and the space after
 _INDEX = re.compile(r"\[([0-9]+)\]")
 _PLAIN = re.compile(r"[^'\\]+")  # literal text up to a quote or an escape
-# A plain item: a name that does not start the next production, a literal in
-# ASCII with no escape, ``.`` or a tag; then its suffixes and the white space
-# after it.  ``read_sequence`` reads one in one match, and any other item the
-# long way, which reports what is wrong with it.
-_PLAIN_ITEM = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_]|[ \t\r\n]*=)"  # a name, but ``Name =``
-    r"|'[\x00-&(-\[\]-\x7f]*'|\.|#[A-Za-z_][A-Za-z0-9_]*)"
-    r"([?*+]*)[ \t\r\n]*"
+# The primaries read in one match: a name, a literal in ASCII with no escape,
+# ``.`` or a tag.  ``read_primary`` reads any other the long way, which
+# reports what is wrong with it.
+_TOKEN = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*)|'([\x00-&(-\[\]-\x7f]*)'|(\.)|#([A-Za-z_][A-Za-z0-9_]*)"
 )
+_TOKENS = (None, Nonterminal, lambda s: Terminal(s.encode()) if s else EMPTY, lambda s: ANY, Tag)
+_PREFIXES = set("&!@")
 _SUFFIXES = {"?": Option, "*": ZeroOrMore, "+": OneOrMore}
 _HEX = set("0123456789abcdefABCDEF")
 _ESCAPES = {"n": 0x0A, "r": 0x0D, "t": 0x09, "\\": 0x5C}
@@ -253,34 +251,16 @@ class _Reader:
 
     def read_sequence(self) -> Expression:
         text = self.text
-        items: list[Expression] = []
+        ch = text[self.pos : self.pos + 1]
+        items = [self.read_prefixed(ch) if ch in _PREFIXES else self.read_suffixed()]
         while True:
-            item = _PLAIN_ITEM.match(text, self.pos)
-            if item is not None:
-                plain, suffixes = item.groups()
-                ch = plain[0]
-                if ch == "'":
-                    e = Terminal(plain[1:-1].encode()) if len(plain) > 2 else EMPTY
-                elif ch == ".":
-                    e = ANY
-                elif ch == "#":
-                    e = Tag(plain[1:])
-                else:
-                    e = Nonterminal(plain)
-                for suffix in suffixes:
-                    e = _SUFFIXES[suffix](e)
-                items.append(e)
-                self.pos = item.end()
-                if text.startswith("//", self.pos):
-                    self.skip_space()
-                continue
+            self.skip_space()
             ch = text[self.pos : self.pos + 1]
             # The sequence ends before a choice, a closing bracket, the end or
-            # ``Name =`` (a name that is no plain item): the next production.
-            if items and (ch == "" or ch in "/)}" or ch in _IDENT_START):
+            # ``Name =``: the next production.
+            if ch == "" or ch in "/)}" or (ch in _IDENT_START and _HEAD.match(text, self.pos)):
                 break
             items.append(self.read_prefixed(ch) if ch in _PREFIXES else self.read_suffixed())
-            self.skip_space()
         return items[0] if len(items) == 1 else Sequence(tuple(items))
 
     def read_prefixed(self, ch: str) -> Expression:
@@ -293,17 +273,15 @@ class _Reader:
             self.pos += 1
             self.skip_space()
             return Not(self.read_suffixed())
-        if ch == "@":
-            # "@[digits]" is an indexed link; any other "[..." after "@"
-            # is a character-class body.
-            index = _INDEX.match(self.text, self.pos + 1)
-            if index is None:
-                self.pos += 1
-            else:
-                self.pos = index.end()
-                self.skip_space()
-            return Link(self.read_suffixed(), index and int(index[1]))
-        return self.read_suffixed()
+        # "@[digits]" is an indexed link; any other "[..." after "@" is a
+        # character-class body.
+        index = _INDEX.match(self.text, self.pos + 1)
+        if index is None:
+            self.pos += 1
+        else:
+            self.pos = index.end()
+            self.skip_space()
+        return Link(self.read_suffixed(), index and int(index[1]))
 
     def read_suffixed(self) -> Expression:
         e = self.read_primary()
@@ -316,17 +294,18 @@ class _Reader:
             self.pos += 1
 
     def read_primary(self) -> Expression:
+        token = _TOKEN.match(self.text, self.pos)
+        if token is not None:
+            self.pos = token.end()
+            return _TOKENS[token.lastindex](token[token.lastindex])
         ch = self.text[self.pos : self.pos + 1]
         if ch == "'":
             return self.read_literal()
         if ch == "[":
             return self.read_char_class()
-        if ch == ".":
-            self.pos += 1
-            return ANY
         if ch == "#":
             self.pos += 1
-            return Tag(self.read_identifier())
+            return Tag(self.read_identifier())  # which reports the missing name
         if ch == "(":
             self.brackets.append(self.pos)
             self.pos += 1
@@ -348,10 +327,6 @@ class _Reader:
             self.eat("}")
             self.brackets.pop()
             return LeftFold(body) if fold else New(body)
-        name = _IDENT.match(self.text, self.pos)
-        if name is not None:
-            self.pos = name.end()
-            return Nonterminal(name[0])
         raise self.fail("expected an expression")
 
     def read_literal(self) -> Expression:

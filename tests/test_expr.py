@@ -33,7 +33,8 @@ from pegfold.expr import (
     sequence,
     subexpressions,
 )
-from pegfold.grammar import parse_grammar
+from pegfold.analysis import shape
+from pegfold.grammar import Grammar, parse_grammar
 
 A = Terminal(b"a")
 B = Terminal(b"b")
@@ -119,6 +120,18 @@ def test_equal_expressions_hash_alike_and_others_differ(e, other):
     assert subexpressions(twin) == subexpressions(e)
 
 
+@pytest.mark.parametrize("e, other", PAIRS, ids=[type(e).__name__ for e, _ in PAIRS])
+def test_the_flat_form_of_productions_is_equal_where_they_are(e, other):
+    # The compiled-module cache finds a grammar's module by ``shape``: it
+    # must tell apart what ``==`` tells apart, and nothing more.
+    def flat(*bodies):
+        return shape(Grammar({f"P{i}": body for i, body in enumerate(bodies)}))
+
+    assert flat(e, Sequence((e, A))) == flat(copy.deepcopy(e), Sequence((copy.copy(e), A)))
+    assert flat(e) != flat(other) and flat(e) != shape(Grammar({"Q": e}))
+    assert flat(Sequence((e, B))) != flat(Sequence((other, B)))
+
+
 def test_class_patterns_match_the_fields():
     match Choice((New(Sequence((Link(Nonterminal("X"), 2), Terminal(b"a")))), ZeroOrMore(ANY))):
         case Choice((New(Sequence((Link(Nonterminal(name), index), Terminal(text)))), ZeroOrMore(AnyChar()))):
@@ -157,3 +170,4 @@ def test_deep_grammars_compare_and_hash_at_the_default_recursion_limit():
     other = parse_grammar(DEEP.replace("'b'", "'c'"))
     assert first != other
     assert hash(first.productions["S"]) != hash(other.productions["S"])
+    assert shape(first) == shape(second) != shape(other)
