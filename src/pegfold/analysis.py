@@ -57,7 +57,7 @@ the words, one per group of bits:
   predicates, hold a ``#tag``?  Can it *touch* the node in the register,
   tagging it or linking a child into it outside any ``{ }``/``{@ }``?  Can
   it *mutate* the outer node, touching it or folding it away while that
-  node is still in the register?  Does it hold a ``{@ }``?
+  node is still in the register?  Does it hold a ``{@ }``, or a call?
 * ``_fill_setting``, once per compile (``compiled_facts``), reads the
   grammar that runs in one setting, its eager constructors and its
   memoized links.  It adds the expression's lead mask, and whether it is
@@ -90,6 +90,10 @@ built.  Run outside an eager constructor's level, an expression changes
 nothing of the machine but its left register, and is *quiet*, when it
 neither logs nor holds a ``{@ }`` of its own, which might find a node
 still being logged.
+
+An expression is *lexical* when it holds no call and no tree operator: all
+it does is move the position, which a regular expression can do for it
+(see :mod:`pegfold.interp`).
 
 The *lead mask* of an expression is an int with bit ``b`` set when its
 first consumed byte can be ``b`` (a FIRST set, as in Redziejowski,
@@ -220,13 +224,14 @@ _TAGGED = 64  # it is or holds a ``#tag``, not entering calls
 _TOUCHES = 128  # it can tag or link into the node in the register, outside ``{ }``/``{@ }``
 _MUTATES = 256  # it can touch or fold away the outer node while that is in the register
 _FOLDS = 512  # it is or holds a ``{@ }``, not entering calls
+_CALLS = 1024  # it is or holds a call
 
 # The bits of ``_fill_setting``, for one compiled setting.
-_DIRTY = 1024  # it can fail after changing the machine or its eager record
-_DIRTY_LOCAL = 2048  # the same, run at an eager constructor's level
-_LOGS_OUT = 4096  # it can append a log entry, run outside an eager constructor's level
-_LOGS_IN = 8192  # the same, run at an eager constructor's level
-_LEAD = 14  # the lead mask takes the bits from here: byte ``b`` at ``_LEAD + b``
+_DIRTY = 2048  # it can fail after changing the machine or its eager record
+_DIRTY_LOCAL = 4096  # the same, run at an eager constructor's level
+_LOGS_OUT = 8192  # it can append a log entry, run outside an eager constructor's level
+_LOGS_IN = 16384  # the same, run at an eager constructor's level
+_LEAD = 15  # the lead mask takes the bits from here: byte ``b`` at ``_LEAD + b``
 _ANY_BYTE = ((1 << 256) - 1) << _LEAD
 _BLIND = 1 << _LEAD + 256  # a predicate can run before the first byte
 _FIRST = _ANY_BYTE | _BLIND  # the lead mask's bits
@@ -253,9 +258,10 @@ _ADDS = _by_kind({
     New: _BUILT, LeftFold: _BUILT | _MUTATES | _FOLDS, Link: _BUILT | _KEEPS,
 })  # fmt: skip
 _TAKES = _by_kind({
-    Option: _TREE, ZeroOrMore: _TREE, OneOrMore: -1,
-    And: _TREE & ~_BUILDS | _FAILS, Not: _TREE & ~_BUILDS,
-    New: _EMPTY | _FAILS | _OWN, LeftFold: _EMPTY | _FAILS | _OWN, Link: _EMPTY | _FAILS | _OWN,
+    Option: _TREE | _CALLS, ZeroOrMore: _TREE | _CALLS, OneOrMore: -1,
+    And: _TREE & ~_BUILDS | _FAILS | _CALLS, Not: _TREE & ~_BUILDS | _CALLS,
+    New: _EMPTY | _FAILS | _OWN | _CALLS, LeftFold: _EMPTY | _FAILS | _OWN | _CALLS,
+    Link: _EMPTY | _FAILS | _OWN | _CALLS,
 })  # fmt: skip
 
 # The same for ``_fill_setting``, whose other rules read more than the body.
@@ -286,7 +292,7 @@ class _Facts(NamedTuple):
     ``callers``: the productions callees first, and each one's callers.
     ``flags``: every number's word.  ``words``: each production's word, its
     body's.  ``_facts`` fills the bits of ``_fill``; ``compiled_facts`` all
-    of them, which ``dirty``, ``quiet`` and ``lead`` read.
+    of them, which ``dirty``, ``quiet``, ``lexical`` and ``lead`` read.
 
     The methods take an expression, as the emitter holds them, and find its
     number in ``number``, by identity, filled on first use.  An expression
@@ -334,6 +340,14 @@ class _Facts(NamedTuple):
         nothing of the machine but its left register?"""
         return not self.word(e) & (_LOGS_OUT | _FOLDS)
 
+    def fails(self, e: Expression) -> bool:
+        """Can ``e`` fail?"""
+        return bool(self.word(e) & _FAILS)
+
+    def lexical(self, e: Expression) -> bool:
+        """Does ``e`` hold no call and no tree operator?"""
+        return not self.word(e) & (_CALLS | _REACHES)
+
     def lead(self, e: Expression) -> int | None:
         """``e``'s lead mask."""
         f = self.word(e)
@@ -350,7 +364,7 @@ def _fill(facts: _Facts, name: str, flags: list[int], words: Mapping[str, int]) 
     for n in facts.calls[name]:
         # It builds where the callee reaches a tree operator, even inside a
         # predicate, and holds none of the callee's tags and folds.
-        f = words.get(exprs[n].name, 0) & ~_OWN
+        f = words.get(exprs[n].name, 0) & ~_OWN | _CALLS
         if f & _REACHES:
             f |= _BUILDS
         flags[n] = f

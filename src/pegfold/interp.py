@@ -9,8 +9,8 @@ distances can be accounted without carrying extra state).  Inside it every
 expression is inlined: terminals, classes, byte loops, sequences, choices,
 options, loops, predicates and tree operators.  A call of another
 production is the only Python call the generated code makes, besides the
-machine's methods for lazy constructors, ``place_links`` and the memo
-table.  A failed choice alternative, option body or repetition step leaves
+machine's methods for lazy constructors, ``place_links``, the memo table
+and the ``match`` of a pattern (below).  A failed choice alternative, option body or repetition step leaves
 the position where it started, and predicates restore it even on success.
 
 Each setting compiles to two modules from one emitter.  The bare module,
@@ -36,6 +36,21 @@ with the module for a class), and the iteration then runs where ``X``
 matches or the input ends.  Every counter keeps its value: a skipped
 iteration counts no backtrack, and the farthest failure it would have
 recorded lies before the one that iteration records.
+
+In a bare module, an expression that is lexical (``analysis.compiled_facts``:
+no call, no tree operator) and holds a repetition is a *kernel*: it runs
+as one ``match`` of a pattern compiled with the module, which returns
+where the expression ends, or ``~start`` where it fails, since a bare
+module reads only the sign of a failure.  The pattern takes the PEG's way
+through the bytes and no other: a choice is an atomic group, ``?``, ``*``
+and ``+`` are possessive, predicates are lookaheads, ``!C .`` is ``[^C]``,
+and a one-byte alternative of a loop's choice is a possessive run of such
+bytes where no alternative before it can match them.  A loop of one byte
+test, such as ``[0-9]*``, tests its first byte inline and runs the
+pattern past it, so an empty run makes no call.  A production whose body
+is a kernel, or such a loop, runs inline as that body at each call site,
+unless it is a memo point.  The counting module runs every expression as
+written, so each counter reads as it did.
 
 Only an attempt that can start at the next byte runs: a choice dispatches
 on that byte to the alternatives its lead mask admits (a fact of
@@ -140,6 +155,7 @@ from .expr import (
     ZeroOrMore,
     erase_tree_operators,
     sequence,
+    subexpressions,
 )
 from .grammar import Diagnostic, Grammar
 from .machine import Machine, TxMark, place_links
@@ -484,10 +500,10 @@ def program_for(
     The first compile of a grammar validates it and raises
     :class:`InvalidGrammarError` on errors; a grammar that already has a
     program has passed.  The emitter recurses per nesting level of an
-    expression, as does erasing tree operators (the analyses, and hashing
-    and comparing expressions, do not), so a grammar nested deeper than the
-    caller's recursion limit lets them follow raises it too, and keeps
-    nothing.
+    expression, as do erasing tree operators and compiling a kernel's
+    pattern (the analyses, and hashing and comparing expressions, do not),
+    so a grammar nested deeper than the caller's recursion limit lets them
+    follow raises it too, and keeps nothing.
     Two threads racing here may both compile; either program is correct.
     """
     key = (memo, build_ast, counting)
@@ -500,11 +516,11 @@ def program_for(
             if problems:
                 raise InvalidGrammarError(problems)
         plan, source, code = _compiled(_Productions(grammar), memo, build_ast, counting)
+        namespace = dict(_GLOBALS)
+        exec(code, namespace)  # which compiles the module's patterns, or finds them in ``re``'s cache
     except RecursionError:
         message = "grammar nests too deeply for the recursion limit"
         raise InvalidGrammarError([Diagnostic("error", "nesting-limit", message)]) from None
-    namespace = dict(_GLOBALS)
-    exec(code, namespace)
     functions = {name: namespace[_mangle(name)] for name in grammar.productions}
     lock = threading.Lock()
 
@@ -718,6 +734,52 @@ def _scan_stop(body: Expression) -> CharClass | Terminal | None:
     return None
 
 
+# Kernels: lexical expressions run as one ``match`` of a pattern compiled
+# with the module.  A choice is an atomic group and a quantifier possessive,
+# so the match takes no other way through the text than the PEG does.
+_KERNEL_DEPTH = 16  # levels a kernel may nest: ``re`` parses a pattern recursively
+_ALL_BYTES = (1 << 256) - 1
+_LOOPS = (ZeroOrMore.kind, OneOrMore.kind)
+_TERMINAL, _CLASS, _ANY, _OPTION, _STAR = Terminal.kind, CharClass.kind, AnyChar.kind, Option.kind, ZeroOrMore.kind
+_AND, _NOT, _SEQUENCE, _CHOICE = And.kind, Not.kind, Sequence.kind, Choice.kind
+
+
+def _repeats(e: Expression) -> bool:
+    """Does ``e`` hold a repetition, and nest no deeper than a kernel may?
+    A deeper one leaves its parts to be kernels."""
+    loops = False
+    todo = [(e, 0)]
+    while todo:
+        x, depth = todo.pop()
+        if depth > _KERNEL_DEPTH:
+            return False
+        loops = loops or x.kind in _LOOPS
+        todo.extend((y, depth + 1) for y in subexpressions(x))
+    return loops
+
+
+def _escape(byte: int) -> str:
+    """A byte in a pattern."""
+    return f"\\x{byte:02x}"
+
+
+def _runs(mask: int) -> str:
+    """The bytes of ``mask`` as the inside of a pattern's class."""
+    return "".join(_escape(lo) if lo == hi else f"{_escape(lo)}-{_escape(hi)}" for lo, hi in _ranges(mask))
+
+
+def _byte_pattern(mask: int) -> str:
+    """A pattern, one atom, that matches one byte in ``mask``."""
+    if mask == _ALL_BYTES:
+        return "(?s:.)"
+    if mask & (mask - 1) == 0 and mask:
+        return _escape(mask.bit_length() - 1)
+    outside = _ALL_BYTES & ~mask
+    if len(_ranges(outside)) < len(_ranges(mask)) or not mask:
+        return f"[^{_runs(outside)}]"
+    return f"[{_runs(mask)}]"
+
+
 # How deep a function's body may nest before an expression moves into a
 # helper function of its own: CPython allows 100 levels of indentation and
 # 20 nested loops per function.
@@ -799,6 +861,7 @@ class _Emitter:
         self.names = {name: _mangle(name) for name in self.bodies}
         self.constants: dict[str, str] = {}
         self.count = 0
+        self.kernels = not counting  # see ``kernel``
         # The method that writes each kind of expression (``expr.KINDS``).
         self.kinds = (self.empty, self.terminal, self.char_class, self.any_char, self.call,
                       self.tag, self.option, self.star, self.plus, self.predicate, self.predicate,
@@ -842,8 +905,11 @@ class _Emitter:
         return f"{letter}{self.count}"
 
     def emit(self, e: Expression, pv: str, i: str, fn: _Function, rec, known=None) -> tuple[str, bool]:
-        if (len(i) - len(fn.indent) > _MAX_INDENT or fn.loops > _MAX_LOOPS) and e.kind >= _NESTING:
-            return self.helper(e, pv, i, fn, rec)
+        if e.kind >= _NESTING:
+            if self.kernels and self.lexical(e) and _repeats(e) and not self.byte_run(e):
+                return self.kernel(e, pv, i, fn)
+            if len(i) - len(fn.indent) > _MAX_INDENT or fn.loops > _MAX_LOOPS:
+                return self.helper(e, pv, i, fn, rec)
         return self.kinds[e.kind](e, pv, i, fn, rec, known)
 
     def helper(self, e: Expression, pv: str, i: str, fn: _Function, rec) -> tuple[str, bool]:
@@ -1016,8 +1082,14 @@ class _Emitter:
 
     def call(self, e: Nonterminal, pv, i, fn, rec=None, known=None):
         """A production call: the callee counts it, and at a memo point looks
-        itself up."""
-        fn.lines.append(f"{i}r = {self.names[e.name]}({pv})")
+        itself up.  In a bare module, a production whose body is lexical
+        and holds a repetition runs inline as that body, unless it is a
+        memo point."""
+        name = e.name
+        body = self.bodies[name]
+        if self.kernels and name not in self.nonterminal_points and self.lexical(body) and _repeats(body):
+            return self.emit(body, pv, i, fn, None, known)
+        fn.lines.append(f"{i}r = {self.names[name]}({pv})")
         return "r", True
 
     def sequence(self, e: Sequence, pv, i, fn, rec, known):
@@ -1130,8 +1202,14 @@ class _Emitter:
         # Byte loops: an iteration of these bodies tests one byte or one
         # literal, and the one that fails moves the farthest failure to
         # where the loop stops.
-        if isinstance(body, CharClass) or isinstance(body, Terminal) and len(body.text) == 1:
+        if self.byte_run(e):
             test = self.test(self.facts.lead(body), f"data[{s}]", False)[0]
+            if self.kernels:
+                # A class run: the first byte is tested inline, so that an
+                # empty run makes no call, and the rest is one ``match``.
+                run = self.pattern(e)
+                add(f"{i}{s} = {pv}\n{i}if {s} < size and {test}:\n{j}{s} = {run}(data, {s} + 1).end()")
+                return s, False
             loop = f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1"
             add(_lines(loop, self.reach(s, i, fn)))
             return s, False
@@ -1176,8 +1254,7 @@ class _Emitter:
             text = stop.text if isinstance(stop, Terminal) else bytes([mask.bit_length() - 1])
             fn.lines.append(f"{i}{s} = data.find({text!r}, {s})\n{i}if {s} < 0:\n{i}    {s} = size")
             return
-        runs = (f"\\x{lo:02x}" if lo == hi else f"\\x{lo:02x}-\\x{hi:02x}" for lo, hi in _ranges(mask))
-        pattern = ("[^" + "".join(runs) + "]*").encode()
+        pattern = f"[^{_runs(mask)}]*".encode()
         match = self.constant(f"_compile({pattern!r}).match", "_m")
         fn.lines.append(f"{i}{s} = {match}(data, {s}).end()")
 
@@ -1206,6 +1283,101 @@ class _Emitter:
         failed = f"{j}r = {s}" if negated else f"{j}r = ~{s}"
         passed_count, failed_count = self.backtrack(f"r - {s}", j, fn), self.backtrack(f"~r - {s}", j, fn)
         add(_lines(f"{i}if r >= 0:", passed_count, passed, f"{i}else:", failed_count, failed))
+        return "r", True
+
+    # -- kernels -------------------------------------------------------------
+
+    def lexical(self, e: Expression) -> bool:
+        """Does ``e`` hold no call and no tree operator?  A sequence of a
+        constructor's items but its trailing tag, or the loop of ``e+``, is
+        made here and not in the fact table; it is lexical where its parts
+        are."""
+        if e.kind == _SEQUENCE:
+            return all(self.lexical(x) for x in e.items)
+        return self.facts.lexical(e.body if e.kind == _STAR else e)
+
+    def byte_run(self, e: Expression) -> bool:
+        """Is ``e`` a loop of one byte test, which ``star`` runs itself?"""
+        if e.kind not in _LOOPS:
+            return False
+        body = e.body
+        return body.kind == _CLASS or body.kind == _TERMINAL and len(body.text) == 1
+
+    def byte_set(self, e: Expression) -> int | None:
+        """The bytes ``e`` matches where it matches one byte and nothing
+        else: a class, ``.``, a one-byte literal, or ``!x .`` with ``x`` one
+        of those.  None for any other ``e``."""
+        k = e.kind
+        if k == _CLASS or k == _ANY or k == _TERMINAL and len(e.text) == 1:
+            return self.facts.lead(e)
+        if k == _SEQUENCE and len(e.items) == 2:
+            head, dot = e.items
+            if head.kind == _NOT and dot.kind == _ANY:
+                inner = self.byte_set(head.body)
+                if inner is not None:
+                    return _ALL_BYTES & ~inner
+        return None
+
+    def pattern(self, e: Expression) -> str:
+        """A module global holding the ``match`` of ``e``'s pattern."""
+        return self.constant(f"_compile({self.regex(e).encode()!r}).match", "_k")
+
+    def regex(self, e: Expression) -> str:
+        """A pattern that matches where the lexical ``e`` succeeds, as far
+        as ``e`` goes.  A loop whose body is a choice writes an alternative
+        that matches one byte as a possessive run of such bytes, where
+        every alternative before it fails on them: an iteration per byte
+        would go the same way."""
+        mask = self.byte_set(e)
+        if mask is not None:
+            return _byte_pattern(mask)
+        k = e.kind
+        if k == _TERMINAL:
+            return "".join(map(_escape, e.text))
+        if k == _SEQUENCE:
+            return "".join(map(self.regex, e.items))
+        if k == _CHOICE:
+            return "(?>" + "|".join(map(self.regex, e.alternatives)) + ")"
+        if k < _NESTING:  # the empty expression
+            return ""
+        if k == _AND or k == _NOT:
+            return ("(?=" if k == _AND else "(?!") + self.regex(e.body) + ")"
+        body = e.body
+        if k != _OPTION and body.kind == _CHOICE:
+            # A possessive loop takes the first way through each iteration,
+            # so its body needs no atomic group.
+            seen = 0  # the bytes where an earlier alternative may succeed
+            parts = []
+            for alternative in body.alternatives:
+                text = self.regex(alternative)
+                mask = self.byte_set(alternative)
+                if mask is None:
+                    lead = self.facts.lead(alternative)
+                    seen |= _ALL_BYTES if lead is None else lead
+                else:
+                    if not mask & seen:
+                        text += "++"
+                    seen |= mask
+                parts.append(text)
+            text = "(?:" + "|".join(parts) + ")"
+        else:
+            text = self.regex(body)
+            if body.kind != _CHOICE and self.byte_set(body) is None:  # more than one atom
+                text = f"(?:{text})"
+        return text + ("?+" if k == _OPTION else "*+" if k == _STAR else "++")
+
+    def kernel(self, e: Expression, pv, i, fn):
+        """``e``, lexical and holding a repetition, as one ``match`` of a
+        pattern compiled with the module.  A failed match returns ``~pv``:
+        a bare module reads only the sign of a failure."""
+        match = self.pattern(e)
+        fails = any(map(self.facts.fails, e.items)) if e.kind == _SEQUENCE else self.facts.fails(e)
+        if not fails:
+            s = self.fresh("s")
+            fn.lines.append(f"{i}{s} = {match}(data, {pv}).end()")
+            return s, False
+        m = self.fresh("g")
+        fn.lines.append(f"{i}r = {m}.end() if ({m} := {match}(data, {pv})) else ~{pv}")
         return "r", True
 
     # -- tree building -------------------------------------------------------
@@ -1348,7 +1520,7 @@ class _Emitter:
                 f"{e2}if type(k) is not tuple or len(machine.log) != {base}:\n"
                 f"{e3}k = machine.commit({mark}, data)\n"
             )
-        self.call(call, s, d, fn)
+        add(f"{d}r = {self.names[call.name]}({s})")
         add(
             f"{d}if r < 0:\n"
             + (f"{e1}table.memoize({point}, {s}, FAILED)\n" if point is not None else "")

@@ -7,7 +7,10 @@ with tree building unless ``--recognize`` and with memoization unless
 ``--no-memo``, under ``sys.settrace``.  It prints one line per production,
 ``name count``, in grammar order, where ``count`` is the line events of the
 module the parse runs, the bare one, raised in the production's function and
-in the helpers nested in it; then the total, and the parse's ``farthest``,
+in the helpers nested in it; a production that runs inline at its call
+sites (a lexical one that is no memo point, see ``pegfold.interp``) counts
+under its callers, so the JSON-like grammar's ``S`` reads 0 with trees
+built.  Then it prints the total, and the parse's ``farthest``,
 ``backtrack`` and ``calls`` counters.  The counters are read once the trace
 is off, so the counting module's run that fills them is not counted, nor is
 the one a failed parse makes to find its position.  The counts depend on the

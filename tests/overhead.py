@@ -4,6 +4,7 @@ besides its bytes, and what a grammar's set-up pays.
     python tests/overhead.py GRAMMAR INPUT
     python tests/overhead.py --command GRAMMAR INPUT [OPTION ...]
     python tests/overhead.py --setup GRAMMAR
+    python tests/overhead.py --setup MATH|JSON_LIKE|PATHOLOGICAL
 
 The first form parses the bytes of the file INPUT with the grammar in the
 file GRAMMAR the way a library user and the many-small workload of
@@ -29,8 +30,9 @@ the redirected output.
 
 With ``--setup`` the operation is a fresh grammar's set-up, as the
 ``setup_s`` metric of ``bench/run.py`` times it: ``ParseSession(
-parse_grammar(text), b"")`` for the text of the file GRAMMAR, memo on and
-trees built.  Its three steps are ``read`` (``parse_grammar``),
+parse_grammar(text), b"")`` for the text of the file GRAMMAR, or of the
+benchmark grammar of that name in ``bench/workloads.py`` (``MATH``,
+``JSON_LIKE`` or ``PATHOLOGICAL``), memo on and trees built.  Its three steps are ``read`` (``parse_grammar``),
 ``validate`` (``validate`` of the grammar read, which numbers its
 expressions and fills the fact table it keeps) and ``program`` (the
 ``ParseSession``, which validates the grammar again over that table before
@@ -91,6 +93,7 @@ PER_ROUND = 400  # steps timed together in one round
 STEPS = ("session", "parse", "root", "serialize")
 COMMAND_STEPS = ("args", "grammar", "program", "input", "parse", "write")
 SETUP_STEPS = ("read", "validate", "program")
+BENCHMARK_GRAMMARS = ("MATH", "JSON_LIKE", "PATHOLOGICAL")  # ``--setup`` takes these by name
 _GENERATED = "<pegfold grammar>"  # the file name of every generated module
 
 
@@ -121,6 +124,17 @@ def setup_steps(text: str):
         "program": lambda grammar: ParseSession(grammar, b""),
         "setup": lambda _: ParseSession(parse_grammar(text), b""),
     }
+
+
+def grammar_text(name: str) -> str | None:
+    """The text of the benchmark grammar ``name`` (``BENCHMARK_GRAMMARS``),
+    else of the grammar file ``name``; None if there is no such file."""
+    if name in BENCHMARK_GRAMMARS:
+        from corpus import benchmark_grammars
+
+        return getattr(benchmark_grammars(), name)
+    path = Path(name)
+    return path.read_text(encoding="utf-8") if path.is_file() else None
 
 
 class Command:
@@ -293,7 +307,10 @@ def main(argv: list[str] | None = None) -> None:
     if not args.setup and args.input is None:
         parser.error("INPUT is needed without --setup")
     if args.setup:
-        named, start = setup_steps(Path(args.grammar).read_text(encoding="utf-8")), lambda: None
+        text = grammar_text(args.grammar)
+        if text is None:
+            parser.error(f"no grammar file {args.grammar}, nor one of {', '.join(BENCHMARK_GRAMMARS)}")
+        named, start = setup_steps(text), lambda: None
     elif args.command:
         # The steps read the grammar under the recursion limit the command
         # sets, so that they find the grammar the command kept.

@@ -702,3 +702,13 @@ def test_a_set_up_makes_half_the_calls_and_tests_no_class():
     finally:
         sys.setprofile(None)
     assert tests == []
+
+
+def test_lexical_expressions_hold_no_call_and_no_tree_operator():
+    grammar = parse_grammar("S = 'a' [b-c]* !'d' T\nT = ('x' / 'y')+ &'z'\nU = { 'u' #U } 'v'* !T\n")
+    facts = compiled_facts(grammar, eager_constructors(grammar), ())
+    s, t, u = (grammar.productions[name] for name in "STU")
+    assert [facts.lexical(x) for x in s.items] == [True, True, True, False]
+    assert not facts.lexical(s) and facts.lexical(t)
+    assert [facts.lexical(x) for x in u.items] == [False, True, False]  # a call in a predicate too
+    assert facts.fails(s) and not facts.fails(u.items[1])

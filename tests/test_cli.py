@@ -163,6 +163,19 @@ def test_a_repeated_command_builds_no_parser_and_compiles_nothing(
     assert len(parsers) == built and len(reads) == len(execs) == 1
 
 
+def test_overhead_sets_up_a_benchmark_grammar_by_name(tmp_path, capsys):
+    import overhead
+
+    assert overhead.grammar_text("JSON_LIKE") == benchmark_grammars().JSON_LIKE
+    path = tmp_path / "a.peg"
+    path.write_text("S = 'a'\n")
+    assert overhead.grammar_text(str(path)) == "S = 'a'\n"
+    with pytest.raises(SystemExit) as stopped:
+        overhead.main(["--setup", str(tmp_path / "missing.peg")])
+    assert stopped.value.code == 2
+    assert "no grammar file" in capsys.readouterr().err
+
+
 def test_overhead_counts_the_steps_of_a_repeated_command(math_peg, tmp_path):
     # ``tests/overhead.py --command``: after a first command, reading the
     # unchanged grammar parses nothing and finding its program compiles
