@@ -218,13 +218,13 @@ _EMPTY = 1  # it can succeed consuming nothing
 _FAILS = 2  # it can fail
 _SUCCEEDS = 4  # it can succeed; constructors, links and predicates always count
 _KEEPS = 8  # it can succeed leaving the outer node in the register
-_REACHES = 16  # it is or holds a tree operator, or calls a production that reaches one
-_BUILDS = 32  # the same outside ``&``/``!``, which drop what their bodies did
-_TAGGED = 64  # it is or holds a ``#tag``, not entering calls
-_TOUCHES = 128  # it can tag or link into the node in the register, outside ``{ }``/``{@ }``
-_MUTATES = 256  # it can touch or fold away the outer node while that is in the register
-_FOLDS = 512  # it is or holds a ``{@ }``, not entering calls
-_CALLS = 1024  # it is or holds a call
+_CALLS = 16  # it is or holds a call; below the tree bits, so a tree-free word is a small int
+_REACHES = 32  # it is or holds a tree operator, or calls a production that reaches one
+_BUILDS = 64  # the same outside ``&``/``!``, which drop what their bodies did
+_TAGGED = 128  # it is or holds a ``#tag``, not entering calls
+_TOUCHES = 256  # it can tag or link into the node in the register, outside ``{ }``/``{@ }``
+_MUTATES = 512  # it can touch or fold away the outer node while that is in the register
+_FOLDS = 1024  # it is or holds a ``{@ }``, not entering calls
 
 # The bits of ``_fill_setting``, for one compiled setting.
 _DIRTY = 2048  # it can fail after changing the machine or its eager record

@@ -10,8 +10,9 @@ expression is inlined: terminals, classes, byte loops, sequences, choices,
 options, loops, predicates and tree operators.  A call of another
 production is the only Python call the generated code makes, besides the
 machine's methods for lazy constructors, ``place_links``, the memo table
-and the ``match`` of a pattern (below).  A failed choice alternative, option body or repetition step leaves
-the position where it started, and predicates restore it even on success.
+and the ``match`` of a pattern (below).  A failed choice alternative,
+option body or repetition step leaves the position where it started, and
+predicates restore it even on success.
 
 Each setting compiles to two modules from one emitter.  The bare module,
 which a parse runs by default, counts nothing.  The counting module adds
@@ -28,29 +29,34 @@ own root, a token over what it consumed, the node left in the register or
 the commit of the whole log, so that one re-run counts every node the
 parse built.
 
+Both modules run byte-level loops with patterns compiled with the module,
+which one writer spells (``_byte_pattern``, ``_Emitter.regex``).  A loop
+of one byte test, such as ``[0-9]*`` or ``'a'*``, is a *class run*: it
+tests its first byte inline, so an empty run makes no call, and runs the
+pattern ``[0-9]*+`` past it; in the counting module the byte that stops
+it then moves the farthest failure there, as an iteration per byte would.
 A loop whose body is ``!X .``, or a choice whose first alternative is, with
 ``X`` a class or a literal, is a scan loop: before each iteration it skips
-the run of bytes where ``X`` fails in one C call (``data.find`` for a
-literal or a single byte, the ``match`` of a ``[^...]*`` pattern compiled
-with the module for a class), and the iteration then runs where ``X``
-matches or the input ends.  Every counter keeps its value: a skipped
-iteration counts no backtrack, and the farthest failure it would have
-recorded lies before the one that iteration records.
+the run of such iterations in one C call, the ``match`` of a run of the
+bytes ``!X .`` passes, or ``data.find`` where ``X`` is a literal of two or
+more bytes, and the iteration then runs where ``X`` matches or the input
+ends.  Every counter keeps its value: a skipped iteration counts no
+backtrack, and the farthest failure it would have recorded lies before the
+one that iteration records.
 
-In a bare module, an expression that is lexical (``analysis.compiled_facts``:
-no call, no tree operator) and holds a repetition is a *kernel*: it runs
-as one ``match`` of a pattern compiled with the module, which returns
-where the expression ends, or ``~start`` where it fails, since a bare
-module reads only the sign of a failure.  The pattern takes the PEG's way
-through the bytes and no other: a choice is an atomic group, ``?``, ``*``
-and ``+`` are possessive, predicates are lookaheads, ``!C .`` is ``[^C]``,
-and a one-byte alternative of a loop's choice is a possessive run of such
-bytes where no alternative before it can match them.  A loop of one byte
-test, such as ``[0-9]*``, tests its first byte inline and runs the
-pattern past it, so an empty run makes no call.  A production whose body
-is a kernel, or such a loop, runs inline as that body at each call site,
-unless it is a memo point.  The counting module runs every expression as
-written, so each counter reads as it did.
+In a bare module, an expression other than a class run that is lexical
+(``analysis.compiled_facts``: no call, no tree operator) and holds a
+repetition is a *kernel*: it runs as one ``match`` of a pattern compiled
+with the module, which returns where the expression ends, or ``~start``
+where it fails, since a bare module reads only the sign of a failure.  The
+pattern takes the PEG's way through the bytes and no other: a choice is an
+atomic group, ``?``, ``*`` and ``+`` are possessive, predicates are
+lookaheads, ``!C .`` is ``[^C]``, and a one-byte alternative of a loop's
+choice is a possessive run of such bytes where no alternative before it
+can match them.  A production whose body is a kernel or a class run runs
+inline as that body at each call site, unless it is a memo point.  The
+counting module runs no kernel and inlines no production; everywhere else
+it is the bare module with its counter lines added.
 
 Only an attempt that can start at the next byte runs: a choice dispatches
 on that byte to the alternatives its lead mask admits (a fact of
@@ -720,23 +726,11 @@ def _lines(*lines: str | None) -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _scan_stop(body: Expression) -> CharClass | Terminal | None:
-    """``X`` where a loop body is ``!X .``, or a choice whose first
-    alternative is, and ``X`` a class or a literal: the loop can skip a
-    run of bytes where ``X`` fails in one C call (``_Emitter.scan``)."""
-    if isinstance(body, Choice):
-        body = body.alternatives[0]
-    if isinstance(body, Sequence) and len(body.items) == 2:
-        head, dot = body.items
-        if isinstance(head, Not) and isinstance(dot, AnyChar):
-            if isinstance(head.body, (CharClass, Terminal)):
-                return head.body
-    return None
-
-
-# Kernels: lexical expressions run as one ``match`` of a pattern compiled
-# with the module.  A choice is an atomic group and a quantifier possessive,
-# so the match takes no other way through the text than the PEG does.
+# The byte layer: class runs, scan loops' skips and kernels, each one
+# ``match`` of a pattern compiled with the module, but a skip to a literal
+# of two or more bytes, which is a ``bytes.find``.  A choice is an atomic
+# group and a quantifier possessive, so a match takes no other way through
+# the text than the PEG does.
 _KERNEL_DEPTH = 16  # levels a kernel may nest: ``re`` parses a pattern recursively
 _ALL_BYTES = (1 << 256) - 1
 _LOOPS = (ZeroOrMore.kind, OneOrMore.kind)
@@ -766,6 +760,13 @@ def _escape(byte: int) -> str:
 def _runs(mask: int) -> str:
     """The bytes of ``mask`` as the inside of a pattern's class."""
     return "".join(_escape(lo) if lo == hi else f"{_escape(lo)}-{_escape(hi)}" for lo, hi in _ranges(mask))
+
+
+def _skipped(e: Expression) -> Expression | None:
+    """``x`` where ``e`` is ``!x .``; None for any other ``e``."""
+    if e.kind == _SEQUENCE and len(e.items) == 2 and e.items[0].kind == _NOT and e.items[1].kind == _ANY:
+        return e.items[0].body
+    return None
 
 
 def _byte_pattern(mask: int) -> str:
@@ -861,9 +862,8 @@ class _Emitter:
         self.names = {name: _mangle(name) for name in self.bodies}
         self.constants: dict[str, str] = {}
         self.count = 0
-        self.kernels = not counting  # see ``kernel``
         # The method that writes each kind of expression (``expr.KINDS``).
-        self.kinds = (self.empty, self.terminal, self.char_class, self.any_char, self.call,
+        self.kinds = (self.empty, self.terminal, self.char_class, self.char_class, self.call,
                       self.tag, self.option, self.star, self.plus, self.predicate, self.predicate,
                       self.constructor, self.constructor, self.link, self.sequence, self.choice)  # fmt: skip
 
@@ -906,7 +906,7 @@ class _Emitter:
 
     def emit(self, e: Expression, pv: str, i: str, fn: _Function, rec, known=None) -> tuple[str, bool]:
         if e.kind >= _NESTING:
-            if self.kernels and self.lexical(e) and _repeats(e) and not self.byte_run(e):
+            if not self.counting and self.lexical(e) and _repeats(e) and not self.byte_run(e):
                 return self.kernel(e, pv, i, fn)
             if len(i) - len(fn.indent) > _MAX_INDENT or fn.loops > _MAX_LOOPS:
                 return self.helper(e, pv, i, fn, rec)
@@ -1045,7 +1045,9 @@ class _Emitter:
         """A test of the byte at ``pv`` against ``mask``, advancing ``width``
         on success; ``rest``, if given, tests what follows it."""
         if known is None:
-            first = f"{pv} < size and {self.test(mask, f'data[{pv}]', False)[0]}"
+            first = f"{pv} < size"
+            if mask != _ALL_BYTES:
+                first += f" and {self.test(mask, f'data[{pv}]', False)[0]}"
         else:
             var, can = known
             first = None if can & ~mask == 0 else self.test(mask & can, var)[0]
@@ -1071,14 +1073,8 @@ class _Emitter:
         )
         return "r", True
 
-    def char_class(self, e: CharClass, pv, i, fn, rec, known):
+    def char_class(self, e: CharClass | AnyChar, pv, i, fn, rec, known):
         return self.byte(self.facts.lead(e), 1, pv, i, fn, known)
-
-    def any_char(self, e, pv, i, fn, rec, known):
-        if known is not None:
-            return self.byte(self.facts.lead(e), 1, pv, i, fn, known)
-        fn.lines.append(f"{i}if {pv} < size:\n{i}    r = {pv} + 1\n{i}else:\n{self.die(pv, i + _STEP, fn)}")
-        return "r", True
 
     def call(self, e: Nonterminal, pv, i, fn, rec=None, known=None):
         """A production call: the callee counts it, and at a memo point looks
@@ -1087,7 +1083,7 @@ class _Emitter:
         memo point."""
         name = e.name
         body = self.bodies[name]
-        if self.kernels and name not in self.nonterminal_points and self.lexical(body) and _repeats(body):
+        if not self.counting and name not in self.nonterminal_points and self.lexical(body) and _repeats(body):
             return self.emit(body, pv, i, fn, None, known)
         fn.lines.append(f"{i}r = {self.names[name]}({pv})")
         return "r", True
@@ -1199,23 +1195,14 @@ class _Emitter:
         body = e.body
         s = self.fresh("s")
         j = i + _STEP
-        # Byte loops: an iteration of these bodies tests one byte or one
-        # literal, and the one that fails moves the farthest failure to
-        # where the loop stops.
         if self.byte_run(e):
+            # A class run: the first byte is tested inline, so that an empty
+            # run makes no call, and the rest is one ``match``.  The byte
+            # that stops it moves the farthest failure to where it stops.
             test = self.test(self.facts.lead(body), f"data[{s}]", False)[0]
-            if self.kernels:
-                # A class run: the first byte is tested inline, so that an
-                # empty run makes no call, and the rest is one ``match``.
-                run = self.pattern(e)
-                add(f"{i}{s} = {pv}\n{i}if {s} < size and {test}:\n{j}{s} = {run}(data, {s} + 1).end()")
-                return s, False
-            loop = f"{i}{s} = {pv}\n{i}while {s} < size and {test}:\n{j}{s} += 1"
-            add(_lines(loop, self.reach(s, i, fn)))
-            return s, False
-        if isinstance(body, Terminal):
-            loop = f"{i}{s} = {pv}\n{i}while data.startswith({body.text!r}, {s}):\n{j}{s} += {len(body.text)}"
-            add(_lines(loop, self.reach(s, i, fn)))
+            match = self.pattern(self.regex(e))
+            run = f"{i}{s} = {pv}\n{i}if {s} < size and {test}:\n{j}{s} = {match}(data, {s} + 1).end()"
+            add(_lines(run, self.reach(s, i, fn)))
             return s, False
         mask = self.facts.lead(body)
         test, fits = (None, None) if mask is None else self.guard(mask, s, None)
@@ -1223,9 +1210,9 @@ class _Emitter:
         # A scan loop: its body starts with a predicate, so it has no lead
         # mask and no guard, and each iteration first skips the run of
         # ``!stop .`` iterations in one call.  The counters do not change.
-        stop = _scan_stop(body)
-        if stop is not None:
-            self.scan(stop, s, j, fn)
+        skip = self.scan_skip(body)
+        if skip is not None:
+            self.scan(skip, s, j, fn)
         # A savepoint for a failed iteration, or for an empty one, whose
         # entries are dropped too.
         facts = self.facts
@@ -1242,21 +1229,21 @@ class _Emitter:
             add(f"{i}else:\n{self.reach(s, j, fn)}")  # as the body would have failed here
         return s, False
 
-    def scan(self, stop: CharClass | Terminal, s: str, i: str, fn: _Function) -> None:
-        """Moves ``s`` past the longest run of bytes where ``stop`` does not
-        match, in one C call, to where the loop's next iteration finds
-        ``stop`` or the end of input.  The iterations it skips count no
-        backtrack, since ``stop`` fails where it starts, and each moves the
-        farthest failure to its start; the next one moves it past them all,
-        since ``!stop`` or ``.`` fails where that one starts."""
-        mask = self.facts.lead(stop)
-        if isinstance(stop, Terminal) or not mask & (mask - 1):  # a literal or one byte
-            text = stop.text if isinstance(stop, Terminal) else bytes([mask.bit_length() - 1])
+    def scan(self, skip: Sequence, s: str, i: str, fn: _Function) -> None:
+        """Moves ``s`` past the longest run of ``skip``'s iterations, ``!stop
+        .``, in one C call, to where the loop's next iteration finds
+        ``stop`` or the end of input: a run of the bytes ``skip`` matches,
+        or ``bytes.find`` where ``stop`` is a literal of two or more bytes.
+        The iterations it skips count no backtrack, since ``stop`` fails
+        where it starts, and each moves the farthest failure to its start;
+        the next one moves it past them all, since ``!stop`` or ``.`` fails
+        where that one starts."""
+        mask = self.byte_set(skip)
+        if mask is None:  # ``stop`` a literal of two or more bytes
+            text = skip.items[0].body.text
             fn.lines.append(f"{i}{s} = data.find({text!r}, {s})\n{i}if {s} < 0:\n{i}    {s} = size")
-            return
-        pattern = f"[^{_runs(mask)}]*".encode()
-        match = self.constant(f"_compile({pattern!r}).match", "_m")
-        fn.lines.append(f"{i}{s} = {match}(data, {s}).end()")
+        else:
+            fn.lines.append(f"{i}{s} = {self.pattern(_byte_pattern(mask) + '*+')}(data, {s}).end()")
 
     def plus(self, e: OneOrMore, pv, i, fn, rec, known):
         return self.items((e.body, ZeroOrMore(e.body)), pv, i, fn, rec, known)
@@ -1285,7 +1272,7 @@ class _Emitter:
         add(_lines(f"{i}if r >= 0:", passed_count, passed, f"{i}else:", failed_count, failed))
         return "r", True
 
-    # -- kernels -------------------------------------------------------------
+    # -- the byte layer: runs, skips and kernels -----------------------------
 
     def lexical(self, e: Expression) -> bool:
         """Does ``e`` hold no call and no tree operator?  A sequence of a
@@ -1297,7 +1284,8 @@ class _Emitter:
         return self.facts.lexical(e.body if e.kind == _STAR else e)
 
     def byte_run(self, e: Expression) -> bool:
-        """Is ``e`` a loop of one byte test, which ``star`` runs itself?"""
+        """Is ``e`` a loop of one byte test, which ``star`` runs as a class
+        run in both modules?"""
         if e.kind not in _LOOPS:
             return False
         body = e.body
@@ -1310,17 +1298,25 @@ class _Emitter:
         k = e.kind
         if k == _CLASS or k == _ANY or k == _TERMINAL and len(e.text) == 1:
             return self.facts.lead(e)
-        if k == _SEQUENCE and len(e.items) == 2:
-            head, dot = e.items
-            if head.kind == _NOT and dot.kind == _ANY:
-                inner = self.byte_set(head.body)
-                if inner is not None:
-                    return _ALL_BYTES & ~inner
+        stop = _skipped(e)
+        if stop is not None:
+            inner = self.byte_set(stop)
+            if inner is not None:
+                return _ALL_BYTES & ~inner
         return None
 
-    def pattern(self, e: Expression) -> str:
-        """A module global holding the ``match`` of ``e``'s pattern."""
-        return self.constant(f"_compile({self.regex(e).encode()!r}).match", "_k")
+    def scan_skip(self, body: Expression) -> Sequence | None:
+        """``!stop .`` where a loop's body is that, or a choice whose first
+        alternative is, and ``stop`` a class or a literal: the loop can skip
+        its run of such iterations in one call (``scan``)."""
+        if body.kind == _CHOICE:
+            body = body.alternatives[0]
+        stop = _skipped(body)
+        return body if stop is not None and stop.kind in (_TERMINAL, _CLASS) else None
+
+    def pattern(self, regex: str) -> str:
+        """A module global holding the ``match`` of the pattern ``regex``."""
+        return self.constant(f"_compile({regex.encode()!r}).match", "_k")
 
     def regex(self, e: Expression) -> str:
         """A pattern that matches where the lexical ``e`` succeeds, as far
@@ -1370,7 +1366,7 @@ class _Emitter:
         """``e``, lexical and holding a repetition, as one ``match`` of a
         pattern compiled with the module.  A failed match returns ``~pv``:
         a bare module reads only the sign of a failure."""
-        match = self.pattern(e)
+        match = self.pattern(self.regex(e))
         fails = any(map(self.facts.fails, e.items)) if e.kind == _SEQUENCE else self.facts.fails(e)
         if not fails:
             s = self.fresh("s")

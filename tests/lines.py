@@ -1,19 +1,21 @@
 """Counts the generated lines one parse executes, per production.
 
-    python tests/lines.py GRAMMAR INPUT [--recognize] [--no-memo]
+    python tests/lines.py GRAMMAR INPUT [--recognize] [--no-memo] [--counting]
 
 parses the bytes of the file INPUT with the grammar in the file GRAMMAR,
 with tree building unless ``--recognize`` and with memoization unless
 ``--no-memo``, under ``sys.settrace``.  It prints one line per production,
 ``name count``, in grammar order, where ``count`` is the line events of the
-module the parse runs, the bare one, raised in the production's function and
-in the helpers nested in it; a production that runs inline at its call
-sites (a lexical one that is no memo point, see ``pegfold.interp``) counts
-under its callers, so the JSON-like grammar's ``S`` reads 0 with trees
-built.  Then it prints the total, and the parse's ``farthest``,
-``backtrack`` and ``calls`` counters.  The counters are read once the trace
-is off, so the counting module's run that fills them is not counted, nor is
-the one a failed parse makes to find its position.  The counts depend on the
+module the parse runs, raised in the production's function and in the
+helpers nested in it.  That module is the bare one, or with ``--counting``
+the counting one, which the parse then runs from the start.  In the bare
+module a production that runs inline at its call sites (a lexical one that
+is no memo point, see ``pegfold.interp``) counts under its callers, so the
+JSON-like grammar's ``S`` reads 0 with trees built.  Then it prints the
+total, and the parse's ``farthest``, ``backtrack`` and ``calls`` counters.
+After a bare parse the counters are read once the trace is off, so the
+counting module's run that fills them is not counted, nor is the one a
+failed parse makes to find its position.  The counts depend on the
 generated code alone, so a change that must cut the work per byte can quote
 them before and after.
 """
@@ -32,16 +34,17 @@ from pegfold.grammar import parse_grammar
 from pegfold.interp import ParseError, ParseSession, _mangle, program_for
 
 
-def count_lines(grammar_text: str, data: bytes, *, build_ast: bool, memo: bool):
+def count_lines(grammar_text: str, data: bytes, *, build_ast: bool, memo: bool, counting: bool = False):
     """The line events per production of one parse, and its session."""
     grammar = parse_grammar(grammar_text)
     names = {_mangle(name): name for name in grammar.productions}
-    session = ParseSession(grammar, data, build_ast=build_ast, memo=memo)
+    steps = {"max_steps": sys.maxsize} if counting else {}  # a step limit runs the counting module
+    session = ParseSession(grammar, data, build_ast=build_ast, memo=memo, **steps)
     counts: Counter[str] = Counter()
     # The code objects of the module the parse runs: its functions and the
     # helpers nested in them.
     codes = set()
-    todo = [program_for(grammar, memo=memo, build_ast=build_ast).code]
+    todo = [program_for(grammar, memo=memo, build_ast=build_ast, counting=counting).code]
     while todo:
         code = todo.pop()
         codes.add(code)
@@ -73,12 +76,14 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("input")
     parser.add_argument("--recognize", action="store_true", help="parse without building trees")
     parser.add_argument("--no-memo", action="store_true", help="parse without memoization")
+    parser.add_argument("--counting", action="store_true", help="count the counting module's lines")
     args = parser.parse_args(argv)
     counts, session = count_lines(
         Path(args.grammar).read_text(),
         Path(args.input).read_bytes(),
         build_ast=not args.recognize,
         memo=not args.no_memo,
+        counting=args.counting,
     )
     for name, count in counts.items():
         print(f"{name} {count}")

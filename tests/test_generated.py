@@ -2,6 +2,7 @@
 production, counters and the step limit only in the counting module."""
 
 import cProfile
+import difflib
 import dis
 import pstats
 import sys
@@ -62,7 +63,7 @@ def test_benchmark_modules_are_pinned():
     # Every module of the three benchmark grammars: memo on and off, trees
     # on and off, bare and counting, and their diagnostics.
     assert module_digest(seeds=(), pairs=0) == (
-        "a4f41bb3946e83208db9f0100ff2c66b7703390dd3824e1683667fb6a874cd4f",
+        "65bb03ce79df5d47d7a286df6bbb5488679cbf9f984c18ed130045b090522a27",
         "912b1bc65505eec2f98f02ec199df9a8df5d2cb4fd23321bc392fce13524d684",
         24,
     )
@@ -72,7 +73,7 @@ def test_a_corpus_slice_of_modules_is_pinned():
     # One seed of the corpus's grammars, in every setting: a drift in any
     # analysis that feeds the emitter changes this digest.
     assert module_digest(seeds=range(100, 101), pairs=200) == (
-        "eec040422aa2a34e5b540f0f9fead7a742587174439b9cface25ebd7a3aaa3cb",
+        "16c2c479fd0521394145b569b3683080c58c69539accaaf25de0538e32b02680",
         "ff1142e16ce03bf4dd0b60926b637e441cbc6d2a838fc13f5a8cdd4711d08df0",
         560,
     )
@@ -92,6 +93,19 @@ def test_bare_modules_count_nothing(build_ast, memo):
         counting = program_for(grammar, memo=memo, build_ast=build_ast, counting=True).source
         builds = "machine.left = (" in counting
         assert [name for name in counters if name in counting] == list(counters[: 4 + builds])
+
+
+@pytest.mark.parametrize("build_ast, memo", SETTINGS)
+@pytest.mark.parametrize("name", ["MATH", "PATHOLOGICAL"])
+def test_a_counting_module_is_the_bare_one_with_lines_added(name, build_ast, memo):
+    # These grammars' bare modules run no kernel and inline no production,
+    # and every other expression compiles one way in both modules: the
+    # counting one only adds its counters.
+    grammar = parse_grammar(MATH if name == "MATH" else benchmark_grammars().PATHOLOGICAL)
+    bare = program_for(grammar, memo=memo, build_ast=build_ast).source.splitlines()
+    counting = program_for(grammar, memo=memo, build_ast=build_ast, counting=True).source.splitlines()
+    changes = difflib.SequenceMatcher(None, bare, counting, autojunk=False).get_opcodes()
+    assert {tag for tag, *_ in changes} == {"equal", "insert"}
 
 
 def test_equal_grammars_share_one_compiled_module(monkeypatch):
@@ -138,13 +152,17 @@ def test_each_production_checks_the_limit_and_looks_itself_up_once():
         assert program.source.count(f"table.lookup({point}, ") == 1
 
 
+@pytest.mark.parametrize("counting", [False, True])
 @pytest.mark.parametrize("build_ast, memo", SETTINGS)
-def test_the_line_counter_counts_each_production(build_ast, memo):
+def test_the_line_counter_counts_each_production(build_ast, memo, counting):
     data = b"(1+2)*3"
     tracer = sys.gettrace()
-    counts, session = count_lines(MATH, data, build_ast=build_ast, memo=memo)
+    counts, session = count_lines(MATH, data, build_ast=build_ast, memo=memo, counting=counting)
     assert list(counts) == ["Expr", "Sum", "Product", "Value"]
     assert all(counts.values())
+    if counting:  # math's counting module is its bare one with lines added
+        bare = count_lines(MATH, data, build_ast=build_ast, memo=memo)[0]
+        assert all(counts[name] >= bare[name] for name in counts) and counts != bare
     again = ParseSession(parse_grammar(MATH), data, build_ast=build_ast, memo=memo)
     assert again.parse().consumed == len(data)
     assert (session.farthest, session.backtrack, session.calls) == (

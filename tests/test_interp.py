@@ -645,11 +645,18 @@ def test_scan_loops_keep_the_counters_of_a_byte_per_iteration(text, data, expect
 
 
 @pytest.mark.parametrize(
-    "text, call", [(STRING, "_compile("), (QUOTED, "data.find(b'\"'"), (COMMENT, "data.find(b'*/'")]
+    "text, call",
+    [
+        (STRING, "_compile(b'[^\\\\x22\\\\x5c]*+').match"),
+        (QUOTED, "_compile(b'[^\\\\x22]*+').match"),
+        (COMMENT, "data.find(b'*/'"),
+    ],
 )
 def test_scan_loops_skip_a_run_in_one_call(text, call):
-    # The counting module scans; the bare one runs these lexical bodies as
-    # one kernel match each, which loops no more than that.
+    # The counting module scans, with a run of the bytes that ``!X .``
+    # passes, or ``bytes.find`` where X is a literal of two or more bytes;
+    # the bare one runs these lexical bodies as one kernel match each,
+    # which loops no more than that.
     for build_ast in (True, False):
         grammar = parse_grammar(text)
         assert call in program_for(grammar, memo=True, build_ast=build_ast, counting=True).source
@@ -658,8 +665,10 @@ def test_scan_loops_skip_a_run_in_one_call(text, call):
 
 
 def test_a_loop_that_calls_scans_in_the_bare_module_too():
-    source = program_for(parse_grammar(ESCAPES), memo=True, build_ast=True).source
-    assert "_compile(b'[^\\\\x22\\\\x5c]*').match" in source
+    # The same pattern as the counting module's.
+    for counting in (False, True):
+        source = program_for(parse_grammar(ESCAPES), memo=True, build_ast=True, counting=counting).source
+        assert "_compile(b'[^\\\\x22\\\\x5c]*+').match" in source
 
 
 # A class, one-byte or literal loop, and a general loop that matches the
