@@ -107,7 +107,7 @@ leave masks alone, so erasing them keeps a body's mask.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Collection, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -175,7 +175,9 @@ def _walk(e: Expression) -> list[Expression]:
 
 
 def _spread(seeds: set[str], edges: Mapping[str, set[str]]) -> set[str]:
-    """``seeds`` and every name reached from them through one or more ``edges``."""
+    """``seeds`` and every name reached from them through one or more
+    ``edges``.  It takes each name reached once, in whatever order, so its
+    work does not follow the order of a set."""
     seen = set(seeds)
     todo = list(seeds)
     while todo:
@@ -186,9 +188,10 @@ def _spread(seeds: set[str], edges: Mapping[str, set[str]]) -> set[str]:
     return seen
 
 
-def _callees_first(calls: Mapping[str, set[str]]) -> list[str]:
+def _callees_first(calls: Mapping[str, Iterable[str]]) -> list[str]:
     """The productions in an order where each comes after the ones it calls,
-    but where a cycle of calls forces otherwise: a depth-first postorder."""
+    but where a cycle of calls forces otherwise: a depth-first postorder,
+    taking each one's callees in the order of ``calls``."""
     order: list[str] = []
     seen: set[str] = set()
     todo = [(name, False) for name in reversed(calls)]  # each with: are its callees done?
@@ -292,7 +295,8 @@ class _Facts(NamedTuple):
     ``callers``: the productions callees first, and each one's callers.
     ``flags``: every number's word.  ``words``: each production's word, its
     body's.  ``_facts`` fills the bits of ``_fill``; ``compiled_facts`` all
-    of them, which ``dirty``, ``quiet``, ``lexical`` and ``lead`` read.
+    of them, which ``dirty``, ``quiet``, ``lexical``, ``call_free`` and
+    ``lead`` read.
 
     The methods take an expression, as the emitter holds them, and find its
     number in ``number``, by identity, filled on first use.  An expression
@@ -347,6 +351,10 @@ class _Facts(NamedTuple):
     def lexical(self, e: Expression) -> bool:
         """Does ``e`` hold no call and no tree operator?"""
         return not self.word(e) & (_CALLS | _REACHES)
+
+    def call_free(self, e: Expression) -> bool:
+        """Does ``e`` hold no call?"""
+        return not self.word(e) & _CALLS
 
     def lead(self, e: Expression) -> int | None:
         """``e``'s lead mask."""
@@ -519,7 +527,12 @@ def _facts(grammar: Grammar) -> _Facts:
                     sites.append(n)
             exprs += block
             spans[name] = (first, len(exprs))
-        edges = {name: {exprs[n].name for n in ns} & productions.keys() for name, ns in calls.items()}
+        # Callees in the order of their calls, not of a set: the order of the
+        # fixpoint's passes, and so its work, follows them.
+        edges = {
+            name: dict.fromkeys([exprs[n].name for n in ns if exprs[n].name in productions])
+            for name, ns in calls.items()
+        }
         callers: dict[str, list[str]] = {name: [] for name in spans}
         for name, callees in edges.items():
             for callee in callees:

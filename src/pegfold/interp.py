@@ -9,10 +9,10 @@ distances can be accounted without carrying extra state).  Inside it every
 expression is inlined: terminals, classes, byte loops, sequences, choices,
 options, loops, predicates and tree operators.  A call of another
 production is the only Python call the generated code makes, besides the
-machine's methods for lazy constructors, ``place_links``, the memo table
-and the ``match`` of a pattern (below).  A failed choice alternative,
-option body or repetition step leaves the position where it started, and
-predicates restore it even on success.
+machine's methods for lazy constructors, ``place_links``, the memo table,
+the ``match`` of a pattern and the ``find`` of a stop mask (below).  A
+failed choice alternative, option body or repetition step leaves the
+position where it started, and predicates restore it even on success.
 
 Each setting compiles to two modules from one emitter.  The bare module,
 which a parse runs by default, counts nothing.  The counting module adds
@@ -29,34 +29,41 @@ own root, a token over what it consumed, the node left in the register or
 the commit of the whole log, so that one re-run counts every node the
 parse built.
 
-Both modules run byte-level loops with patterns compiled with the module,
-which one writer spells (``_byte_pattern``, ``_Emitter.regex``).  A loop
-of one byte test, such as ``[0-9]*`` or ``'a'*``, is a *class run*: it
-tests its first byte inline, so an empty run makes no call, and runs the
-pattern ``[0-9]*+`` past it; in the counting module the byte that stops
-it then moves the farthest failure there, as an iteration per byte would.
-A loop whose body is ``!X .``, or a choice whose first alternative is, with
-``X`` a class or a literal, is a scan loop: before each iteration it skips
-the run of such iterations in one C call, the ``match`` of a run of the
-bytes ``!X .`` passes, or ``data.find`` where ``X`` is a literal of two or
-more bytes, and the iteration then runs where ``X`` matches or the input
-ends.  Every counter keeps its value: a skipped iteration counts no
-backtrack, and the farthest failure it would have recorded lies before the
-one that iteration records.
+Both modules end each run of bytes in one C call, the ``find`` in a *stop
+mask*: for each byte set that a run uses, the module holds a translate
+table, and a parse's first run of the set translates the input with it
+into a mask that is nonzero where a run of the set stops, with one stop
+byte past the end (``_Mask``).  ``Program.run`` drops the masks as
+the parse ends, so a parse whose runs never start builds none.  A loop of
+one byte test, such as ``[0-9]*`` or ``'a'*``, is a *class run*: it tests
+its first byte inline, so an empty run makes no call, and finds its end
+past it in the stop mask of its set; in the counting module the byte that
+stops it then moves the farthest failure there, as an iteration per byte
+would.  A loop whose body is ``!X .``, or a choice whose first alternative
+is, with ``X`` a class or a literal, is a scan loop: before each iteration
+it skips the run of such iterations in one C call, the ``find`` in the
+stop mask of the bytes ``!X .`` passes, or ``data.find`` where ``X`` is a
+literal of two or more bytes, and the iteration then runs where ``X``
+matches or the input ends.  Every counter keeps its value: a skipped
+iteration counts no backtrack, and the farthest failure it would have
+recorded lies before the one that iteration records.
 
 In a bare module, an expression other than a class run that is lexical
 (``analysis.compiled_facts``: no call, no tree operator) and holds a
 repetition is a *kernel*: it runs as one ``match`` of a pattern compiled
-with the module, which returns where the expression ends, or ``~start``
-where it fails, since a bare module reads only the sign of a failure.  The
-pattern takes the PEG's way through the bytes and no other: a choice is an
-atomic group, ``?``, ``*`` and ``+`` are possessive, predicates are
-lookaheads, ``!C .`` is ``[^C]``, and a one-byte alternative of a loop's
-choice is a possessive run of such bytes where no alternative before it
-can match them.  A production whose body is a kernel or a class run runs
-inline as that body at each call site, unless it is a memo point.  The
-counting module runs no kernel and inlines no production; everywhere else
-it is the bare module with its counter lines added.
+with the module (``_byte_pattern``, ``_Emitter.regex``), which returns
+where the expression ends, or ``~start`` where it fails, since a bare
+module reads only the sign of a failure.  The pattern takes the PEG's way
+through the bytes and no other: a choice is an atomic group, ``?``, ``*``
+and ``+`` are possessive, predicates are lookaheads, ``!C .`` is ``[^C]``,
+and a one-byte alternative of a loop's choice is a possessive run of such
+bytes where no alternative before it can match them.  A production that
+calls no production and is no memo point, as a nonterminal or a link,
+runs inline as its body, tree operators and all, at each call site and
+``@Name`` link, where the guard that chose it has tested its first byte.
+The counting module runs no kernel and inlines no production, so every
+counter keeps its value; everywhere else it is the bare module with its
+counter lines added.
 
 Only an attempt that can start at the next byte runs: a choice dispatches
 on that byte to the alternatives its lead mask admits (a fact of
@@ -528,6 +535,10 @@ def program_for(
         message = "grammar nests too deeply for the recursion limit"
         raise InvalidGrammarError([Diagnostic("error", "nesting-limit", message)]) from None
     functions = {name: namespace[_mangle(name)] for name in grammar.productions}
+    # The stop masks' stand-ins, which each parse starts from.
+    masks = tuple((name, value) for name, value in namespace.items() if type(value) is _Mask)
+    for name, mask in masks:
+        mask.name, mask.state = name, namespace
     lock = threading.Lock()
 
     def run(record: _Run, name: str) -> int:
@@ -567,8 +578,11 @@ def program_for(
                 record.farthest = state["farthest"]
                 record.backtrack = state["backtrack"]
                 record.calls = state["calls"]
-            # Drop the input and the trees: the program outlives this parse.
+            # Drop the input, its masks and the trees: the program outlives
+            # this parse.
             state["data"] = state["machine"] = state["table"] = None
+            for key, mask in masks:  # a loop, not ``update``: no call
+                state[key] = mask
             lock.release()
 
     # The generated functions hold the namespace as their globals while it
@@ -640,6 +654,28 @@ def _compiled(
     return plan, source, compile(source, "<pegfold grammar>", "exec")
 
 
+class _Mask:
+    """The stand-in for a byte set's stop mask, a global of the generated
+    module, until a parse's first run of the set builds the mask: the input
+    translated with ``table``, a byte per input byte that is nonzero where a
+    run of the set stops, and one stop byte past the end.  Its ``find``
+    builds the mask, puts it in the global ``name`` of the module's
+    namespace ``state`` in its place and finds in it, so every later run of
+    the set is the ``find`` of the mask itself: one C call.  ``Program.run``
+    puts the stand-in back as the parse ends, so a mask lives as long as
+    its parse and a parse whose runs never start builds none."""
+
+    __slots__ = ("table", "name", "state")
+
+    def __init__(self, table: bytes) -> None:
+        self.table = table
+
+    def find(self, stop: int, start: int) -> int:
+        state = self.state
+        mask = state[self.name] = state["data"].translate(self.table) + b"\1"
+        return mask.find(stop, start)
+
+
 # What the generated functions find besides each other: the run state that
 # ``run`` binds per parse, and what they build and store.
 _GLOBALS: dict[str, object] = {
@@ -656,6 +692,7 @@ _GLOBALS: dict[str, object] = {
     "StepLimitExceeded": StepLimitExceeded,
     "place_links": place_links,
     "_compile": re.compile,
+    "_Mask": _Mask,
 }
 
 _RESERVED = frozenset(dir(builtins)) | frozenset(keyword.kwlist) | frozenset(_GLOBALS)
@@ -726,11 +763,11 @@ def _lines(*lines: str | None) -> str:
     return "\n".join(line for line in lines if line)
 
 
-# The byte layer: class runs, scan loops' skips and kernels, each one
-# ``match`` of a pattern compiled with the module, but a skip to a literal
-# of two or more bytes, which is a ``bytes.find``.  A choice is an atomic
-# group and a quantifier possessive, so a match takes no other way through
-# the text than the PEG does.
+# The byte layer: class runs and scan loops' skips, each one ``find`` in a
+# stop mask, or in the input for a skip to a literal of two or more bytes,
+# and kernels, each one ``match`` of a pattern compiled with the module.  A
+# choice is an atomic group and a quantifier possessive, so a match takes
+# no other way through the text than the PEG does.
 _KERNEL_DEPTH = 16  # levels a kernel may nest: ``re`` parses a pattern recursively
 _ALL_BYTES = (1 << 256) - 1
 _LOOPS = (ZeroOrMore.kind, OneOrMore.kind)
@@ -760,6 +797,16 @@ def _escape(byte: int) -> str:
 def _runs(mask: int) -> str:
     """The bytes of ``mask`` as the inside of a pattern's class."""
     return "".join(_escape(lo) if lo == hi else f"{_escape(lo)}-{_escape(hi)}" for lo, hi in _ranges(mask))
+
+
+@functools.lru_cache(maxsize=1024)
+def _byte_table(mask: int) -> bytes:
+    """257 bytes, one per byte value and the end of input (256): 1 for
+    those of ``mask``, 0 for the others."""
+    table = bytearray(257)
+    for lo, hi in _ranges(mask):
+        table[lo : hi + 1] = b"\1" * (hi + 1 - lo)
+    return bytes(table)
 
 
 def _skipped(e: Expression) -> Expression | None:
@@ -856,6 +903,7 @@ class _Emitter:
         self.bodies = grammar.productions
         self.link_points = plan.link_points if plan is not None else {}
         self.nonterminal_points = plan.nonterminal_points if plan is not None else {}
+        self.points = self.link_points.keys() | self.nonterminal_points.keys()  # which stay calls
         self.eager = eager
         self.facts = facts  # ``analysis.compiled_facts``
         self.counting = counting
@@ -963,10 +1011,7 @@ class _Emitter:
             var = self.fresh("c")
             first = f"({var} := {value})"
         if len(ranges) > 3:
-            table = bytearray(257)
-            for lo, hi in ranges:
-                table[lo : hi + 1] = b"\1" * (hi + 1 - lo)
-            return f"{self.constant(repr(bytes(table)), '_t')}[{first}]", var
+            return f"{self.constant(repr(_byte_table(mask)), '_t')}[{first}]", var
         tests = []
         for lo, hi in ranges:
             if lo == hi:
@@ -1078,12 +1123,12 @@ class _Emitter:
 
     def call(self, e: Nonterminal, pv, i, fn, rec=None, known=None):
         """A production call: the callee counts it, and at a memo point looks
-        itself up.  In a bare module, a production whose body is lexical
-        and holds a repetition runs inline as that body, unless it is a
-        memo point."""
+        itself up.  In a bare module, a production that calls none and is
+        no memo point runs inline as its body, which starts at no eager
+        constructor's level, as a called one does."""
         name = e.name
         body = self.bodies[name]
-        if not self.counting and name not in self.nonterminal_points and self.lexical(body) and _repeats(body):
+        if not self.counting and self.facts.call_free(body) and name not in self.points:
             return self.emit(body, pv, i, fn, None, known)
         fn.lines.append(f"{i}r = {self.names[name]}({pv})")
         return "r", True
@@ -1197,11 +1242,12 @@ class _Emitter:
         j = i + _STEP
         if self.byte_run(e):
             # A class run: the first byte is tested inline, so that an empty
-            # run makes no call, and the rest is one ``match``.  The byte
-            # that stops it moves the farthest failure to where it stops.
-            test = self.test(self.facts.lead(body), f"data[{s}]", False)[0]
-            match = self.pattern(self.regex(e))
-            run = f"{i}{s} = {pv}\n{i}if {s} < size and {test}:\n{j}{s} = {match}(data, {s} + 1).end()"
+            # run makes no call, and the rest is one ``find`` in the set's
+            # stop mask.  The byte that stops it moves the farthest failure
+            # to where it stops.
+            keep = self.facts.lead(body)
+            test = self.test(keep, f"data[{s}]", False)[0]
+            run = f"{i}{s} = {pv}\n{i}if {s} < size and {test}:\n{j}{s} = {self.mask(keep)}.find(1, {s} + 1)"
             add(_lines(run, self.reach(s, i, fn)))
             return s, False
         mask = self.facts.lead(body)
@@ -1232,8 +1278,9 @@ class _Emitter:
     def scan(self, skip: Sequence, s: str, i: str, fn: _Function) -> None:
         """Moves ``s`` past the longest run of ``skip``'s iterations, ``!stop
         .``, in one C call, to where the loop's next iteration finds
-        ``stop`` or the end of input: a run of the bytes ``skip`` matches,
-        or ``bytes.find`` where ``stop`` is a literal of two or more bytes.
+        ``stop`` or the end of input: the ``find`` of the stop mask of the
+        bytes ``skip`` matches, or of ``stop`` in the input where it is a
+        literal of two or more bytes.
         The iterations it skips count no backtrack, since ``stop`` fails
         where it starts, and each moves the farthest failure to its start;
         the next one moves it past them all, since ``!stop`` or ``.`` fails
@@ -1243,7 +1290,7 @@ class _Emitter:
             text = skip.items[0].body.text
             fn.lines.append(f"{i}{s} = data.find({text!r}, {s})\n{i}if {s} < 0:\n{i}    {s} = size")
         else:
-            fn.lines.append(f"{i}{s} = {self.pattern(_byte_pattern(mask) + '*+')}(data, {s}).end()")
+            fn.lines.append(f"{i}{s} = {self.mask(mask)}.find(1, {s})")
 
     def plus(self, e: OneOrMore, pv, i, fn, rec, known):
         return self.items((e.body, ZeroOrMore(e.body)), pv, i, fn, rec, known)
@@ -1317,6 +1364,12 @@ class _Emitter:
     def pattern(self, regex: str) -> str:
         """A module global holding the ``match`` of the pattern ``regex``."""
         return self.constant(f"_compile({regex.encode()!r}).match", "_k")
+
+    def mask(self, keep: int) -> str:
+        """A module global whose ``find(1, start)`` is where a run of the
+        bytes of ``keep`` from ``start`` stops, the end of input at most:
+        the stop mask of that set (``_Mask``), with its translate table."""
+        return self.constant(f"_Mask({_byte_table(_ALL_BYTES & ~keep)[:256]!r})", "_m")
 
     def regex(self, e: Expression) -> str:
         """A pattern that matches where the lexical ``e`` succeeds, as far
@@ -1466,7 +1519,7 @@ class _Emitter:
         constructor's level commits its child (``commit_link``)."""
         body = e.body
         if rec is not None or isinstance(body, Nonterminal) and body.name in self.link_points:
-            return self.commit_link(body, e.index, pv, i, fn, rec)
+            return self.commit_link(body, e.index, pv, i, fn, rec, known)
         add = fn.lines.append
         parent = self.fresh("q")
         add(f"{i}{parent} = machine.left")
@@ -1476,7 +1529,7 @@ class _Emitter:
         add(f"{i}machine.left = {parent}")
         return rv, fails
 
-    def commit_link(self, call: Nonterminal, index, pv, i, fn, rec):
+    def commit_link(self, call: Nonterminal, index, pv, i, fn, rec, known):
         """``@Name`` that commits its child: at a memo point, or at an eager
         constructor's level.  It restores the register, committing a lazily
         built child at once, and puts the child in the record ``rec``, or
@@ -1516,7 +1569,9 @@ class _Emitter:
                 f"{e2}if type(k) is not tuple or len(machine.log) != {base}:\n"
                 f"{e3}k = machine.commit({mark}, data)\n"
             )
-        add(f"{d}r = {self.names[call.name]}({s})")
+        rv, _ = self.call(call, s, d, fn, None, known)  # or the callee's body inline
+        if rv != "r":
+            add(f"{d}r = {rv}")
         add(
             f"{d}if r < 0:\n"
             + (f"{e1}table.memoize({point}, {s}, FAILED)\n" if point is not None else "")

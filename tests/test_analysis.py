@@ -1,11 +1,15 @@
 """Grammar validation and memo-point assignment."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from corpus import benchmark_grammars
 from overhead import measured, setup_steps
 
+import pegfold
 from pegfold.analysis import (
     _BUILDS,
     _EMPTY,
@@ -702,6 +706,35 @@ def test_a_set_up_makes_half_the_calls_and_tests_no_class():
     finally:
         sys.setprofile(None)
     assert tests == []
+
+
+SETUP_COUNTS = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from corpus import benchmark_grammars
+from overhead import measured, setup_steps
+work = measured(setup_steps(benchmark_grammars().JSON_LIKE), lambda: None)
+print({step: (figures[0], figures[2]) for step, figures in work.items()})
+"""
+
+
+def test_set_up_counts_repeat_under_every_hash_seed():
+    # The blocks and calls ``tests/overhead.py --setup JSON_LIKE`` prints,
+    # in fresh processes whose sets and dicts of names hash differently:
+    # the analyses take callees in the order of their calls, not of a set.
+    paths = [str(Path(__file__).parent), str(Path(pegfold.__file__).resolve().parents[1])]
+    printed = []
+    for seed in ("1", "2", "3"):
+        done = subprocess.run(
+            [sys.executable, "-c", SETUP_COUNTS, *paths],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert printed[0] == printed[1] == printed[2], printed
 
 
 def test_lexical_expressions_hold_no_call_and_no_tree_operator():

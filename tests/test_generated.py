@@ -63,7 +63,7 @@ def test_benchmark_modules_are_pinned():
     # Every module of the three benchmark grammars: memo on and off, trees
     # on and off, bare and counting, and their diagnostics.
     assert module_digest(seeds=(), pairs=0) == (
-        "65bb03ce79df5d47d7a286df6bbb5488679cbf9f984c18ed130045b090522a27",
+        "98edb3f673f41d74d4076df8826734e7e09378ced3a3514b4f00b15e4f909d37",
         "912b1bc65505eec2f98f02ec199df9a8df5d2cb4fd23321bc392fce13524d684",
         24,
     )
@@ -73,7 +73,7 @@ def test_a_corpus_slice_of_modules_is_pinned():
     # One seed of the corpus's grammars, in every setting: a drift in any
     # analysis that feeds the emitter changes this digest.
     assert module_digest(seeds=range(100, 101), pairs=200) == (
-        "16c2c479fd0521394145b569b3683080c58c69539accaaf25de0538e32b02680",
+        "4c1a2910d82e560bbd1b6d2712e59e778e424169b000dc0a1454414d50ff5824",
         "ff1142e16ce03bf4dd0b60926b637e441cbc6d2a838fc13f5a8cdd4711d08df0",
         560,
     )
@@ -275,6 +275,8 @@ def calls_per_node_build(source):
 
 @pytest.mark.parametrize("memo", [True, False])
 def test_each_generated_node_build_makes_no_call(memo):
-    for text, count in ((MATH, 3), (benchmark_grammars().JSON_LIKE, 6)):
+    # JSON's six constructors, and the four more that ``String``, ``Number``
+    # and ``Lit`` write where they run inline: two of ``String``.
+    for text, count in ((MATH, 3), (benchmark_grammars().JSON_LIKE, 10)):
         source = program_for(parse_grammar(text), memo=memo, build_ast=True).source
         assert calls_per_node_build(source) == [0] * count, (text, memo)

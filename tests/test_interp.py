@@ -644,31 +644,76 @@ def test_scan_loops_keep_the_counters_of_a_byte_per_iteration(text, data, expect
     assert counters(parse_grammar(text), data, memo, build_ast) == expected
 
 
+def stop_mask(stops: bytes) -> str:
+    """The stand-in a module writes for the stop mask of a run of every byte
+    but ``stops``."""
+    return f"_Mask({bytes(1 if byte in stops else 0 for byte in range(256))!r})"
+
+
 @pytest.mark.parametrize(
     "text, call",
     [
-        (STRING, "_compile(b'[^\\\\x22\\\\x5c]*+').match"),
-        (QUOTED, "_compile(b'[^\\\\x22]*+').match"),
+        (STRING, ".find(1, s"),
+        (QUOTED, ".find(1, s"),
         (COMMENT, "data.find(b'*/'"),
     ],
 )
 def test_scan_loops_skip_a_run_in_one_call(text, call):
-    # The counting module scans, with a run of the bytes that ``!X .``
-    # passes, or ``bytes.find`` where X is a literal of two or more bytes;
-    # the bare one runs these lexical bodies as one kernel match each,
-    # which loops no more than that.
+    # The counting module scans, with a ``find`` in the stop mask of the
+    # bytes ``!X .`` passes, or of X in the input where X is a literal of
+    # two or more bytes; the bare one runs these lexical bodies as one
+    # kernel match each, which loops no more than that.
     for build_ast in (True, False):
         grammar = parse_grammar(text)
-        assert call in program_for(grammar, memo=True, build_ast=build_ast, counting=True).source
+        counting = program_for(grammar, memo=True, build_ast=build_ast, counting=True).source
+        assert call in counting and "_compile(" not in counting
+        if text != COMMENT:
+            assert stop_mask(b'"\\' if text == STRING else b'"') in counting
         bare = program_for(grammar, memo=True, build_ast=build_ast).source
         assert "_compile(" in bare and "while" not in bare
 
 
 def test_a_loop_that_calls_scans_in_the_bare_module_too():
-    # The same pattern as the counting module's.
+    # The same stop mask as the counting module's.
     for counting in (False, True):
         source = program_for(parse_grammar(ESCAPES), memo=True, build_ast=True, counting=counting).source
-        assert "_compile(b'[^\\\\x22\\\\x5c]*+').match" in source
+        assert stop_mask(b'"\\') in source and ".find(1, s" in source and "_compile(" not in source
+
+
+# A loop whose one-byte stop holds a call: the CSV style of quoting, where
+# a doubled quote stands for one.
+DOUBLED = """S = { '"' (!'"' . / @E)* '"' #S }
+E = { '""' #E }"""
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@pytest.mark.parametrize("build_ast", [True, False])
+def test_a_loop_that_calls_skips_to_a_one_byte_stop_with_its_mask(memo, build_ast):
+    # Both modules skip to the next quote with one ``find`` in the stop
+    # mask of ``"``, compiling no pattern, and agree with each other and
+    # the oracle, on runs as long as 4 KB too.
+    grammar = parse_grammar(DOUBLED)
+    for counting in (False, True):
+        source = program_for(grammar, memo=memo, build_ast=build_ast, counting=counting).source
+        assert stop_mask(b'"') in source and ".find(1, s" in source, source
+        assert "_compile(" not in source and "data.find(" not in source, source
+    inputs = [b'""', b'"a""b"', b'""""', b'"ab', b'"a""', b'"' + b"x" * 4096 + b'""' + b"y" * 4096 + b'"']
+    for data in inputs:
+        expected = oracle_outcome(grammar, data)
+        results = []
+        for steps in ({}, {"max_steps": 10**6}):
+            session = ParseSession(grammar, data, memo=memo, build_ast=build_ast, **steps)
+            try:
+                result = session.parse()
+                results.append(("ok", result.consumed, serialize(result.root) if build_ast else None))
+            except ParseError as error:
+                results.append(("fail", error.position))
+        assert results[0] == results[1], data
+        assert results[0][0] == expected[0], data
+        if expected[0] == "ok":
+            assert results[0][1] == expected[1], data
+            if build_ast:
+                assert results[0][2] == expected[2], data
 
 
 # A class, one-byte or literal loop, and a general loop that matches the

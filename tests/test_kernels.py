@@ -2,11 +2,10 @@
 runs as one ``match`` of a pattern with atomic groups and possessive
 quantifiers.  Each case below is one where a backtracking match would leave
 the PEG's result; on each input the bare module, the counting module and the
-oracle agree.  The counting module runs no kernel: the only patterns it
-compiles are runs, one byte atom repeated, which both modules write for a
-loop of one byte test and for a scan loop's skip."""
+oracle agree.  The counting module runs no kernel and compiles no pattern:
+both modules run a loop of one byte test, and a scan loop's skip, as a
+``find`` in the stop mask of its byte set."""
 
-import ast
 import re
 
 import pytest
@@ -69,15 +68,6 @@ def has_kernel(source):
     return re.search(r"_k\d+ = _compile\(", source) is not None
 
 
-# A run: one byte atom as ``interp._byte_pattern`` writes it, then ``*+``.
-RUN = re.compile(rb"(?:\\x[0-9a-f]{2}|\[\^?(?:\\x[0-9a-f]{2}|-)+\]|\(\?s:\.\))\*\+")
-
-
-def patterns(source):
-    """The patterns a module compiles."""
-    return [ast.literal_eval(text) for text in re.findall(r"_compile\((b'.*')\)\.match$", source, re.M)]
-
-
 @pytest.mark.parametrize("build_ast", [True, False])
 @pytest.mark.parametrize("memo", [True, False])
 @pytest.mark.parametrize("text, inputs", CASES, ids=[text for text, _ in CASES])
@@ -86,8 +76,8 @@ def test_kernels_match_what_the_peg_matches(text, inputs, memo, build_ast):
     options = {"memo": memo, "build_ast": build_ast}
     bare = program_for(grammar, **options).source
     assert has_kernel(bare) and "while" not in bare, bare
-    counting = patterns(program_for(grammar, **options, counting=True).source)
-    assert all(RUN.fullmatch(pattern) for pattern in counting), counting
+    counting = program_for(grammar, **options, counting=True).source
+    assert "_compile(" not in counting, counting
     for data in inputs:
         got = outcome(grammar, data, counting=False, **options)
         assert got == outcome(grammar, data, counting=True, **options), data
@@ -133,11 +123,12 @@ def test_a_lexical_production_runs_inline_where_it_is_no_memo_point():
 
 
 def test_a_lone_class_run_tests_its_first_byte_inline():
-    # An empty run makes no call: the pattern runs past a first byte that
-    # the module tested itself.
+    # An empty run makes no call: the stop mask's ``find`` starts past a
+    # first byte that the module tested itself.
     grammar = parse_grammar("T = 'y' S 'x'\nS = [ \\t]*\n")
     source = program_for(grammar, memo=False, build_ast=True).source
-    assert "_k0 = _compile(b'[\\\\x09\\\\x20]*+').match" in source
-    assert "s1 = _k0(data, s1 + 1).end()" in source
+    table = bytes(0 if byte in b" \t" else 1 for byte in range(256))
+    assert f"_m0 = _Mask({table!r})" in source
+    assert "s1 = _m0.find(1, s1 + 1)" in source
     for data in (b"yx", b"y x", b"y\t x", b"y \ty"):
         assert outcome(grammar, data, counting=False) == outcome(grammar, data, counting=True)
